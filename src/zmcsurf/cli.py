@@ -8,8 +8,7 @@
 
 Overrides: --grid N (square N x N), --radius R, --samples K, --jet-cap J.
 Exit codes: 0 success, 2 spec errors, 3 numerical-guard failures.
-Outputs are byte-deterministic for a fixed spec.  The ZMCSURF_THREADS
-environment variable caps internal worker threads (output unaffected).
+Outputs are byte-deterministic for a fixed spec.
 """
 
 from __future__ import annotations
@@ -17,13 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .flow import LINE_FIELD, VECTOR_FIELD, WindingError, streamlines, winding_index
-from .geometry import classify_chart
+from .geometry import NumericGuardError, classify_chart
 from .outputs import (
     canonical_json,
     classification_csv,
@@ -41,14 +39,6 @@ from .umbilic import NoSmoothFlowError, analyze_point, eigenfields, measure_indi
 EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_NUMERIC = 3
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ZMCSURF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_spec(args) -> dict:
@@ -124,13 +114,10 @@ def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     if resolved.route == "chart":
         raise SpecError("/route", "generate needs a generated route (ko/null/kobayashi)")
     chart = _surface_chart(resolved)
-    if resolved.is_timelike:
-        evaluate = resolved.patch.evaluate
-    else:
-        evaluate = resolved.spacelike_patch.evaluate
+    patch = resolved.patch if resolved.is_timelike else resolved.spacelike_patch
     from .outputs import SURFACE_COLUMNS
 
-    _write(out_dir, "surface.csv", surface_csv(chart, evaluate))
+    _write(out_dir, "surface.csv", surface_csv(chart, patch))
     _write(
         out_dir,
         "metadata.json",
@@ -149,7 +136,7 @@ def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         _write(out_dir, "summary.json", canonical_json(spacelike_summary(kinds, extra)))
         return EXIT_OK
     chart = _surface_chart(resolved)
-    cls = classify_chart(chart, workers=_worker_count())
+    cls = classify_chart(chart)
     _write(out_dir, "classification.csv", classification_csv(cls))
     _write(out_dir, "summary.json", canonical_json(classification_summary(cls, extra)))
     return EXIT_OK
@@ -189,10 +176,7 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         report = rep.to_dict()
         report["preset"] = args.preset
         if rep.measured_indices:
-            fields = eigenfields(q, cap=a.jet_cap)
-            for f in fields:
-                res = winding_index(f, radius=a.winding_radius, samples=a.samples)
-                rows.append((f.name, VECTOR_FIELD, res))
+            rows = [(name, VECTOR_FIELD, res) for name, res in rep.windings]
     else:
         raise SpecError("/route", "index needs a generated route (ko/null/kobayashi)")
 
@@ -230,7 +214,7 @@ def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         meta = {"tagged": "spacelike", "preset": args.preset}
     else:
         chart = _surface_chart(resolved)
-        cls = classify_chart(chart, workers=_worker_count())
+        cls = classify_chart(chart)
         kinds = cls.kinds
         meta = {"preset": args.preset}
         if resolved.is_timelike:
@@ -315,8 +299,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC
-    except (WindingError, ZeroDivisionError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (WindingError, ZeroDivisionError, NumericGuardError) as exc:
+        diagnostic = {"error": str(exc)}
+        if isinstance(exc, NumericGuardError):
+            diagnostic["node"] = list(exc.node)
+        print(json.dumps(diagnostic), file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,9 +32,33 @@ KIND_NEGATIVE = "negative"
 KIND_MASKED = "masked"
 
 
+class NumericGuardError(ArithmeticError):
+    """A chart value is outside the range the classifier can evaluate."""
+
+    def __init__(self, message: str, node: tuple):
+        super().__init__(message)
+        self.node = node
+
+
+class NullLattice(NamedTuple):
+    """The distinct null coordinates x = (u+v)/2, y = (u-v)/2 of a grid.
+
+    Node (i, j) sits at k = i * nv + j of the flat row-major index lists:
+    its coordinates are xs[ix[k]] and ys[iy[k]], exactly.
+    """
+
+    xs: list
+    ys: list
+    ix: list
+    iy: list
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular (u,v) grid with exact rational node coordinates."""
+    """Rectangular (u,v) grid with exact rational node coordinates.
+
+    Bounds are stored as Fractions (ints and floats convert exactly).
+    """
 
     u_min: Fraction
     u_max: Fraction
@@ -46,6 +70,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        for name in ("u_min", "u_max", "v_min", "v_max"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.u_min >= self.u_max or self.v_min >= self.v_max:
             raise ValueError("grid ranges must be non-empty")
 
@@ -64,6 +90,37 @@ class GridSpec:
         dv = (self.v_max - self.v_min) / (self.nv - 1)
         return [self.v_min + j * dv for j in range(self.nv)]
 
+    def null_lattice(self) -> NullLattice:
+        """Integer keys of the nodes' null coordinates.
+
+        With du/dv = p/q in lowest terms and h = dv/(2q), node (i, j) has
+        x = x0 + (p i + q j) h and y = y0 + (p i + q (nv - 1 - j)) h, where
+        x0 = (u_min + v_min)/2 and y0 = (u_min - v_max)/2.  Equal keys are
+        equal coordinates, so a square grid with du = dv has nu + nv - 1
+        distinct values per coordinate.
+        """
+        nu, nv = self.nu, self.nv
+        du = (self.u_max - self.u_min) / (nu - 1)
+        dv = (self.v_max - self.v_min) / (nv - 1)
+        ratio = du / dv
+        p, q = ratio.numerator, ratio.denominator
+        h = dv / (2 * q)
+        rows, cols = range(nu), range(nv)
+        x_keys, ix = _ranks([p * i + q * j for i in rows for j in cols])
+        y_keys, iy = _ranks([p * i + q * (nv - 1 - j) for i in rows for j in cols])
+        x0 = (self.u_min + self.v_min) / 2
+        y0 = (self.u_min - self.v_max) / 2
+        return NullLattice(
+            [x0 + k * h for k in x_keys], [y0 + k * h for k in y_keys], ix, iy
+        )
+
+
+def _ranks(keys: list):
+    """The sorted distinct integer keys, and each key's position among them."""
+    distinct = sorted(set(keys))
+    rank = {k: n for n, k in enumerate(distinct)}
+    return distinct, [rank[k] for k in keys]
+
 
 @dataclass
 class SurfaceChart:
@@ -80,6 +137,10 @@ class SurfaceChart:
     # analytic extras for generated charts (None for raw numeric charts)
     hopf: Optional[ParaFunction] = None
     source: object = None
+    # the grid's null lattice, and the polynomial Hopf branches evaluated
+    # on it: (plus at lattice.xs, minus at lattice.ys)
+    lattice: Optional[NullLattice] = None
+    hopf_values: Optional[tuple] = None
 
     def node(self, i: int, j: int):
         return self.grid.u_nodes()[i], self.grid.v_nodes()[j]
@@ -197,13 +258,13 @@ def _eigen_pair(chart, i, j, r):
 
 
 def _exact_branch_values(chart, i, j):
-    h = chart.hopf
-    if h is None or not (h.plus.is_polynomial and h.minus.is_polynomial):
+    """Hopf branch values (plus(x), minus(y)) at node (i, j), looked up in
+    the chart's 1-D tables; None when the chart carries none."""
+    if chart.hopf_values is None:
         return None
-    u, v = chart.node(i, j)
-    if not isinstance(u, Fraction) or not isinstance(v, Fraction):
-        return None
-    return h.plus((u + v) / 2), h.minus((u - v) / 2)
+    plus, minus = chart.hopf_values
+    k = i * chart.grid.nv + j
+    return plus[chart.lattice.ix[k]], minus[chart.lattice.iy[k]]
 
 
 @dataclass
@@ -237,30 +298,48 @@ class ChartClassification:
         return self.nodes_of_kind(KIND_UMBILIC) + self.nodes_of_kind(KIND_QUASI)
 
 
-def classify_chart(chart: SurfaceChart, workers: int = 1) -> ChartClassification:
-    """Classify every node.  Node order (hence output) is deterministic
-    regardless of the worker count."""
+def _check_sigma(chart: SurfaceChart):
+    """Refuse a chart whose D = e^{-4 sigma}(...) cannot be formed.
+
+    At an immersed node e^{4|sigma|} must be a finite double (so
+    |sigma| <= ~177.4); otherwise e^{-4 sigma} overflows or flushes to 0.
+    """
+    with np.errstate(invalid="ignore"):
+        suspect = chart.mask & ~(np.abs(chart.sigma) <= 177.0)
+    for i, j in zip(*np.nonzero(suspect)):
+        s = float(chart.sigma[i, j])
+        try:
+            ok = math.isfinite(math.exp(4.0 * abs(s)))
+        except OverflowError:
+            ok = False
+        if not ok:
+            i, j = int(i), int(j)
+            u, v = chart.node(i, j)
+            raise NumericGuardError(
+                f"sigma = {s!r} at node ({i}, {j}), (u, v) = ({u}, {v}): "
+                "e^(4|sigma|) is not a finite double, so the discriminant "
+                "cannot be formed",
+                (i, j),
+            )
+
+
+def classify_chart(chart: SurfaceChart) -> ChartClassification:
+    """Classify every node, in row-major order.
+
+    Raises NumericGuardError before classifying anything when an immersed
+    node's sigma is out of range (see `_check_sigma`).
+    """
+    _check_sigma(chart)
     nu, nv = chart.grid.nu, chart.grid.nv
     kinds = np.empty((nu, nv), dtype="<U14")
     D = np.full((nu, nv), np.nan)
     points = {}
-
-    def run(pairs):
-        return [(i, j, classify_node(chart, i, j)) for i, j in pairs]
-
-    pairs = [(i, j) for i in range(nu) for j in range(nv)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [pairs[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = [item for part in ex.map(run, chunks) for item in part]
-    else:
-        results = run(pairs)
-    for i, j, pc in results:
-        kinds[i, j] = pc.kind
-        D[i, j] = pc.D
-        points[(i, j)] = pc
+    for i in range(nu):
+        for j in range(nv):
+            pc = classify_node(chart, i, j)
+            kinds[i, j] = pc.kind
+            D[i, j] = pc.D
+            points[(i, j)] = pc
     return ChartClassification(chart, kinds, D, points)
 
 

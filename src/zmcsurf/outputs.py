@@ -45,33 +45,26 @@ def _csv_line(fields: Iterable[str]) -> str:
 SURFACE_COLUMNS = ("u", "v", "f0", "f1", "f2", "sigma", "L", "M", "N")
 
 
-def surface_csv(chart: SurfaceChart, evaluate) -> str:
+def surface_csv(chart: SurfaceChart, patch) -> str:
     """Immersion coordinates and fundamental forms per grid node.
 
-    `evaluate(u, v)` returns the three ambient coordinates; masked nodes
-    keep their coordinates but carry nan forms.
+    `patch.grid_coordinates(grid)` yields the three ambient coordinates of
+    every node, row-major; masked nodes keep their coordinates but carry
+    nan forms.
     """
+    grid = chart.grid
+    coords = patch.grid_coordinates(grid)
+    u_text = [fmt(float(u)) for u in grid.u_nodes()]
+    v_text = [fmt(float(v)) for v in grid.v_nodes()]
+    forms = zip(
+        chart.mask.flat, chart.sigma.flat, chart.L.flat, chart.M.flat, chart.N.flat
+    )
+    masked_tail = ["nan"] * 4
     out = [_csv_line(SURFACE_COLUMNS)]
-    u_nodes = chart.grid.u_nodes()
-    v_nodes = chart.grid.v_nodes()
-    for i, u in enumerate(u_nodes):
-        for j, v in enumerate(v_nodes):
-            f0, f1, f2 = (float(c) for c in evaluate(u, v))
-            if chart.mask[i, j]:
-                tail = (
-                    chart.sigma[i, j],
-                    chart.L[i, j],
-                    chart.M[i, j],
-                    chart.N[i, j],
-                )
-            else:
-                tail = (float("nan"),) * 4
-            out.append(
-                _csv_line(
-                    [fmt(float(u)), fmt(float(v)), fmt(f0), fmt(f1), fmt(f2)]
-                    + [fmt(t) for t in tail]
-                )
-            )
+    rows = ((u, v) for u in u_text for v in v_text)
+    for (u, v), xyz, (immersed, *tail) in zip(rows, coords, forms):
+        tail = [fmt(t) for t in tail] if immersed else masked_tail
+        out.append(_csv_line([u, v, *(fmt(c) for c in xyz), *tail]))
     return "".join(out)
 
 

@@ -59,6 +59,11 @@ class SpacelikePatch:
         z = complex(u) + 1j * complex(v)
         return np.array([complex(p(z)).real for p in self.primitives])
 
+    def grid_coordinates(self, grid: GridSpec):
+        """Iterator over `evaluate(u, v)` at every node, row-major."""
+        v_nodes = grid.v_nodes()
+        return (self.evaluate(u, v) for u in grid.u_nodes() for v in v_nodes)
+
     # -- analytic first/second-order data ----------------------------------------
 
     def conformal_factor(self, u, v) -> float:

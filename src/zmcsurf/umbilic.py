@@ -15,7 +15,7 @@ orders m this is exactly the residue of m mod 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,6 +62,8 @@ class IndexReport:
     measured_indices: Optional[dict] = None
     measured_info: Optional[dict] = None
     match: Optional[bool] = None
+    # (field name, WindingResult) at the requested radius; not serialized
+    windings: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         pred = self.predicted_indices
@@ -350,19 +352,23 @@ def measure_indices(
             "skipped": f"measurement skipped: {report.predicted_indices}"
         }
         report.match = None
+        report.windings = None
         return report
     fields = eigenfields(qhat, report.cap)
     measured = {}
+    windings = []
     info = {"radius": radius, "samples": samples}
     stable = True
     for f in fields:
         res = winding_index(f, radius=radius, samples=samples)
         measured[f.name] = res.index
+        windings.append((f.name, res))
         if check_halved:
             half = winding_index(f, radius=radius / 2.0, samples=samples)
             stable = stable and (half.index == res.index)
     info["radius_halving_stable"] = stable
     report.measured_indices = measured
     report.measured_info = info
+    report.windings = tuple(windings)
     report.match = frozenset(measured.values()) == report.predicted_indices and stable
     return report

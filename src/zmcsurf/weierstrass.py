@@ -26,6 +26,26 @@ Derived and validated here (rather than taken on faith):
 * the quadratic-differential coefficient of the trace-free second form in
   dz^2 is -(omega_hat * dg/dz); the raw chart assembly (L+N) + 2jM equals
   4 times that because du = (dz + conj dz)/2.
+
+Separable chart engine.  Every datum is a function of one null coordinate:
+g_i, w_i, the dx^2/dy^2 coefficients -2 w_i g_i', the three primitives per
+coordinate and the two Hopf branches.  `GridSpec.null_lattice` gives the
+distinct x and y values of a grid's nodes (nu + nv - 1 of each on a square
+grid with du = dv), so `ImmersionPatch.chart` and `grid_coordinates`
+evaluate each branch once per distinct value and only combine per node.
+The combination rounds exactly as the per-point API (`metric_factor`,
+`second_forms`, `evaluate`) followed by float():
+
+* rational branch values: the node value is formed as an unreduced
+  integer ratio, e.g. -(bd - ac)^2 e g / ((bd)^2 f h) for the metric
+  factor with g1 = a/b, g2 = c/d, w1 = e/f, w2 = g/h.  Python's int/int
+  true division is correctly rounded, like float(Fraction), so the two
+  agree bit for bit; the mask test reads the integer numerator.
+* float or callable branch values: the per-point expression itself is
+  applied to the cached values.
+
+sigma = log|factor|/2 stays a per-node math.log call (numpy's log and exp
+do not always round like math's).
 """
 
 from __future__ import annotations
@@ -176,8 +196,7 @@ class ImmersionPatch:
         """<f_u, f_u> = -(1 - g1 g2)^2 w1 w2; the dv^2-coefficient is its negative."""
         x, y = _half(u + v), _half(u - v)
         d = self.data
-        gg = d.g1(x) * d.g2(y)
-        return -((1 - gg) ** 2) * d.w1(x) * d.w2(y)
+        return _metric(d.g1(x), d.g2(y), d.w1(x), d.w2(y))
 
     def normal(self, u, v) -> np.ndarray:
         """Unit space-like normal; undefined where the patch degenerates."""
@@ -200,11 +219,8 @@ class ImmersionPatch:
         x, y = _half(u + v), _half(u - v)
         d = self.data
         g1d, g2d = self._derivs
-        lx = -2 * d.w1(x) * g1d(x)  # dx^2-coefficient
-        ny = -2 * d.w2(y) * g2d(y)  # dy^2-coefficient
-        L = (lx + ny) * _QUARTER
-        M = (lx - ny) * _QUARTER
-        return L, M, L
+        # dx^2- and dy^2-coefficients
+        return _forms(-2 * d.w1(x) * g1d(x), -2 * d.w2(y) * g2d(y))
 
     def weingarten_null(self, u, v) -> np.ndarray:
         """Shape operator in the null frame: off-diagonal w_i g_i' / Delta."""
@@ -235,39 +251,143 @@ class ImmersionPatch:
     # -- chart extraction ------------------------------------------------------------
 
     def chart(self, grid: GridSpec) -> SurfaceChart:
-        nu, nv = grid.nu, grid.nv
-        sigma = np.full((nu, nv), np.nan)
-        L = np.zeros((nu, nv))
-        M = np.zeros((nu, nv))
-        N = np.zeros((nu, nv))
-        mask = np.zeros((nu, nv), dtype=bool)
-        sign = np.ones((nu, nv), dtype=np.int8)
-        for i, u in enumerate(grid.u_nodes()):
-            for j, v in enumerate(grid.v_nodes()):
-                factor = self.metric_factor(u, v)
-                f = float(factor)
-                if factor == 0 or abs(f) < 1e-300:
-                    continue
-                mask[i, j] = True
-                sign[i, j] = 1 if f > 0 else -1
-                sigma[i, j] = 0.5 * math.log(abs(f))
-                l, m, n = self.second_forms(u, v)
-                L[i, j], M[i, j], N[i, j] = float(l), float(m), float(n)
+        lattice = grid.null_lattice()
+        xs, ys = lattice.xs, lattice.ys
+        d = self.data
+        g1d, g2d = self._derivs
+        g1, w1 = _table(d.g1, xs), _table(d.w1, xs)
+        g2, w2 = _table(d.g2, ys), _table(d.w2, ys)
+        lx = [-2 * w * dg for w, dg in zip(w1, _table(g1d, xs))]
+        ny = [-2 * w * dg for w, dg in zip(w2, _table(g2d, ys))]
+        nodes = _combine(lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, _float_node)
+        rec = np.fromiter(
+            map(_node_record, nodes), dtype=_NODE_RECORD, count=grid.nu * grid.nv
+        ).reshape(grid.nu, grid.nv)
+        L = rec["L"].copy()
+        hopf = self.hopf()
+        hopf_values = None
+        if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
+            hopf_values = (_table(hopf.plus, xs), _table(hopf.minus, ys))
         return SurfaceChart(
             grid,
-            sigma,
+            rec["sigma"].copy(),
             L,
-            M,
-            N,
-            mask,
-            sign,
+            rec["M"].copy(),
+            L.copy(),
+            rec["mask"].copy(),
+            rec["sign"].copy(),
             provenance="generated",
-            hopf=self.hopf(),
+            hopf=hopf,
             source=self,
+            lattice=lattice,
+            hopf_values=hopf_values,
         )
+
+    def grid_coordinates(self, grid: GridSpec):
+        """Iterator over float(c) of `evaluate(u, v)` at every node, as
+        row-major triples."""
+        lattice = grid.null_lattice()
+        px = [_table(c, lattice.xs) for c in self.comps_x]
+        qy = [_table(c, lattice.ys) for c in self.comps_y]
+        return _combine(lattice, px, qy, _exact_point, _float_point)
 
 
 _QUARTER = Fraction(1, 4)
+
+
+def _metric(g1, g2, w1, w2):
+    """The metric factor from branch values at x (g1, w1) and y (g2, w2)."""
+    return -((1 - g1 * g2) ** 2) * w1 * w2
+
+
+def _forms(lx, ny):
+    """(L, M, N) from the dx^2- and dy^2-coefficients."""
+    L = (lx + ny) * _QUARTER
+    M = (lx - ny) * _QUARTER
+    return L, M, L
+
+
+# -- separable chart engine: 1-D tables, per-node combination ---------------
+
+
+def _table(fn, points) -> list:
+    return [fn(t) for t in points]
+
+
+def _combine(lattice, x_tables, y_tables, exact, generic):
+    """Iterator, per node in row-major order: `exact` on the flat
+    (numerator, denominator) pairs of the x and y table rows when every
+    value is rational, else `generic` on the values themselves."""
+    tables = (*x_tables, *y_tables)
+    if all(isinstance(v, (int, Fraction)) for t in tables for v in t):
+        rows_x, rows_y, node = _ratios(x_tables), _ratios(y_tables), exact
+    else:
+        rows_x, rows_y, node = list(zip(*x_tables)), list(zip(*y_tables)), generic
+    return (node(rows_x[a], rows_y[b]) for a, b in zip(lattice.ix, lattice.iy))
+
+
+def _ratios(tables) -> list:
+    return [
+        tuple(n for v in vals for n in (v.numerator, v.denominator))
+        for vals in zip(*tables)
+    ]
+
+
+_NODE_RECORD = np.dtype(
+    [("mask", "?"), ("sigma", "f8"), ("L", "f8"), ("M", "f8"), ("sign", "i1")]
+)
+
+
+def _node_record(node):
+    """Chart record of a node from None (masked) or (metric factor, L, M)."""
+    if node is None:
+        return False, math.nan, 0.0, 0.0, 1
+    f, L, M = node
+    return True, 0.5 * math.log(abs(f)), L, M, 1 if f > 0 else -1
+
+
+def _exact_node(x, y):
+    """float() of the metric factor and of (L, M), or None where masked;
+    x = (g1, w1, lx) and y = (g2, w2, ny) as numerator/denominator pairs."""
+    a, b, e, f, ln, ld = x
+    c, d, g, h, nn, nd = y
+    bd = b * d
+    t = bd - a * c
+    num = -(t * t) * (e * g)
+    if not num:
+        return None
+    factor = num / (bd * bd * (f * h))
+    if abs(factor) < 1e-300:
+        return None
+    den = 4 * ld * nd
+    return factor, (ln * nd + nn * ld) / den, (ln * nd - nn * ld) / den
+
+
+def _float_node(x, y):
+    """As `_exact_node`, for values of any type: the per-point expressions."""
+    g1, w1, lx = x
+    g2, w2, ny = y
+    factor = _metric(g1, g2, w1, w2)
+    f = float(factor)
+    if factor == 0 or abs(f) < 1e-300:
+        return None
+    L, M, _ = _forms(lx, ny)
+    return f, float(L), float(M)
+
+
+def _exact_point(x, y):
+    """float(P_a(x) + Q_a(y)) for a = 0, 1, 2 from numerator/denominator pairs."""
+    n0, d0, n1, d1, n2, d2 = x
+    m0, e0, m1, e1, m2, e2 = y
+    return (
+        (n0 * e0 + m0 * d0) / (d0 * e0),
+        (n1 * e1 + m1 * d1) / (d1 * e1),
+        (n2 * e2 + m2 * d2) / (d2 * e2),
+    )
+
+
+def _float_point(x, y):
+    return tuple(float(p + q) for p, q in zip(x, y))
 
 
 @lru_cache(maxsize=None)

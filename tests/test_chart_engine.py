@@ -1,0 +1,126 @@
+"""The separable chart engine against the per-point analytic API.
+
+`ImmersionPatch.chart`, `grid_coordinates` (hence surface.csv) and the
+classifier's Hopf-branch lookup are built from 1-D branch tables; every
+value must equal, bit for bit, what the per-point methods give at the
+node.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from zmcsurf import GridSpec
+from zmcsurf.geometry import _exact_branch_values
+from zmcsurf.outputs import fmt, surface_csv
+from zmcsurf.presets import preset_spec
+from zmcsurf.surfacespec import resolve
+
+FLOAT_NULL = {
+    "route": "null",
+    "data": {
+        "g1": {"kind": "poly", "coeffs": [0.0, 0.0, 0.75, 0.1]},
+        "g2": {"kind": "poly", "coeffs": [0.0, 0.0, 0.0, 0.0, 1.25, -0.2]},
+        "w1": {"kind": "poly", "coeffs": [1.0, 0.125, -0.25]},
+        "w2": {"kind": "poly", "coeffs": [1.0, -0.375, 0.125]},
+    },
+    "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": 17, "nv": 17},
+}
+
+# du/dv = (1/8) / (5/88) = 11/5
+NON_SQUARE = GridSpec(-1, 1, Fraction(-1, 2), Fraction(3, 4), 17, 23)
+
+CASES = ["z5", "deg26", "f2", "float_null", "exA2"]
+
+
+def _patch_and_square_grid(name):
+    spec = FLOAT_NULL if name == "float_null" else preset_spec(name)
+    resolved = resolve(spec)
+    return resolved.patch, resolved.grid
+
+
+@pytest.fixture(params=CASES)
+def case(request):
+    return request.param
+
+
+@pytest.fixture(params=["square", "non_square"])
+def patch_grid(request, case):
+    patch, grid = _patch_and_square_grid(case)
+    return patch, grid if request.param == "square" else NON_SQUARE
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def _nodes(grid):
+    for i, u in enumerate(grid.u_nodes()):
+        for j, v in enumerate(grid.v_nodes()):
+            yield i, j, u, v
+
+
+def test_non_square_grid_has_step_ratio_11_5():
+    du = (NON_SQUARE.u_max - NON_SQUARE.u_min) / (NON_SQUARE.nu - 1)
+    dv = (NON_SQUARE.v_max - NON_SQUARE.v_min) / (NON_SQUARE.nv - 1)
+    assert du / dv == Fraction(11, 5)
+
+
+@pytest.mark.parametrize("grid", [GridSpec.square(1, 17), NON_SQUARE])
+def test_null_lattice_gives_exact_null_coordinates(grid):
+    lat = grid.null_lattice()
+    for i, j, u, v in _nodes(grid):
+        k = i * grid.nv + j
+        assert lat.xs[lat.ix[k]] == (u + v) / 2
+        assert lat.ys[lat.iy[k]] == (u - v) / 2
+    assert len(set(lat.xs)) == len(lat.xs) and len(set(lat.ys)) == len(lat.ys)
+
+
+def test_square_lattice_has_nu_plus_nv_minus_one_values():
+    lat = GridSpec.square(1, 33).null_lattice()
+    assert len(lat.xs) == len(lat.ys) == 65
+
+
+def test_chart_matches_per_point_forms_bitwise(patch_grid):
+    patch, grid = patch_grid
+    chart = patch.chart(grid)
+    for i, j, u, v in _nodes(grid):
+        factor = patch.metric_factor(u, v)
+        f = float(factor)
+        immersed = not (factor == 0 or abs(f) < 1e-300)
+        assert bool(chart.mask[i, j]) == immersed, (i, j)
+        if not immersed:
+            assert math.isnan(chart.sigma[i, j]) and chart.metric_sign[i, j] == 1
+            assert chart.L[i, j] == chart.M[i, j] == chart.N[i, j] == 0.0
+            continue
+        assert chart.metric_sign[i, j] == (1 if f > 0 else -1)
+        assert _bits(chart.sigma[i, j]) == _bits(0.5 * math.log(abs(f))), (i, j)
+        l, m, n = patch.second_forms(u, v)
+        assert _bits(chart.L[i, j]) == _bits(float(l)), (i, j)
+        assert _bits(chart.M[i, j]) == _bits(float(m)), (i, j)
+        assert _bits(chart.N[i, j]) == _bits(float(n)), (i, j)
+
+
+def test_surface_csv_coordinates_match_evaluate(patch_grid):
+    patch, grid = patch_grid
+    lines = surface_csv(patch.chart(grid), patch).splitlines()[1:]
+    assert len(lines) == grid.nu * grid.nv
+    for (i, j, u, v), line in zip(_nodes(grid), lines):
+        fields = line.split(",")
+        expected = [float(u), float(v)] + [float(c) for c in patch.evaluate(u, v)]
+        assert fields[:5] == [fmt(x) for x in expected], (i, j)
+
+
+def test_branch_lookup_matches_direct_hopf(patch_grid):
+    patch, grid = patch_grid
+    chart = patch.chart(grid)
+    hopf = patch.hopf()
+    polynomial = hopf.plus.is_polynomial and hopf.minus.is_polynomial
+    for i, j, u, v in _nodes(grid):
+        got = _exact_branch_values(chart, i, j)
+        if not polynomial:
+            assert got is None
+            continue
+        want = (hopf.plus((u + v) / 2), hopf.minus((u - v) / 2))
+        assert got == want and type(got[0]) is type(want[0]), (i, j)

@@ -215,6 +215,74 @@ def test_exit_code_3_on_winding_guard_failure(tmp_path, capsys):
     assert "undefined" in err["error"] or "vanished" in err["error"]
 
 
+def _chart_spec_with_sigma(tmp_path, value):
+    n = 16
+    sigma = [[0.0] * n for _ in range(n)]
+    sigma[3][5] = value
+    rows = lambda val: [[val] * n for _ in range(n)]
+    spec = {
+        "route": "chart",
+        "data": {"sigma": sigma, "L": rows(1.0), "M": rows(0.0), "N": rows(1.0)},
+        "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": n, "nv": n},
+    }
+    f = tmp_path / "chart.json"
+    f.write_text(json.dumps(spec))
+    return f
+
+
+@pytest.mark.parametrize("sigma", [-400.0, 1e308])
+def test_exit_code_3_on_sigma_out_of_range(tmp_path, capsys, sigma):
+    f = _chart_spec_with_sigma(tmp_path, sigma)
+    for cmd in ("classify", "flow"):
+        out = tmp_path / cmd
+        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["node"] == [3, 5] and "(3, 5)" in err["error"]
+        assert not out.exists()
+
+
+def test_sigma_guard_keeps_in_range_chart(tmp_path):
+    f = _chart_spec_with_sigma(tmp_path, -177.0)
+    assert _run(["classify", "--spec", str(f), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("cmd", ["classify", "flow"])
+def test_exit_code_3_on_exa2_sigma_overflow(tmp_path, capsys, cmd):
+    out = tmp_path / "o"
+    assert _run([cmd, "--preset", "exA2", "--grid", "33", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    i, j = err["node"]
+    assert f"({i}, {j})" in err["error"] and "sigma" in err["error"]
+
+
+def test_index_reuses_measured_windings(tmp_path, monkeypatch):
+    from zmcsurf import cli, umbilic
+    from zmcsurf.flow import winding_index
+    from zmcsurf.outputs import winding_csv
+    from zmcsurf.presets import load_preset
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return winding_index(*args, **kwargs)
+
+    monkeypatch.setattr(umbilic, "winding_index", counted)
+    monkeypatch.setattr(cli, "winding_index", counted)
+    out = tmp_path / "z3"
+    assert _run(["index", "--preset", "z3", "--out", str(out)]) == 0
+    # two eigenfields, each at the radius and at half of it
+    assert len(calls) == 4
+    # the rows are those of a fresh measurement at the requested radius
+    z3 = load_preset("z3")
+    a = z3.analysis
+    rows = [
+        (f.name, "vector_field", winding_index(f, a.winding_radius, a.samples))
+        for f in umbilic.eigenfields(z3.patch.hopf(), cap=a.jet_cap)
+    ]
+    assert (out / "winding.csv").read_text() == winding_csv(rows)
+
+
 def test_grid_override(tmp_path):
     out = tmp_path / "o"
     assert _run(["generate", "--preset", "z2", "--out", str(out), "--grid", "17"]) == 0

@@ -269,10 +269,3 @@ def test_masked_node_rejected_by_weingarten():
     with pytest.raises(ValueError):
         weingarten(chart, 16, 8)  # (1, 0) is degenerate
 
-
-def test_classify_chart_parallel_matches_serial():
-    chart = _chart_ko_monomial(3, GridSpec.square(1, 17))
-    serial = classify_chart(chart, workers=1)
-    parallel = classify_chart(chart, workers=4)
-    assert np.array_equal(serial.kinds, parallel.kinds)
-    assert np.allclose(serial.D, parallel.D, equal_nan=True)

@@ -28,7 +28,7 @@ def test_surface_csv_shape_and_masked_rows():
     patch = _patch()
     grid = GridSpec.square(2, 17)  # wide enough to hit degenerate nodes
     chart = patch.chart(grid)
-    text = surface_csv(chart, patch.evaluate)
+    text = surface_csv(chart, patch)
     lines = text.splitlines()
     assert lines[0] == "u,v,f0,f1,f2,sigma,L,M,N"
     assert len(lines) == 1 + 17 * 17

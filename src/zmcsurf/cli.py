@@ -7,7 +7,10 @@
     zmcsurf --list-presets
 
 Overrides: --grid N (square N x N), --radius R, --samples K, --jet-cap J.
-Exit codes: 0 success, 2 spec errors, 3 numerical-guard failures.
+Input limits (exceeding one is a spec error): grid nu, nv and N in
+[16, 1025], samples K in [720, 65536], jet cap J in [1, 64].
+Exit codes: 0 success, 2 spec errors, 3 numerical-guard failures,
+including an exact value that rounds outside the double range.
 Outputs are byte-deterministic for a fixed spec.
 """
 
@@ -147,7 +150,7 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     rows = []
     if resolved.is_spacelike:
         patch = resolved.spacelike_patch
-        hopf = -(patch.data.omega_hat * patch.data.g.derivative())
+        hopf = -(patch.data.omega_hat * patch.g_prime)
         m = hopf.trailing_order()
         report = {
             "tagged": "spacelike",
@@ -299,7 +302,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC
-    except (WindingError, ZeroDivisionError, NumericGuardError) as exc:
+    except (WindingError, ZeroDivisionError, OverflowError, NumericGuardError) as exc:
         diagnostic = {"error": str(exc)}
         if isinstance(exc, NumericGuardError):
             diagnostic["node"] = list(exc.node)

@@ -226,7 +226,8 @@ def classify_node(chart: SurfaceChart, i: int, j: int) -> PointClass:
             return PointClass(
                 KIND_QUASI, 0.0, (_unit(s, 1),), _eigen_pair(chart, i, j, 0.0)
             )
-        kind = KIND_POSITIVE if pp * mm > 0 else KIND_NEGATIVE
+        same_sign = (pp > 0 and mm > 0) or (pp < 0 and mm < 0)
+        kind = KIND_POSITIVE if same_sign else KIND_NEGATIVE
         if kind == KIND_NEGATIVE:
             return PointClass(kind, D, (), None)
         r = math.sqrt(abs(a * a - b * b))

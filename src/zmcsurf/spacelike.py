@@ -41,6 +41,7 @@ class ComplexWeierstrassData:
 class SpacelikePatch:
     data: ComplexWeierstrassData
     primitives: tuple  # three complex polynomials P_a with f^a = Re P_a(z)
+    g_prime: Poly  # dg/dz, built once for the Hopf coefficient
 
     @classmethod
     def build(cls, data: ComplexWeierstrassData) -> "SpacelikePatch":
@@ -51,7 +52,7 @@ class SpacelikePatch:
             (one - g * g) * w * 1j,
             (g * 2) * w,
         )
-        return cls(data, tuple(p.antiderivative() for p in phi))
+        return cls(data, tuple(p.antiderivative() for p in phi), g.derivative())
 
     # -- evaluation -----------------------------------------------------------
 
@@ -84,9 +85,7 @@ class SpacelikePatch:
         """dz^2-normalized Hopf coefficient -(omega_hat g'); the raw chart
         assembly (L - N) - 2iM equals 4 times this."""
         z = complex(u) + 1j * complex(v)
-        return -complex(self.data.omega_hat(z)) * complex(
-            self.data.g.derivative()(z)
-        )
+        return -complex(self.data.omega_hat(z)) * complex(self.g_prime(z))
 
     def forms(self, u, v):
         """(sigma, L, M, N) of the chart at (u, v)."""

@@ -35,6 +35,13 @@ from .weierstrass import ImmersionPatch, NullData, WeierstrassData, generate_ko
 
 ROUTES = ("ko", "null", "kobayashi", "chart")
 
+# Input limits: a larger value is refused as a spec error, so that no spec
+# can ask for an unbounded run.  Winding retries may raise the sample count
+# to 16 * MAX_SAMPLES.
+MAX_GRID_NODES = 1025  # nu and nv, and hence --grid
+MAX_SAMPLES = 65536
+MAX_JET_CAP = 64
+
 
 class SpecError(ValueError):
     """Invalid surface spec; carries a JSON pointer to the bad field."""
@@ -59,6 +66,11 @@ def _expect_list(value, pointer):
     if not isinstance(value, list):
         _fail(pointer, "expected an array")
     return value
+
+
+def _int_in(value, lo, hi) -> bool:
+    """True for an int (not a bool) in [lo, hi]."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
 
 
 def _scalar(value, pointer):
@@ -149,8 +161,11 @@ def _grid(value, pointer, minimum_nodes=16) -> GridSpec:
         vals[key] = s if isinstance(s, Fraction) else Fraction(s).limit_denominator(10**9)
     for key in ("nu", "nv"):
         n = value.get(key)
-        if not isinstance(n, int) or n < minimum_nodes:
-            _fail(f"{pointer}/{key}", f"grid resolution must be an int >= {minimum_nodes}")
+        if not _int_in(n, minimum_nodes, MAX_GRID_NODES):
+            _fail(
+                f"{pointer}/{key}",
+                f"grid resolution must be an int in [{minimum_nodes}, {MAX_GRID_NODES}]",
+            )
         vals[key] = n
     try:
         return GridSpec(**vals)
@@ -190,13 +205,13 @@ def _analysis(value, pointer) -> AnalysisParams:
         kwargs["winding_radius"] = float(r)
     if "samples" in value:
         n = value["samples"]
-        if not isinstance(n, int) or n < 720:
-            _fail(pointer + "/samples", "samples must be an int >= 720")
+        if not _int_in(n, 720, MAX_SAMPLES):
+            _fail(pointer + "/samples", f"samples must be an int in [720, {MAX_SAMPLES}]")
         kwargs["samples"] = n
     if "jet_cap" in value:
         n = value["jet_cap"]
-        if not isinstance(n, int) or n < 1:
-            _fail(pointer + "/jet_cap", "jet_cap must be a positive int")
+        if not _int_in(n, 1, MAX_JET_CAP):
+            _fail(pointer + "/jet_cap", f"jet_cap must be an int in [1, {MAX_JET_CAP}]")
         kwargs["jet_cap"] = n
     if "seeds" in value:
         seeds = []

@@ -271,6 +271,15 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
            + (-x^n1 sqrt(alpha) + y^n-1 sqrt(beta)) d/dv
 
     and X2 with the x-terms negated; they are defined where alpha, beta > 0.
+
+    The psi coefficients are converted to floats once, here, and the fields
+    run Horner's rule over them from acc = 0, as `Poly.__call__` does.  The
+    values are bit-identical to evaluating the exact psi polynomials at the
+    float point: there each step `acc * x + c` has a float `acc * x`, and
+    `float + Fraction` (like `float + int`) is computed as
+    `float(a) + float(c)`, so every coefficient was already rounded to a
+    double at every step.  Raises OverflowError when a coefficient lies
+    outside the double range.
     """
     nf = qhat.normal_form(cap)
     if not nf.finite:
@@ -286,12 +295,18 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
         raise NoSmoothFlowError("branch factorizations unavailable (need polynomials)")
     delta = 1 if nf.psi_plus_0 > 0 else -1
     n1, nm1 = m1 // 2, mm1 // 2
-    alpha, beta = nf.psi_plus, nf.psi_minus
+    # highest degree first, the order Horner's rule consumes them
+    alpha = tuple(float(c) for c in reversed(nf.psi_plus.poly.coeffs))
+    beta = tuple(float(c) for c in reversed(nf.psi_minus.poly.coeffs))
 
     def components(u, v):
         x, y = (u + v) / 2.0, (u - v) / 2.0
-        a = delta * float(alpha(x))
-        b = delta * float(beta(y))
+        a = b = 0
+        for c in alpha:
+            a = a * x + c
+        for c in beta:
+            b = b * y + c
+        a, b = delta * a, delta * b
         if a <= 0.0 or b <= 0.0:
             raise ValueError("eigenfield undefined: rescaled branch not positive")
         return x**n1 * math.sqrt(a), y**nm1 * math.sqrt(b)

@@ -4,9 +4,16 @@ Each entry is the independently expanded closed form for its data set
 (frozen here, evaluated with exact rational arithmetic).  The
 z-power surfaces are functions of (u, v); the null-coordinate surfaces are
 functions of (x, y).
+
+`reference_eigenfields` is the uncompiled evaluation of the umbilic
+eigenfields, the oracle for the float-coefficient fields of
+`zmcsurf.umbilic.eigenfields`.
 """
 
+import math
 from fractions import Fraction as F
+
+from zmcsurf.flow import FlowField
 
 
 def z2_surface(u, v):
@@ -90,3 +97,31 @@ XY_SURFACES = {
     "exA1": exa1_surface,
     "plane": plane_surface,
 }
+
+
+def reference_eigenfields(qhat, cap=16):
+    """X1, X2 at an admissible umbilic, evaluating the exact psi branches
+    (`Branch.__call__`, hence `Poly.__call__`) at the float point on every
+    call; admissibility is not re-checked here."""
+    nf = qhat.normal_form(cap)
+    delta = 1 if nf.psi_plus_0 > 0 else -1
+    n1, nm1 = nf.orders.plus.order // 2, nf.orders.minus.order // 2
+    alpha, beta = nf.psi_plus, nf.psi_minus
+
+    def components(u, v):
+        x, y = (u + v) / 2.0, (u - v) / 2.0
+        a = delta * float(alpha(x))
+        b = delta * float(beta(y))
+        if a <= 0.0 or b <= 0.0:
+            raise ValueError("eigenfield undefined: rescaled branch not positive")
+        return x**n1 * math.sqrt(a), y**nm1 * math.sqrt(b)
+
+    def x1(u, v):
+        p, q = components(u, v)
+        return (p + q, -p + q)
+
+    def x2(u, v):
+        p, q = components(u, v)
+        return (-p + q, p + q)
+
+    return FlowField(x1, name="X1"), FlowField(x2, name="X2")

@@ -300,3 +300,71 @@ def test_byte_determinism(tmp_path, preset):
         for fa in sorted(a.iterdir()):
             fb = b / fa.name
             assert fa.read_bytes() == fb.read_bytes(), (preset, cmd, fa.name)
+
+
+def _null_spec_with_g1(tmp_path, g1):
+    spec = {
+        "route": "null",
+        "data": {
+            "g1": {"kind": "poly", "coeffs": g1},
+            "g2": {"kind": "poly", "coeffs": [0, 1]},
+            "w1": {"kind": "poly", "coeffs": [1]},
+            "w2": {"kind": "poly", "coeffs": [1]},
+        },
+        "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": 17, "nv": 17},
+    }
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    return f
+
+
+# g1 = 10^200 t: the metric factor and coordinates exceed the double range,
+# but the base point is regular and its report stays in range;
+# g1 = 10^400 t^3: so do the Hopf coefficients
+@pytest.mark.parametrize(
+    "g1, codes",
+    [
+        ([0, 10**200], {"generate": 3, "classify": 3, "index": 0, "flow": 3}),
+        ([0, 0, 0, 10**400], {"generate": 3, "classify": 3, "index": 3, "flow": 3}),
+    ],
+    ids=["1e200", "1e400"],
+)
+def test_exit_code_3_on_values_outside_double_range(tmp_path, capsys, g1, codes):
+    f = _null_spec_with_g1(tmp_path, g1)
+    for cmd, code in codes.items():
+        out = tmp_path / cmd
+        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            continue
+        assert "too large" in json.loads(err)["error"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override, pointer",
+    [
+        (["--grid", "1026"], "/grid/nu"),
+        (["--samples", "65537"], "/analysis/samples"),
+        (["--jet-cap", "65"], "/analysis/jet_cap"),
+    ],
+)
+def test_exit_code_2_above_input_limits(tmp_path, capsys, override, pointer):
+    out = tmp_path / "o"
+    assert _run(["index", "--preset", "z3", "--out", str(out), *override]) == 2
+    assert json.loads(capsys.readouterr().err)["pointer"] == pointer
+    assert not out.exists()
+
+
+def test_exit_code_2_on_boolean_jet_cap(tmp_path, capsys):
+    spec = {
+        "route": "ko",
+        "data": {"g": {"z_poly": [0, 0, 0, 1]}, "omega_hat": {"z_poly": [1]}},
+        "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": 17, "nv": 17},
+        "analysis": {"jet_cap": True},
+    }
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    assert _run(["index", "--spec", str(f), "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["pointer"] == "/analysis/jet_cap"

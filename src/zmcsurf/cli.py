@@ -8,7 +8,8 @@
 
 Overrides: --grid N (square N x N), --radius R, --samples K, --jet-cap J.
 Input limits (exceeding one is a spec error): grid nu, nv and N in
-[16, 1025], samples K in [720, 65536], jet cap J in [1, 64].
+[16, 1025], samples K in [720, 65536], jet cap J in [1, 64]; a
+non-finite number (NaN, Infinity, 1e400) is a spec error too.
 Exit codes: 0 success, 2 spec errors, 3 numerical-guard failures,
 including an exact value that rounds outside the double range.
 Outputs are byte-deterministic for a fixed spec.
@@ -29,8 +30,6 @@ from .outputs import (
     canonical_json,
     classification_csv,
     classification_summary,
-    spacelike_classification_csv,
-    spacelike_summary,
     surface_csv,
     winding_csv,
 )
@@ -38,6 +37,10 @@ from .presets import PRESET_ORDER, preset_spec
 from .surfacespec import ResolvedSpec, SpecError, resolve
 from .svgplot import render_svg
 from .umbilic import NoSmoothFlowError, analyze_point, eigenfields, measure_indices
+
+# perfbench/layertrace.py patches this name; drop it with the next change
+# to the benchmark.
+spacelike_classification_csv = classification_csv
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -132,14 +135,8 @@ def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
 def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     extra = {"preset": args.preset, "route": resolved.route}
     if resolved.is_spacelike:
-        chart = resolved.spacelike_patch.chart(resolved.grid)
-        kinds = chart.classify()
         extra["tagged"] = "spacelike"
-        _write(out_dir, "classification.csv", spacelike_classification_csv(kinds, chart))
-        _write(out_dir, "summary.json", canonical_json(spacelike_summary(kinds, extra)))
-        return EXIT_OK
-    chart = _surface_chart(resolved)
-    cls = classify_chart(chart)
+    cls = classify_chart(_surface_chart(resolved))
     _write(out_dir, "classification.csv", classification_csv(cls))
     _write(out_dir, "summary.json", canonical_json(classification_summary(cls, extra)))
     return EXIT_OK
@@ -208,32 +205,27 @@ def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     banner = ""
     families = []
     marks = []
+    meta = {"preset": args.preset}
+    cls = classify_chart(_surface_chart(resolved))
     if resolved.is_spacelike:
-        chart = resolved.spacelike_patch.chart(resolved.grid)
-        kinds = chart.classify()
+        meta["tagged"] = "spacelike"
         field = resolved.spacelike_patch.principal_line_field()
         families = _flow_polylines(resolved, [field])
         marks = [(0.0, 0.0)]
-        meta = {"tagged": "spacelike", "preset": args.preset}
+    elif resolved.is_timelike:
+        q = resolved.patch.hopf()
+        try:
+            fields = eigenfields(q, cap=resolved.analysis.jet_cap)
+            families = _flow_polylines(resolved, fields)
+            marks = [(0.0, 0.0)]
+        except NoSmoothFlowError as exc:
+            banner = f"classification only: {exc}"
     else:
-        chart = _surface_chart(resolved)
-        cls = classify_chart(chart)
-        kinds = cls.kinds
-        meta = {"preset": args.preset}
-        if resolved.is_timelike:
-            q = resolved.patch.hopf()
-            try:
-                fields = eigenfields(q, cap=resolved.analysis.jet_cap)
-                families = _flow_polylines(resolved, fields)
-                marks = [(0.0, 0.0)]
-            except NoSmoothFlowError as exc:
-                banner = f"classification only: {exc}"
-        else:
-            banner = "classification only: no analytic flow data for this chart"
+        banner = "classification only: no analytic flow data for this chart"
 
     svg = render_svg(
         resolved.grid,
-        kinds,
+        cls.kinds,
         polyline_families=families,
         marks=marks,
         banner=banner,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,7 +56,8 @@ class NullLattice(NamedTuple):
 class GridSpec:
     """Rectangular (u,v) grid with exact rational node coordinates.
 
-    Bounds are stored as Fractions (ints and floats convert exactly).
+    Bounds are stored as Fractions (ints and floats convert exactly); the
+    node lists are built once, with the instance.
     """
 
     u_min: Fraction
@@ -74,21 +74,21 @@ class GridSpec:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.u_min >= self.u_max or self.v_min >= self.v_max:
             raise ValueError("grid ranges must be non-empty")
+        du = (self.u_max - self.u_min) / (self.nu - 1)
+        dv = (self.v_max - self.v_min) / (self.nv - 1)
+        object.__setattr__(self, "_u", [self.u_min + i * du for i in range(self.nu)])
+        object.__setattr__(self, "_v", [self.v_min + j * dv for j in range(self.nv)])
 
     @classmethod
     def square(cls, half_width, n: int) -> "GridSpec":
         h = Fraction(half_width)
         return cls(-h, h, -h, h, n, n)
 
-    @lru_cache(maxsize=None)
     def u_nodes(self):
-        du = (self.u_max - self.u_min) / (self.nu - 1)
-        return [self.u_min + i * du for i in range(self.nu)]
+        return self._u
 
-    @lru_cache(maxsize=None)
     def v_nodes(self):
-        dv = (self.v_max - self.v_min) / (self.nv - 1)
-        return [self.v_min + j * dv for j in range(self.nv)]
+        return self._v
 
     def null_lattice(self) -> NullLattice:
         """Integer keys of the nodes' null coordinates.
@@ -144,6 +144,10 @@ class SurfaceChart:
 
     def node(self, i: int, j: int):
         return self.grid.u_nodes()[i], self.grid.v_nodes()[j]
+
+    def classify(self) -> "ChartClassification":
+        """Every node classified by `classify_node`."""
+        return classify_nodes(self, classify_node)
 
     def hopf_full_at(self, i: int, j: int):
         """(L+N) + 2jM assembled from the stored forms at a node."""
@@ -325,19 +329,24 @@ def _check_sigma(chart: SurfaceChart):
 
 
 def classify_chart(chart: SurfaceChart) -> ChartClassification:
-    """Classify every node, in row-major order.
+    """Classify every node with the chart's own classifier.
 
     Raises NumericGuardError before classifying anything when an immersed
     node's sigma is out of range (see `_check_sigma`).
     """
     _check_sigma(chart)
+    return chart.classify()
+
+
+def classify_nodes(chart: SurfaceChart, node) -> ChartClassification:
+    """`node(chart, i, j)` -> PointClass at every node, in row-major order."""
     nu, nv = chart.grid.nu, chart.grid.nv
     kinds = np.empty((nu, nv), dtype="<U14")
     D = np.full((nu, nv), np.nan)
     points = {}
     for i in range(nu):
         for j in range(nv):
-            pc = classify_node(chart, i, j)
+            pc = node(chart, i, j)
             kinds[i, j] = pc.kind
             D[i, j] = pc.D
             points[(i, j)] = pc

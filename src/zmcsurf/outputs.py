@@ -11,8 +11,6 @@ import json
 import math
 from typing import Iterable
 
-import numpy as np
-
 from .geometry import (
     KIND_MASKED,
     KIND_NEGATIVE,
@@ -149,56 +147,3 @@ def winding_csv(rows) -> str:
         )
     return "".join(out)
 
-
-def spacelike_classification_csv(kinds, chart) -> str:
-    """Classification CSV for a space-like chart (no negative/quasi kinds)."""
-    out = [_csv_line(CLASSIFICATION_COLUMNS)]
-    u_nodes = chart.grid.u_nodes()
-    v_nodes = chart.grid.v_nodes()
-    for i, u in enumerate(u_nodes):
-        for j, v in enumerate(v_nodes):
-            kind = kinds[i, j]
-            if kind == "masked":
-                out.append(_csv_line([fmt(float(u)), fmt(float(v)), kind, "", "", "", "", ""]))
-                continue
-            L, M, N = chart.L[i, j], chart.M[i, j], chart.N[i, j]
-            a = (L - N) / 2.0
-            disc = ((L - N) ** 2 + 4 * M * M) * math.exp(-4.0 * chart.sigma[i, j])
-            if kind == "umbilic":
-                d1 = d2 = None
-            else:
-                theta = 0.5 * math.atan2(M, a)
-                d1 = (math.cos(theta), math.sin(theta))
-                d2 = (-d1[1], d1[0])
-            row = [
-                fmt(float(u)),
-                fmt(float(v)),
-                kind,
-                fmt(disc),
-                fmt(d1[0]) if d1 else "",
-                fmt(d1[1]) if d1 else "",
-                fmt(d2[0]) if d2 else "",
-                fmt(d2[1]) if d2 else "",
-            ]
-            out.append(_csv_line(row))
-    return "".join(out)
-
-
-def spacelike_summary(kinds, extra: dict = None) -> dict:
-    umb = int(np.count_nonzero(kinds == "umbilic"))
-    pos = int(np.count_nonzero(kinds == "positive"))
-    masked = int(np.count_nonzero(kinds == "masked"))
-    summary = {
-        "counts": {
-            "positive": pos,
-            "negative": 0,
-            "umbilic": umb,
-            "quasi_umbilic": 0,
-            "masked": masked,
-            "total": int(kinds.size),
-        },
-        "zero_set_size": umb,
-    }
-    if extra:
-        summary.update(extra)
-    return summary

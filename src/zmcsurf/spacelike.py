@@ -13,20 +13,37 @@ field whose index at an isolated umbilic is -m/2 when the Hopf coefficient
 vanishes to order m.  Quasi-umbilics cannot occur: the shape operator is
 symmetric, hence diagonalizable, and its eigenvalue discriminant
 ((L-N)^2 + 4 M^2) e^{-4 sigma} is non-negative.
+
+Charts go through the same pipeline as time-like ones: `SpacelikeChart`
+is a `SurfaceChart` (metric sign +1) whose `classify` yields the usual
+`ChartClassification`, so `classify_chart`, `classification_csv` and
+`classification_summary` serve both signatures.  Its nodes are umbilic
+(a tolerance test on L - N and M, hence marginal) or positive, with
+D = ((L-N)^2 + 4 M^2) e^{-4 sigma}, principal directions (cos t, sin t)
+and (-sin t, cos t) at t = atan2(M, (L-N)/2)/2, and principal curvatures
++-e^{-2 sigma} hypot((L-N)/2, M).  Only the index differs: the line-field
+law -m/2 (`spacelike_index`) replaces the time-like mod-4 law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .flow import LINE_FIELD, FlowField, WindingResult, winding_index
-from .geometry import GridSpec
+from .geometry import (
+    KIND_MASKED,
+    KIND_POSITIVE,
+    KIND_UMBILIC,
+    ChartClassification,
+    GridSpec,
+    PointClass,
+    SurfaceChart,
+    classify_nodes,
+)
 from .poly import Poly
-from .weierstrass import minkowski_dot
 
 
 @dataclass(frozen=True)
@@ -67,11 +84,16 @@ class SpacelikePatch:
 
     # -- analytic first/second-order data ----------------------------------------
 
-    def conformal_factor(self, u, v) -> float:
+    def _factor_and_hopf(self, u, v):
+        """(conformal factor, Hopf coefficient) at (u, v), evaluating g,
+        omega_hat and g' once each."""
         z = complex(u) + 1j * complex(v)
         g = complex(self.data.g(z))
         w = complex(self.data.omega_hat(z))
-        return (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2
+        return (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2, -w * complex(self.g_prime(z))
+
+    def conformal_factor(self, u, v) -> float:
+        return self._factor_and_hopf(u, v)[0]
 
     def normal(self, u, v) -> np.ndarray:
         z = complex(u) + 1j * complex(v)
@@ -84,18 +106,14 @@ class SpacelikePatch:
     def hopf(self, u, v) -> complex:
         """dz^2-normalized Hopf coefficient -(omega_hat g'); the raw chart
         assembly (L - N) - 2iM equals 4 times this."""
-        z = complex(u) + 1j * complex(v)
-        return -complex(self.data.omega_hat(z)) * complex(self.g_prime(z))
+        return self._factor_and_hopf(u, v)[1]
 
     def forms(self, u, v):
         """(sigma, L, M, N) of the chart at (u, v)."""
-        factor = self.conformal_factor(u, v)
+        factor, hopf = self._factor_and_hopf(u, v)
         if factor <= 0.0:
             raise ZeroDivisionError("chart degenerate here")
-        w = 4.0 * self.hopf(u, v)  # (L - N) - 2iM
-        L = w.real / 2.0
-        M = -w.imag / 2.0
-        return 0.5 * math.log(factor), L, M, -L
+        return _forms(factor, hopf)
 
     def chart(self, grid: GridSpec) -> "SpacelikeChart":
         nu, nv = grid.nu, grid.nv
@@ -106,13 +124,15 @@ class SpacelikePatch:
         mask = np.zeros((nu, nv), dtype=bool)
         for i, u in enumerate(grid.u_nodes()):
             for j, v in enumerate(grid.v_nodes()):
-                factor = self.conformal_factor(u, v)
+                factor, hopf = self._factor_and_hopf(u, v)
                 if factor <= 1e-300:
                     continue
                 mask[i, j] = True
-                s, l, m, n = self.forms(u, v)
-                sigma[i, j], L[i, j], M[i, j], N[i, j] = s, l, m, n
-        return SpacelikeChart(grid, sigma, L, M, N, mask, self)
+                sigma[i, j], L[i, j], M[i, j], N[i, j] = _forms(factor, hopf)
+        sign = np.ones((nu, nv), dtype=np.int8)
+        return SpacelikeChart(
+            grid, sigma, L, M, N, mask, sign, provenance="generated", source=self
+        )
 
     def principal_line_field(self) -> FlowField:
         """The (unoriented) principal direction line field.
@@ -133,34 +153,39 @@ class SpacelikePatch:
         return FlowField(ev, kind=LINE_FIELD, name="principal_lines")
 
 
-@dataclass
-class SpacelikeChart:
-    """Per-node (sigma, L, M, N) for a space-like isothermal chart."""
+def _forms(factor: float, hopf: complex):
+    """(sigma, L, M, N) from the conformal factor and the Hopf coefficient."""
+    w = 4.0 * hopf  # (L - N) - 2iM
+    L = w.real / 2.0
+    M = -w.imag / 2.0
+    return 0.5 * math.log(factor), L, M, -L
 
-    grid: GridSpec
-    sigma: np.ndarray
-    L: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
-    mask: np.ndarray
-    source: Optional[SpacelikePatch] = None
 
-    def classify(self) -> np.ndarray:
-        """Node kinds: every unmasked node is "umbilic" or "positive";
-        quasi-umbilic and negative kinds are impossible here."""
-        kinds = np.full((self.grid.nu, self.grid.nv), "masked", dtype="<U14")
-        for i in range(self.grid.nu):
-            for j in range(self.grid.nv):
-                if not self.mask[i, j]:
-                    continue
-                a = self.L[i, j] - self.N[i, j]
-                b = 2.0 * self.M[i, j]
-                tau = 1e-9 * (
-                    1.0 + abs(self.L[i, j]) + abs(self.N[i, j]) + abs(self.M[i, j])
-                )
-                umb = abs(a) <= tau and abs(b) <= tau
-                kinds[i, j] = "umbilic" if umb else "positive"
-        return kinds
+class SpacelikeChart(SurfaceChart):
+    """A space-like isothermal chart: metric e^{2 sigma}(du^2 + dv^2), so
+    `metric_sign` is +1 at every node."""
+
+    def classify(self) -> ChartClassification:
+        return classify_nodes(self, _classify_node)
+
+
+def _classify_node(chart: SpacelikeChart, i: int, j: int) -> PointClass:
+    """Every unmasked node is umbilic or positive; quasi-umbilic and
+    negative kinds are impossible here.  The umbilic test is a tolerance,
+    so umbilics are marginal."""
+    if not chart.mask[i, j]:
+        return PointClass(KIND_MASKED, float("nan"), (), None)
+    L, M, N = chart.L[i, j], chart.M[i, j], chart.N[i, j]
+    sigma = chart.sigma[i, j]
+    D = ((L - N) ** 2 + 4 * M * M) * math.exp(-4.0 * sigma)
+    tau = 1e-9 * (1.0 + abs(L) + abs(N) + abs(M))
+    if abs(L - N) <= tau and abs(2.0 * M) <= tau:
+        return PointClass(KIND_UMBILIC, D, (), (0.0, 0.0), True)
+    a = (L - N) / 2.0
+    theta = 0.5 * math.atan2(M, a)
+    d1 = (math.cos(theta), math.sin(theta))
+    r = math.exp(-2.0 * sigma) * math.hypot(a, M)
+    return PointClass(KIND_POSITIVE, D, (d1, (-d1[1], d1[0])), (r, -r))
 
 
 def generate_kobayashi(data: ComplexWeierstrassData) -> SpacelikePatch:
@@ -185,32 +210,3 @@ def spacelike_index(
     patch = generate_kobayashi(monomial_hopf_data(m))
     field = patch.principal_line_field()
     return winding_index(field, radius=radius, samples=samples)
-
-
-def numeric_first_forms(patch: SpacelikePatch, u, v, h: float = 1e-5):
-    """Finite-difference (E, F, G); independent oracle for the metric."""
-    f = patch.evaluate
-    fu = (f(u + h, v) - f(u - h, v)) / (2 * h)
-    fv = (f(u, v + h) - f(u, v - h)) / (2 * h)
-    return (
-        minkowski_dot(fu, fu),
-        minkowski_dot(fu, fv),
-        minkowski_dot(fv, fv),
-    )
-
-
-def numeric_second_forms(patch: SpacelikePatch, u, v, h: float = 1e-4):
-    """Finite-difference (L, M, N) against the analytic normal; oracle."""
-    f = patch.evaluate
-    n = patch.normal(u, v)
-    f0 = f(u, v)
-    fuu = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2
-    fvv = (f(u, v + h) - 2 * f0 + f(u, v - h)) / h**2
-    fuv = (
-        f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
-    ) / (4 * h**2)
-    return (
-        minkowski_dot(fuu, n),
-        minkowski_dot(fuv, n),
-        minkowski_dot(fvv, n),
-    )

@@ -16,13 +16,15 @@ A spec document selects a construction route and its data payload:
     <cpoly>   = [c | [re, im], ...]   (complex coefficients)
 
 Coefficients written as integers or "p/q" strings are parsed as exact
-rationals, which keeps the polynomial pipeline exact; floats stay floats.
+rationals, which keeps the polynomial pipeline exact; floats stay floats,
+and a non-finite float (NaN, Infinity, 1e400) is refused.
 Validation failures raise SpecError carrying a JSON pointer to the
 offending field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -74,12 +76,17 @@ def _int_in(value, lo, hi) -> bool:
 
 
 def _scalar(value, pointer):
-    """int | 'p/q' -> Fraction (exact); float -> float."""
+    """int | 'p/q' -> Fraction (exact); finite float -> float.
+
+    Python's json reads NaN, Infinity and 1e400 (as inf); none is a number
+    a spec can use."""
     if isinstance(value, bool):
         _fail(pointer, "expected a number")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            _fail(pointer, f"not a finite number: {value!r}")
         return value
     if isinstance(value, str):
         try:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 import numpy as np
 
 from .geometry import GridSpec, SurfaceChart
@@ -150,6 +149,7 @@ class ImmersionPatch:
     route: str
     comps_x: tuple  # three primitives in x
     comps_y: tuple  # three primitives in y
+    g_primes: tuple  # (g1', g2'), built once for the second-order data
     base_regular: bool = True
 
     # -- construction -----------------------------------------------------
@@ -166,6 +166,7 @@ class ImmersionPatch:
             route=route,
             comps_x=tuple(_primitive(b) for b in ints_x),
             comps_y=tuple(_primitive(b) for b in ints_y),
+            g_primes=(g1.derivative(), g2.derivative()),
             base_regular=regular,
         )
 
@@ -210,15 +211,11 @@ class ImmersionPatch:
 
     # -- second-order data --------------------------------------------------------
 
-    @property
-    def _derivs(self):
-        return _deriv_pair(self.data)
-
     def second_forms(self, u, v):
         """Honest (L, M, N) of the second fundamental form in the (u,v) frame."""
         x, y = _half(u + v), _half(u - v)
         d = self.data
-        g1d, g2d = self._derivs
+        g1d, g2d = self.g_primes
         # dx^2- and dy^2-coefficients
         return _forms(-2 * d.w1(x) * g1d(x), -2 * d.w2(y) * g2d(y))
 
@@ -226,7 +223,7 @@ class ImmersionPatch:
         """Shape operator in the null frame: off-diagonal w_i g_i' / Delta."""
         x, y = _half(u + v), _half(u - v)
         d = self.data
-        g1d, g2d = self._derivs
+        g1d, g2d = self.g_primes
         delta = float(
             ((-1 + d.g1(x) * d.g2(y)) ** 2) * d.w1(x) * d.w2(y)
         )
@@ -242,7 +239,7 @@ class ImmersionPatch:
     def hopf(self) -> ParaFunction:
         """Hopf coefficient -(omega_hat dg/dz), i.e. the dz^2-normalized
         quadratic-differential coefficient; branches -w_i g_i'/2."""
-        g1d, g2d = self._derivs
+        g1d, g2d = self.g_primes
         half = Fraction(1, 2)
         return ParaFunction(
             -(self.data.w1 * g1d) * half, -(self.data.w2 * g2d) * half
@@ -254,7 +251,7 @@ class ImmersionPatch:
         lattice = grid.null_lattice()
         xs, ys = lattice.xs, lattice.ys
         d = self.data
-        g1d, g2d = self._derivs
+        g1d, g2d = self.g_primes
         g1, w1 = _table(d.g1, xs), _table(d.w1, xs)
         g2, w2 = _table(d.g2, ys), _table(d.w2, ys)
         lx = [-2 * w * dg for w, dg in zip(w1, _table(g1d, xs))]
@@ -390,18 +387,6 @@ def _float_point(x, y):
     return tuple(float(p + q) for p, q in zip(x, y))
 
 
-@lru_cache(maxsize=None)
-def _deriv_pair_cached(g1: Branch, g2: Branch):
-    return g1.derivative(), g2.derivative()
-
-
-def _deriv_pair(data: NullData):
-    try:
-        return _deriv_pair_cached(data.g1, data.g2)
-    except TypeError:  # unhashable branch payloads
-        return data.g1.derivative(), data.g2.derivative()
-
-
 def _half(t):
     if isinstance(t, int):
         return Fraction(t, 2)
@@ -432,11 +417,14 @@ def hopf_differential(data: WeierstrassData) -> ParaFunction:
     return -(data.omega_hat * data.g.derivative())
 
 
-def numeric_first_forms(patch: ImmersionPatch, u: float, v: float, h: float = 1e-5):
-    """Finite-difference first fundamental form (E, F, G); test oracle."""
-    f = lambda uu, vv: np.array(
-        [float(c) for c in patch.evaluate(uu, vv)], dtype=float
-    )
+def _float_point_of(patch):
+    return lambda u, v: np.array([float(c) for c in patch.evaluate(u, v)])
+
+
+def numeric_first_forms(patch, u: float, v: float, h: float = 1e-5):
+    """Finite-difference first fundamental form (E, F, G) of any patch with
+    `evaluate`; test oracle."""
+    f = _float_point_of(patch)
     fu = (f(u + h, v) - f(u - h, v)) / (2 * h)
     fv = (f(u, v + h) - f(u, v - h)) / (2 * h)
     return (
@@ -446,11 +434,10 @@ def numeric_first_forms(patch: ImmersionPatch, u: float, v: float, h: float = 1e
     )
 
 
-def numeric_second_forms(patch: ImmersionPatch, u: float, v: float, h: float = 1e-4):
-    """Finite-difference (L, M, N) against the analytic unit normal; oracle."""
-    f = lambda uu, vv: np.array(
-        [float(c) for c in patch.evaluate(uu, vv)], dtype=float
-    )
+def numeric_second_forms(patch, u: float, v: float, h: float = 1e-4):
+    """Finite-difference (L, M, N) against the analytic unit normal of any
+    patch with `evaluate` and `normal`; oracle."""
+    f = _float_point_of(patch)
     n = patch.normal(u, v)
     f0 = f(u, v)
     fuu = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2

@@ -8,12 +8,17 @@ functions of (x, y).
 `reference_eigenfields` is the uncompiled evaluation of the umbilic
 eigenfields, the oracle for the float-coefficient fields of
 `zmcsurf.umbilic.eigenfields`.
+
+`reference_spacelike_classification_csv` is the space-like classifier and
+writer that ran beside the shared pipeline before space-like charts went
+through it, the oracle for `classification_csv(classify_chart(chart))`.
 """
 
 import math
 from fractions import Fraction as F
 
 from zmcsurf.flow import FlowField
+from zmcsurf.outputs import CLASSIFICATION_COLUMNS, _csv_line, fmt
 
 
 def z2_surface(u, v):
@@ -125,3 +130,37 @@ def reference_eigenfields(qhat, cap=16):
         return (-p + q, p + q)
 
     return FlowField(x1, name="X1"), FlowField(x2, name="X2")
+
+
+def reference_spacelike_classification_csv(chart) -> str:
+    """Classification CSV of a space-like chart: a node is umbilic when
+    |L - N| and |2M| are within 1e-9 (1 + |L| + |N| + |M|), else positive."""
+    out = [_csv_line(CLASSIFICATION_COLUMNS)]
+    for i, u in enumerate(chart.grid.u_nodes()):
+        for j, v in enumerate(chart.grid.v_nodes()):
+            if not chart.mask[i, j]:
+                out.append(_csv_line([fmt(float(u)), fmt(float(v)), "masked", "", "", "", "", ""]))
+                continue
+            L, M, N = chart.L[i, j], chart.M[i, j], chart.N[i, j]
+            tau = 1e-9 * (1.0 + abs(L) + abs(N) + abs(M))
+            umbilic = abs(L - N) <= tau and abs(2.0 * M) <= tau
+            a = (L - N) / 2.0
+            disc = ((L - N) ** 2 + 4 * M * M) * math.exp(-4.0 * chart.sigma[i, j])
+            if umbilic:
+                d1 = d2 = None
+            else:
+                theta = 0.5 * math.atan2(M, a)
+                d1 = (math.cos(theta), math.sin(theta))
+                d2 = (-d1[1], d1[0])
+            row = [
+                fmt(float(u)),
+                fmt(float(v)),
+                "umbilic" if umbilic else "positive",
+                fmt(disc),
+                fmt(d1[0]) if d1 else "",
+                fmt(d1[1]) if d1 else "",
+                fmt(d2[0]) if d2 else "",
+                fmt(d2[1]) if d2 else "",
+            ]
+            out.append(_csv_line(row))
+    return "".join(out)

@@ -348,7 +348,7 @@ def test_criterion_10_spacelike_index_law():
         assert spacelike_index(m, radius=0.05).index == want
     for name in SPACELIKE_PRESETS:
         spec = _resolved(name)
-        kinds = spec.spacelike_patch.chart(spec.grid).classify()
+        kinds = spec.spacelike_patch.chart(spec.grid).classify().kinds
         assert not np.any(kinds == "quasi_umbilic")
         assert not np.any(kinds == "negative")
     _report(10, "line-field indices -1/2, -1, -3/2 measured; no quasi-umbilics")

@@ -368,3 +368,62 @@ def test_exit_code_2_on_boolean_jet_cap(tmp_path, capsys):
     f.write_text(json.dumps(spec))
     assert _run(["index", "--spec", str(f), "--out", str(tmp_path / "o")]) == 2
     assert json.loads(capsys.readouterr().err)["pointer"] == "/analysis/jet_cap"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _with_grid_bound(spec, value):
+    spec["grid"]["u_min"] = value
+
+
+def _with_coefficient(spec, value):
+    spec["data"]["g1"]["coeffs"] = [0, value]
+
+
+def _with_radius(spec, value):
+    spec["analysis"] = {"winding_radius": value}
+
+
+def _with_seed(spec, value):
+    spec["analysis"] = {"seeds": [[value, 0.5]]}
+
+
+def _with_kobayashi_coefficient(spec, value):
+    spec["route"] = "kobayashi"
+    spec["data"] = {"g": [0, [0, value]], "omega_hat": [1]}
+
+
+# Python's json writes nan/inf as NaN/Infinity and reads 1e400 as inf
+@pytest.mark.parametrize("value", [NAN, INF, "1e400"], ids=["nan", "inf", "1e400"])
+@pytest.mark.parametrize(
+    "edit, pointer",
+    [
+        (_with_grid_bound, "/grid/u_min"),
+        (_with_coefficient, "/data/g1/coeffs/1"),
+        (_with_radius, "/analysis/winding_radius"),
+        (_with_seed, "/analysis/seeds/0/0"),
+        (_with_kobayashi_coefficient, "/data/g/1/1"),
+    ],
+    ids=["grid", "coefficient", "radius", "seed", "kobayashi"],
+)
+def test_exit_code_2_on_non_finite_numbers(tmp_path, capsys, value, edit, pointer):
+    f = _null_spec_with_g1(tmp_path, [0, 1])
+    spec = json.loads(f.read_text())
+    edit(spec, "@" if value == "1e400" else value)
+    f.write_text(json.dumps(spec).replace('"@"', "1e400"))
+    for cmd in ("generate", "classify", "index", "flow"):
+        out = tmp_path / cmd
+        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == pointer
+        assert "not a finite number" in err["error"]
+        assert not out.exists()
+
+
+def test_exit_code_2_on_nan_radius_override(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert _run(["index", "--preset", "z3", "--out", str(out), "--radius", "nan"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["pointer"] == "/analysis/winding_radius"
+    assert not out.exists()

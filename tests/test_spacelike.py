@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import reference_spacelike_classification_csv
+from test_chart_engine import NON_SQUARE
 from zmcsurf import (
     ComplexWeierstrassData,
     GridSpec,
@@ -14,8 +16,11 @@ from zmcsurf import (
     monomial_hopf_data,
     spacelike_index,
 )
-from zmcsurf.spacelike import numeric_first_forms, numeric_second_forms
-from zmcsurf.weierstrass import minkowski_dot
+from zmcsurf.geometry import classify_chart
+from zmcsurf.outputs import classification_csv
+from zmcsurf.presets import preset_spec
+from zmcsurf.surfacespec import resolve
+from zmcsurf.weierstrass import minkowski_dot, numeric_first_forms, numeric_second_forms
 
 SAFE_POINTS = [(0.3, 0.1), (-0.25, 0.2), (0.1, -0.35), (0.2, 0.25)]
 
@@ -120,7 +125,7 @@ def test_umbilics_isolated_and_no_quasi_umbilics():
     for m in (1, 2, 3):
         patch = generate_kobayashi(monomial_hopf_data(m))
         chart = patch.chart(GridSpec.square(1, 33))
-        kinds = chart.classify()
+        kinds = chart.classify().kinds
         mid = 16
         assert kinds[mid, mid] == "umbilic"
         # the squared modulus of the Hopf coefficient vanishes only at o
@@ -142,3 +147,47 @@ def test_eigenvalue_discriminant_nonnegative():
         sigma, L, M, N = patch.forms(u, v)
         disc = ((L - N) ** 2 + 4 * M * M) * math.exp(-4 * sigma)
         assert disc >= 0
+
+
+def _spacelike_chart(preset, grid):
+    resolved = resolve(preset_spec(preset))
+    return resolved.spacelike_patch.chart(grid or resolved.grid)
+
+
+@pytest.mark.parametrize("grid", [17, 33, "non_square"])
+@pytest.mark.parametrize("preset", ["spacelike_m1", "spacelike_m2", "spacelike_m3"])
+def test_shared_pipeline_matches_reference_writer(preset, grid):
+    grid = NON_SQUARE if grid == "non_square" else GridSpec.square(1, grid)
+    chart = _spacelike_chart(preset, grid)
+    rows = classification_csv(classify_chart(chart)).splitlines()
+    want = reference_spacelike_classification_csv(chart).splitlines()
+    assert len(rows) == len(want)
+    for k, (row, ref) in enumerate(zip(rows, want)):
+        assert row == ref, k  # a short message: a whole-file diff is slow
+
+
+@pytest.mark.parametrize("preset", ["spacelike_m1", "spacelike_m2", "spacelike_m3"])
+def test_point_classes_match_eigh(preset):
+    chart = _spacelike_chart(preset, GridSpec.square(1, 33))
+    cls = chart.classify()
+    rng = random.Random(preset)
+    nodes = [(16, 16)] + [(rng.randrange(33), rng.randrange(33)) for _ in range(60)]
+    for i, j in nodes:
+        pc = cls.points[(i, j)]
+        L, M, N = chart.L[i, j], chart.M[i, j], chart.N[i, j]
+        shape = math.exp(-2.0 * chart.sigma[i, j]) * np.array([[L, M], [M, N]])
+        values, vectors = np.linalg.eigh(shape)
+        scale = 1e-12 * (1.0 + np.abs(values).max())
+        if pc.kind == "umbilic":
+            assert pc.marginal and pc.dirs == () and pc.eigenvalues == (0.0, 0.0)
+            assert np.abs(values).max() <= 1e-9 * (1.0 + abs(L) + abs(M) + abs(N))
+            continue
+        assert pc.kind == "positive" and not pc.marginal
+        # eigh sorts ascending; the PointClass pairs (+r, -r) with dirs
+        assert abs(pc.eigenvalues[0] - values[1]) <= scale
+        assert abs(pc.eigenvalues[1] - values[0]) <= scale
+        for d, k in zip(pc.dirs, (1, 0)):
+            assert abs(math.hypot(*d) - 1.0) <= 1e-15
+            assert abs(abs(np.dot(d, vectors[:, k])) - 1.0) <= 1e-12
+        assert pc.D == pytest.approx((values[1] - values[0]) ** 2, rel=1e-12)
+    assert cls.points[(16, 16)].kind == "umbilic"

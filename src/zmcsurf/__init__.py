@@ -16,7 +16,7 @@ from .paracomplex import (
     n2,
     recompose,
 )
-from .poly import Poly, as_fraction
+from .poly import Poly
 from .parafunc import (
     Branch,
     BranchOrder,

@@ -10,8 +10,10 @@ Overrides: --grid N (square N x N), --radius R, --samples K, --jet-cap J.
 Input limits (exceeding one is a spec error): grid nu, nv and N in
 [16, 1025], samples K in [720, 65536], jet cap J in [1, 64]; a
 non-finite number (NaN, Infinity, 1e400) is a spec error too.
-Exit codes: 0 success, 2 spec errors, 3 numerical-guard failures,
-including an exact value that rounds outside the double range.
+Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
+is not UTF-8 or is not JSON within Python's limits is one), 3
+numerical-guard failures, including an exact value that rounds outside
+the double range.
 Outputs are byte-deterministic for a fixed spec.
 """
 
@@ -27,6 +29,7 @@ from . import __version__
 from .flow import LINE_FIELD, VECTOR_FIELD, WindingError, streamlines, winding_index
 from .geometry import NumericGuardError, classify_chart
 from .outputs import (
+    SURFACE_COLUMNS,
     canonical_json,
     classification_csv,
     classification_summary,
@@ -55,25 +58,39 @@ def _load_spec(args) -> dict:
             raise SpecError("/preset", f"unknown preset {args.preset!r}")
         spec = preset_spec(args.preset)
     elif args.spec:
-        try:
-            spec = json.loads(Path(args.spec).read_text())
-        except FileNotFoundError:
-            raise SpecError("/spec", f"spec file not found: {args.spec}")
-        except json.JSONDecodeError as exc:
-            raise SpecError("/spec", f"spec file is not valid JSON: {exc}")
+        spec = _read_spec(args.spec)
     else:
         raise SpecError("/", "one of --preset or --spec is required")
-    if args.grid is not None:
-        grid = spec.setdefault("grid", {})
-        grid["nu"] = grid["nv"] = args.grid
-    analysis = spec.setdefault("analysis", {})
-    if args.radius is not None:
-        analysis["winding_radius"] = args.radius
-    if args.samples is not None:
-        analysis["samples"] = args.samples
-    if args.jet_cap is not None:
-        analysis["jet_cap"] = args.jet_cap
+    if not isinstance(spec, dict):
+        raise SpecError("/", "expected an object")
+    spec.setdefault("analysis", {})
+    _override(spec, "grid", nu=args.grid, nv=args.grid)
+    _override(spec, "analysis", winding_radius=args.radius, samples=args.samples,
+              jet_cap=args.jet_cap)
     return spec
+
+
+def _read_spec(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise SpecError("/spec", f"spec file not found: {path}")
+    except OSError as exc:
+        raise SpecError("/spec", f"spec file cannot be read: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise SpecError("/spec", "spec file is not UTF-8 text")
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer over Python's digit limit, or too deep nesting
+        raise SpecError("/spec", f"spec file is not valid JSON: {exc}")
+
+
+def _override(spec: dict, key: str, **values):
+    """Set the command-line overrides that were given in spec[key]."""
+    given = {k: v for k, v in values.items() if v is not None}
+    section = spec.setdefault(key, {}) if given else {}
+    if not isinstance(section, dict):
+        raise SpecError(f"/{key}", "expected an object")
+    section.update(given)
 
 
 def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
@@ -121,8 +138,6 @@ def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         raise SpecError("/route", "generate needs a generated route (ko/null/kobayashi)")
     chart = _surface_chart(resolved)
     patch = resolved.patch if resolved.is_timelike else resolved.spacelike_patch
-    from .outputs import SURFACE_COLUMNS
-
     _write(out_dir, "surface.csv", surface_csv(chart, patch))
     _write(
         out_dir,

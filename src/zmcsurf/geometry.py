@@ -191,8 +191,11 @@ def _sign_fix(vec: np.ndarray) -> np.ndarray:
 
 
 def _unit(p, q) -> np.ndarray:
-    v = np.array([float(p), float(q)])
-    return _sign_fix(v / np.linalg.norm(v))
+    """(p, q) / sqrt(p*p + q*q) in separate IEEE operations: no BLAS kernel
+    (and no fused multiply-add) decides the last bit."""
+    p, q = float(p), float(q)
+    n = math.sqrt(p * p + q * q)
+    return _sign_fix(np.array([p / n, q / n]))
 
 
 def _eigendirections(a: float, b: float, r: float):
@@ -297,10 +300,6 @@ class ChartClassification:
             out[kind] = int(np.count_nonzero(self.kinds == kind))
         out["total"] = int(self.kinds.size)
         return out
-
-    def zero_set_nodes(self):
-        """Union of umbilics and quasi-umbilics (the zero set of D)."""
-        return self.nodes_of_kind(KIND_UMBILIC) + self.nodes_of_kind(KIND_QUASI)
 
 
 def _check_sigma(chart: SurfaceChart):

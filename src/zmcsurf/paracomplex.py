@@ -90,9 +90,6 @@ class ParaComplex:
             raise ValueError("projection index must be +1 or -1")
         return self.re + s * self.im
 
-    def is_null(self) -> bool:
-        return self.n2() == 0
-
     def on_line(self, s: int) -> bool:
         """True iff z lies on the null line {u - s*v = 0}."""
         if s not in (1, -1):

@@ -138,17 +138,5 @@ def _as_poly(value) -> Poly:
 def _divide(c, k: int):
     if isinstance(c, int):
         return Fraction(c, k)
-    if isinstance(c, Fraction):
-        return c / k
     return c / k
 
-
-def as_fraction(value) -> Fraction:
-    """Parse an exact rational from int, Fraction, or a 'p/q' string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")

@@ -58,6 +58,12 @@ def _fail(pointer, message):
     raise SpecError(pointer, message)
 
 
+def _echo(value, limit: int = 40) -> str:
+    """repr(value) for a diagnostic, cut to `limit` characters plus an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "\u2026"
+
+
 def _expect_mapping(value, pointer):
     if not isinstance(value, dict):
         _fail(pointer, "expected an object")
@@ -92,7 +98,7 @@ def _scalar(value, pointer):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            _fail(pointer, f"not a rational literal: {value!r}")
+            _fail(pointer, f"not a rational literal: {_echo(value)}")
     _fail(pointer, "expected a number or 'p/q' string")
 
 
@@ -106,7 +112,7 @@ def _branch(value, pointer) -> Branch:
         )
     if kind == "exp_flat":
         return Branch.exp_flat()
-    _fail(pointer + "/kind", f"unknown branch kind: {kind!r}")
+    _fail(pointer + "/kind", f"unknown branch kind: {_echo(kind)}")
 
 
 def _parafunction(value, pointer) -> ParaFunction:
@@ -210,16 +216,11 @@ def _analysis(value, pointer) -> AnalysisParams:
         if float(r) <= 0:
             _fail(pointer + "/winding_radius", "radius must be positive")
         kwargs["winding_radius"] = float(r)
-    if "samples" in value:
-        n = value["samples"]
-        if not _int_in(n, 720, MAX_SAMPLES):
-            _fail(pointer + "/samples", f"samples must be an int in [720, {MAX_SAMPLES}]")
-        kwargs["samples"] = n
-    if "jet_cap" in value:
-        n = value["jet_cap"]
-        if not _int_in(n, 1, MAX_JET_CAP):
-            _fail(pointer + "/jet_cap", f"jet_cap must be an int in [1, {MAX_JET_CAP}]")
-        kwargs["jet_cap"] = n
+    for key, lo, hi in (("samples", 720, MAX_SAMPLES), ("jet_cap", 1, MAX_JET_CAP)):
+        if key in value:
+            if not _int_in(value[key], lo, hi):
+                _fail(f"{pointer}/{key}", f"{key} must be an int in [{lo}, {hi}]")
+            kwargs[key] = value[key]
     if "seeds" in value:
         seeds = []
         for k, s in enumerate(_expect_list(value["seeds"], pointer + "/seeds")):
@@ -259,7 +260,7 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     spec = _expect_mapping(spec, "")
     route = spec.get("route")
     if route not in ROUTES:
-        _fail("/route", f"route must be one of {ROUTES}, got {route!r}")
+        _fail("/route", f"route must be one of {ROUTES}, got {_echo(route)}")
     grid = _grid(spec.get("grid"), "/grid", minimum_nodes)
     analysis = _analysis(spec.get("analysis"), "/analysis")
     data = _expect_mapping(spec.get("data"), "/data")

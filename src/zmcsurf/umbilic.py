@@ -186,32 +186,20 @@ def analyze_point(qhat: ParaFunction, cap: int = 16) -> IndexReport:
         # quasi-umbilic at the base point
         s_zero = 1 if m1 == 0 else -1  # branch with order 0
         m_pos = mm1 if m1 == 0 else m1
-        line = f"{{u - ({s_zero}) v = 0}}"
-        direction = (-s_zero, 1)
         if m_pos % 2 == 1:
-            structure = (
-                f"quasi-umbilics exactly on the null line {line}; positive and "
-                "negative points on either side"
-            )
-            admissible = "no"
-        elif prod_sign > 0:
-            structure = (
-                f"quasi-umbilics exactly on the null line {line}; complement "
-                "consists of positive points"
-            )
-            admissible = "yes"
+            sides, admissible = "positive and negative points on either side", "no"
         else:
-            structure = (
-                f"quasi-umbilics exactly on the null line {line}; complement "
-                "consists of negative points"
-            )
-            admissible = "no"
+            word = "positive" if prod_sign > 0 else "negative"
+            sides = f"complement consists of {word} points"
+            admissible = "yes" if prod_sign > 0 else "no"
         return IndexReport(
             point_type="quasi_umbilic",
             parity_class=PARITY_QUASI,
             predicted_indices=PRED_QUASI,
-            local_structure=structure
-            + f"; unique principal direction parallel to {direction}",
+            local_structure=(
+                f"quasi-umbilics exactly on the null line {{u - ({s_zero}) v = 0}}; "
+                f"{sides}; unique principal direction parallel to {(-s_zero, 1)}"
+            ),
             admissible=admissible,
             **common,
         )

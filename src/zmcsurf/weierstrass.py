@@ -12,8 +12,11 @@ Two equivalent construction routes are provided:
 
 The "ko" route reduces exactly to the "null" route through the idempotent
 split, so a single engine serves both.  For polynomial data everything is
-exact termwise antidifferentiation over rationals; smooth non-polynomial
-branches fall back to adaptive quadrature.
+exact termwise antidifferentiation over rationals.  A smooth non-polynomial
+branch is integrated by a fixed composite rule: one 20-point Gauss-Legendre
+panel between consecutive knots 0, h, 2h, 4h, ... (and their negatives,
+h = 1/32), so a value at t costs at most 20 (2 + ceil(log2(32 |t|)))
+integrand evaluations and depends on t alone.
 
 Derived and validated here (rather than taken on faith):
 
@@ -50,15 +53,15 @@ do not always round like math's).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
 from .geometry import GridSpec, SurfaceChart
-from .parafunc import Branch, ParaFunction
-
-MINKOWSKI_DIAG = (1.0, 1.0, -1.0)
+from .parafunc import Branch, ParaFunction, _halve
+from .poly import Poly
 
 
 class DegenerateDataError(ValueError):
@@ -111,34 +114,62 @@ def _check_base_point(data: NullData, strict: bool) -> bool:
     return regular
 
 
-class _QuadPrimitive:
-    """t -> integral of fn over [0, t] by adaptive quadrature.
+class _GaussPrimitive:
+    """t -> integral of fn over [0, t] by the fixed rule of the module
+    docstring: the integral up to each knot is cached per sign, and a value
+    adds one panel from the largest knot at or below |t| to t."""
 
-    Each value is integrated directly from 0 (no chaining) so results do not
-    depend on evaluation order; values are memoized per argument.
-    """
-
-    def __init__(self, fn, tol: float = 1e-12):
+    def __init__(self, fn):
         self.fn = fn
-        self.tol = tol
-        self._cache = {}
+        # integral up to knot k, per sign; -0.0 + x is x, with x's signed zero
+        self._cumulative = {1.0: [-0.0], -1.0: [-0.0]}
 
     def __call__(self, t):
         t = float(t)
-        if t not in self._cache:
-            from scipy.integrate import quad
+        if t == 0.0:
+            return 0.0
+        s = math.copysign(1.0, t)
+        knot = lambda k: s * math.ldexp(1.0, k - 6) if k else 0.0  # 0, s h 2^(k-1)
+        k = max(0, math.frexp(t)[1] + 5)  # the largest knot at or below |t|
+        cumulative = self._cumulative[s]
+        while len(cumulative) <= k:
+            n = len(cumulative)
+            cumulative.append(cumulative[-1] + self._panel(knot(n - 1), knot(n)))
+        return cumulative[k] + self._panel(knot(k), t)
 
-            val, _err = quad(
-                self.fn, 0.0, t, epsabs=self.tol, epsrel=self.tol, limit=200
-            )
-            self._cache[t] = val
-        return self._cache[t]
+    def _panel(self, a, b):
+        mid, half = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
+        terms = (w * self.fn(mid + half * x) for x, w in _gauss_legendre())
+        return half * math.fsum(terms)
+
+
+@functools.cache
+def _gauss_legendre(n: int = 20):
+    """(node, weight) pairs of the n-point rule on [-1, 1], each the double
+    nearest its exact value: numpy's nodes polished by Newton steps on P_n in
+    exact arithmetic (numpy's weights are off by up to 7e-14 relative, and
+    its LAPACK kernel may move bits), w = 2 / ((1 - x^2) P_n'(x)^2) there."""
+    from numpy.polynomial.legendre import leggauss
+
+    coeffs = [0] * (n + 1)  # 2^n P_n = sum_k (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+    p = Poly(coeffs)
+    dp = p.derivative()
+    rule = []
+    for x0 in leggauss(n)[0]:
+        x = Fraction(float(x0))
+        for _ in range(2):
+            x -= p(x) / dp(x)
+            x = Fraction(round(x * 2**128), 2**128)
+        rule.append((float(x), float(2 * 4**n / ((1 - x * x) * dp(x) ** 2))))
+    return tuple(rule)
 
 
 def _primitive(branch: Branch):
     if branch.is_polynomial:
         return Branch(poly=branch.poly.antiderivative())
-    return _QuadPrimitive(lambda t: float(branch(t)))
+    return _GaussPrimitive(lambda t: float(branch(t)))
 
 
 @dataclass(frozen=True)
@@ -170,38 +201,25 @@ class ImmersionPatch:
             base_regular=regular,
         )
 
-    @property
-    def is_polynomial(self) -> bool:
-        d = self.data
-        return all(b.is_polynomial for b in (d.g1, d.g2, d.w1, d.w2))
-
-    def component_polys(self):
-        """The (P(x), Q(y)) polynomial pair per coordinate, or None."""
-        if not self.is_polynomial:
-            return None
-        return [
-            (self.comps_x[a].poly, self.comps_y[a].poly) for a in range(3)
-        ]
-
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_null(self, x, y):
         return tuple(self.comps_x[a](x) + self.comps_y[a](y) for a in range(3))
 
     def evaluate(self, u, v):
-        return self.evaluate_null(_half(u + v), _half(u - v))
+        return self.evaluate_null(_halve(u + v), _halve(u - v))
 
     # -- first-order data ------------------------------------------------------
 
     def metric_factor(self, u, v):
         """<f_u, f_u> = -(1 - g1 g2)^2 w1 w2; the dv^2-coefficient is its negative."""
-        x, y = _half(u + v), _half(u - v)
+        x, y = _halve(u + v), _halve(u - v)
         d = self.data
         return _metric(d.g1(x), d.g2(y), d.w1(x), d.w2(y))
 
     def normal(self, u, v) -> np.ndarray:
         """Unit space-like normal; undefined where the patch degenerates."""
-        x, y = _half(u + v), _half(u - v)
+        x, y = _halve(u + v), _halve(u - v)
         d = self.data
         a, b = float(d.g1(x)), float(d.g2(y))
         den = -1.0 + a * b
@@ -213,7 +231,7 @@ class ImmersionPatch:
 
     def second_forms(self, u, v):
         """Honest (L, M, N) of the second fundamental form in the (u,v) frame."""
-        x, y = _half(u + v), _half(u - v)
+        x, y = _halve(u + v), _halve(u - v)
         d = self.data
         g1d, g2d = self.g_primes
         # dx^2- and dy^2-coefficients
@@ -221,7 +239,7 @@ class ImmersionPatch:
 
     def weingarten_null(self, u, v) -> np.ndarray:
         """Shape operator in the null frame: off-diagonal w_i g_i' / Delta."""
-        x, y = _half(u + v), _half(u - v)
+        x, y = _halve(u + v), _halve(u - v)
         d = self.data
         g1d, g2d = self.g_primes
         delta = float(
@@ -385,12 +403,6 @@ def _exact_point(x, y):
 
 def _float_point(x, y):
     return tuple(float(p + q) for p, q in zip(x, y))
-
-
-def _half(t):
-    if isinstance(t, int):
-        return Fraction(t, 2)
-    return t / 2
 
 
 def generate_null(

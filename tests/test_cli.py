@@ -427,3 +427,74 @@ def test_exit_code_2_on_nan_radius_override(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["pointer"] == "/analysis/winding_radius"
     assert not out.exists()
+
+
+def _write_digits(path):
+    path.write_text('{"route": "null", "analysis": {"samples": ' + "9" * 5000 + "}}")
+
+
+def _write_deep(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+def _write_latin1(path):
+    path.write_bytes(b'{"route": "caf\xe9"}')
+
+
+def _make_directory(path):
+    path.mkdir()
+
+
+@pytest.mark.parametrize(
+    "make, words",
+    [
+        (_write_digits, "not valid JSON"),
+        (_write_deep, "not valid JSON"),
+        (_write_latin1, "not UTF-8"),
+        (_make_directory, "cannot be read"),
+    ],
+    ids=["long-integer", "deep-nesting", "not-utf8", "directory"],
+)
+def test_exit_code_2_on_unreadable_spec(tmp_path, capsys, make, words):
+    spec = tmp_path / "spec.json"
+    make(spec)
+    out = tmp_path / "o"
+    assert _run(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["pointer"] == "/spec"
+    assert words in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "document, override, pointer",
+    [
+        ([1, 2], [], "/"),
+        ("spec", [], "/"),
+        ({"route": "ko", "grid": 5}, ["--grid", "17"], "/grid"),
+        ({"route": "ko", "analysis": [1]}, ["--radius", "0.1"], "/analysis"),
+    ],
+    ids=["array", "string", "grid-override", "analysis-override"],
+)
+def test_exit_code_2_on_spec_that_is_not_an_object(
+    tmp_path, capsys, document, override, pointer
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(document))
+    out = tmp_path / "o"
+    assert _run(["index", "--spec", str(spec), "--out", str(out), *override]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["pointer"], err["error"]) == (pointer, "expected an object")
+    assert not out.exists()
+
+
+def test_long_rational_literal_is_echoed_short(tmp_path, capsys):
+    f = _null_spec_with_g1(tmp_path, [0, "1" * 5000 + "/3"])
+    out = tmp_path / "o"
+    assert _run(["generate", "--spec", str(f), "--out", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert len(stderr.encode()) < 1024
+    err = json.loads(stderr)
+    assert err["pointer"] == "/data/g1/coeffs/1"
+    assert err["error"] == "not a rational literal: '" + "1" * 39 + "…"
+    assert not out.exists()

@@ -26,6 +26,8 @@ from zmcsurf.geometry import (
     KIND_QUASI,
     KIND_UMBILIC,
 )
+from zmcsurf.presets import preset_spec
+from zmcsurf.surfacespec import resolve
 
 GRID33 = GridSpec.square(1, 33)
 
@@ -269,3 +271,45 @@ def test_masked_node_rejected_by_weingarten():
     with pytest.raises(ValueError):
         weingarten(chart, 16, 8)  # (1, 0) is degenerate
 
+
+
+def _plain_unit(p, q):
+    """(p, q)/sqrt(p*p + q*q) with its first nonzero component positive."""
+    n = math.sqrt(p * p + q * q)
+    u, v = p / n, q / n
+    return (u, v) if u > 0 or (u == 0 and v > 0) else (-u, -v)
+
+
+def _expected_dirs(chart, i, j, kind):
+    L, M, N = (float(chart.L[i, j]), float(chart.M[i, j]), float(chart.N[i, j]))
+    a, b = L + N, 2.0 * M
+    if kind == KIND_QUASI:  # the null direction (s, 1), s = 1 where plus(x) = 0
+        plus = chart.hopf_values[0][chart.lattice.ix[i * chart.grid.nv + j]]
+        return [_plain_unit(1.0 if plus == 0 else -1.0, 1.0)]
+    r = math.sqrt(abs(a * a - b * b))
+    out = []
+    for lam in (r, -r):
+        v1, v2 = (b, lam - a), (a + lam, -b)
+        longer = max((v1, v2), key=lambda w: w[0] * w[0] + w[1] * w[1])
+        out.append(_plain_unit(*longer))
+    return out
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "deg26"])
+def test_principal_directions_pinned_to_plain_float_formula(name):
+    """No BLAS norm: the directions are bit-identical to IEEE multiplies,
+    adds, a square root and divides on every node that has them."""
+    spec = preset_spec(name)
+    spec["grid"]["nu"] = spec["grid"]["nv"] = 33
+    resolved = resolve(spec)
+    cls = classify_chart(resolved.patch.chart(resolved.grid))
+    checked = 0
+    for (i, j), pc in cls.points.items():
+        if not pc.dirs:
+            continue
+        got = [tuple(float(c).hex() for c in d) for d in pc.dirs]
+        expected = _expected_dirs(cls.chart, i, j, pc.kind)
+        want = [tuple(c.hex() for c in d) for d in expected]
+        assert got == want, (i, j)
+        checked += 1
+    assert checked > 500

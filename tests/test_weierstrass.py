@@ -1,5 +1,6 @@
 """Surface generation against the frozen closed forms and derived identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,13 @@ from zmcsurf import (
     minkowski_dot,
 )
 from zmcsurf.presets import load_preset
-from zmcsurf.weierstrass import numeric_first_forms, numeric_second_forms
+from zmcsurf.weierstrass import (
+    _GaussPrimitive,
+    _gauss_legendre,
+    _primitive,
+    numeric_first_forms,
+    numeric_second_forms,
+)
 
 
 def _rand_fraction(rng, den=30):
@@ -378,3 +385,50 @@ def test_exa2_chart_masks_null_base_lines():
     mid = (spec.grid.nu - 1) // 2
     assert not chart.mask[mid, mid]  # the base point itself degenerates
     assert chart.mask[mid + 3, mid - 2]
+
+
+FLAT_POINTS = [0.3, 0.5, 0.8, 1, 2, 5, 37, 1e3, 1e6]
+
+
+def _flat_closed_form(x):
+    """The integral of exp(-1/t^2) over [0, x]: odd in x, and for x > 0
+    x exp(-1/x^2) - sqrt(pi) erfc(1/x), which cancels digits below ~0.3."""
+    r = abs(x)
+    closed = r * math.exp(-1 / (r * r)) - math.sqrt(math.pi) * math.erfc(1 / r)
+    return math.copysign(closed, x)
+
+
+@pytest.mark.parametrize("x", FLAT_POINTS + [-x for x in FLAT_POINTS])
+def test_flat_primitive_matches_closed_form(x):
+    primitive = _primitive(Branch.exp_flat())
+    assert primitive(x) == pytest.approx(_flat_closed_form(x), rel=1e-12, abs=0)
+    assert primitive(-x) == -primitive(x)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 1 / 32, 0.5, 1e3, 1e12, 1e300, -1e300])
+def test_flat_primitive_cost_is_logarithmic_in_t(t):
+    flat, calls = Branch.exp_flat(), []
+    primitive = _GaussPrimitive(lambda s: calls.append(s) or flat(s))
+    value = primitive(t)
+    bound = 20 * (3 + max(0, math.ceil(math.log2(32 * abs(t))))) if t else 0
+    assert len(calls) <= bound
+    if abs(t) >= 0.5:
+        assert value == pytest.approx(_flat_closed_form(t), rel=1e-12)
+
+
+def test_flat_primitive_does_not_depend_on_call_order():
+    points = [0.7, -0.05, 3.0, 0.01, -2.5, 100.0, 1 / 32, 0.75]
+    forward = _primitive(Branch.exp_flat())
+    backward = _primitive(Branch.exp_flat())
+    values = [forward(t) for t in points]
+    assert values == [backward(t) for t in reversed(points)][::-1]
+    assert values == [forward(t) for t in points]
+
+
+def test_gauss_legendre_rule_is_exact_through_degree_39():
+    rule = _gauss_legendre()
+    assert len(rule) == 20
+    assert [x for x, _ in rule] == [-x for x, _ in reversed(rule)]
+    for k in range(40):
+        moment = math.fsum(w * x**k for x, w in rule)
+        assert moment == pytest.approx(2 / (k + 1) if k % 2 == 0 else 0, abs=4e-16)

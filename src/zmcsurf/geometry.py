@@ -1,4 +1,4 @@
-"""Pointwise analysis of a time-like isothermal chart.
+"""Classification of a time-like isothermal chart, as arrays over the grid.
 
 A chart carries per-node data (sigma, L, M, N) for a first fundamental form
 sign * e^{2 sigma} (du^2 - dv^2).  The orientation sign is +1 when the
@@ -10,19 +10,20 @@ Point types: umbilic (shape operator scalar), quasi-umbilic (principal
 curvatures coincide but the operator is not scalar; the single principal
 direction is null), positive (two real principal curvatures), negative
 (complex pair).  The discriminant D = e^{-4 sigma} ((L+N)^2 - 4 M^2)
-separates them.
+separates them.  Kinds, D, principal curvatures and directions are arrays
+over the grid; a generated chart's kinds are exact, from the signs of its two
+Hopf branches taken once per distinct null coordinate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-
-from .parafunc import ParaFunction
 
 KIND_UMBILIC = "umbilic"
 KIND_QUASI = "quasi_umbilic"
@@ -133,10 +134,6 @@ class SurfaceChart:
     N: np.ndarray
     mask: np.ndarray  # True where the node is a valid immersed point
     metric_sign: np.ndarray  # sign of the du^2-coefficient of the metric
-    provenance: str = "user-supplied"
-    # analytic extras for generated charts (None for raw numeric charts)
-    hopf: Optional[ParaFunction] = None
-    source: object = None
     # the grid's null lattice, and the polynomial Hopf branches evaluated
     # on it: (plus at lattice.xs, minus at lattice.ys)
     lattice: Optional[NullLattice] = None
@@ -145,9 +142,54 @@ class SurfaceChart:
     def node(self, i: int, j: int):
         return self.grid.u_nodes()[i], self.grid.v_nodes()[j]
 
+    @np.errstate(all="ignore")
     def classify(self) -> "ChartClassification":
-        """Every node classified by `classify_node`."""
-        return classify_nodes(self, classify_node)
+        """Every node at once, as arrays over the grid.
+
+        With Hopf tables the kind is exact: the signs of the two branch
+        values, read once per distinct null coordinate, decide it.  Without
+        them a tolerance 1e-9 (1 + |L| + |N| + |M|) on a = L + N and b = 2M
+        decides, and the umbilic and quasi-umbilic nodes it finds are marginal.
+        """
+        m = self.mask
+        L, M, N = self.L[m], self.M[m], self.N[m]
+        a, b = L + N, 2.0 * M
+        disc = a * a - b * b
+        D = exp_each(-4.0, self.sigma[m]) * disc
+        if self.hopf_values is None:
+            tau = 1e-9 * (1.0 + np.abs(L) + np.abs(N) + np.abs(M))
+            umbilic = (np.abs(a) <= tau) & (np.abs(b) <= tau)
+            quasi = ~umbilic & (np.abs(np.abs(a) - np.abs(b)) <= tau)
+            positive = ~umbilic & ~quasi & (np.abs(a) > np.abs(b))
+            # degenerate eigenvalue; unique null direction (b, -a) up to scale
+            null_dir = _unit(b[quasi], -a[quasi])
+        else:
+            plus, minus = (np.array([_sign(t) for t in v]) for v in self.hopf_values)
+            p = plus[self.lattice.ix].reshape(m.shape)[m]
+            q = minus[self.lattice.iy].reshape(m.shape)[m]
+            umbilic = (p == 0) & (q == 0)
+            quasi = (p == 0) != (q == 0)
+            positive = p * q > 0
+            D[umbilic | quasi] = 0.0
+            # the null direction (s, 1), s = 1 where the plus branch vanishes
+            s = np.where(p[quasi] == 0, 1.0, -1.0)
+            null_dir = _unit(s, np.ones_like(s))
+        marginal = (umbilic | quasi) & (self.hopf_values is None)
+        r = np.where(positive, np.sqrt(np.abs(disc)), 0.0)
+        f = self.metric_sign[m] * exp_each(-2.0, self.sigma[m])
+        eigenvalues = np.stack([f * (L - N + r) / 2.0, f * (L - N - r) / 2.0], axis=-1)
+        eigenvalues[~(umbilic | quasi | positive)] = np.nan
+        dirs = np.full(a.shape + (2, 2), np.nan)
+        dirs[quasi, 0] = null_dir
+        ap, bp, rp = a[positive], b[positive], r[positive]
+        for k, lam in enumerate((rp, -rp)):
+            # the longer kernel row, (b, lam - a) or (a + lam, -b); ties keep the first
+            p1, q1, p2, q2 = bp, lam - ap, ap + lam, -bp
+            second = p2 * p2 + q2 * q2 > p1 * p1 + q1 * q1
+            dirs[positive, k] = _unit(np.where(second, p2, p1), np.where(second, q2, q1))
+        kinds = np.select([umbilic, quasi, positive],
+                          [KIND_UMBILIC, KIND_QUASI, KIND_POSITIVE], KIND_NEGATIVE)
+        return ChartClassification.spread(self, kinds, D, dirs, eigenvalues, marginal)
 
     def hopf_full_at(self, i: int, j: int):
         """(L+N) + 2jM assembled from the stored forms at a node."""
@@ -183,86 +225,32 @@ class PointClass:
     marginal: bool = False
 
 
-def _sign_fix(vec: np.ndarray) -> np.ndarray:
-    for c in vec:
-        if c != 0:
-            return vec if c > 0 else -vec
-    return vec
+def exp_each(scale: float, sigma: np.ndarray) -> np.ndarray:
+    """math.exp(scale * s) for every s: libm's exp one value at a time,
+    since numpy's vectorized exp may round differently."""
+    return np.array([math.exp(scale * s) for s in sigma.tolist()], dtype=float)
 
 
-def _unit(p, q) -> np.ndarray:
-    """(p, q) / sqrt(p*p + q*q) in separate IEEE operations: no BLAS kernel
-    (and no fused multiply-add) decides the last bit."""
-    p, q = float(p), float(q)
-    n = math.sqrt(p * p + q * q)
-    return _sign_fix(np.array([p / n, q / n]))
+def _sign(value) -> float:
+    """+1, -1 or 0 by exact comparison; NaN for NaN."""
+    return 1.0 if value > 0 else -1.0 if value < 0 else 0.0 if value == 0 else math.nan
 
 
-def _eigendirections(a: float, b: float, r: float):
-    """Eigenvectors of [[a, b], [-b, -a]]/2 for eigenvalues +-r/2, r=sqrt(a^2-b^2)."""
-    dirs = []
-    for lam in (r, -r):
-        v1 = (b, lam - a)  # from the first matrix row
-        v2 = (a + lam, -b)  # from the second
-        v = max((v1, v2), key=lambda w: w[0] * w[0] + w[1] * w[1])
-        dirs.append(_unit(*v))
-    return tuple(dirs)
+def _unit(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows (p, q) / sqrt(p*p + q*q), first non-zero component positive, in
+    elementwise IEEE operations: no BLAS kernel or fused multiply-add."""
+    n = np.sqrt(p * p + q * q)
+    if (n == 0).any():
+        raise ZeroDivisionError("float division by zero")
+    x, y = p / n, q / n
+    first = np.where(x != 0, x, y)
+    flip = (first != 0) & ~(first > 0)
+    return np.stack([np.where(flip, -x, x), np.where(flip, -y, y)], axis=-1)
 
 
 def classify_node(chart: SurfaceChart, i: int, j: int) -> PointClass:
-    """Classify one node; exact zero tests are used when the chart carries
-    a polynomial Hopf coefficient and the grid nodes are rational."""
-    if not chart.mask[i, j]:
-        return PointClass(KIND_MASKED, float("nan"), (), None)
-
-    L = float(chart.L[i, j])
-    M = float(chart.M[i, j])
-    N = float(chart.N[i, j])
-    sigma = float(chart.sigma[i, j])
-    a = L + N
-    b = 2.0 * M
-    D = math.exp(-4.0 * sigma) * (a * a - b * b)
-
-    exact = _exact_branch_values(chart, i, j)
-    if exact is not None:
-        pp, mm = exact
-        if pp == 0 and mm == 0:
-            return PointClass(KIND_UMBILIC, 0.0, (), _eigen_pair(chart, i, j, 0.0))
-        if pp == 0 or mm == 0:
-            s = 1 if pp == 0 else -1
-            return PointClass(
-                KIND_QUASI, 0.0, (_unit(s, 1),), _eigen_pair(chart, i, j, 0.0)
-            )
-        same_sign = (pp > 0 and mm > 0) or (pp < 0 and mm < 0)
-        kind = KIND_POSITIVE if same_sign else KIND_NEGATIVE
-        if kind == KIND_NEGATIVE:
-            return PointClass(kind, D, (), None)
-        r = math.sqrt(abs(a * a - b * b))
-        return PointClass(
-            kind, D, _eigendirections(a, b, r), _eigen_pair(chart, i, j, r)
-        )
-
-    tau = 1e-9 * (1.0 + abs(L) + abs(N) + abs(M))
-    if abs(a) <= tau and abs(b) <= tau:
-        return PointClass(KIND_UMBILIC, D, (), _eigen_pair(chart, i, j, 0.0), True)
-    if abs(abs(a) - abs(b)) <= tau:
-        # degenerate eigenvalue; unique null direction (b, -a) up to scale
-        return PointClass(
-            KIND_QUASI, D, (_unit(b, -a),), _eigen_pair(chart, i, j, 0.0), True
-        )
-    if abs(a) > abs(b):
-        r = math.sqrt(a * a - b * b)
-        return PointClass(
-            KIND_POSITIVE, D, _eigendirections(a, b, r), _eigen_pair(chart, i, j, r)
-        )
-    return PointClass(KIND_NEGATIVE, D, (), None)
-
-
-def _eigen_pair(chart, i, j, r):
-    s = float(chart.metric_sign[i, j])
-    f = s * math.exp(-2.0 * chart.sigma[i, j])
-    t = float(chart.L[i, j] - chart.N[i, j])
-    return (f * (t + r) / 2.0, f * (t - r) / 2.0)
+    """The `PointClass` of one node, read from the whole chart's arrays."""
+    return chart.classify().point(i, j)
 
 
 def _exact_branch_values(chart, i, j):
@@ -277,12 +265,42 @@ def _exact_branch_values(chart, i, j):
 
 @dataclass
 class ChartClassification:
-    """Full classification map of a chart."""
+    """Classification of every node of a chart, as arrays over the grid."""
 
     chart: SurfaceChart
-    kinds: np.ndarray  # dtype <U14, [i, j]
-    D: np.ndarray
-    points: dict = field(default_factory=dict)  # (i, j) -> PointClass
+    kinds: np.ndarray  # str, [i, j]
+    D: np.ndarray  # NaN at masked nodes
+    dirs: np.ndarray  # [i, j, 2, 2] unit directions, NaN past the node's count
+    eigenvalues: np.ndarray  # [i, j, 2], NaN where the node has none
+    marginal: np.ndarray  # bool: the kind was decided by a tolerance
+
+    @classmethod
+    def spread(cls, chart, *values):
+        """The classification from (kinds, D, dirs, eigenvalues, marginal)
+        at the immersed nodes, in row-major order; masked nodes get
+        KIND_MASKED, NaN and False."""
+        arrays = []
+        for v, fill in zip(values, (KIND_MASKED, np.nan, np.nan, np.nan, False)):
+            arrays.append(np.full(chart.mask.shape + v.shape[1:], fill, v.dtype))
+            arrays[-1][chart.mask] = v
+        return cls(chart, *arrays)
+
+    def point(self, i: int, j: int) -> PointClass:
+        """The per-node view of node (i, j)."""
+        kind = str(self.kinds[i, j])
+        eigenvalues = tuple(self.eigenvalues[i, j].tolist())
+        if kind in (KIND_MASKED, KIND_NEGATIVE):
+            eigenvalues = None
+        count = {KIND_POSITIVE: 2, KIND_QUASI: 1}.get(kind, 0)
+        dirs = tuple(self.dirs[i, j, :count].copy())
+        marginal = bool(self.marginal[i, j])
+        return PointClass(kind, float(self.D[i, j]), dirs, eigenvalues, marginal)
+
+    @cached_property
+    def points(self) -> dict:
+        """(i, j) -> PointClass of every node, built on first access."""
+        nu, nv = self.kinds.shape
+        return {(i, j): self.point(i, j) for i in range(nu) for j in range(nv)}
 
     def nodes_of_kind(self, kind: str):
         ii, jj = np.nonzero(self.kinds == kind)
@@ -337,21 +355,6 @@ def classify_chart(chart: SurfaceChart) -> ChartClassification:
     return chart.classify()
 
 
-def classify_nodes(chart: SurfaceChart, node) -> ChartClassification:
-    """`node(chart, i, j)` -> PointClass at every node, in row-major order."""
-    nu, nv = chart.grid.nu, chart.grid.nv
-    kinds = np.empty((nu, nv), dtype="<U14")
-    D = np.full((nu, nv), np.nan)
-    points = {}
-    for i in range(nu):
-        for j in range(nv):
-            pc = node(chart, i, j)
-            kinds[i, j] = pc.kind
-            D[i, j] = pc.D
-            points[(i, j)] = pc
-    return ChartClassification(chart, kinds, D, points)
-
-
 def quasi_umbilic_direction_check(
     chart: SurfaceChart,
     classification: ChartClassification,
@@ -367,28 +370,17 @@ def quasi_umbilic_direction_check(
         raise ValueError("s must be +1 or -1")
     ref = np.array(direction if direction is not None else (s, 1), dtype=float)
     ref = ref / np.linalg.norm(ref)
-    u_nodes = chart.grid.u_nodes()
-    v_nodes = chart.grid.v_nodes()
-    found = False
-    for i, u in enumerate(u_nodes):
-        for j, v in enumerate(v_nodes):
-            if u + s * v != 0 or (u == 0 and v == 0):
-                continue
-            pc = classification.points.get((i, j))
-            if pc is None or pc.kind == KIND_MASKED:
-                continue
-            if pc.kind != KIND_QUASI or len(pc.dirs) != 1:
-                return False
-            found = True
-            sine = abs(pc.dirs[0][0] * ref[1] - pc.dirs[0][1] * ref[0])
-            if sine > tol:
-                return False
-    return found
+    u_nodes, v_nodes = chart.grid.u_nodes(), chart.grid.v_nodes()
+    on_line = np.array([[u + s * v == 0 and (u, v) != (0, 0) for v in v_nodes]
+                        for u in u_nodes])
+    kinds = classification.kinds[on_line & (classification.kinds != KIND_MASKED)]
+    d = classification.dirs[on_line & (classification.kinds == KIND_QUASI), 0]
+    sine = np.abs(d[:, 0] * ref[1] - d[:, 1] * ref[0])
+    found = kinds.size > 0 and bool((kinds == KIND_QUASI).all())
+    return found and not (sine > tol).any()
 
 
-def chart_from_arrays(
-    grid: GridSpec, sigma, L, M, N, metric_sign=1, provenance="user-supplied"
-) -> SurfaceChart:
+def chart_from_arrays(grid: GridSpec, sigma, L, M, N, metric_sign=1) -> SurfaceChart:
     """Build a chart from plain per-node arrays (no analytic extras)."""
     sigma = np.asarray(sigma, dtype=float)
     shape = (grid.nu, grid.nv)
@@ -404,6 +396,4 @@ def chart_from_arrays(
     for arr in arrays:
         mask &= np.isfinite(arr)
     sign = np.full(shape, metric_sign, dtype=np.int8)
-    return SurfaceChart(
-        grid, sigma, arrays[0], arrays[1], arrays[2], mask, sign, provenance
-    )
+    return SurfaceChart(grid, sigma, arrays[0], arrays[1], arrays[2], mask, sign)

@@ -11,6 +11,8 @@ import json
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .geometry import (
     KIND_MASKED,
     KIND_NEGATIVE,
@@ -78,28 +80,31 @@ CLASSIFICATION_COLUMNS = (
 )
 
 
+def _cells(values: np.ndarray, shown: np.ndarray) -> np.ndarray:
+    """`fmt` of the shown values, empty text elsewhere."""
+    out = np.full(values.shape, "", dtype=object)
+    out[shown] = list(map(fmt, values[shown].tolist()))
+    return out
+
+
 def classification_csv(cls: ChartClassification) -> str:
-    chart = cls.chart
-    out = [_csv_line(CLASSIFICATION_COLUMNS)]
-    u_nodes = chart.grid.u_nodes()
-    v_nodes = chart.grid.v_nodes()
-    for i, u in enumerate(u_nodes):
-        for j, v in enumerate(v_nodes):
-            pc = cls.points[(i, j)]
-            dirs = list(pc.dirs) + [None, None]
-            d1, d2 = dirs[0], dirs[1]
-            row = [
-                fmt(float(u)),
-                fmt(float(v)),
-                pc.kind,
-                "" if pc.kind == KIND_MASKED else fmt(pc.D),
-                fmt(d1[0]) if d1 is not None else "",
-                fmt(d1[1]) if d1 is not None else "",
-                fmt(d2[0]) if d2 is not None else "",
-                fmt(d2[1]) if d2 is not None else "",
-            ]
-            out.append(_csv_line(row))
-    return "".join(out)
+    grid = cls.chart.grid
+    u_text = np.array([fmt(float(u)) for u in grid.u_nodes()], dtype=object)
+    v_text = np.array([fmt(float(v)) for v in grid.v_nodes()], dtype=object)
+    kinds = cls.kinds.ravel()
+    dirs = cls.dirs.reshape(-1, 4)
+    has_dir2 = kinds == KIND_POSITIVE
+    has_dir1 = has_dir2 | (kinds == KIND_QUASI)
+    columns = [
+        np.repeat(u_text, grid.nv),
+        np.tile(v_text, grid.nu),
+        kinds.tolist(),
+        _cells(cls.D.ravel(), kinds != KIND_MASKED),
+        *(_cells(dirs[:, c], has_dir1) for c in (0, 1)),
+        *(_cells(dirs[:, c], has_dir2) for c in (2, 3)),
+    ]
+    lines = map(_csv_line, zip(*columns))
+    return _csv_line(CLASSIFICATION_COLUMNS) + "".join(lines)
 
 
 def classification_summary(cls: ChartClassification, extra: dict = None) -> dict:

@@ -54,7 +54,6 @@ class Branch:
     dfn: Optional[Callable] = None
     jet_fn: Optional[Callable[[int], Sequence]] = None
     domain: tuple = (NEG_INF, POS_INF)
-    label: str = ""
 
     def __post_init__(self):
         if (self.poly is None) == (self.fn is None):
@@ -91,7 +90,7 @@ class Branch:
                 return 0.0
             return 2.0 * math.exp(-1.0 / (t * t)) / t**3
 
-        return cls(fn=f, dfn=df, jet_fn=lambda k: 0.0, label="exp_flat")
+        return cls(fn=f, dfn=df, jet_fn=lambda k: 0.0)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -34,14 +34,12 @@ import numpy as np
 
 from .flow import LINE_FIELD, FlowField, WindingResult, winding_index
 from .geometry import (
-    KIND_MASKED,
     KIND_POSITIVE,
     KIND_UMBILIC,
     ChartClassification,
     GridSpec,
-    PointClass,
     SurfaceChart,
-    classify_nodes,
+    exp_each,
 )
 from .poly import Poly
 
@@ -106,7 +104,8 @@ class SpacelikePatch:
     def hopf(self, u, v) -> complex:
         """dz^2-normalized Hopf coefficient -(omega_hat g'); the raw chart
         assembly (L - N) - 2iM equals 4 times this."""
-        return self._factor_and_hopf(u, v)[1]
+        z = complex(u) + 1j * complex(v)
+        return -complex(self.data.omega_hat(z)) * complex(self.g_prime(z))
 
     def forms(self, u, v):
         """(sigma, L, M, N) of the chart at (u, v)."""
@@ -130,9 +129,7 @@ class SpacelikePatch:
                 mask[i, j] = True
                 sigma[i, j], L[i, j], M[i, j], N[i, j] = _forms(factor, hopf)
         sign = np.ones((nu, nv), dtype=np.int8)
-        return SpacelikeChart(
-            grid, sigma, L, M, N, mask, sign, provenance="generated", source=self
-        )
+        return SpacelikeChart(grid, sigma, L, M, N, mask, sign)
 
     def principal_line_field(self) -> FlowField:
         """The (unoriented) principal direction line field.
@@ -143,8 +140,9 @@ class SpacelikePatch:
         """
 
         def ev(u, v):
-            _sigma, L, M, N = self.forms(u, v)
-            a = (L - N) / 2.0
+            # the Hopf coefficient alone: 4 hopf = (L - N) - 2iM, N = -L
+            w = 4.0 * self.hopf(u, v)
+            a, M = w.real / 2.0, -w.imag / 2.0
             if a == 0.0 and M == 0.0:
                 return (0.0, 0.0)  # umbilic: winding guard will reject
             theta = 0.5 * math.atan2(M, a)
@@ -165,27 +163,31 @@ class SpacelikeChart(SurfaceChart):
     """A space-like isothermal chart: metric e^{2 sigma}(du^2 + dv^2), so
     `metric_sign` is +1 at every node."""
 
+    @np.errstate(all="ignore")
     def classify(self) -> ChartClassification:
-        return classify_nodes(self, _classify_node)
-
-
-def _classify_node(chart: SpacelikeChart, i: int, j: int) -> PointClass:
-    """Every unmasked node is umbilic or positive; quasi-umbilic and
-    negative kinds are impossible here.  The umbilic test is a tolerance,
-    so umbilics are marginal."""
-    if not chart.mask[i, j]:
-        return PointClass(KIND_MASKED, float("nan"), (), None)
-    L, M, N = chart.L[i, j], chart.M[i, j], chart.N[i, j]
-    sigma = chart.sigma[i, j]
-    D = ((L - N) ** 2 + 4 * M * M) * math.exp(-4.0 * sigma)
-    tau = 1e-9 * (1.0 + abs(L) + abs(N) + abs(M))
-    if abs(L - N) <= tau and abs(2.0 * M) <= tau:
-        return PointClass(KIND_UMBILIC, D, (), (0.0, 0.0), True)
-    a = (L - N) / 2.0
-    theta = 0.5 * math.atan2(M, a)
-    d1 = (math.cos(theta), math.sin(theta))
-    r = math.exp(-2.0 * sigma) * math.hypot(a, M)
-    return PointClass(KIND_POSITIVE, D, (d1, (-d1[1], d1[0])), (r, -r))
+        """Every unmasked node is umbilic or positive; quasi-umbilic and
+        negative kinds are impossible here.  The umbilic test is a
+        tolerance, so umbilics are marginal."""
+        m = self.mask
+        L, M, N, sigma = self.L[m], self.M[m], self.N[m], self.sigma[m]
+        # Python's float power is C pow, which can differ from t * t
+        square = np.array([t**2 for t in (L - N).tolist()], dtype=float)
+        D = (square + 4 * M * M) * exp_each(-4.0, sigma)
+        tau = 1e-9 * (1.0 + np.abs(L) + np.abs(N) + np.abs(M))
+        umbilic = (np.abs(L - N) <= tau) & (np.abs(2.0 * M) <= tau)
+        off = ~umbilic
+        a, b = ((L - N) / 2.0)[off].tolist(), M[off].tolist()
+        theta = [0.5 * math.atan2(y, x) for y, x in zip(b, a)]
+        c, s = (np.array(list(map(f, theta)), dtype=float)
+                for f in (math.cos, math.sin))
+        dirs = np.full(L.shape + (2, 2), np.nan)
+        dirs[off] = np.stack([c, s, -s, c], -1).reshape(-1, 2, 2)
+        hypot = np.array(list(map(math.hypot, a, b)), dtype=float)
+        r = exp_each(-2.0, sigma[off]) * hypot
+        eigenvalues = np.zeros(L.shape + (2,))
+        eigenvalues[off] = np.stack([r, -r], -1)
+        kinds = np.where(umbilic, KIND_UMBILIC, KIND_POSITIVE)
+        return ChartClassification.spread(self, kinds, D, dirs, eigenvalues, umbilic)
 
 
 def generate_kobayashi(data: ComplexWeierstrassData) -> SpacelikePatch:

@@ -43,6 +43,7 @@ ROUTES = ("ko", "null", "kobayashi", "chart")
 MAX_GRID_NODES = 1025  # nu and nv, and hence --grid
 MAX_SAMPLES = 65536
 MAX_JET_CAP = 64
+MAX_DEGREE = 64  # of every polynomial: at most 65 coefficients
 
 
 class SpecError(ValueError):
@@ -76,6 +77,13 @@ def _expect_list(value, pointer):
     return value
 
 
+def _coefficients(value, pointer) -> list:
+    """A polynomial's coefficient array, of degree at most MAX_DEGREE."""
+    if len(_expect_list(value, pointer)) > MAX_DEGREE + 1:
+        _fail(pointer, f"polynomial degree is limited to {MAX_DEGREE}")
+    return value
+
+
 def _int_in(value, lo, hi) -> bool:
     """True for an int (not a bool) in [lo, hi]."""
     return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
@@ -106,7 +114,7 @@ def _branch(value, pointer) -> Branch:
     value = _expect_mapping(value, pointer)
     kind = value.get("kind")
     if kind == "poly":
-        coeffs = _expect_list(value.get("coeffs"), pointer + "/coeffs")
+        coeffs = _coefficients(value.get("coeffs"), pointer + "/coeffs")
         return Branch.from_poly(
             [_scalar(c, f"{pointer}/coeffs/{k}") for k, c in enumerate(coeffs)]
         )
@@ -124,7 +132,7 @@ def _parafunction(value, pointer) -> ParaFunction:
         from .paracomplex import ParaComplex
 
         coeffs = []
-        for k, c in enumerate(_expect_list(value["z_poly"], pointer + "/z_poly")):
+        for k, c in enumerate(_coefficients(value["z_poly"], pointer + "/z_poly")):
             cp = f"{pointer}/z_poly/{k}"
             if isinstance(c, list):
                 if len(c) != 2:
@@ -151,7 +159,7 @@ def _parafunction(value, pointer) -> ParaFunction:
 
 def _cpoly(value, pointer) -> Poly:
     coeffs = []
-    for k, c in enumerate(_expect_list(value, pointer)):
+    for k, c in enumerate(_coefficients(value, pointer)):
         cp = f"{pointer}/{k}"
         if isinstance(c, list):
             if len(c) != 2:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .flow import FlowField, winding_index
-from .geometry import KIND_MASKED, KIND_NEGATIVE, SurfaceChart, classify_node
+from .geometry import KIND_POSITIVE, KIND_QUASI, SurfaceChart
 from .parafunc import ParaFunction, SplitOrders
 
 PARITY_ODD = "odd_order"
@@ -316,23 +316,21 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
 def eigenfield_check(field: FlowField, chart: SurfaceChart) -> float:
     """Largest misalignment (sine of angle) between the field and the nearest
     principal direction over the chart's non-umbilic nodes."""
+    cls = chart.classify()
     worst = 0.0
-    for i in range(chart.grid.nu):
-        for j in range(chart.grid.nv):
-            pc = classify_node(chart, i, j)
-            if pc.kind in (KIND_MASKED, KIND_NEGATIVE) or not pc.dirs:
-                continue
-            u, v = chart.node(i, j)
-            try:
-                w = np.array(field(float(u), float(v)), dtype=float)
-            except ValueError:
-                continue
-            norm = np.linalg.norm(w)
-            if norm < 1e-12:
-                continue
-            w /= norm
-            sine = min(abs(w[0] * d[1] - w[1] * d[0]) for d in pc.dirs)
-            worst = max(worst, sine)
+    for i, j in zip(*np.nonzero(np.isin(cls.kinds, (KIND_POSITIVE, KIND_QUASI)))):
+        u, v = chart.node(i, j)
+        try:
+            w = np.array(field(float(u), float(v)), dtype=float)
+        except ValueError:
+            continue
+        norm = np.linalg.norm(w)
+        if norm < 1e-12:
+            continue
+        w /= norm
+        dirs = cls.dirs[i, j, : 2 if cls.kinds[i, j] == KIND_POSITIVE else 1]
+        sine = min(abs(w[0] * d[1] - w[1] * d[0]) for d in dirs)
+        worst = max(worst, sine)
     return worst
 
 
@@ -341,7 +339,6 @@ def measure_indices(
     qhat: ParaFunction,
     radius: float = 0.1,
     samples: int = 2048,
-    check_halved: bool = True,
 ) -> IndexReport:
     """Fill the measured winding indices into a prediction report.
 
@@ -366,9 +363,8 @@ def measure_indices(
         res = winding_index(f, radius=radius, samples=samples)
         measured[f.name] = res.index
         windings.append((f.name, res))
-        if check_halved:
-            half = winding_index(f, radius=radius / 2.0, samples=samples)
-            stable = stable and (half.index == res.index)
+        half = winding_index(f, radius=radius / 2.0, samples=samples)
+        stable = stable and (half.index == res.index)
     info["radius_halving_stable"] = stable
     report.measured_indices = measured
     report.measured_info = info

@@ -291,9 +291,6 @@ class ImmersionPatch:
             L.copy(),
             rec["mask"].copy(),
             rec["sign"].copy(),
-            provenance="generated",
-            hopf=hopf,
-            source=self,
             lattice=lattice,
             hopf_values=hopf_values,
         )

@@ -12,12 +12,27 @@ eigenfields, the oracle for the float-coefficient fields of
 `reference_spacelike_classification_csv` is the space-like classifier and
 writer that ran beside the shared pipeline before space-like charts went
 through it, the oracle for `classification_csv(classify_chart(chart))`.
+
+`reference_classify_node` is the per-node time-like classifier that ran
+before charts were classified as arrays, the oracle for
+`ChartClassification.point`.
 """
 
 import math
 from fractions import Fraction as F
 
+import numpy as np
+
 from zmcsurf.flow import FlowField
+from zmcsurf.geometry import (
+    KIND_MASKED,
+    KIND_NEGATIVE,
+    KIND_POSITIVE,
+    KIND_QUASI,
+    KIND_UMBILIC,
+    PointClass,
+    _exact_branch_values,
+)
 from zmcsurf.outputs import CLASSIFICATION_COLUMNS, _csv_line, fmt
 
 
@@ -164,3 +179,83 @@ def reference_spacelike_classification_csv(chart) -> str:
             ]
             out.append(_csv_line(row))
     return "".join(out)
+
+
+def _sign_fix(vec):
+    for c in vec:
+        if c != 0:
+            return vec if c > 0 else -vec
+    return vec
+
+
+def _unit(p, q):
+    p, q = float(p), float(q)
+    n = math.sqrt(p * p + q * q)
+    return _sign_fix(np.array([p / n, q / n]))
+
+
+def _eigendirections(a, b, r):
+    """Eigenvectors of [[a, b], [-b, -a]]/2 for eigenvalues +-r/2."""
+    dirs = []
+    for lam in (r, -r):
+        v1 = (b, lam - a)  # from the first matrix row
+        v2 = (a + lam, -b)  # from the second
+        v = max((v1, v2), key=lambda w: w[0] * w[0] + w[1] * w[1])
+        dirs.append(_unit(*v))
+    return tuple(dirs)
+
+
+def _eigen_pair(chart, i, j, r):
+    s = float(chart.metric_sign[i, j])
+    f = s * math.exp(-2.0 * chart.sigma[i, j])
+    t = float(chart.L[i, j] - chart.N[i, j])
+    return (f * (t + r) / 2.0, f * (t - r) / 2.0)
+
+
+def reference_classify_node(chart, i, j):
+    """Classify one time-like node: exact sign tests on the Hopf branch
+    values when the chart carries them, else a tolerance."""
+    if not chart.mask[i, j]:
+        return PointClass(KIND_MASKED, float("nan"), (), None)
+
+    L = float(chart.L[i, j])
+    M = float(chart.M[i, j])
+    N = float(chart.N[i, j])
+    sigma = float(chart.sigma[i, j])
+    a = L + N
+    b = 2.0 * M
+    D = math.exp(-4.0 * sigma) * (a * a - b * b)
+
+    exact = _exact_branch_values(chart, i, j)
+    if exact is not None:
+        pp, mm = exact
+        if pp == 0 and mm == 0:
+            return PointClass(KIND_UMBILIC, 0.0, (), _eigen_pair(chart, i, j, 0.0))
+        if pp == 0 or mm == 0:
+            s = 1 if pp == 0 else -1
+            return PointClass(
+                KIND_QUASI, 0.0, (_unit(s, 1),), _eigen_pair(chart, i, j, 0.0)
+            )
+        same_sign = (pp > 0 and mm > 0) or (pp < 0 and mm < 0)
+        kind = KIND_POSITIVE if same_sign else KIND_NEGATIVE
+        if kind == KIND_NEGATIVE:
+            return PointClass(kind, D, (), None)
+        r = math.sqrt(abs(a * a - b * b))
+        return PointClass(
+            kind, D, _eigendirections(a, b, r), _eigen_pair(chart, i, j, r)
+        )
+
+    tau = 1e-9 * (1.0 + abs(L) + abs(N) + abs(M))
+    if abs(a) <= tau and abs(b) <= tau:
+        return PointClass(KIND_UMBILIC, D, (), _eigen_pair(chart, i, j, 0.0), True)
+    if abs(abs(a) - abs(b)) <= tau:
+        # degenerate eigenvalue; unique null direction (b, -a) up to scale
+        return PointClass(
+            KIND_QUASI, D, (_unit(b, -a),), _eigen_pair(chart, i, j, 0.0), True
+        )
+    if abs(a) > abs(b):
+        r = math.sqrt(a * a - b * b)
+        return PointClass(
+            KIND_POSITIVE, D, _eigendirections(a, b, r), _eigen_pair(chart, i, j, r)
+        )
+    return PointClass(KIND_NEGATIVE, D, (), None)

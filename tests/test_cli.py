@@ -498,3 +498,61 @@ def test_long_rational_literal_is_echoed_short(tmp_path, capsys):
     assert err["pointer"] == "/data/g1/coeffs/1"
     assert err["error"] == "not a rational literal: '" + "1" * 39 + "…"
     assert not out.exists()
+
+
+def _with_poly_branch(spec, coeffs):
+    spec["data"]["g1"]["coeffs"] = coeffs
+
+
+def _with_z_poly(spec, coeffs):
+    spec["route"] = "ko"
+    spec["data"] = {"g": {"z_poly": coeffs}, "omega_hat": {"z_poly": [1]}}
+
+
+def _with_kobayashi_array(spec, coeffs):
+    spec["route"] = "kobayashi"
+    spec["data"] = {"g": coeffs, "omega_hat": [1]}
+
+
+@pytest.mark.parametrize(
+    "edit, pointer",
+    [
+        (_with_poly_branch, "/data/g1/coeffs"),
+        (_with_z_poly, "/data/g/z_poly"),
+        (_with_kobayashi_array, "/data/g"),
+    ],
+    ids=["poly", "z_poly", "kobayashi"],
+)
+def test_polynomial_degree_limit(tmp_path, capsys, edit, pointer):
+    """Degree 64 (65 coefficients) is accepted; degree 65 exits 2."""
+    for degree, code in ((65, 2), (64, 0)):
+        f = _null_spec_with_g1(tmp_path, [0, 1])
+        spec = json.loads(f.read_text())
+        edit(spec, [0] * degree + [1])
+        f.write_text(json.dumps(spec))
+        out = tmp_path / f"degree{degree}"
+        assert _run(["classify", "--spec", str(f), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            continue
+        assert json.loads(err) == {
+            "error": "polynomial degree is limited to 64",
+            "pointer": pointer,
+        }
+        assert not out.exists()
+
+
+def test_exit_code_3_when_principal_directions_underflow(tmp_path, capsys):
+    """g1 = g2 = 10^-170 t^2: the forms are so small that p*p + q*q of a
+    principal direction underflows to 0."""
+    tiny = [0, 0, "1/1" + "0" * 170]
+    f = _null_spec_with_g1(tmp_path, tiny)
+    spec = json.loads(f.read_text())
+    spec["data"]["g2"]["coeffs"] = tiny
+    f.write_text(json.dumps(spec))
+    for cmd in ("classify", "flow"):
+        out = tmp_path / cmd
+        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == '{"error": "float division by zero"}\n'
+        assert not out.exists()

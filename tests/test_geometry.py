@@ -29,6 +29,9 @@ from zmcsurf.geometry import (
 from zmcsurf.presets import preset_spec
 from zmcsurf.surfacespec import resolve
 
+from oracles import reference_classify_node
+from test_compiled_fields import _null_spec
+
 GRID33 = GridSpec.square(1, 33)
 
 
@@ -283,6 +286,8 @@ def _plain_unit(p, q):
 def _expected_dirs(chart, i, j, kind):
     L, M, N = (float(chart.L[i, j]), float(chart.M[i, j]), float(chart.N[i, j]))
     a, b = L + N, 2.0 * M
+    if kind == KIND_QUASI and chart.hopf_values is None:  # the null direction (b, -a)
+        return [_plain_unit(b, -a)]
     if kind == KIND_QUASI:  # the null direction (s, 1), s = 1 where plus(x) = 0
         plus = chart.hopf_values[0][chart.lattice.ix[i * chart.grid.nv + j]]
         return [_plain_unit(1.0 if plus == 0 else -1.0, 1.0)]
@@ -295,14 +300,78 @@ def _expected_dirs(chart, i, j, kind):
     return out
 
 
-@pytest.mark.parametrize("name", ["f1", "f2", "deg26"])
+def _planted_chart(nu, nv, seed=5):
+    """A raw float chart (metric sign -1, no Hopf tables) in which a share
+    of the nodes is planted umbilic (L = -N, M = 0), quasi-umbilic
+    (|L + N| = |2M|) or masked (sigma NaN)."""
+    rng = random.Random(seed)
+    sigma, L, M, N = (np.empty((nu, nv)) for _ in range(4))
+    for i in range(nu):
+        for j in range(nv):
+            s = rng.uniform(-0.5, 0.5)
+            l, m, n = (rng.uniform(-1.0, 1.0) for _ in range(3))
+            r = rng.random()
+            if r < 0.08:
+                n, m = -l, 0.0
+            elif r < 0.16:
+                m = rng.choice((-1.0, 1.0)) * (l + n) / 2.0
+            elif r < 0.2:
+                s = float("nan")
+            sigma[i, j], L[i, j], M[i, j], N[i, j] = s, l, m, n
+    grid = GridSpec(-1, 1, -1, 1, nu, nv)
+    return chart_from_arrays(grid, sigma, L, M, N, metric_sign=-1)
+
+
+def _generated_chart(spec, nu, nv):
+    spec["grid"]["nu"], spec["grid"]["nv"] = nu, nv
+    resolved = resolve(spec)
+    return resolved.patch.chart(resolved.grid)
+
+
+CHARTS = {
+    "z3": lambda nu, nv: _generated_chart(preset_spec("z3"), nu, nv),
+    "f1": lambda nu, nv: _generated_chart(preset_spec("f1"), nu, nv),
+    "deg26": lambda nu, nv: _generated_chart(preset_spec("deg26"), nu, nv),
+    "float_null": lambda nu, nv: _generated_chart(_null_spec(3, (2, 4), True), nu, nv),
+    "raw": _planted_chart,
+}
+
+
+def _hexes(values):
+    return None if values is None else [float(c).hex() for c in np.ravel(values)]
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (17, 23)], ids=["square", "17x23"])
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_array_classifier_matches_per_node_reference(name, shape):
+    """Every PointClass field, bit for bit, against the per-node classifier."""
+    chart = CHARTS[name](*shape)
+    cls = classify_chart(chart)
+    kinds = set()
+    for i in range(chart.grid.nu):
+        for j in range(chart.grid.nv):
+            got, want = cls.point(i, j), reference_classify_node(chart, i, j)
+            assert (got.kind, got.marginal) == (want.kind, want.marginal), (i, j)
+            assert float(got.D).hex() == float(want.D).hex(), (i, j)
+            assert _hexes(got.dirs) == _hexes(want.dirs), (i, j)
+            assert len(got.dirs) == len(want.dirs), (i, j)
+            assert _hexes(got.eigenvalues) == _hexes(want.eigenvalues), (i, j)
+            assert cls.kinds[i, j] == got.kind
+            kinds.add(got.kind)
+    assert {KIND_POSITIVE, KIND_QUASI} <= kinds
+    if name == "raw":
+        assert {KIND_UMBILIC, KIND_NEGATIVE, KIND_MASKED} <= kinds
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "deg26", "raw"])
 def test_principal_directions_pinned_to_plain_float_formula(name):
     """No BLAS norm: the directions are bit-identical to IEEE multiplies,
     adds, a square root and divides on every node that has them."""
-    spec = preset_spec(name)
-    spec["grid"]["nu"] = spec["grid"]["nv"] = 33
-    resolved = resolve(spec)
-    cls = classify_chart(resolved.patch.chart(resolved.grid))
+    if name == "raw":
+        chart = _planted_chart(45, 45)
+    else:
+        chart = _generated_chart(preset_spec(name), 33, 33)
+    cls = classify_chart(chart)
     checked = 0
     for (i, j), pc in cls.points.items():
         if not pc.dirs:

@@ -191,3 +191,36 @@ def test_point_classes_match_eigh(preset):
             assert abs(abs(np.dot(d, vectors[:, k])) - 1.0) <= 1e-12
         assert pc.D == pytest.approx((values[1] - values[0]) ** 2, rel=1e-12)
     assert cls.points[(16, 16)].kind == "umbilic"
+
+
+def _forms_line_field(patch, u, v):
+    """The principal line field from the full forms (sigma, L, M, N)."""
+    _sigma, L, M, N = patch.forms(u, v)
+    a = (L - N) / 2.0
+    if a == 0.0 and M == 0.0:
+        return (0.0, 0.0)
+    theta = 0.5 * math.atan2(M, a)
+    return (math.cos(theta), math.sin(theta))
+
+
+COMPLEX_DATUM = ComplexWeierstrassData(
+    Poly([0, 0.3 + 0.2j, -0.5 + 0.1j, 0.25j]), Poly([1, 0.2 - 0.3j])
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["spacelike_m1", "spacelike_m2", "spacelike_m3", "complex"]
+)
+def test_line_field_from_hopf_alone_matches_forms_route(name):
+    """The field evaluates omega_hat and g' only, and is bit-identical to
+    the route through `forms`, which also evaluates g and sigma."""
+    if name == "complex":
+        patch = generate_kobayashi(COMPLEX_DATUM)
+    else:
+        patch = resolve(preset_spec(name)).spacelike_patch
+    field = patch.principal_line_field()
+    rng = random.Random(name)
+    for _ in range(250):
+        u, v = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
+        got = [c.hex() for c in field(u, v)]
+        assert got == [c.hex() for c in _forms_line_field(patch, u, v)], (u, v)

@@ -20,7 +20,6 @@ from .poly import Poly
 from .parafunc import (
     Branch,
     BranchOrder,
-    DomainError,
     NormalForm,
     ParaFunction,
     SplitOrders,

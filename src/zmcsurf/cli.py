@@ -13,9 +13,10 @@ degree 64 (65 coefficients per array); a non-finite number (NaN,
 Infinity, 1e400) is a spec error too.  The slowest in-limit run measured,
 generate for a dense degree-64 null spec at 1025^2, took 190 s.
 Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
-is not UTF-8 or is not JSON within Python's limits is one), 3
-numerical-guard failures, including an exact value that rounds outside
-the double range.
+is not UTF-8 or is not JSON within Python's limits is one, and so are
+time-like data that are degenerate at the base point, unless the spec
+sets "allow_degenerate_base": true), 3 numerical-guard failures,
+including an exact value that rounds outside the double range.
 Outputs are byte-deterministic for a fixed spec.
 """
 

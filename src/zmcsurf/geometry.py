@@ -12,7 +12,9 @@ direction is null), positive (two real principal curvatures), negative
 (complex pair).  The discriminant D = e^{-4 sigma} ((L+N)^2 - 4 M^2)
 separates them.  Kinds, D, principal curvatures and directions are arrays
 over the grid; a generated chart's kinds are exact, from the signs of its two
-Hopf branches taken once per distinct null coordinate.
+Hopf branches taken once per distinct null coordinate.  Generated charts of
+both signatures are built by `chart_from_nodes`, raw ones by
+`chart_from_arrays`.
 """
 
 from __future__ import annotations
@@ -378,6 +380,31 @@ def quasi_umbilic_direction_check(
     sine = np.abs(d[:, 0] * ref[1] - d[:, 1] * ref[0])
     found = kinds.size > 0 and bool((kinds == KIND_QUASI).all())
     return found and not (sine > tol).any()
+
+
+_NODE_RECORD = np.dtype(
+    [("mask", "?"), ("sigma", "f8"), ("L", "f8"), ("M", "f8"), ("N", "f8"), ("sign", "i1")]
+)
+
+
+def _node_record(node):
+    """Chart record of a node from None (masked) or (metric factor, L, M, N)."""
+    if node is None:
+        return False, math.nan, 0.0, 0.0, 0.0, 1
+    f, L, M, N = node
+    return True, 0.5 * math.log(abs(f)), L, M, N, 1 if f > 0 else -1
+
+
+def chart_from_nodes(grid: GridSpec, nodes, chart_type=SurfaceChart, **extras):
+    """The chart of a generated patch from one item per node, row-major:
+    None for a masked node, or (metric factor, L, M, N).  sigma is
+    log|factor|/2 and the metric sign is the factor's sign; a masked node
+    gets sigma NaN, L = M = N = 0 and sign +1."""
+    rec = np.fromiter(
+        map(_node_record, nodes), dtype=_NODE_RECORD, count=grid.nu * grid.nv
+    ).reshape(grid.nu, grid.nv)
+    fields = ("sigma", "L", "M", "N", "mask", "sign")
+    return chart_type(grid, *(rec[k].copy() for k in fields), **extras)
 
 
 def chart_from_arrays(grid: GridSpec, sigma, L, M, N, metric_sign=1) -> SurfaceChart:

@@ -2,13 +2,15 @@
 
 All floats are written with 17 significant digits so two runs of the same
 spec produce byte-identical files; JSON objects are emitted with sorted
-keys and a fixed layout.
+keys and a fixed layout.  Every CSV file goes through one column writer,
+`_table`: a writer builds its text column by column (node coordinates
+formatted once per axis, masked or absent cells filled by `_cells`) and
+`_table` joins the rows.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Iterable
 
 import numpy as np
@@ -25,13 +27,8 @@ from .geometry import (
 
 
 def fmt(x) -> str:
-    """17-significant-digit decimal form of a float; empty for None."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    """17-significant-digit decimal form of a number ("nan" for NaN)."""
+    return format(float(x), ".17g")
 
 
 def canonical_json(obj) -> str:
@@ -42,6 +39,24 @@ def _csv_line(fields: Iterable[str]) -> str:
     return ",".join(fields) + "\n"
 
 
+def _table(header, columns) -> str:
+    """CSV text: the header, then one line per row of the text columns."""
+    return _csv_line(header) + "".join(map(_csv_line, zip(*columns)))
+
+
+def _node_columns(grid) -> list:
+    """The u and v text columns of every node, row-major; each node
+    coordinate is formatted once."""
+    u_text = [fmt(u) for u in grid.u_nodes()]
+    v_text = [fmt(v) for v in grid.v_nodes()]
+    return [[u for u in u_text for _ in v_text], v_text * grid.nu]
+
+
+def _cells(values: np.ndarray, shown: np.ndarray, fill: str) -> list:
+    """`fmt` of each value where `shown`, `fill` elsewhere."""
+    return [fmt(x) if s else fill for x, s in zip(values.tolist(), shown.tolist())]
+
+
 SURFACE_COLUMNS = ("u", "v", "f0", "f1", "f2", "sigma", "L", "M", "N")
 
 
@@ -49,23 +64,20 @@ def surface_csv(chart: SurfaceChart, patch) -> str:
     """Immersion coordinates and fundamental forms per grid node.
 
     `patch.grid_coordinates(grid)` yields the three ambient coordinates of
-    every node, row-major; masked nodes keep their coordinates but carry
-    nan forms.
+    every node, row-major; masked nodes keep their coordinates but print
+    nan in all four form columns.
     """
-    grid = chart.grid
-    coords = patch.grid_coordinates(grid)
-    u_text = [fmt(float(u)) for u in grid.u_nodes()]
-    v_text = [fmt(float(v)) for v in grid.v_nodes()]
-    forms = zip(
-        chart.mask.flat, chart.sigma.flat, chart.L.flat, chart.M.flat, chart.N.flat
+    coords = zip(*patch.grid_coordinates(chart.grid))
+    shown = chart.mask.ravel()
+    forms = (chart.sigma, chart.L, chart.M, chart.N)
+    return _table(
+        SURFACE_COLUMNS,
+        [
+            *_node_columns(chart.grid),
+            *([fmt(c) for c in column] for column in coords),
+            *(_cells(values.ravel(), shown, "nan") for values in forms),
+        ],
     )
-    masked_tail = ["nan"] * 4
-    out = [_csv_line(SURFACE_COLUMNS)]
-    rows = ((u, v) for u in u_text for v in v_text)
-    for (u, v), xyz, (immersed, *tail) in zip(rows, coords, forms):
-        tail = [fmt(t) for t in tail] if immersed else masked_tail
-        out.append(_csv_line([u, v, *(fmt(c) for c in xyz), *tail]))
-    return "".join(out)
 
 
 CLASSIFICATION_COLUMNS = (
@@ -80,37 +92,27 @@ CLASSIFICATION_COLUMNS = (
 )
 
 
-def _cells(values: np.ndarray, shown: np.ndarray) -> np.ndarray:
-    """`fmt` of the shown values, empty text elsewhere."""
-    out = np.full(values.shape, "", dtype=object)
-    out[shown] = list(map(fmt, values[shown].tolist()))
-    return out
-
-
 def classification_csv(cls: ChartClassification) -> str:
-    grid = cls.chart.grid
-    u_text = np.array([fmt(float(u)) for u in grid.u_nodes()], dtype=object)
-    v_text = np.array([fmt(float(v)) for v in grid.v_nodes()], dtype=object)
     kinds = cls.kinds.ravel()
     dirs = cls.dirs.reshape(-1, 4)
     has_dir2 = kinds == KIND_POSITIVE
     has_dir1 = has_dir2 | (kinds == KIND_QUASI)
-    columns = [
-        np.repeat(u_text, grid.nv),
-        np.tile(v_text, grid.nu),
-        kinds.tolist(),
-        _cells(cls.D.ravel(), kinds != KIND_MASKED),
-        *(_cells(dirs[:, c], has_dir1) for c in (0, 1)),
-        *(_cells(dirs[:, c], has_dir2) for c in (2, 3)),
-    ]
-    lines = map(_csv_line, zip(*columns))
-    return _csv_line(CLASSIFICATION_COLUMNS) + "".join(lines)
+    return _table(
+        CLASSIFICATION_COLUMNS,
+        [
+            *_node_columns(cls.chart.grid),
+            kinds.tolist(),
+            _cells(cls.D.ravel(), kinds != KIND_MASKED, ""),
+            *(_cells(dirs[:, c], has_dir1, "") for c in (0, 1)),
+            *(_cells(dirs[:, c], has_dir2, "") for c in (2, 3)),
+        ],
+    )
 
 
 def classification_summary(cls: ChartClassification, extra: dict = None) -> dict:
     counts = cls.counts()
     umbilics = [
-        [fmt(float(u)), fmt(float(v))]
+        [fmt(u), fmt(v)]
         for (i, j) in cls.nodes_of_kind(KIND_UMBILIC)
         for u, v in [cls.chart.node(i, j)]
     ]
@@ -136,19 +138,15 @@ WINDING_COLUMNS = ("field", "kind", "radius", "samples", "index", "max_jump")
 
 def winding_csv(rows) -> str:
     """rows: iterable of (field_name, kind, WindingResult)."""
-    out = [_csv_line(WINDING_COLUMNS)]
-    for name, kind, res in rows:
-        out.append(
-            _csv_line(
-                [
-                    name,
-                    kind,
-                    fmt(res.radius),
-                    str(res.samples),
-                    fmt(res.index),
-                    fmt(res.max_jump),
-                ]
-            )
-        )
-    return "".join(out)
-
+    names, kinds, results = list(zip(*rows)) or ((), (), ())
+    return _table(
+        WINDING_COLUMNS,
+        [
+            names,
+            kinds,
+            [fmt(r.radius) for r in results],
+            [str(r.samples) for r in results],
+            [fmt(r.index) for r in results],
+            [fmt(r.max_jump) for r in results],
+        ],
+    )

@@ -21,13 +21,6 @@ from typing import Callable, Optional, Sequence
 from .paracomplex import ParaComplex, from_projections
 from .poly import Poly
 
-NEG_INF = float("-inf")
-POS_INF = float("inf")
-
-
-class DomainError(ValueError):
-    """Branch evaluated outside its domain interval."""
-
 
 class UnsupportedBranch(ValueError):
     """Operation needs analytic data the branch does not carry."""
@@ -53,7 +46,6 @@ class Branch:
     fn: Optional[Callable] = None
     dfn: Optional[Callable] = None
     jet_fn: Optional[Callable[[int], Sequence]] = None
-    domain: tuple = (NEG_INF, POS_INF)
 
     def __post_init__(self):
         if (self.poly is None) == (self.fn is None):
@@ -101,9 +93,6 @@ class Branch:
     def __call__(self, t):
         if self.poly is not None:
             return self.poly(t)
-        lo, hi = self.domain
-        if not (lo <= t <= hi):
-            raise DomainError(f"argument {t} outside branch domain [{lo}, {hi}]")
         return self.fn(t)
 
     # -- algebra -------------------------------------------------------------
@@ -116,7 +105,6 @@ class Branch:
             fn=lambda t: f.fn(t) + g.fn(t),
             dfn=_maybe(lambda t: f.dfn(t) + g.dfn(t), f.dfn and g.dfn),
             jet_fn=_maybe(lambda k: f.jet_fn(k) + g.jet_fn(k), f.jet_fn and g.jet_fn),
-            domain=_meet(self.domain, other.domain),
         )
 
     def __mul__(self, other) -> "Branch":
@@ -128,7 +116,6 @@ class Branch:
                 fn=lambda t: f.fn(t) * other,
                 dfn=_maybe(lambda t: f.dfn(t) * other, f.dfn),
                 jet_fn=_maybe(lambda k: f.jet_fn(k) * other, f.jet_fn),
-                domain=self.domain,
             )
         if self.is_polynomial and other.is_polynomial:
             return Branch(poly=self.poly * other.poly)
@@ -147,7 +134,6 @@ class Branch:
                 f.dfn and g.dfn,
             ),
             jet_fn=jet,
-            domain=_meet(self.domain, other.domain),
         )
 
     __rmul__ = __mul__
@@ -167,7 +153,6 @@ class Branch:
             fn=p,
             dfn=dp,
             jet_fn=lambda k: p.coefficient(k) * math.factorial(k),
-            domain=self.domain,
         )
 
     # -- calculus ------------------------------------------------------------
@@ -180,7 +165,7 @@ class Branch:
         shifted = None
         if self.jet_fn is not None:
             shifted = lambda k, _j=self.jet_fn: _j(k + 1)
-        return Branch(fn=self.dfn, jet_fn=shifted, domain=self.domain)
+        return Branch(fn=self.dfn, jet_fn=shifted)
 
     def compose_scale(self, a) -> "Branch":
         """The branch t -> f(a*t)."""
@@ -190,16 +175,10 @@ class Branch:
         jet = None
         if f.jet_fn is not None:
             jet = lambda k, _j=f.jet_fn: _j(k) * a**k
-        lo, hi = self.domain
-        if a != 0:
-            bounds = sorted((lo / a, hi / a)) if abs(a) != POS_INF else (lo, hi)
-        else:
-            bounds = (NEG_INF, POS_INF)
         return Branch(
             fn=lambda t: f.fn(a * t),
             dfn=_maybe(lambda t: a * f.dfn(a * t), f.dfn),
             jet_fn=jet,
-            domain=tuple(bounds),
         )
 
     # -- jets and order of vanishing ------------------------------------------
@@ -240,10 +219,6 @@ class Branch:
 
 def _maybe(fn, condition):
     return fn if condition else None
-
-
-def _meet(d1, d2):
-    return (max(d1[0], d2[0]), min(d1[1], d2[1]))
 
 
 @dataclass(frozen=True)

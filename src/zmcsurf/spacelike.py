@@ -15,14 +15,17 @@ symmetric, hence diagonalizable, and its eigenvalue discriminant
 ((L-N)^2 + 4 M^2) e^{-4 sigma} is non-negative.
 
 Charts go through the same pipeline as time-like ones: `SpacelikeChart`
-is a `SurfaceChart` (metric sign +1) whose `classify` yields the usual
-`ChartClassification`, so `classify_chart`, `classification_csv` and
-`classification_summary` serve both signatures.  Its nodes are umbilic
-(a tolerance test on L - N and M, hence marginal) or positive, with
-D = ((L-N)^2 + 4 M^2) e^{-4 sigma}, principal directions (cos t, sin t)
-and (-sin t, cos t) at t = atan2(M, (L-N)/2)/2, and principal curvatures
-+-e^{-2 sigma} hypot((L-N)/2, M).  Only the index differs: the line-field
-law -m/2 (`spacelike_index`) replaces the time-like mod-4 law.
+is a `SurfaceChart` (metric sign +1), built by the same constructor,
+`geometry.chart_from_nodes`, from the conformal factor and (L, M, N) at
+each node (masked where the factor is at most 1e-300), and its `classify`
+yields the usual `ChartClassification`, so `classify_chart`,
+`classification_csv` and `classification_summary` serve both signatures.
+Its nodes are umbilic (a tolerance test on L - N and M, hence marginal) or
+positive, with D = ((L-N)^2 + 4 M^2) e^{-4 sigma}, principal directions
+(cos t, sin t) and (-sin t, cos t) at t = atan2(M, (L-N)/2)/2, and
+principal curvatures +-e^{-2 sigma} hypot((L-N)/2, M).  Only the index
+differs: the line-field law -m/2 (`spacelike_index`) replaces the
+time-like mod-4 law.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .geometry import (
     ChartClassification,
     GridSpec,
     SurfaceChart,
+    chart_from_nodes,
     exp_each,
 )
 from .poly import Poly
@@ -77,8 +81,7 @@ class SpacelikePatch:
 
     def grid_coordinates(self, grid: GridSpec):
         """Iterator over `evaluate(u, v)` at every node, row-major."""
-        v_nodes = grid.v_nodes()
-        return (self.evaluate(u, v) for u in grid.u_nodes() for v in v_nodes)
+        return _at_nodes(grid, self.evaluate)
 
     # -- analytic first/second-order data ----------------------------------------
 
@@ -112,24 +115,17 @@ class SpacelikePatch:
         factor, hopf = self._factor_and_hopf(u, v)
         if factor <= 0.0:
             raise ZeroDivisionError("chart degenerate here")
-        return _forms(factor, hopf)
+        _, L, M, N = _node(factor, hopf)
+        return 0.5 * math.log(factor), L, M, N
 
     def chart(self, grid: GridSpec) -> "SpacelikeChart":
-        nu, nv = grid.nu, grid.nv
-        sigma = np.full((nu, nv), np.nan)
-        L = np.zeros((nu, nv))
-        M = np.zeros((nu, nv))
-        N = np.zeros((nu, nv))
-        mask = np.zeros((nu, nv), dtype=bool)
-        for i, u in enumerate(grid.u_nodes()):
-            for j, v in enumerate(grid.v_nodes()):
-                factor, hopf = self._factor_and_hopf(u, v)
-                if factor <= 1e-300:
-                    continue
-                mask[i, j] = True
-                sigma[i, j], L[i, j], M[i, j], N[i, j] = _forms(factor, hopf)
-        sign = np.ones((nu, nv), dtype=np.int8)
-        return SpacelikeChart(grid, sigma, L, M, N, mask, sign)
+        """The chart; a node is masked where the conformal factor is at
+        most 1e-300 (on |g| = 1 or at a zero of omega_hat)."""
+        nodes = (
+            None if factor <= 1e-300 else _node(factor, hopf)
+            for factor, hopf in _at_nodes(grid, self._factor_and_hopf)
+        )
+        return chart_from_nodes(grid, nodes, SpacelikeChart)
 
     def principal_line_field(self) -> FlowField:
         """The (unoriented) principal direction line field.
@@ -151,12 +147,17 @@ class SpacelikePatch:
         return FlowField(ev, kind=LINE_FIELD, name="principal_lines")
 
 
-def _forms(factor: float, hopf: complex):
-    """(sigma, L, M, N) from the conformal factor and the Hopf coefficient."""
+def _node(factor: float, hopf: complex):
+    """(factor, L, M, N) from the conformal factor and the Hopf coefficient."""
     w = 4.0 * hopf  # (L - N) - 2iM
     L = w.real / 2.0
-    M = -w.imag / 2.0
-    return 0.5 * math.log(factor), L, M, -L
+    return factor, L, -w.imag / 2.0, -L
+
+
+def _at_nodes(grid: GridSpec, fn):
+    """Iterator over fn(u, v) at every node, row-major."""
+    v_nodes = grid.v_nodes()
+    return (fn(u, v) for u in grid.u_nodes() for v in v_nodes)
 
 
 class SpacelikeChart(SurfaceChart):

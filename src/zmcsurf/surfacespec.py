@@ -17,7 +17,10 @@ A spec document selects a construction route and its data payload:
 
 Coefficients written as integers or "p/q" strings are parsed as exact
 rationals, which keeps the polynomial pipeline exact; floats stay floats,
-and a non-finite float (NaN, Infinity, 1e400) is refused.
+and a non-finite float (NaN, Infinity, 1e400) is refused.  Time-like
+data (routes "ko" and "null") must be regular at the base point: g
+vanishes there and omega_hat is not null; other data are refused at
+/data unless the spec sets "allow_degenerate_base": true.
 Validation failures raise SpecError carrying a JSON pointer to the
 offending field.
 """
@@ -33,7 +36,13 @@ from .geometry import GridSpec, SurfaceChart, chart_from_arrays
 from .parafunc import Branch, ParaFunction
 from .poly import Poly
 from .spacelike import ComplexWeierstrassData, SpacelikePatch, generate_kobayashi
-from .weierstrass import ImmersionPatch, NullData, WeierstrassData, generate_ko
+from .weierstrass import (
+    DegenerateDataError,
+    ImmersionPatch,
+    WeierstrassData,
+    generate_ko,
+    generate_null,
+)
 
 ROUTES = ("ko", "null", "kobayashi", "chart")
 
@@ -242,6 +251,15 @@ def _analysis(value, pointer) -> AnalysisParams:
     return AnalysisParams(**kwargs)
 
 
+def _generated(make, *data, **kwargs) -> ImmersionPatch:
+    """make(*data, **kwargs), with data that are degenerate at the base
+    point refused as a spec error."""
+    try:
+        return make(*data, **kwargs)
+    except DegenerateDataError as exc:
+        _fail("/data", f"{exc}; \"allow_degenerate_base\": true accepts such data")
+
+
 @dataclass(frozen=True)
 class ResolvedSpec:
     """A validated spec with its constructed surface object."""
@@ -283,14 +301,14 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
             _parafunction(data["g"], "/data/g"),
             _parafunction(data["omega_hat"], "/data/omega_hat"),
         )
-        patch = generate_ko(wdata, strict=strict)
+        patch = _generated(generate_ko, wdata, strict=strict)
     elif route == "null":
         branches = {}
         for key in ("g1", "g2", "w1", "w2"):
             if key not in data:
                 _fail(f"/data/{key}", "missing branch datum")
             branches[key] = _branch(data[key], f"/data/{key}")
-        patch = ImmersionPatch.build(NullData(**branches), "null", strict=strict)
+        patch = _generated(generate_null, **branches, strict=strict)
     elif route == "kobayashi":
         for key in ("g", "omega_hat"):
             if key not in data:

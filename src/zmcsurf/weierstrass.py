@@ -47,8 +47,10 @@ The combination rounds exactly as the per-point API (`metric_factor`,
 * float or callable branch values: the per-point expression itself is
   applied to the cached values.
 
-sigma = log|factor|/2 stays a per-node math.log call (numpy's log and exp
-do not always round like math's).
+The nodes' (metric factor, L, M, N) go to `geometry.chart_from_nodes`, the
+one chart constructor for generated patches of both signatures; it forms
+sigma = log|factor|/2 with a per-node math.log call (numpy's log and exp
+do not always round like math's) and the metric sign from the factor's.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .geometry import GridSpec, SurfaceChart
+from .geometry import GridSpec, SurfaceChart, chart_from_nodes
 from .parafunc import Branch, ParaFunction, _halve
 from .poly import Poly
 
@@ -275,25 +277,11 @@ class ImmersionPatch:
         lx = [-2 * w * dg for w, dg in zip(w1, _table(g1d, xs))]
         ny = [-2 * w * dg for w, dg in zip(w2, _table(g2d, ys))]
         nodes = _combine(lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, _float_node)
-        rec = np.fromiter(
-            map(_node_record, nodes), dtype=_NODE_RECORD, count=grid.nu * grid.nv
-        ).reshape(grid.nu, grid.nv)
-        L = rec["L"].copy()
+        chart = chart_from_nodes(grid, nodes, lattice=lattice)
         hopf = self.hopf()
-        hopf_values = None
         if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
-            hopf_values = (_table(hopf.plus, xs), _table(hopf.minus, ys))
-        return SurfaceChart(
-            grid,
-            rec["sigma"].copy(),
-            L,
-            rec["M"].copy(),
-            L.copy(),
-            rec["mask"].copy(),
-            rec["sign"].copy(),
-            lattice=lattice,
-            hopf_values=hopf_values,
-        )
+            chart.hopf_values = (_table(hopf.plus, xs), _table(hopf.minus, ys))
+        return chart
 
     def grid_coordinates(self, grid: GridSpec):
         """Iterator over float(c) of `evaluate(u, v)` at every node, as
@@ -345,21 +333,8 @@ def _ratios(tables) -> list:
     ]
 
 
-_NODE_RECORD = np.dtype(
-    [("mask", "?"), ("sigma", "f8"), ("L", "f8"), ("M", "f8"), ("sign", "i1")]
-)
-
-
-def _node_record(node):
-    """Chart record of a node from None (masked) or (metric factor, L, M)."""
-    if node is None:
-        return False, math.nan, 0.0, 0.0, 1
-    f, L, M = node
-    return True, 0.5 * math.log(abs(f)), L, M, 1 if f > 0 else -1
-
-
 def _exact_node(x, y):
-    """float() of the metric factor and of (L, M), or None where masked;
+    """float() of the metric factor and of (L, M, N), or None where masked;
     x = (g1, w1, lx) and y = (g2, w2, ny) as numerator/denominator pairs."""
     a, b, e, f, ln, ld = x
     c, d, g, h, nn, nd = y
@@ -372,7 +347,8 @@ def _exact_node(x, y):
     if abs(factor) < 1e-300:
         return None
     den = 4 * ld * nd
-    return factor, (ln * nd + nn * ld) / den, (ln * nd - nn * ld) / den
+    L = (ln * nd + nn * ld) / den
+    return factor, L, (ln * nd - nn * ld) / den, L
 
 
 def _float_node(x, y):
@@ -383,8 +359,7 @@ def _float_node(x, y):
     f = float(factor)
     if factor == 0 or abs(f) < 1e-300:
         return None
-    L, M, _ = _forms(lx, ny)
-    return f, float(L), float(M)
+    return (f, *map(float, _forms(lx, ny)))
 
 
 def _exact_point(x, y):

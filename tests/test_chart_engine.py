@@ -3,7 +3,8 @@
 `ImmersionPatch.chart`, `grid_coordinates` (hence surface.csv) and the
 classifier's Hopf-branch lookup are built from 1-D branch tables; every
 value must equal, bit for bit, what the per-point methods give at the
-node.
+node.  The space-like chart, built by the same constructor, is checked
+against its per-point `forms` the same way.
 """
 
 import math
@@ -124,3 +125,45 @@ def test_branch_lookup_matches_direct_hopf(patch_grid):
             continue
         want = (hopf.plus((u + v) / 2), hopf.minus((u - v) / 2))
         assert got == want and type(got[0]) is type(want[0]), (i, j)
+
+
+def _kobayashi(omega, half_width, n):
+    grid = {"u_min": -half_width, "u_max": half_width, "nu": n}
+    grid.update(v_min=-half_width, v_max=half_width, nv=n)
+    return {"route": "kobayashi", "data": {"g": [0, 1], "omega_hat": [omega]}, "grid": grid}
+
+
+# g = z: |g| = 1 at (+-1, 0) and (0, +-1), where the conformal factor
+# (1 - |z|^2)^2 |omega|^2 is 0; with omega = 1e-151 it is positive but at
+# most 1e-300 wherever |z|^2 <= 11, so only the corners of [-4, 4]^2 stay
+SPACELIKE_MASKS = {
+    "unit_circle_17": (_kobayashi(1, 1, 17), [(-1, 0), (0, -1), (0, 1), (1, 0)]),
+    "unit_circle_33": (_kobayashi(1, 1, 33), [(-1, 0), (0, -1), (0, 1), (1, 0)]),
+    "tiny_factor_17": (_kobayashi(1e-151, 4, 17), None),
+}
+
+
+@pytest.mark.parametrize("name", SPACELIKE_MASKS)
+def test_spacelike_chart_matches_per_point_forms_bitwise(name):
+    spec, expected_masked = SPACELIKE_MASKS[name]
+    resolved = resolve(spec)
+    patch, grid = resolved.spacelike_patch, resolved.grid
+    chart = patch.chart(grid)
+    masked = []
+    for i, j, u, v in _nodes(grid):
+        immersed = not patch.conformal_factor(u, v) <= 1e-300
+        assert bool(chart.mask[i, j]) == immersed, (i, j)
+        assert chart.metric_sign[i, j] == 1
+        if not immersed:
+            masked.append((u, v))
+            assert math.isnan(chart.sigma[i, j])
+            assert chart.L[i, j] == chart.M[i, j] == chart.N[i, j] == 0.0
+            continue
+        got = (chart.sigma[i, j], chart.L[i, j], chart.M[i, j], chart.N[i, j])
+        assert [_bits(x) for x in got] == [_bits(x) for x in patch.forms(u, v)], (i, j)
+    if expected_masked is not None:
+        assert sorted(masked) == expected_masked
+    assert 0 < len(masked) < grid.nu * grid.nv
+    rows = [line.split(",") for line in surface_csv(chart, patch).splitlines()[1:]]
+    printed = [(r[0], r[1]) for r in rows if r[5:] == ["nan"] * 4]
+    assert printed == [(fmt(u), fmt(v)) for u, v in masked]

@@ -556,3 +556,48 @@ def test_exit_code_3_when_principal_directions_underflow(tmp_path, capsys):
         assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 3
         assert capsys.readouterr().err == '{"error": "float division by zero"}\n'
         assert not out.exists()
+
+
+def _degenerate_base_spec(tmp_path, name, allow):
+    """g1 = 1 + t or w1 = t on the null route, or g = 1 + z on the ko route."""
+    f = _null_spec_with_g1(tmp_path, [1, 1] if name == "null_g1" else [0, 1])
+    spec = json.loads(f.read_text())
+    if name == "null_w1":
+        spec["data"]["w1"]["coeffs"] = [0, 1]
+    if name == "ko_g":
+        spec["route"] = "ko"
+        spec["data"] = {"g": {"z_poly": [1, 1]}, "omega_hat": {"z_poly": [1]}}
+    if allow:
+        spec["allow_degenerate_base"] = True
+    f.write_text(json.dumps(spec))
+    return f
+
+
+DEGENERATE_BASE = {
+    "null_g1": "g must vanish at the base point",
+    "ko_g": "g must vanish at the base point",
+    "null_w1": "omega_hat is null at the base point (surface degenerate there)",
+}
+COMMANDS = ("generate", "classify", "index", "flow")
+
+
+@pytest.mark.parametrize("name", DEGENERATE_BASE)
+def test_exit_code_2_on_degenerate_base_point(tmp_path, capsys, name):
+    f = _degenerate_base_spec(tmp_path, name, allow=False)
+    for cmd in COMMANDS:
+        out = tmp_path / cmd
+        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": DEGENERATE_BASE[name]
+            + '; "allow_degenerate_base": true accepts such data',
+            "pointer": "/data",
+        }
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", DEGENERATE_BASE)
+def test_allow_degenerate_base_accepts_the_data(tmp_path, capsys, name):
+    f = _degenerate_base_spec(tmp_path, name, allow=True)
+    for cmd in COMMANDS:
+        assert _run([cmd, "--spec", str(f), "--out", str(tmp_path / cmd)]) == 0
+        assert capsys.readouterr().err == ""

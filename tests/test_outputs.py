@@ -11,7 +11,6 @@ def test_fmt_17_digits_and_nan():
     assert fmt(0.1) == "0.10000000000000001"
     assert fmt(1.0) == "1"
     assert fmt(float("nan")) == "nan"
-    assert fmt(None) == ""
     assert fmt(-1.5e-300) == "-1.5000000000000001e-300"
 
 

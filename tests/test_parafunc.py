@@ -217,12 +217,3 @@ def test_evaluate_split_matches_paracomplex_route_bulk():
     for _ in range(10_000):
         z = ParaComplex(_rand_fraction(rng), _rand_fraction(rng))
         assert h.evaluate(z) == _eval_z_poly(coeffs, z)
-
-
-def test_branch_domain_violation():
-    from zmcsurf import DomainError
-
-    b = Branch(fn=lambda t: t, domain=(-1.0, 1.0))
-    h = ParaFunction(b, b)
-    with pytest.raises(DomainError):
-        h.evaluate_uv(5.0, 0.0)

@@ -11,7 +11,8 @@ Input limits (exceeding one is a spec error): grid nu, nv and N in
 [16, 1025], samples K in [720, 65536], jet cap J in [1, 64], polynomial
 degree 64 (65 coefficients per array); a non-finite number (NaN,
 Infinity, 1e400) is a spec error too.  The slowest in-limit run measured,
-generate for a dense degree-64 null spec at 1025^2, took 190 s.
+generate for the dense degree-64 null spec of the README at 1025^2, took
+57 s and 1.36 GB (Python 3.11.7, 2 shared CPUs).
 Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
 is not UTF-8 or is not JSON within Python's limits is one, and so are
 time-like data that are degenerate at the base point, unless the spec

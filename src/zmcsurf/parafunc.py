@@ -148,10 +148,9 @@ class Branch:
         if not self.is_polynomial:
             return self
         p = self.poly
-        dp = p.derivative()
         return Branch(
-            fn=p,
-            dfn=dp,
+            fn=_float_horner(p),
+            dfn=_float_horner(p.derivative()),
             jet_fn=lambda k: p.coefficient(k) * math.factorial(k),
         )
 
@@ -219,6 +218,29 @@ class Branch:
 
 def _maybe(fn, condition):
     return fn if condition else None
+
+
+def _float_horner(p: Poly) -> Callable:
+    """p as a callable: `Poly.__call__` at a rational argument, and at a
+    float one Horner's rule over p's coefficients converted to floats once,
+    on first use.  The float values are bit-identical to `Poly.__call__`,
+    which at a float point has a float `acc * t` at every step and computes
+    `float + Fraction` (like `float + int`) as `float(a) + float(c)`; a
+    coefficient outside the double range raises OverflowError either way."""
+    coeffs = None
+
+    def f(t):
+        nonlocal coeffs
+        if not isinstance(t, float):
+            return p(t)
+        if coeffs is None:
+            coeffs = tuple(float(c) for c in reversed(p.coeffs))
+        acc = 0
+        for c in coeffs:
+            acc = acc * t + c
+        return acc
+
+    return f
 
 
 @dataclass(frozen=True)

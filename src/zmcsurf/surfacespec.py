@@ -20,7 +20,8 @@ rationals, which keeps the polynomial pipeline exact; floats stay floats,
 and a non-finite float (NaN, Infinity, 1e400) is refused.  Time-like
 data (routes "ko" and "null") must be regular at the base point: g
 vanishes there and omega_hat is not null; other data are refused at
-/data unless the spec sets "allow_degenerate_base": true.
+/data unless the spec sets "allow_degenerate_base": true (the key takes
+only true or false).
 Validation failures raise SpecError carrying a JSON pointer to the
 offending field.
 """
@@ -290,7 +291,10 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     grid = _grid(spec.get("grid"), "/grid", minimum_nodes)
     analysis = _analysis(spec.get("analysis"), "/analysis")
     data = _expect_mapping(spec.get("data"), "/data")
-    strict = not bool(spec.get("allow_degenerate_base", False))
+    allow = spec.get("allow_degenerate_base", False)
+    if not isinstance(allow, bool):
+        _fail("/allow_degenerate_base", f"expected true or false, got {_echo(allow)}")
+    strict = not allow
 
     patch = spatch = chart = None
     if route == "ko":

@@ -36,6 +36,8 @@ coordinate and the two Hopf branches.  `GridSpec.null_lattice` gives the
 distinct x and y values of a grid's nodes (nu + nv - 1 of each on a square
 grid with du = dv), so `ImmersionPatch.chart` and `grid_coordinates`
 evaluate each branch once per distinct value and only combine per node.
+A rational polynomial branch is tabled over Python ints, one Fraction
+per value (see `_table`).
 The combination rounds exactly as the per-point API (`metric_factor`,
 `second_forms`, `evaluate`) followed by float():
 
@@ -311,7 +313,41 @@ def _forms(lx, ny):
 
 
 def _table(fn, points) -> list:
-    return [fn(t) for t in points]
+    """[fn(t) for t in points], each value equal (==, same type) to fn(t).
+
+    A non-zero polynomial with int/Fraction coefficients at Fraction points
+    is evaluated over Python ints: with B the common denominator of the
+    coefficients a_i and D that of the points, t = n/D and
+
+        p(t) = (sum_i a_i B D^(deg-i) n^i) / (B D^deg),
+
+    whose numerator is a Horner loop over ints, so a value costs one gcd
+    (in Fraction) instead of about two per Horner step.  Anything else
+    (float coefficients, callables, the zero polynomial) is fn(t)."""
+    poly = fn.poly if isinstance(fn, Branch) else fn
+    if (
+        not isinstance(poly, Poly)
+        or not poly.coeffs
+        or not all(isinstance(c, (int, Fraction)) for c in poly.coeffs)
+        or not all(isinstance(t, Fraction) for t in points)
+    ):
+        return [fn(t) for t in points]
+    B = math.lcm(*(c.denominator for c in poly.coeffs))
+    D = math.lcm(*(t.denominator for t in points))
+    # a_i B D^(deg-i), highest degree first, the order Horner's rule consumes them
+    lead, *rest = [
+        c.numerator * (B // c.denominator) * D**k
+        for k, c in enumerate(reversed(poly.coeffs))
+    ]
+    den = B * D**poly.degree
+    out = []
+    for t in points:
+        n = t.numerator * (D // t.denominator)
+        acc = lead
+        for a in rest:
+            acc = acc * n + a
+        out.append(Fraction(acc, den))
+    return out
 
 
 def _combine(lattice, x_tables, y_tables, exact, generic):

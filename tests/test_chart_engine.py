@@ -3,8 +3,9 @@
 `ImmersionPatch.chart`, `grid_coordinates` (hence surface.csv) and the
 classifier's Hopf-branch lookup are built from 1-D branch tables; every
 value must equal, bit for bit, what the per-point methods give at the
-node.  The space-like chart, built by the same constructor, is checked
-against its per-point `forms` the same way.
+node, and every exact table, evaluated over integers, must equal
+`Poly.__call__`.  The space-like chart, built by the same constructor, is
+checked against its per-point `forms` the same way.
 """
 
 import math
@@ -12,11 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from zmcsurf import GridSpec
+from zmcsurf import Branch, GridSpec
 from zmcsurf.geometry import _exact_branch_values
 from zmcsurf.outputs import fmt, surface_csv
-from zmcsurf.presets import preset_spec
+from zmcsurf.poly import Poly
+from zmcsurf.presets import PRESET_ORDER, preset_spec
 from zmcsurf.surfacespec import resolve
+from zmcsurf.weierstrass import _table
 
 FLOAT_NULL = {
     "route": "null",
@@ -167,3 +170,88 @@ def test_spacelike_chart_matches_per_point_forms_bitwise(name):
     rows = [line.split(",") for line in surface_csv(chart, patch).splitlines()[1:]]
     printed = [(r[0], r[1]) for r in rows if r[5:] == ["nan"] * 4]
     assert printed == [(fmt(u), fmt(v)) for u, v in masked]
+
+
+TIMELIKE_PRESETS = [name for name in PRESET_ORDER if not name.startswith("spacelike")]
+
+
+def _exact_poly(fn) -> bool:
+    """A non-zero polynomial branch with int/Fraction coefficients."""
+    coeffs = fn.poly.coeffs if isinstance(fn, Branch) and fn.is_polynomial else ()
+    return bool(coeffs) and all(isinstance(c, (int, Fraction)) for c in coeffs)
+
+
+def _branch_tables(patch):
+    """(name, function, 'x' or 'y') for every 1-D table the chart engine and
+    `grid_coordinates` build: g_i, w_i, g_i', the Hopf branches and the six
+    primitives."""
+    d, (g1d, g2d), hopf = patch.data, patch.g_primes, patch.hopf()
+    x = [("g1", d.g1), ("w1", d.w1), ("g1'", g1d), ("hopf+", hopf.plus)]
+    y = [("g2", d.g2), ("w2", d.w2), ("g2'", g2d), ("hopf-", hopf.minus)]
+    x += [(f"P{a}", c) for a, c in enumerate(patch.comps_x)]
+    y += [(f"Q{a}", c) for a, c in enumerate(patch.comps_y)]
+    return [(n, f, "x") for n, f in x] + [(n, f, "y") for n, f in y]
+
+
+@pytest.mark.parametrize("grid_name", ["17", "65", "17x23"])
+@pytest.mark.parametrize("name", TIMELIKE_PRESETS)
+def test_integer_tables_equal_poly_call(name, grid_name):
+    """Every exact table, evaluated over integers, equals `Poly.__call__`
+    at each null coordinate, value and type."""
+    spec = preset_spec(name)
+    if grid_name != "17x23":
+        spec["grid"]["nu"] = spec["grid"]["nv"] = int(grid_name)
+    resolved = resolve(spec)
+    patch, grid = resolved.patch, resolved.grid
+    lattice = (NON_SQUARE if grid_name == "17x23" else grid).null_lattice()
+    assert min(lattice.xs) < 0 and min(lattice.ys) < 0
+    checked = 0
+    for label, fn, axis in _branch_tables(patch):
+        if not _exact_poly(fn):
+            continue
+        points = lattice.xs if axis == "x" else lattice.ys
+        got = _table(fn, points)
+        want = [fn.poly(t) for t in points]
+        assert got == want, label
+        assert all(type(a) is type(b) is Fraction for a, b in zip(got, want)), label
+        checked += 1
+    assert checked
+
+
+MIXED_POINTS = [Fraction(-7, 3), Fraction(-1), Fraction(0), Fraction(5, 4), Fraction(2, 9)]
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        Poly([3]),
+        Poly([-4, 0, 1]),
+        Poly([1, -2, 5, 0, 7]),
+        Poly([Fraction(-5, 6)]),
+        Poly([0, Fraction(1, 10**40), -(10**30), Fraction(7, 3)]),
+    ],
+    ids=["int_constant", "int_quadratic", "int_quartic", "fraction_constant", "mixed"],
+)
+def test_integer_table_on_mixed_denominators(poly):
+    got = _table(poly, MIXED_POINTS)
+    assert got == [poly(t) for t in MIXED_POINTS]
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize(
+    "fn", [Poly(), Poly([0.5, 1.0, -0.25]), Branch.exp_flat()], ids=["zero", "float", "callable"]
+)
+def test_other_tables_keep_the_function_call(fn):
+    got = _table(fn, MIXED_POINTS)
+    want = [fn(t) for t in MIXED_POINTS]
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+def test_z5_chart_and_surface_csv_make_no_poly_calls(monkeypatch):
+    """The chart and surface.csv of an exact spec read integer tables only."""
+    patch, grid = _patch_and_square_grid("z5")
+    calls = []
+    call = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda p, t: calls.append(t) or call(p, t))
+    surface_csv(patch.chart(grid), patch)
+    assert calls == []

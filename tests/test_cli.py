@@ -601,3 +601,30 @@ def test_allow_degenerate_base_accepts_the_data(tmp_path, capsys, name):
     for cmd in COMMANDS:
         assert _run([cmd, "--spec", str(f), "--out", str(tmp_path / cmd)]) == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None], ids=["string", "zero", "one", "null"])
+def test_allow_degenerate_base_takes_only_json_booleans(tmp_path, capsys, value):
+    """w1 = t is degenerate at the base point; only JSON true accepts it, and
+    a value that is not a boolean is refused whatever its truth value."""
+    f = _degenerate_base_spec(tmp_path, "null_w1", allow=False)
+    spec = json.loads(f.read_text())
+    spec["allow_degenerate_base"] = value
+    f.write_text(json.dumps(spec))
+    for cmd in COMMANDS:
+        out = tmp_path / cmd
+        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"expected true or false, got {value!r}",
+            "pointer": "/allow_degenerate_base",
+        }
+        assert not out.exists()
+
+
+def test_allow_degenerate_base_false_is_the_default(tmp_path, capsys):
+    f = _degenerate_base_spec(tmp_path, "null_w1", allow=False)
+    spec = json.loads(f.read_text())
+    spec["allow_degenerate_base"] = False
+    f.write_text(json.dumps(spec))
+    assert _run(["classify", "--spec", str(f), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["pointer"] == "/data"

@@ -12,6 +12,7 @@ from zmcsurf import (
     UnsupportedBranch,
     para_cr_residual,
 )
+from zmcsurf.poly import Poly
 
 
 def _rand_fraction(rng, den=40, span=40):
@@ -217,3 +218,45 @@ def test_evaluate_split_matches_paracomplex_route_bulk():
     for _ in range(10_000):
         z = ParaComplex(_rand_fraction(rng), _rand_fraction(rng))
         assert h.evaluate(z) == _eval_z_poly(coeffs, z)
+
+
+def _rational_polys():
+    rng = random.Random(7)
+    yield Poly([0, 1, Fraction(-1, 3), Fraction(5, 7)])
+    yield Poly([Fraction(1, 10**30), 10**20, Fraction(-3, 11)])  # int and tiny
+    for degree in (0, 1, 5, 26, 64):
+        yield Poly([_rand_fraction(rng, den=10**6, span=10**6) for _ in range(degree + 1)])
+    yield Poly()
+
+
+def _same(a, b) -> bool:
+    """Equal and of one type; floats bit for bit (the zero polynomial and a
+    constant's derivative give the int 0)."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def test_polynomial_in_a_callable_product_is_float_horner_bitwise():
+    """A polynomial entering a callable product evaluates at float points by
+    Horner over floats converted once, bit for bit `Poly.__call__`, and at
+    rational points exactly, as `Poly.__call__` does."""
+    rng = random.Random(11)
+    floats = [0.0, -0.0, 1.0, -1.0, 1e-300, -3.5e200]
+    floats += [rng.uniform(-2, 2) for _ in range(200)]
+    rationals = [0, 3, Fraction(-7, 3), Fraction(5, 64), Fraction(-1, 10**9)]
+    for p in _rational_polys():
+        product = Branch(poly=p)._as_callable()
+        dp = p.derivative()
+        for t in floats + rationals:
+            assert _same(product.fn(t), p(t)), (p, t)
+            assert _same(product.dfn(t), dp(t)), (p, t)
+
+
+def test_float_horner_overflows_as_poly_call_does():
+    p = Poly([1, Fraction(10**400, 3)])
+    product = Branch(poly=p)._as_callable()
+    for fn in (p, product.fn, product.fn):  # the second call retries the conversion
+        with pytest.raises(OverflowError):
+            fn(0.5)
+    assert product.fn(Fraction(1, 2)) == p(Fraction(1, 2))

@@ -12,9 +12,9 @@ any invertible linear map preserves the winding number even when the map is
 orientation-reversing (the two orientation signs cancel), so no extra sign
 convention is needed.
 
-The umbilic eigenfields (`umbilic.eigenfields`) arrive with float
-coefficients, converted once when the fields are built, so the winding and
-streamline loops here do float arithmetic only.
+The umbilic eigenfields (`umbilic.eigenfields`) run Horner's rule over
+`Poly.float_coeffs()`, bit for bit `Poly.__call__` (see its docstring), so
+the winding and streamline loops here do float arithmetic only.
 """
 
 from __future__ import annotations

@@ -95,6 +95,12 @@ class Branch:
             return self.poly(t)
         return self.fn(t)
 
+    def table(self, points) -> list:
+        """[self(t) for t in points]; see `Poly.table`."""
+        if self.poly is not None:
+            return self.poly.table(points)
+        return [self.fn(t) for t in points]
+
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "Branch") -> "Branch":
@@ -149,8 +155,8 @@ class Branch:
             return self
         p = self.poly
         return Branch(
-            fn=_float_horner(p),
-            dfn=_float_horner(p.derivative()),
+            fn=p,
+            dfn=p.derivative(),
             jet_fn=lambda k: p.coefficient(k) * math.factorial(k),
         )
 
@@ -218,29 +224,6 @@ class Branch:
 
 def _maybe(fn, condition):
     return fn if condition else None
-
-
-def _float_horner(p: Poly) -> Callable:
-    """p as a callable: `Poly.__call__` at a rational argument, and at a
-    float one Horner's rule over p's coefficients converted to floats once,
-    on first use.  The float values are bit-identical to `Poly.__call__`,
-    which at a float point has a float `acc * t` at every step and computes
-    `float + Fraction` (like `float + int`) as `float(a) + float(c)`; a
-    coefficient outside the double range raises OverflowError either way."""
-    coeffs = None
-
-    def f(t):
-        nonlocal coeffs
-        if not isinstance(t, float):
-            return p(t)
-        if coeffs is None:
-            coeffs = tuple(float(c) for c in reversed(p.coeffs))
-        acc = 0
-        for c in coeffs:
-            acc = acc * t + c
-        return acc
-
-    return f
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ coefficients work with the same code paths.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -15,13 +16,14 @@ from typing import Sequence
 class Poly:
     """Immutable dense polynomial ``c[0] + c[1] t + ... + c[n] t**n``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Sequence = ()):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_floats", None)  # see float_coeffs
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -29,10 +31,64 @@ class Poly:
     # -- basics ---------------------------------------------------------
 
     def __call__(self, t):
+        """Horner's rule from acc = 0.  At a float t with real coefficients
+        it runs over `float_coeffs()`, and the value is bit for bit the one
+        over the exact coefficients: there every step `acc * t + c` has a
+        float `acc * t`, and `float + Fraction` (like `float + int`) is
+        computed as `float(a) + float(c)`, so each coefficient was already
+        rounded to a double at every step.  A coefficient outside the
+        double range raises OverflowError at every float t either way."""
+        coeffs = reversed(self.coeffs)
+        if isinstance(t, float):
+            try:
+                coeffs = self.float_coeffs()
+            except TypeError:  # complex coefficients
+                pass
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in coeffs:
             acc = acc * t + c
         return acc
+
+    def float_coeffs(self) -> tuple:
+        """float(c) of every coefficient, highest degree first (the order
+        Horner's rule consumes them), converted on the first call.  Raises
+        OverflowError (on every call) when a coefficient lies outside the
+        double range, and TypeError when one is complex."""
+        if self._floats is None:
+            floats = tuple(float(c) for c in reversed(self.coeffs))
+            object.__setattr__(self, "_floats", floats)
+        return self._floats
+
+    def table(self, points) -> list:
+        """[self(t) for t in points], each value equal (==, same type) to self(t).
+
+        With int/Fraction coefficients a_i at Fraction points, B the common
+        denominator of the coefficients and D that of the points, t = n/D and
+
+            p(t) = (sum_i a_i B D^(deg-i) n^i) / (B D^deg),
+
+        whose numerator is a Horner loop over ints: a value costs one gcd (in
+        Fraction) instead of about two per Horner step.  Other coefficients
+        or points, and the zero polynomial, go through `self(t)`."""
+        exact = all(isinstance(c, (int, Fraction)) for c in self.coeffs)
+        if not (self.coeffs and exact and all(isinstance(t, Fraction) for t in points)):
+            return [self(t) for t in points]
+        B = math.lcm(*(c.denominator for c in self.coeffs))
+        D = math.lcm(*(t.denominator for t in points))
+        # a_i B D^(deg-i), highest degree first
+        lead, *rest = [
+            c.numerator * (B // c.denominator) * D**k
+            for k, c in enumerate(reversed(self.coeffs))
+        ]
+        den = B * D**self.degree
+        out = []
+        for t in points:
+            n = t.numerator * (D // t.denominator)
+            acc = lead
+            for a in rest:
+                acc = acc * n + a
+            out.append(Fraction(acc, den))
+        return out
 
     def __bool__(self):
         return bool(self.coeffs)

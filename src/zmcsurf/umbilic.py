@@ -167,7 +167,7 @@ def analyze_point(qhat: ParaFunction, cap: int = 16) -> IndexReport:
     c1, cm1 = p.coeff, m.coeff
     degenerate = m1 != mm1
     order = m1 if not degenerate else None
-    prod_sign = _sign(c1 * cm1)
+    prod_sign = _sign(c1) * _sign(cm1)  # a float product can underflow to 0
     common.update(degenerate=degenerate, order=order, psi_product_sign=prod_sign)
 
     if m1 == 0 and mm1 == 0:
@@ -260,14 +260,10 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
 
     and X2 with the x-terms negated; they are defined where alpha, beta > 0.
 
-    The psi coefficients are converted to floats once, here, and the fields
-    run Horner's rule over them from acc = 0, as `Poly.__call__` does.  The
-    values are bit-identical to evaluating the exact psi polynomials at the
-    float point: there each step `acc * x + c` has a float `acc * x`, and
-    `float + Fraction` (like `float + int`) is computed as
-    `float(a) + float(c)`, so every coefficient was already rounded to a
-    double at every step.  Raises OverflowError when a coefficient lies
-    outside the double range.
+    The fields run Horner's rule over the psi polynomials' `float_coeffs()`
+    inline, bit for bit `Poly.__call__` at the float point (see its
+    docstring).  Raises OverflowError when a coefficient lies outside the
+    double range.
     """
     nf = qhat.normal_form(cap)
     if not nf.finite:
@@ -275,7 +271,7 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
     m1, mm1 = nf.orders.plus.order, nf.orders.minus.order
     if m1 % 2 == 1 or mm1 % 2 == 1 or m1 == 0 or mm1 == 0:
         raise NoSmoothFlowError("no smooth flow: a branch order is odd or zero")
-    if nf.psi_plus_0 * nf.psi_minus_0 < 0:
+    if _sign(nf.psi_plus_0) != _sign(nf.psi_minus_0):
         raise NoSmoothFlowError(
             "no smooth flow: leading-coefficient product is negative"
         )
@@ -283,9 +279,8 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
         raise NoSmoothFlowError("branch factorizations unavailable (need polynomials)")
     delta = 1 if nf.psi_plus_0 > 0 else -1
     n1, nm1 = m1 // 2, mm1 // 2
-    # highest degree first, the order Horner's rule consumes them
-    alpha = tuple(float(c) for c in reversed(nf.psi_plus.poly.coeffs))
-    beta = tuple(float(c) for c in reversed(nf.psi_minus.poly.coeffs))
+    alpha = nf.psi_plus.poly.float_coeffs()
+    beta = nf.psi_minus.poly.float_coeffs()
 
     def components(u, v):
         x, y = (u + v) / 2.0, (u - v) / 2.0

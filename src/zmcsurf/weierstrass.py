@@ -37,7 +37,7 @@ distinct x and y values of a grid's nodes (nu + nv - 1 of each on a square
 grid with du = dv), so `ImmersionPatch.chart` and `grid_coordinates`
 evaluate each branch once per distinct value and only combine per node.
 A rational polynomial branch is tabled over Python ints, one Fraction
-per value (see `_table`).
+per value (see `Poly.table`).
 The combination rounds exactly as the per-point API (`metric_factor`,
 `second_forms`, `evaluate`) followed by float():
 
@@ -109,7 +109,7 @@ def _check_base_point(data: NullData, strict: bool) -> bool:
         if strict:
             raise DegenerateDataError("g must vanish at the base point")
         regular = False
-    if data.w1(0) * data.w2(0) == 0:
+    if data.w1(0) == 0 or data.w2(0) == 0:
         if strict:
             raise DegenerateDataError(
                 "omega_hat is null at the base point (surface degenerate there)"
@@ -121,7 +121,10 @@ def _check_base_point(data: NullData, strict: bool) -> bool:
 class _GaussPrimitive:
     """t -> integral of fn over [0, t] by the fixed rule of the module
     docstring: the integral up to each knot is cached per sign, and a value
-    adds one panel from the largest knot at or below |t| to t."""
+    adds one panel from the largest knot at or below |t| to t.  Known limit:
+    for |t| <= 0.025 one panel cannot resolve exp(-1/(4 t^2)), so there exA2's
+    primitives have no correct relative digits; the absolute error is below
+    1e-178."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -170,10 +173,10 @@ def _gauss_legendre(n: int = 20):
     return tuple(rule)
 
 
-def _primitive(branch: Branch):
+def _primitive(branch: Branch) -> Branch:
     if branch.is_polynomial:
         return Branch(poly=branch.poly.antiderivative())
-    return _GaussPrimitive(lambda t: float(branch(t)))
+    return Branch(fn=_GaussPrimitive(lambda t: float(branch(t))))
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,6 @@ class ImmersionPatch:
     """A generated surface patch with analytic access to all derived data."""
 
     data: NullData
-    route: str
     comps_x: tuple  # three primitives in x
     comps_y: tuple  # three primitives in y
     g_primes: tuple  # (g1', g2'), built once for the second-order data
@@ -190,7 +192,7 @@ class ImmersionPatch:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, data: NullData, route: str, strict: bool = True):
+    def build(cls, data: NullData, strict: bool = True):
         regular = _check_base_point(data, strict)
         one = Branch.constant(1)
         g1, g2, w1, w2 = data.g1, data.g2, data.w1, data.w2
@@ -198,7 +200,6 @@ class ImmersionPatch:
         ints_y = (-((one - g2 * g2) * w2), (g2 * 2) * w2, (one + g2 * g2) * w2)
         return cls(
             data=data,
-            route=route,
             comps_x=tuple(_primitive(b) for b in ints_x),
             comps_y=tuple(_primitive(b) for b in ints_y),
             g_primes=(g1.derivative(), g2.derivative()),
@@ -274,23 +275,23 @@ class ImmersionPatch:
         xs, ys = lattice.xs, lattice.ys
         d = self.data
         g1d, g2d = self.g_primes
-        g1, w1 = _table(d.g1, xs), _table(d.w1, xs)
-        g2, w2 = _table(d.g2, ys), _table(d.w2, ys)
-        lx = [-2 * w * dg for w, dg in zip(w1, _table(g1d, xs))]
-        ny = [-2 * w * dg for w, dg in zip(w2, _table(g2d, ys))]
+        g1, w1 = d.g1.table(xs), d.w1.table(xs)
+        g2, w2 = d.g2.table(ys), d.w2.table(ys)
+        lx = [-2 * w * dg for w, dg in zip(w1, g1d.table(xs))]
+        ny = [-2 * w * dg for w, dg in zip(w2, g2d.table(ys))]
         nodes = _combine(lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, _float_node)
         chart = chart_from_nodes(grid, nodes, lattice=lattice)
         hopf = self.hopf()
         if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
-            chart.hopf_values = (_table(hopf.plus, xs), _table(hopf.minus, ys))
+            chart.hopf_values = (hopf.plus.table(xs), hopf.minus.table(ys))
         return chart
 
     def grid_coordinates(self, grid: GridSpec):
         """Iterator over float(c) of `evaluate(u, v)` at every node, as
         row-major triples."""
         lattice = grid.null_lattice()
-        px = [_table(c, lattice.xs) for c in self.comps_x]
-        qy = [_table(c, lattice.ys) for c in self.comps_y]
+        px = [c.table(lattice.xs) for c in self.comps_x]
+        qy = [c.table(lattice.ys) for c in self.comps_y]
         return _combine(lattice, px, qy, _exact_point, _float_point)
 
 
@@ -310,44 +311,6 @@ def _forms(lx, ny):
 
 
 # -- separable chart engine: 1-D tables, per-node combination ---------------
-
-
-def _table(fn, points) -> list:
-    """[fn(t) for t in points], each value equal (==, same type) to fn(t).
-
-    A non-zero polynomial with int/Fraction coefficients at Fraction points
-    is evaluated over Python ints: with B the common denominator of the
-    coefficients a_i and D that of the points, t = n/D and
-
-        p(t) = (sum_i a_i B D^(deg-i) n^i) / (B D^deg),
-
-    whose numerator is a Horner loop over ints, so a value costs one gcd
-    (in Fraction) instead of about two per Horner step.  Anything else
-    (float coefficients, callables, the zero polynomial) is fn(t)."""
-    poly = fn.poly if isinstance(fn, Branch) else fn
-    if (
-        not isinstance(poly, Poly)
-        or not poly.coeffs
-        or not all(isinstance(c, (int, Fraction)) for c in poly.coeffs)
-        or not all(isinstance(t, Fraction) for t in points)
-    ):
-        return [fn(t) for t in points]
-    B = math.lcm(*(c.denominator for c in poly.coeffs))
-    D = math.lcm(*(t.denominator for t in points))
-    # a_i B D^(deg-i), highest degree first, the order Horner's rule consumes them
-    lead, *rest = [
-        c.numerator * (B // c.denominator) * D**k
-        for k, c in enumerate(reversed(poly.coeffs))
-    ]
-    den = B * D**poly.degree
-    out = []
-    for t in points:
-        n = t.numerator * (D // t.denominator)
-        acc = lead
-        for a in rest:
-            acc = acc * n + a
-        out.append(Fraction(acc, den))
-    return out
 
 
 def _combine(lattice, x_tables, y_tables, exact, generic):
@@ -417,7 +380,7 @@ def generate_null(
     g1: Branch, g2: Branch, w1: Branch, w2: Branch, strict: bool = True
 ) -> ImmersionPatch:
     """Surface from null-coordinate data; exact for polynomial branches."""
-    return ImmersionPatch.build(NullData(g1, g2, w1, w2), "null", strict)
+    return ImmersionPatch.build(NullData(g1, g2, w1, w2), strict)
 
 
 def generate_ko(data: WeierstrassData, strict: bool = True) -> ImmersionPatch:
@@ -429,7 +392,7 @@ def generate_ko(data: WeierstrassData, strict: bool = True) -> ImmersionPatch:
     null_data = NullData(
         data.g.plus, data.g.minus, data.omega_hat.plus, data.omega_hat.minus
     )
-    return ImmersionPatch.build(null_data, "ko", strict)
+    return ImmersionPatch.build(null_data, strict)
 
 
 def hopf_differential(data: WeierstrassData) -> ParaFunction:

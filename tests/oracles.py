@@ -5,9 +5,12 @@ Each entry is the independently expanded closed form for its data set
 z-power surfaces are functions of (u, v); the null-coordinate surfaces are
 functions of (x, y).
 
+`exact_horner` is Horner's rule over a polynomial's exact coefficients,
+the oracle for the float path of `Poly.__call__`.
+
 `reference_eigenfields` is the uncompiled evaluation of the umbilic
-eigenfields, the oracle for the float-coefficient fields of
-`zmcsurf.umbilic.eigenfields`.
+eigenfields through `exact_horner`, the oracle for the float-coefficient
+fields of `zmcsurf.umbilic.eigenfields`.
 
 `reference_spacelike_classification_csv` is the space-like classifier and
 writer that ran beside the shared pipeline before space-like charts went
@@ -119,19 +122,28 @@ XY_SURFACES = {
 }
 
 
+def exact_horner(p, t):
+    """p(t) by Horner's rule from acc = 0 over p's exact coefficients, at
+    every point the loop `Poly.__call__` runs at a non-float one."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc
+
+
 def reference_eigenfields(qhat, cap=16):
-    """X1, X2 at an admissible umbilic, evaluating the exact psi branches
-    (`Branch.__call__`, hence `Poly.__call__`) at the float point on every
-    call; admissibility is not re-checked here."""
+    """X1, X2 at an admissible umbilic, evaluating the exact psi
+    polynomials by `exact_horner` at the float point on every call;
+    admissibility is not re-checked here."""
     nf = qhat.normal_form(cap)
     delta = 1 if nf.psi_plus_0 > 0 else -1
     n1, nm1 = nf.orders.plus.order // 2, nf.orders.minus.order // 2
-    alpha, beta = nf.psi_plus, nf.psi_minus
+    alpha, beta = nf.psi_plus.poly, nf.psi_minus.poly
 
     def components(u, v):
         x, y = (u + v) / 2.0, (u - v) / 2.0
-        a = delta * float(alpha(x))
-        b = delta * float(beta(y))
+        a = delta * float(exact_horner(alpha, x))
+        b = delta * float(exact_horner(beta, y))
         if a <= 0.0 or b <= 0.0:
             raise ValueError("eigenfield undefined: rescaled branch not positive")
         return x**n1 * math.sqrt(a), y**nm1 * math.sqrt(b)

@@ -19,7 +19,6 @@ from zmcsurf.outputs import fmt, surface_csv
 from zmcsurf.poly import Poly
 from zmcsurf.presets import PRESET_ORDER, preset_spec
 from zmcsurf.surfacespec import resolve
-from zmcsurf.weierstrass import _table
 
 FLOAT_NULL = {
     "route": "null",
@@ -210,7 +209,7 @@ def test_integer_tables_equal_poly_call(name, grid_name):
         if not _exact_poly(fn):
             continue
         points = lattice.xs if axis == "x" else lattice.ys
-        got = _table(fn, points)
+        got = fn.table(points)
         want = [fn.poly(t) for t in points]
         assert got == want, label
         assert all(type(a) is type(b) is Fraction for a, b in zip(got, want)), label
@@ -233,7 +232,7 @@ MIXED_POINTS = [Fraction(-7, 3), Fraction(-1), Fraction(0), Fraction(5, 4), Frac
     ids=["int_constant", "int_quadratic", "int_quartic", "fraction_constant", "mixed"],
 )
 def test_integer_table_on_mixed_denominators(poly):
-    got = _table(poly, MIXED_POINTS)
+    got = poly.table(MIXED_POINTS)
     assert got == [poly(t) for t in MIXED_POINTS]
     assert all(type(v) is Fraction for v in got)
 
@@ -242,7 +241,7 @@ def test_integer_table_on_mixed_denominators(poly):
     "fn", [Poly(), Poly([0.5, 1.0, -0.25]), Branch.exp_flat()], ids=["zero", "float", "callable"]
 )
 def test_other_tables_keep_the_function_call(fn):
-    got = _table(fn, MIXED_POINTS)
+    got = fn.table(MIXED_POINTS)
     want = [fn(t) for t in MIXED_POINTS]
     assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 

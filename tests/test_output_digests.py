@@ -4,9 +4,10 @@ A sweep of runs: the 12 presets x the four commands at --grid 17 and on
 the 17 x 23 grid of `test_chart_engine.NON_SQUARE` (u in [-1, 1], v in
 [-1/2, 3/4], du/dv = 11/5), plus the four commands on a raw chart and on
 a Fraction and a float null spec from `perfbench/workloads` (seed 1, at
-17).  For each run, `output_digests.json` holds the exit code, the stderr
-text and the sha256 of every file written.  A refactor that claims
-byte-identical outputs must pass this test unchanged.
+17), and on each spec of `spec_cases` at 17.  For each run,
+`output_digests.json` holds the exit code, the stderr text and the sha256
+of every file written.  A refactor that claims byte-identical outputs
+must pass this test unchanged.
 
 The digests were recorded with Python 3.11.7 (numpy 2.x, OpenBLAS,
 x86-64 Linux).  Where a change moves outputs on purpose, re-record them
@@ -34,6 +35,8 @@ import pytest
 
 from zmcsurf.cli import main
 from zmcsurf.presets import PRESET_ORDER, preset_spec
+
+from spec_cases import SPEC_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("output_digests.json")
@@ -63,6 +66,7 @@ def _specs() -> dict:
     for label, as_float in (("null_seed1", False), ("float_null_seed1", True)):
         spec = wl.null_spec(random.Random(1), (2, 4), as_float=as_float)
         specs[f"{label}@17"] = (spec, ["--grid", "17"])
+    specs.update({f"{name}@17": case for name, case in SPEC_CASES.items()})
     return specs
 
 

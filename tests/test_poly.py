@@ -6,6 +6,8 @@ import pytest
 
 from zmcsurf import Poly
 
+from oracles import exact_horner
+
 
 def test_evaluation_exact():
     p = Poly([Fraction(1), Fraction(-2), Fraction(3)])  # 1 - 2t + 3t^2
@@ -56,3 +58,57 @@ def test_complex_coefficients_work():
     p = Poly([1, 1j])
     assert p(1j) == 1 + 1j * 1j  # 0j expected via ring rules
     assert p.antiderivative() == Poly([0, 1, 1j / 2])
+
+
+def _bits(value):
+    """Type and value, floats bit for bit."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+FLOAT_POINTS = [0.0, -0.0, 0.5, -1.75, 3e-5, -2.5e100, 1e-300, float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly(),
+        Poly([7]),
+        Poly([Fraction(-5, 6)]),
+        Poly([1, -2, 5, 0, 7]),
+        Poly([0, Fraction(1, 3), Fraction(-2, 7), 10**20, Fraction(1, 10**30)]),
+        Poly([0.25, -1.5, 3, Fraction(1, 3)]),
+    ],
+    ids=["zero", "int_constant", "fraction_constant", "int_quartic", "mixed", "float_mixed"],
+)
+def test_float_path_is_exact_horner_bitwise(p):
+    for t in FLOAT_POINTS:
+        assert _bits(p(t)) == _bits(exact_horner(p, t)), t
+
+
+def test_float_coeffs_are_converted_once_and_leave_the_value_alone():
+    p = Poly([1, Fraction(1, 3), 2])
+    q = Poly([1, Fraction(1, 3), 2])
+    assert p.float_coeffs() == (2.0, 1 / 3, 1.0)
+    assert p.float_coeffs() is p.float_coeffs()
+    assert p == q and hash(p) == hash(q)
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
+def test_float_path_overflows_on_every_call():
+    p = Poly([1, 10**400])
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            p(0.5)
+        with pytest.raises(OverflowError):
+            p.float_coeffs()
+    assert p(Fraction(1, 2)) == 1 + Fraction(10**400, 2)
+
+
+def test_complex_coefficients_keep_the_exact_loop_at_float_points():
+    p = Poly([1, 1j, Fraction(1, 3)])
+    for t in (0.5, -2.0):
+        assert p(t) == exact_horner(p, t)
+    with pytest.raises(TypeError):
+        p.float_coeffs()
+

@@ -70,8 +70,9 @@ class Poly:
         whose numerator is a Horner loop over ints: a value costs one gcd (in
         Fraction) instead of about two per Horner step.  Other coefficients
         or points, and the zero polynomial, go through `self(t)`."""
-        exact = all(isinstance(c, (int, Fraction)) for c in self.coeffs)
-        if not (self.coeffs and exact and all(isinstance(t, Fraction) for t in points)):
+        if not (
+            self.coeffs and _exact(self.coeffs) and all(isinstance(t, Fraction) for t in points)
+        ):
             return [self(t) for t in points]
         B = math.lcm(*(c.denominator for c in self.coeffs))
         D = math.lcm(*(t.denominator for t in points))
@@ -135,6 +136,9 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return Poly()
+        if _exact(self.coeffs) and _exact(other.coeffs):
+            return _exact_product(self.coeffs, other.coeffs)
+        # float and complex coefficients: the bits depend on this order
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for k, b in enumerate(other.coeffs):
@@ -189,6 +193,34 @@ def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
         return value
     return Poly([value])
+
+
+def _exact(coeffs) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in coeffs)
+
+
+def _exact_product(a: Sequence, b: Sequence) -> Poly:
+    """The schoolbook product of two int/Fraction coefficient lists, value
+    and type: each factor is scaled to its common denominator and the
+    integer lists are convolved, so a coefficient costs one Fraction (one
+    gcd) instead of one per term.  As in the schoolbook sum, a coefficient
+    is a Fraction when a Fraction enters one of its terms, else an int."""
+    A = math.lcm(*(c.denominator for c in a))
+    B = math.lcm(*(c.denominator for c in b))
+    out = [0] * (len(a) + len(b) - 1)
+    frac = [False] * len(out)
+    for factor, other in ((a, b), (b, a)):
+        for i, c in enumerate(factor):
+            if isinstance(c, Fraction):
+                frac[i : i + len(other)] = [True] * len(other)
+    ints_b = [c.numerator * (B // c.denominator) for c in b]
+    for i, c in enumerate(a):
+        x = c.numerator * (A // c.denominator)
+        if x:
+            for k, y in enumerate(ints_b, i):
+                out[k] += x * y
+    den = A * B
+    return Poly([Fraction(c, den) if f else c // den for c, f in zip(out, frac)])
 
 
 def _divide(c, k: int):

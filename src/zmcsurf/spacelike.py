@@ -132,12 +132,22 @@ class SpacelikePatch:
 
         The eigen-line of [[a, M], [M, -a]] with a = (L-N)/2 sits at angle
         theta = atan2(M, a)/2; the returned representative is
-        (cos theta, sin theta), defined up to sign as a line field.
+        (cos theta, sin theta), defined up to sign as a line field.  The
+        field evaluates `hopf` inline: Horner's rule over the coefficients
+        of omega_hat and g', as `Poly.__call__` runs it at a complex point.
         """
+        omega = tuple(reversed(self.data.omega_hat.coeffs))
+        g_prime = tuple(reversed(self.g_prime.coeffs))
 
         def ev(u, v):
+            z = complex(u) + 1j * complex(v)
+            a = b = 0
+            for c in omega:
+                a = a * z + c
+            for c in g_prime:
+                b = b * z + c
             # the Hopf coefficient alone: 4 hopf = (L - N) - 2iM, N = -L
-            w = 4.0 * self.hopf(u, v)
+            w = 4.0 * (-complex(a) * complex(b))
             a, M = w.real / 2.0, -w.imag / 2.0
             if a == 0.0 and M == 0.0:
                 return (0.0, 0.0)  # umbilic: winding guard will reject

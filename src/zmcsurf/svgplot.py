@@ -3,11 +3,19 @@
 Fixed 800x800 viewport; u increases rightward, v upward.  The chart-to-
 viewport affine map is recorded in the SVG <metadata> element.  Output is
 assembled from explicitly formatted strings so it is byte-reproducible.
+
+The map is separable, so background cells are formatted per axis: a
+cell's x and width once per grid column, its y and height once per grid
+row.  Polyline points are mapped as arrays, `sx * u + tx` by numpy's
+multiply and add, which round like the scalar expression, and each point
+is one `"{:.3f},{:.3f}"` format of the resulting Python floats.
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
 
 VIEW = 800.0
 
@@ -49,10 +57,6 @@ class ChartMap:
         }
 
 
-def _f(x) -> str:
-    return f"{float(x):.3f}"
-
-
 def render_svg(
     grid,
     kinds,
@@ -82,26 +86,31 @@ def render_svg(
         '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n',
     ]
 
-    u_nodes = grid.u_nodes()
-    v_nodes = grid.v_nodes()
-    for i in range(grid.nu - 1):
-        for j in range(grid.nv - 1):
-            color = KIND_COLORS.get(str(kinds[i, j]), "#ffffff")
-            x0, y0 = cmap.px(u_nodes[i], v_nodes[j + 1])
-            x1, y1 = cmap.px(u_nodes[i + 1], v_nodes[j])
+    # a cell's x and width depend on its column alone, its y and height on
+    # its row alone: cell (i, j) spans px(u_i, v_j+1) to px(u_i+1, v_j)
+    xs = [cmap.sx * float(u) + cmap.tx for u in grid.u_nodes()]
+    ys = [cmap.sy * float(v) + cmap.ty for v in grid.v_nodes()]
+    cols = [(f"{x0:.3f}", f"{x1 - x0:.3f}") for x0, x1 in zip(xs, xs[1:])]
+    rows = [(f"{y0:.3f}", f"{y1 - y0:.3f}") for y1, y0 in zip(ys, ys[1:])]
+    cells = np.asarray(kinds)[: grid.nu - 1, : grid.nv - 1].tolist()
+    for (x, width), column in zip(cols, cells):
+        for (y, height), kind in zip(rows, column):
+            color = KIND_COLORS.get(str(kind), "#ffffff")
             parts.append(
-                f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(x1 - x0)}" '
-                f'height="{_f(y1 - y0)}" fill="{color}"/>\n'
+                f'<rect x="{x}" y="{y}" width="{width}" '
+                f'height="{height}" fill="{color}"/>\n'
             )
 
+    point = "{:.3f},{:.3f}".format
     for fam, lines in enumerate(polyline_families):
         color = FLOW_COLORS[fam % len(FLOW_COLORS)]
         for line in lines:
             if len(line) < 2:
                 continue
-            pts = " ".join(
-                f"{_f(px)},{_f(py)}" for px, py in (cmap.px(p[0], p[1]) for p in line)
-            )
+            uv = np.asarray(line, dtype=float)
+            px = (cmap.sx * uv[:, 0] + cmap.tx).tolist()
+            py = (cmap.sy * uv[:, 1] + cmap.ty).tolist()
+            pts = " ".join(map(point, px, py))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 'stroke-width="1.2"/>\n'
@@ -110,7 +119,7 @@ def render_svg(
     for u, v in marks:
         x, y = cmap.px(u, v)
         parts.append(
-            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="5" fill="#000000" '
+            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#000000" '
             'stroke="#ffffff" stroke-width="1.5"/>\n'
         )
 

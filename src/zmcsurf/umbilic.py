@@ -260,10 +260,11 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
 
     and X2 with the x-terms negated; they are defined where alpha, beta > 0.
 
-    The fields run Horner's rule over the psi polynomials' `float_coeffs()`
-    inline, bit for bit `Poly.__call__` at the float point (see its
-    docstring).  Raises OverflowError when a coefficient lies outside the
-    double range.
+    Each field is one flat closure: Horner's rule over the psi polynomials'
+    `float_coeffs()` inline, bit for bit `Poly.__call__` at the float point
+    (see its docstring).  X2 is X1 with p = x^n1 sqrt(alpha) multiplied by
+    -1.0, which is exactly -p.  Raises OverflowError when a coefficient lies
+    outside the double range, and where x**n1 or y**n-1 overflows.
     """
     nf = qhat.normal_form(cap)
     if not nf.finite:
@@ -282,29 +283,27 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
     alpha = nf.psi_plus.poly.float_coeffs()
     beta = nf.psi_minus.poly.float_coeffs()
 
-    def components(u, v):
-        x, y = (u + v) / 2.0, (u - v) / 2.0
-        a = b = 0
-        for c in alpha:
-            a = a * x + c
-        for c in beta:
-            b = b * y + c
-        a, b = delta * a, delta * b
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("eigenfield undefined: rescaled branch not positive")
-        return x**n1 * math.sqrt(a), y**nm1 * math.sqrt(b)
+    def field(s):
+        # one flat closure per field: s = +1 gives X1, s = -1 gives X2
+        def ev(u, v):
+            x, y = (u + v) / 2.0, (u - v) / 2.0
+            a = b = 0
+            for c in alpha:
+                a = a * x + c
+            for c in beta:
+                b = b * y + c
+            a, b = delta * a, delta * b
+            if a <= 0.0 or b <= 0.0:
+                raise ValueError("eigenfield undefined: rescaled branch not positive")
+            p = s * (x**n1 * math.sqrt(a))
+            q = y**nm1 * math.sqrt(b)
+            return (p + q, -p + q)
 
-    def x1(u, v):
-        p, q = components(u, v)
-        return (p + q, -p + q)
-
-    def x2(u, v):
-        p, q = components(u, v)
-        return (-p + q, p + q)
+        return ev
 
     return (
-        FlowField(x1, name="X1"),
-        FlowField(x2, name="X2"),
+        FlowField(field(1.0), name="X1"),
+        FlowField(field(-1.0), name="X2"),
     )
 
 

@@ -8,9 +8,17 @@ functions of (x, y).
 `exact_horner` is Horner's rule over a polynomial's exact coefficients,
 the oracle for the float path of `Poly.__call__`.
 
+`schoolbook_product` is the coefficient product of `Poly.__mul__` as one
+sum of `a_i * b_k` per coefficient, the oracle for its integer
+convolution of int/Fraction factors.
+
 `reference_eigenfields` is the uncompiled evaluation of the umbilic
 eigenfields through `exact_horner`, the oracle for the float-coefficient
 fields of `zmcsurf.umbilic.eigenfields`.
+
+`reference_principal_line_field` is the space-like principal line field
+through one `SpacelikePatch.hopf` call per sample, the oracle for the flat
+closure of `SpacelikePatch.principal_line_field`.
 
 `reference_spacelike_classification_csv` is the space-like classifier and
 writer that ran beside the shared pipeline before space-like charts went
@@ -19,14 +27,23 @@ through it, the oracle for `classification_csv(classify_chart(chart))`.
 `reference_classify_node` is the per-node time-like classifier that ran
 before charts were classified as arrays, the oracle for
 `ChartClassification.point`.
+
+`reference_accumulate`, `reference_streamlines` and `reference_render_svg`
+are the scalar winding loop, streamline march and SVG renderer that ran
+before those loops called the field's evaluator directly and formatted
+pixel coordinates from arrays: one field call through `FlowField.__call__`
+per sample, one `ChartMap.px` and `_f` per point and per cell.  They are
+the oracles for `flow._accumulate`, `flow.streamlines` and
+`svgplot.render_svg`, which must give the same bits.
 """
 
+import json
 import math
 from fractions import Fraction as F
 
 import numpy as np
 
-from zmcsurf.flow import FlowField
+from zmcsurf.flow import LINE_FIELD, VECTOR_FIELD, FlowField, _ZeroOnCircle
 from zmcsurf.geometry import (
     KIND_MASKED,
     KIND_NEGATIVE,
@@ -37,6 +54,7 @@ from zmcsurf.geometry import (
     _exact_branch_values,
 )
 from zmcsurf.outputs import CLASSIFICATION_COLUMNS, _csv_line, fmt
+from zmcsurf.svgplot import FLOW_COLORS, KIND_COLORS, ChartMap
 
 
 def z2_surface(u, v):
@@ -131,6 +149,16 @@ def exact_horner(p, t):
     return acc
 
 
+def schoolbook_product(a, b):
+    """Coefficients of the product of two non-empty coefficient lists,
+    each accumulated from 0 in the order of `Poly.__mul__`'s float loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] = out[i + k] + x * y
+    return out
+
+
 def reference_eigenfields(qhat, cap=16):
     """X1, X2 at an admissible umbilic, evaluating the exact psi
     polynomials by `exact_horner` at the float point on every call;
@@ -157,6 +185,21 @@ def reference_eigenfields(qhat, cap=16):
         return (-p + q, p + q)
 
     return FlowField(x1, name="X1"), FlowField(x2, name="X2")
+
+
+def reference_principal_line_field(patch):
+    """The eigen-line field (cos theta, sin theta) of a space-like patch,
+    theta = atan2(M, (L - N)/2)/2, from `patch.hopf(u, v)` at each sample."""
+
+    def ev(u, v):
+        w = 4.0 * patch.hopf(u, v)
+        a, M = w.real / 2.0, -w.imag / 2.0
+        if a == 0.0 and M == 0.0:
+            return (0.0, 0.0)
+        theta = 0.5 * math.atan2(M, a)
+        return (math.cos(theta), math.sin(theta))
+
+    return FlowField(ev, kind=LINE_FIELD, name="principal_lines")
 
 
 def reference_spacelike_classification_csv(chart) -> str:
@@ -271,3 +314,163 @@ def reference_classify_node(chart, i, j):
             KIND_POSITIVE, D, _eigendirections(a, b, r), _eigen_pair(chart, i, j, r)
         )
     return PointClass(KIND_NEGATIVE, D, (), None)
+
+
+def reference_accumulate(field, radius, samples):
+    """(total turning / doubling, largest jump) of the field's angle over
+    `samples` points of the circle, one `field(u, v)` call per point."""
+    u0, v0 = field.singular_point
+    doubling = 2.0 if field.kind == LINE_FIELD else 1.0
+    angles = []
+    for k in range(samples):
+        t = 2.0 * math.pi * k / samples
+        try:
+            p, q = field(u0 + radius * math.cos(t), v0 + radius * math.sin(t))
+        except (ValueError, ZeroDivisionError, FloatingPointError):
+            raise _ZeroOnCircle  # undefined counts as inadequate, like a zero
+        p, q = float(p), float(q)
+        if not (math.isfinite(p) and math.isfinite(q)) or (p == 0.0 and q == 0.0):
+            raise _ZeroOnCircle
+        angles.append(doubling * math.atan2(q, p))
+    total = 0.0
+    max_jump = 0.0
+    for k in range(samples):
+        d = angles[(k + 1) % samples] - angles[k]
+        d = math.remainder(d, 2.0 * math.pi)
+        max_jump = max(max_jump, abs(d))
+        total += d
+    return total / doubling, max_jump
+
+
+def reference_streamlines(field, seeds, step=1e-3, max_len=2.0, bounds=None):
+    """Fixed-step RK4 streamlines of the normalized field, one
+    `field(u, v)` call through a `sample` helper per stage."""
+
+    if bounds is None:
+        inside = lambda u, v: True
+    else:
+        u_min, u_max, v_min, v_max = bounds
+
+        def inside(u, v):
+            return u_min <= u <= u_max and v_min <= v <= v_max
+
+    oriented = field.kind == VECTOR_FIELD
+
+    def march(start, sign):
+        def sample(u, v, pu, pv):
+            try:
+                p, q = field(u, v)
+            except (ValueError, ZeroDivisionError, FloatingPointError):
+                return None
+            p, q = float(p), float(q)
+            norm = math.hypot(p, q)
+            if not math.isfinite(norm) or norm < 1e-10:
+                return None
+            p, q = p / norm, q / norm
+            if oriented:
+                return sign * p, sign * q
+            # line field: keep the orientation continuous along the path
+            if pu is None:
+                return sign * p, sign * q
+            return (p, q) if p * pu + q * pv >= 0.0 else (-p, -q)
+
+        pts = []
+        u, v = float(start[0]), float(start[1])
+        pu = pv = None
+        for _ in range(int(max_len / step)):
+            k1 = sample(u, v, pu, pv)
+            if k1 is None:
+                break
+            k2 = sample(u + 0.5 * step * k1[0], v + 0.5 * step * k1[1], *k1)
+            k3 = sample(u + 0.5 * step * k2[0], v + 0.5 * step * k2[1], *k2) if k2 else None
+            k4 = sample(u + step * k3[0], v + step * k3[1], *k3) if k3 else None
+            if k4 is None:
+                break
+            du = (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+            dv = (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
+            u, v = u + step * du, v + step * dv
+            if not inside(u, v):
+                break
+            pts.append((u, v))
+            n = math.hypot(du, dv)
+            if n == 0.0:
+                break
+            pu, pv = du / n, dv / n
+        return pts
+
+    out = []
+    for seed in seeds:
+        forward = march(seed, +1.0)
+        backward = march(seed, -1.0)
+        line = list(reversed(backward)) + [(float(seed[0]), float(seed[1]))] + forward
+        out.append(np.array(line))
+    return out
+
+
+def _f(x):
+    return f"{float(x):.3f}"
+
+
+def reference_render_svg(
+    grid, kinds, polyline_families=(), marks=(), banner="", extra_metadata=None
+):
+    """The SVG document, one `ChartMap.px` and `_f` per cell corner and
+    per polyline point."""
+    cmap = ChartMap(grid.u_min, grid.u_max, grid.v_min, grid.v_max)
+    meta = {"chart_to_viewport": cmap.to_dict()}
+    if extra_metadata:
+        meta.update(extra_metadata)
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+        'viewBox="0 0 800 800">\n',
+        "<metadata>"
+        + json.dumps(meta, sort_keys=True)
+        + "</metadata>\n",
+        '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n',
+    ]
+
+    u_nodes = grid.u_nodes()
+    v_nodes = grid.v_nodes()
+    for i in range(grid.nu - 1):
+        for j in range(grid.nv - 1):
+            color = KIND_COLORS.get(str(kinds[i, j]), "#ffffff")
+            x0, y0 = cmap.px(u_nodes[i], v_nodes[j + 1])
+            x1, y1 = cmap.px(u_nodes[i + 1], v_nodes[j])
+            parts.append(
+                f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(x1 - x0)}" '
+                f'height="{_f(y1 - y0)}" fill="{color}"/>\n'
+            )
+
+    for fam, lines in enumerate(polyline_families):
+        color = FLOW_COLORS[fam % len(FLOW_COLORS)]
+        for line in lines:
+            if len(line) < 2:
+                continue
+            pts = " ".join(
+                f"{_f(px)},{_f(py)}" for px, py in (cmap.px(p[0], p[1]) for p in line)
+            )
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                'stroke-width="1.2"/>\n'
+            )
+
+    for u, v in marks:
+        x, y = cmap.px(u, v)
+        parts.append(
+            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="5" fill="#000000" '
+            'stroke="#ffffff" stroke-width="1.5"/>\n'
+        )
+
+    if banner:
+        parts.append(
+            '<rect x="0" y="0" width="800" height="28" fill="#ffffff" '
+            'opacity="0.85"/>\n'
+        )
+        parts.append(
+            '<text x="10" y="19" font-family="monospace" font-size="14" '
+            f'fill="#7a1010">{banner}</text>\n'
+        )
+
+    parts.append("</svg>\n")
+    return "".join(parts)

@@ -1,12 +1,13 @@
 """Exact univariate polynomial arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from zmcsurf import Poly
 
-from oracles import exact_horner
+from oracles import exact_horner, schoolbook_product
 
 
 def test_evaluation_exact():
@@ -112,3 +113,38 @@ def test_complex_coefficients_keep_the_exact_loop_at_float_points():
     with pytest.raises(TypeError):
         p.float_coeffs()
 
+
+
+def _exact_coeffs(rng, n, kinds):
+    out = []
+    for _ in range(n):
+        kind = rng.choice(kinds)
+        if kind == "zero":
+            out.append(rng.choice((0, Fraction(0))))
+        elif kind == "int":
+            out.append(rng.randint(-10**30, 10**30))
+        else:
+            out.append(Fraction(rng.randint(-999, 999), rng.randint(1, 10**12)))
+    return out + [rng.choice((1, Fraction(-7, 3)))]
+
+
+@pytest.mark.parametrize("kinds", [("int",), ("fraction",), ("int", "fraction", "zero")])
+def test_exact_product_is_the_schoolbook_product(kinds):
+    """Value and type (int or Fraction) of every coefficient, for int,
+    Fraction and mixed factors with interior zeros, up to degree 64."""
+    rng = random.Random(len(kinds))
+    for _ in range(40):
+        a = _exact_coeffs(rng, rng.randint(0, 64), kinds)
+        b = _exact_coeffs(rng, rng.randint(0, 64), kinds)
+        got = (Poly(a) * Poly(b)).coeffs
+        want = Poly(schoolbook_product(a, b)).coeffs
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_inexact_factors_keep_the_schoolbook_order():
+    a = [0.1, Fraction(1, 3), 2]
+    b = [3, 1e-17, 0.7]
+    for x, y in ((a, b), (b, a), (a, [1j, 2])):
+        got = (Poly(x) * Poly(y)).coeffs
+        assert [complex(c) for c in got] == [complex(c) for c in schoolbook_product(x, y)]

@@ -12,8 +12,6 @@ from .paracomplex import (
     IdempotentPair,
     ParaComplex,
     decompose,
-    from_projections,
-    n2,
     recompose,
 )
 from .poly import Poly
@@ -24,7 +22,6 @@ from .parafunc import (
     ParaFunction,
     SplitOrders,
     UnsupportedBranch,
-    para_cr_residual,
 )
 from .geometry import (
     GridSpec,
@@ -33,9 +30,7 @@ from .geometry import (
     ChartClassification,
     chart_from_arrays,
     classify_chart,
-    classify_node,
     quasi_umbilic_direction_check,
-    weingarten,
 )
 from .weierstrass import (
     DegenerateDataError,
@@ -45,14 +40,12 @@ from .weierstrass import (
     generate_ko,
     generate_null,
     hopf_differential,
-    minkowski_cross,
     minkowski_dot,
 )
 from .umbilic import (
     IndexReport,
     NoSmoothFlowError,
     analyze_point,
-    eigenfield_check,
     eigenfields,
     measure_indices,
 )
@@ -62,7 +55,6 @@ from .flow import (
     FlowField,
     WindingError,
     WindingResult,
-    from_null_components,
     perpendicular,
     streamlines,
     winding_index,

@@ -9,10 +9,12 @@
 Overrides: --grid N (square N x N), --radius R, --samples K, --jet-cap J.
 Input limits (exceeding one is a spec error): grid nu, nv and N in
 [16, 1025], samples K in [720, 65536], jet cap J in [1, 64], polynomial
-degree 64 (65 coefficients per array); a non-finite number (NaN,
-Infinity, 1e400) is a spec error too.  The slowest in-limit run measured,
-generate for the dense degree-64 null spec of the README at 1025^2, took
-57 s and 1.36 GB (Python 3.11.7, 2 shared CPUs).
+degree 64 (65 coefficients per array), and at most 64 analysis.seeds,
+each in the closed grid rectangle; a non-finite number (NaN, Infinity,
+1e400) is a spec error too.  A flow streamline marches at most 4096
+steps (MAX_MARCH_STEPS) each way from its seed.  The slowest in-limit run
+measured, generate for the dense degree-64 null spec of the README at
+1025^2, took 57 s and 1.36 GB (Python 3.11.7, 2 shared CPUs).
 Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
 is not UTF-8 or is not JSON within Python's limits is one, and so are
 time-like data that are degenerate at the base point, unless the spec
@@ -52,6 +54,10 @@ spacelike_classification_csv = classification_csv
 EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_NUMERIC = 3
+
+# Steps of 2e-3 per streamline direction: a march covers 1.2 times the
+# shorter grid side, up to this many steps (binding only for sides above 6.8).
+MAX_MARCH_STEPS = 4096
 
 
 def _load_spec(args) -> dict:
@@ -213,7 +219,7 @@ def _flow_polylines(resolved: ResolvedSpec, fields):
             f,
             resolved.analysis.seeds,
             step=2e-3,
-            max_len=1.2 * span,
+            max_len=min(1.2 * span, MAX_MARCH_STEPS * 2e-3),
             bounds=bounds,
         )
         for f in fields

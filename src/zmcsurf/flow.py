@@ -60,17 +60,6 @@ class FlowField:
         return self.evaluator(u, v)
 
 
-def from_null_components(a_fn, b_fn, kind=VECTOR_FIELD, name="") -> FlowField:
-    """Field a(x,y) d/dx + b(x,y) d/dy re-expressed in the (u,v) chart."""
-
-    def ev(u, v):
-        x, y = (u + v) / 2.0, (u - v) / 2.0
-        a, b = a_fn(x, y), b_fn(x, y)
-        return (a + b, a - b)
-
-    return FlowField(ev, kind=kind, name=name)
-
-
 def perpendicular(field: FlowField) -> FlowField:
     """Swap the two components; in an isothermal chart this sends a principal
     field to the perpendicular principal field and negates the index."""

@@ -193,28 +193,6 @@ class SurfaceChart:
                           [KIND_UMBILIC, KIND_QUASI, KIND_POSITIVE], KIND_NEGATIVE)
         return ChartClassification.spread(self, kinds, D, dirs, eigenvalues, marginal)
 
-    def hopf_full_at(self, i: int, j: int):
-        """(L+N) + 2jM assembled from the stored forms at a node."""
-        from .paracomplex import ParaComplex
-
-        return ParaComplex(
-            float(self.L[i, j] + self.N[i, j]), 2.0 * float(self.M[i, j])
-        )
-
-
-def weingarten(chart: SurfaceChart, i: int, j: int) -> np.ndarray:
-    """Shape operator at a node, as a 2x2 matrix in the (u,v) frame.
-
-    This is the inverse metric times the second fundamental form; the
-    chart's orientation sign multiplies the textbook isothermal expression.
-    """
-    if not chart.mask[i, j]:
-        raise ValueError(f"node ({i},{j}) is masked (not immersed)")
-    s = float(chart.metric_sign[i, j])
-    f = s * math.exp(-2.0 * chart.sigma[i, j])
-    L, M, N = chart.L[i, j], chart.M[i, j], chart.N[i, j]
-    return np.array([[f * L, f * M], [-f * M, -f * N]])
-
 
 @dataclass(frozen=True)
 class PointClass:
@@ -248,11 +226,6 @@ def _unit(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     first = np.where(x != 0, x, y)
     flip = (first != 0) & ~(first > 0)
     return np.stack([np.where(flip, -x, x), np.where(flip, -y, y)], axis=-1)
-
-
-def classify_node(chart: SurfaceChart, i: int, j: int) -> PointClass:
-    """The `PointClass` of one node, read from the whole chart's arrays."""
-    return chart.classify().point(i, j)
 
 
 def _exact_branch_values(chart, i, j):

@@ -90,12 +90,6 @@ class ParaComplex:
             raise ValueError("projection index must be +1 or -1")
         return self.re + s * self.im
 
-    def on_line(self, s: int) -> bool:
-        """True iff z lies on the null line {u - s*v = 0}."""
-        if s not in (1, -1):
-            raise ValueError("line index must be +1 or -1")
-        return self.re - s * self.im == 0
-
     def __repr__(self):
         return f"ParaComplex({self.re!r}, {self.im!r})"
 
@@ -121,10 +115,6 @@ class IdempotentPair(NamedTuple):
     pim1: Scalar
 
 
-def n2(z: ParaComplex) -> Scalar:
-    return z.n2()
-
-
 def decompose(z: ParaComplex) -> IdempotentPair:
     """Split z over the idempotents: z = pi1*EPS1 + pim1*EPSM1."""
     return IdempotentPair(z.proj(1), z.proj(-1))
@@ -137,7 +127,3 @@ def recompose(pair: IdempotentPair) -> ParaComplex:
     if isinstance(p, float) or isinstance(q, float):
         half = 0.5
     return ParaComplex((p + q) * half, (p - q) * half)
-
-
-def from_projections(pi1: Scalar, pim1: Scalar) -> ParaComplex:
-    return recompose(IdempotentPair(pi1, pim1))

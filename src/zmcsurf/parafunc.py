@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .paracomplex import ParaComplex, from_projections
+from .paracomplex import IdempotentPair, ParaComplex, recompose
 from .poly import Poly
 
 
@@ -61,10 +61,6 @@ class Branch:
     @classmethod
     def constant(cls, c) -> "Branch":
         return cls(poly=Poly([c]))
-
-    @classmethod
-    def zero(cls) -> "Branch":
-        return cls(poly=Poly())
 
     @classmethod
     def exp_flat(cls) -> "Branch":
@@ -267,19 +263,6 @@ class NormalForm:
     def finite(self) -> bool:
         return self.orders.plus.finite and self.orders.minus.finite
 
-    @property
-    def degenerate(self) -> Optional[bool]:
-        if not self.finite:
-            return None
-        return self.orders.plus.order != self.orders.minus.order
-
-    @property
-    def order(self) -> Optional[int]:
-        """Common order m when non-degenerate, else None."""
-        if self.finite and not self.degenerate:
-            return self.orders.plus.order
-        return None
-
 
 @dataclass(frozen=True)
 class ParaFunction:
@@ -313,10 +296,6 @@ class ParaFunction:
         return cls(Branch.from_poly(plus), Branch.from_poly(minus))
 
     @classmethod
-    def identity(cls) -> "ParaFunction":
-        return cls.from_z_poly([0, 1])
-
-    @classmethod
     def constant(cls, c) -> "ParaFunction":
         return cls.from_z_poly([c])
 
@@ -338,10 +317,7 @@ class ParaFunction:
     def evaluate(self, z: ParaComplex) -> ParaComplex:
         x = _halve(z.re + z.im)
         y = _halve(z.re - z.im)
-        return from_projections(self.plus(x), self.minus(y))
-
-    def __call__(self, z: ParaComplex) -> ParaComplex:
-        return self.evaluate(z)
+        return recompose(IdempotentPair(self.plus(x), self.minus(y)))
 
     def evaluate_uv(self, u, v) -> ParaComplex:
         return self.evaluate(ParaComplex(u, v))
@@ -396,21 +372,3 @@ class ParaFunction:
             psi_plus=psi_p,
             psi_minus=psi_m,
         )
-
-
-def para_cr_residual(h: ParaFunction, u: float, v: float, step: float = 1e-4) -> float:
-    """Central-difference residual of the para-Cauchy-Riemann equations at (u,v)."""
-
-    def val(uu, vv):
-        w = h.evaluate_uv(uu, vv)
-        return float(w.re), float(w.im)
-
-    a_up, b_up = val(u + step, v)
-    a_dn, b_dn = val(u - step, v)
-    a_vp, b_vp = val(u, v + step)
-    a_vn, b_vn = val(u, v - step)
-    a_u = (a_up - a_dn) / (2 * step)
-    a_v = (a_vp - a_vn) / (2 * step)
-    b_u = (b_up - b_dn) / (2 * step)
-    b_v = (b_vp - b_vn) / (2 * step)
-    return max(abs(a_u - b_v), abs(a_v - b_u))

@@ -147,12 +147,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        out = Poly([1])
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "Poly":
@@ -227,4 +221,3 @@ def _divide(c, k: int):
     if isinstance(c, int):
         return Fraction(c, k)
     return c / k
-

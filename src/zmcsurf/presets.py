@@ -96,21 +96,8 @@ PRESETS = {
     "spacelike_m3": _kobayashi(3),
 }
 
-#: canonical listing order
-PRESET_ORDER = (
-    "plane",
-    "exA1",
-    "z2",
-    "z3",
-    "z5",
-    "f1",
-    "f2",
-    "deg26",
-    "exA2",
-    "spacelike_m1",
-    "spacelike_m2",
-    "spacelike_m3",
-)
+#: canonical listing order: the order of PRESETS
+PRESET_ORDER = tuple(PRESETS)
 
 
 def preset_spec(name: str) -> dict:

@@ -86,37 +86,13 @@ class SpacelikePatch:
     # -- analytic first/second-order data ----------------------------------------
 
     def _factor_and_hopf(self, u, v):
-        """(conformal factor, Hopf coefficient) at (u, v), evaluating g,
-        omega_hat and g' once each."""
+        """(conformal factor, Hopf coefficient -(omega_hat g')) at (u, v),
+        evaluating g, omega_hat and g' once each.  The Hopf coefficient is
+        dz^2-normalized: the chart's (L - N) - 2iM is 4 times it."""
         z = complex(u) + 1j * complex(v)
         g = complex(self.data.g(z))
         w = complex(self.data.omega_hat(z))
         return (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2, -w * complex(self.g_prime(z))
-
-    def conformal_factor(self, u, v) -> float:
-        return self._factor_and_hopf(u, v)[0]
-
-    def normal(self, u, v) -> np.ndarray:
-        z = complex(u) + 1j * complex(v)
-        g = complex(self.data.g(z))
-        den = 1.0 - abs(g) ** 2
-        if den == 0.0:
-            raise ZeroDivisionError("normal undefined where |g| = 1")
-        return np.array([2 * g.real / den, 2 * g.imag / den, (1 + abs(g) ** 2) / den])
-
-    def hopf(self, u, v) -> complex:
-        """dz^2-normalized Hopf coefficient -(omega_hat g'); the raw chart
-        assembly (L - N) - 2iM equals 4 times this."""
-        z = complex(u) + 1j * complex(v)
-        return -complex(self.data.omega_hat(z)) * complex(self.g_prime(z))
-
-    def forms(self, u, v):
-        """(sigma, L, M, N) of the chart at (u, v)."""
-        factor, hopf = self._factor_and_hopf(u, v)
-        if factor <= 0.0:
-            raise ZeroDivisionError("chart degenerate here")
-        _, L, M, N = _node(factor, hopf)
-        return 0.5 * math.log(factor), L, M, N
 
     def chart(self, grid: GridSpec) -> "SpacelikeChart":
         """The chart; a node is masked where the conformal factor is at
@@ -133,8 +109,9 @@ class SpacelikePatch:
         The eigen-line of [[a, M], [M, -a]] with a = (L-N)/2 sits at angle
         theta = atan2(M, a)/2; the returned representative is
         (cos theta, sin theta), defined up to sign as a line field.  The
-        field evaluates `hopf` inline: Horner's rule over the coefficients
-        of omega_hat and g', as `Poly.__call__` runs it at a complex point.
+        field evaluates the Hopf coefficient -(omega_hat g') inline: Horner's
+        rule over the coefficients of omega_hat and g', as `Poly.__call__`
+        runs it at a complex point.
         """
         omega = tuple(reversed(self.data.omega_hat.coeffs))
         g_prime = tuple(reversed(self.g_prime.coeffs))

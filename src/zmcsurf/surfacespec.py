@@ -54,6 +54,7 @@ MAX_GRID_NODES = 1025  # nu and nv, and hence --grid
 MAX_SAMPLES = 65536
 MAX_JET_CAP = 64
 MAX_DEGREE = 64  # of every polynomial: at most 65 coefficients
+MAX_SEEDS = 64  # explicit analysis.seeds, each in the closed grid rectangle
 
 
 class SpecError(ValueError):
@@ -224,7 +225,7 @@ class AnalysisParams:
     seeds: tuple = DEFAULT_SEEDS
 
 
-def _analysis(value, pointer) -> AnalysisParams:
+def _analysis(value, pointer, grid: GridSpec) -> AnalysisParams:
     if value is None:
         return AnalysisParams()
     value = _expect_mapping(value, pointer)
@@ -240,14 +241,18 @@ def _analysis(value, pointer) -> AnalysisParams:
                 _fail(f"{pointer}/{key}", f"{key} must be an int in [{lo}, {hi}]")
             kwargs[key] = value[key]
     if "seeds" in value:
+        entries = _expect_list(value["seeds"], pointer + "/seeds")
+        if len(entries) > MAX_SEEDS:
+            _fail(pointer + "/seeds", f"at most {MAX_SEEDS} seeds are allowed")
         seeds = []
-        for k, s in enumerate(_expect_list(value["seeds"], pointer + "/seeds")):
+        for k, s in enumerate(entries):
             sp = f"{pointer}/seeds/{k}"
             if not isinstance(s, list) or len(s) != 2:
                 _fail(sp, "seed needs [u, v]")
-            seeds.append(
-                (float(_scalar(s[0], sp + "/0")), float(_scalar(s[1], sp + "/1")))
-            )
+            u, v = float(_scalar(s[0], sp + "/0")), float(_scalar(s[1], sp + "/1"))
+            if not (grid.u_min <= u <= grid.u_max and grid.v_min <= v <= grid.v_max):
+                _fail(sp, "seed lies outside the grid rectangle")
+            seeds.append((u, v))
         kwargs["seeds"] = tuple(seeds)
     return AnalysisParams(**kwargs)
 
@@ -289,7 +294,7 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     if route not in ROUTES:
         _fail("/route", f"route must be one of {ROUTES}, got {_echo(route)}")
     grid = _grid(spec.get("grid"), "/grid", minimum_nodes)
-    analysis = _analysis(spec.get("analysis"), "/analysis")
+    analysis = _analysis(spec.get("analysis"), "/analysis", grid)
     data = _expect_mapping(spec.get("data"), "/data")
     allow = spec.get("allow_degenerate_base", False)
     if not isinstance(allow, bool):

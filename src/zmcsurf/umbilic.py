@@ -18,10 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .flow import FlowField, winding_index
-from .geometry import KIND_POSITIVE, KIND_QUASI, SurfaceChart
 from .parafunc import ParaFunction, SplitOrders
 
 PARITY_ODD = "odd_order"
@@ -305,27 +302,6 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
         FlowField(field(1.0), name="X1"),
         FlowField(field(-1.0), name="X2"),
     )
-
-
-def eigenfield_check(field: FlowField, chart: SurfaceChart) -> float:
-    """Largest misalignment (sine of angle) between the field and the nearest
-    principal direction over the chart's non-umbilic nodes."""
-    cls = chart.classify()
-    worst = 0.0
-    for i, j in zip(*np.nonzero(np.isin(cls.kinds, (KIND_POSITIVE, KIND_QUASI)))):
-        u, v = chart.node(i, j)
-        try:
-            w = np.array(field(float(u), float(v)), dtype=float)
-        except ValueError:
-            continue
-        norm = np.linalg.norm(w)
-        if norm < 1e-12:
-            continue
-        w /= norm
-        dirs = cls.dirs[i, j, : 2 if cls.kinds[i, j] == KIND_POSITIVE else 1]
-        sine = min(abs(w[0] * d[1] - w[1] * d[0]) for d in dirs)
-        worst = max(worst, sine)
-    return worst
 
 
 def measure_indices(

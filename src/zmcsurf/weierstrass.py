@@ -76,14 +76,6 @@ def minkowski_dot(a, b) -> float:
     return float(a[0]) * float(b[0]) + float(a[1]) * float(b[1]) - float(a[2]) * float(b[2])
 
 
-def minkowski_cross(a, b) -> np.ndarray:
-    """Lorentzian cross product: <cross(a,b), c> = det(a, b, c)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    e = np.cross(a, b)  # Euclidean cross
-    return np.array([e[0], e[1], -e[2]])
-
-
 @dataclass(frozen=True)
 class WeierstrassData:
     """Route "ko" data: g with g(o) = 0 and a 1-form coefficient omega_hat
@@ -414,22 +406,4 @@ def numeric_first_forms(patch, u: float, v: float, h: float = 1e-5):
         minkowski_dot(fu, fu),
         minkowski_dot(fu, fv),
         minkowski_dot(fv, fv),
-    )
-
-
-def numeric_second_forms(patch, u: float, v: float, h: float = 1e-4):
-    """Finite-difference (L, M, N) against the analytic unit normal of any
-    patch with `evaluate` and `normal`; oracle."""
-    f = _float_point_of(patch)
-    n = patch.normal(u, v)
-    f0 = f(u, v)
-    fuu = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2
-    fvv = (f(u, v + h) - 2 * f0 + f(u, v - h)) / h**2
-    fuv = (
-        f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
-    ) / (4 * h**2)
-    return (
-        minkowski_dot(fuu, n),
-        minkowski_dot(fuv, n),
-        minkowski_dot(fvv, n),
     )

@@ -17,7 +17,7 @@ eigenfields through `exact_horner`, the oracle for the float-coefficient
 fields of `zmcsurf.umbilic.eigenfields`.
 
 `reference_principal_line_field` is the space-like principal line field
-through one `SpacelikePatch.hopf` call per sample, the oracle for the flat
+through one `spacelike_hopf` call per sample, the oracle for the flat
 closure of `SpacelikePatch.principal_line_field`.
 
 `reference_spacelike_classification_csv` is the space-like classifier and
@@ -35,6 +35,15 @@ pixel coordinates from arrays: one field call through `FlowField.__call__`
 per sample, one `ChartMap.px` and `_f` per point and per cell.  They are
 the oracles for `flow._accumulate`, `flow.streamlines` and
 `svgplot.render_svg`, which must give the same bits.
+
+The per-point references at the end of this file are called by tests
+only, so they live here rather than in the package: finite-difference
+and closed-form checks (`para_cr_residual`, `numeric_second_forms`,
+`minkowski_cross`, `weingarten`, `eigenfield_check`), the null-component
+field constructor `from_null_components`, and the space-like per-point
+data `spacelike_conformal_factor`, `spacelike_normal`, `spacelike_hopf`
+and `spacelike_forms`.  Their arithmetic is that of the package functions
+and methods they were.
 """
 
 import json
@@ -54,7 +63,9 @@ from zmcsurf.geometry import (
     _exact_branch_values,
 )
 from zmcsurf.outputs import CLASSIFICATION_COLUMNS, _csv_line, fmt
+from zmcsurf.spacelike import SpacelikePatch, _node as _spacelike_node
 from zmcsurf.svgplot import FLOW_COLORS, KIND_COLORS, ChartMap
+from zmcsurf.weierstrass import _float_point_of, minkowski_dot
 
 
 def z2_surface(u, v):
@@ -189,10 +200,10 @@ def reference_eigenfields(qhat, cap=16):
 
 def reference_principal_line_field(patch):
     """The eigen-line field (cos theta, sin theta) of a space-like patch,
-    theta = atan2(M, (L - N)/2)/2, from `patch.hopf(u, v)` at each sample."""
+    theta = atan2(M, (L - N)/2)/2, from `spacelike_hopf` at each sample."""
 
     def ev(u, v):
-        w = 4.0 * patch.hopf(u, v)
+        w = 4.0 * spacelike_hopf(patch, u, v)
         a, M = w.real / 2.0, -w.imag / 2.0
         if a == 0.0 and M == 0.0:
             return (0.0, 0.0)
@@ -474,3 +485,128 @@ def reference_render_svg(
 
     parts.append("</svg>\n")
     return "".join(parts)
+
+
+# -- per-point references that only tests call -------------------------------
+
+
+def from_null_components(a_fn, b_fn, kind=VECTOR_FIELD, name="") -> FlowField:
+    """Field a(x,y) d/dx + b(x,y) d/dy re-expressed in the (u,v) chart."""
+
+    def ev(u, v):
+        x, y = (u + v) / 2.0, (u - v) / 2.0
+        a, b = a_fn(x, y), b_fn(x, y)
+        return (a + b, a - b)
+
+    return FlowField(ev, kind=kind, name=name)
+
+
+def para_cr_residual(h, u: float, v: float, step: float = 1e-4) -> float:
+    """Central-difference residual of the para-Cauchy-Riemann equations at (u,v)."""
+
+    def val(uu, vv):
+        w = h.evaluate_uv(uu, vv)
+        return float(w.re), float(w.im)
+
+    a_up, b_up = val(u + step, v)
+    a_dn, b_dn = val(u - step, v)
+    a_vp, b_vp = val(u, v + step)
+    a_vn, b_vn = val(u, v - step)
+    a_u = (a_up - a_dn) / (2 * step)
+    a_v = (a_vp - a_vn) / (2 * step)
+    b_u = (b_up - b_dn) / (2 * step)
+    b_v = (b_vp - b_vn) / (2 * step)
+    return max(abs(a_u - b_v), abs(a_v - b_u))
+
+
+def eigenfield_check(field, chart) -> float:
+    """Largest misalignment (sine of angle) between the field and the nearest
+    principal direction over the chart's non-umbilic nodes."""
+    cls = chart.classify()
+    worst = 0.0
+    for i, j in zip(*np.nonzero(np.isin(cls.kinds, (KIND_POSITIVE, KIND_QUASI)))):
+        u, v = chart.node(i, j)
+        try:
+            w = np.array(field(float(u), float(v)), dtype=float)
+        except ValueError:
+            continue
+        norm = np.linalg.norm(w)
+        if norm < 1e-12:
+            continue
+        w /= norm
+        dirs = cls.dirs[i, j, : 2 if cls.kinds[i, j] == KIND_POSITIVE else 1]
+        sine = min(abs(w[0] * d[1] - w[1] * d[0]) for d in dirs)
+        worst = max(worst, sine)
+    return worst
+
+
+def weingarten(chart, i: int, j: int) -> np.ndarray:
+    """Shape operator at a node, as a 2x2 matrix in the (u,v) frame.
+
+    This is the inverse metric times the second fundamental form; the
+    chart's orientation sign multiplies the textbook isothermal expression.
+    """
+    if not chart.mask[i, j]:
+        raise ValueError(f"node ({i},{j}) is masked (not immersed)")
+    s = float(chart.metric_sign[i, j])
+    f = s * math.exp(-2.0 * chart.sigma[i, j])
+    L, M, N = chart.L[i, j], chart.M[i, j], chart.N[i, j]
+    return np.array([[f * L, f * M], [-f * M, -f * N]])
+
+
+def minkowski_cross(a, b) -> np.ndarray:
+    """Lorentzian cross product: <cross(a,b), c> = det(a, b, c)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    e = np.cross(a, b)  # Euclidean cross
+    return np.array([e[0], e[1], -e[2]])
+
+
+def numeric_second_forms(patch, u: float, v: float, h: float = 1e-4):
+    """Finite-difference (L, M, N) against the analytic unit normal of a
+    time-like or space-like patch."""
+    f = _float_point_of(patch)
+    if isinstance(patch, SpacelikePatch):
+        n = spacelike_normal(patch, u, v)
+    else:
+        n = patch.normal(u, v)
+    f0 = f(u, v)
+    fuu = (f(u + h, v) - 2 * f0 + f(u - h, v)) / h**2
+    fvv = (f(u, v + h) - 2 * f0 + f(u, v - h)) / h**2
+    fuv = (
+        f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
+    ) / (4 * h**2)
+    return (
+        minkowski_dot(fuu, n),
+        minkowski_dot(fuv, n),
+        minkowski_dot(fvv, n),
+    )
+
+
+def spacelike_conformal_factor(patch, u, v) -> float:
+    return patch._factor_and_hopf(u, v)[0]
+
+
+def spacelike_normal(patch, u, v) -> np.ndarray:
+    z = complex(u) + 1j * complex(v)
+    g = complex(patch.data.g(z))
+    den = 1.0 - abs(g) ** 2
+    if den == 0.0:
+        raise ZeroDivisionError("normal undefined where |g| = 1")
+    return np.array([2 * g.real / den, 2 * g.imag / den, (1 + abs(g) ** 2) / den])
+
+
+def spacelike_hopf(patch, u, v) -> complex:
+    """dz^2-normalized Hopf coefficient -(omega_hat g') of a space-like
+    patch; the raw chart assembly (L - N) - 2iM equals 4 times this."""
+    z = complex(u) + 1j * complex(v)
+    return -complex(patch.data.omega_hat(z)) * complex(patch.g_prime(z))
+
+
+def spacelike_forms(patch, u, v):
+    """(sigma, L, M, N) of a space-like patch's chart at (u, v)."""
+    factor, hopf = patch._factor_and_hopf(u, v)
+    if factor <= 0.0:
+        raise ZeroDivisionError("chart degenerate here")
+    _, L, M, N = _spacelike_node(factor, hopf)
+    return 0.5 * math.log(factor), L, M, N

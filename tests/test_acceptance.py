@@ -172,7 +172,7 @@ def test_criterion_4_compatibility_residuals():
     for name in SPACELIKE_PRESETS:
         patch = _resolved(name).spacelike_patch
         for u, v in points:
-            F = patch.forms
+            F = lambda uu, vv: oracles.spacelike_forms(patch, uu, vv)
             A = lambda uu, vv: F(uu, vv)[1] - F(uu, vv)[3]
             B = lambda uu, vv: -2.0 * F(uu, vv)[2]
             a_u = (A(u + h, v) - A(u - h, v)) / (2 * h)

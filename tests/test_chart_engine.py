@@ -5,7 +5,7 @@ classifier's Hopf-branch lookup are built from 1-D branch tables; every
 value must equal, bit for bit, what the per-point methods give at the
 node, and every exact table, evaluated over integers, must equal
 `Poly.__call__`.  The space-like chart, built by the same constructor, is
-checked against its per-point `forms` the same way.
+checked against the per-point oracle `spacelike_forms` the same way.
 """
 
 import math
@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import spacelike_conformal_factor, spacelike_forms
 from zmcsurf import Branch, GridSpec
 from zmcsurf.geometry import _exact_branch_values
 from zmcsurf.outputs import fmt, surface_csv
@@ -153,7 +154,7 @@ def test_spacelike_chart_matches_per_point_forms_bitwise(name):
     chart = patch.chart(grid)
     masked = []
     for i, j, u, v in _nodes(grid):
-        immersed = not patch.conformal_factor(u, v) <= 1e-300
+        immersed = not spacelike_conformal_factor(patch, u, v) <= 1e-300
         assert bool(chart.mask[i, j]) == immersed, (i, j)
         assert chart.metric_sign[i, j] == 1
         if not immersed:
@@ -162,7 +163,8 @@ def test_spacelike_chart_matches_per_point_forms_bitwise(name):
             assert chart.L[i, j] == chart.M[i, j] == chart.N[i, j] == 0.0
             continue
         got = (chart.sigma[i, j], chart.L[i, j], chart.M[i, j], chart.N[i, j])
-        assert [_bits(x) for x in got] == [_bits(x) for x in patch.forms(u, v)], (i, j)
+        want = spacelike_forms(patch, u, v)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want], (i, j)
     if expected_masked is not None:
         assert sorted(masked) == expected_masked
     assert 0 < len(masked) < grid.nu * grid.nv

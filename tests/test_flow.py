@@ -9,11 +9,12 @@ from zmcsurf import (
     FlowField,
     LINE_FIELD,
     WindingError,
-    from_null_components,
     perpendicular,
     streamlines,
     winding_index,
 )
+
+from oracles import from_null_components
 
 ROTATION = FlowField(lambda u, v: (-v, u), name="rotation")
 

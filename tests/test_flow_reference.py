@@ -164,9 +164,10 @@ def test_zero_on_circle_retries_as_the_reference(monkeypatch):
     assert new.radius == 0.1 * 1.0037 and new.index == 1
 
 
-def test_power_overflow_in_a_march_exits_3(tmp_path, capsys):
+def test_power_overflow_in_a_march_and_the_far_seed_spec_error(tmp_path, capsys):
     """x**n1 raises OverflowError far from the umbilic; the march lets it
-    through, as the reference does, and the command exits 3."""
+    through, as the reference does.  The CLI refuses such a seed, outside
+    the grid, as a spec error before any march."""
     (x1, _), _ = CASES["z5"]()
     for march in (streamlines, oracles.reference_streamlines):
         with pytest.raises(OverflowError):
@@ -175,5 +176,6 @@ def test_power_overflow_in_a_march_exits_3(tmp_path, capsys):
     spec["analysis"] = {"seeds": [[1e200, 1e200]]}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["flow", "--spec", str(path), "--grid", "17", "--out", str(tmp_path / "out")]) == 3
+    assert main(["flow", "--spec", str(path), "--grid", "17", "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+    assert json.loads(capsys.readouterr().err)["pointer"] == "/analysis/seeds/0"

@@ -13,11 +13,9 @@ from zmcsurf import (
     WeierstrassData,
     chart_from_arrays,
     classify_chart,
-    classify_node,
     generate_ko,
     generate_null,
     quasi_umbilic_direction_check,
-    weingarten,
 )
 from zmcsurf.geometry import (
     KIND_MASKED,
@@ -29,7 +27,7 @@ from zmcsurf.geometry import (
 from zmcsurf.presets import preset_spec
 from zmcsurf.surfacespec import resolve
 
-from oracles import reference_classify_node
+from oracles import reference_classify_node, weingarten
 from test_compiled_fields import _null_spec
 
 GRID33 = GridSpec.square(1, 33)
@@ -104,7 +102,7 @@ def test_weingarten_matches_null_route_conjugation():
 
 def test_classify_z3_origin_is_umbilic():
     chart = _chart_ko_monomial(3)
-    pc = classify_node(chart, 16, 16)
+    pc = classify_chart(chart).point(16, 16)
     assert pc.kind == KIND_UMBILIC and not pc.marginal
 
 
@@ -166,7 +164,7 @@ def test_classify_chart_partitions_z3():
 
 def test_classify_chart_plane_totally_umbilic():
     patch = generate_null(
-        Branch.zero(), Branch.zero(), Branch.constant(1), Branch.constant(1)
+        Branch.constant(0), Branch.constant(0), Branch.constant(1), Branch.constant(1)
     )
     chart = patch.chart(GridSpec.square(1, 17))
     cls = classify_chart(chart)
@@ -265,7 +263,7 @@ def test_negative_points_report_no_real_eigenvalues():
 
 def test_numeric_chart_marginal_flag():
     chart = _single_node_chart(0.0, 1e-12, 0.0, 1e-12)
-    pc = classify_node(chart, 0, 0)
+    pc = classify_chart(chart).point(0, 0)
     assert pc.kind == KIND_UMBILIC and pc.marginal
 
 

@@ -6,16 +6,10 @@ from functools import partial
 
 import pytest
 
-from zmcsurf import (
-    Branch,
-    ParaComplex,
-    ParaFunction,
-    UnsupportedBranch,
-    para_cr_residual,
-)
+from zmcsurf import Branch, ParaComplex, ParaFunction, UnsupportedBranch
 from zmcsurf.poly import Poly
 
-from oracles import exact_horner
+from oracles import exact_horner, para_cr_residual
 
 
 def _rand_fraction(rng, den=40, span=40):
@@ -33,7 +27,7 @@ def _eval_z_poly(coeffs, z):
 
 
 def test_identity_reconstruction():
-    h = ParaFunction.identity()
+    h = ParaFunction.monomial(1)
     assert h.plus.poly.coeffs == (0, 2)  # 2x with x = (u+v)/2
     z = ParaComplex(2, 3)
     assert h.evaluate(z) == z
@@ -77,7 +71,7 @@ def test_derivative_polynomial_rules():
     assert d.plus.poly.coeffs == (0, 4)
     assert d.evaluate(ParaComplex(3, 1)) == ParaComplex(3, 1) * 2
 
-    one = ParaFunction.identity().derivative()
+    one = ParaFunction.monomial(1).derivative()
     assert one.evaluate(ParaComplex(5, -2)) == ParaComplex(1, 0)
 
     z3 = ParaFunction.monomial(3)
@@ -114,7 +108,7 @@ def test_derivative_unsupported_without_evaluator():
 
 
 def test_products():
-    z = ParaFunction.identity()
+    z = ParaFunction.monomial(1)
     z2 = ParaFunction.monomial(2)
     assert (z * z).plus.poly == z2.plus.poly
     assert (z * z).minus.poly == z2.minus.poly
@@ -166,7 +160,6 @@ def test_split_orders_flat_branch_reports_cap(cap):
 def test_normal_form_z3_hopf():
     q = ParaFunction.from_z_poly([0, 0, -3])  # -3 z^2
     nf = q.normal_form(16)
-    assert nf.order == 2 and nf.degenerate is False
     assert nf.psi_plus_0 == -12 and nf.psi_minus_0 == -12
     assert nf.psi_plus_0 * nf.psi_minus_0 > 0
 
@@ -178,15 +171,13 @@ def test_normal_form_degenerate_pair():
     )
     nf = q.normal_form(16)
     assert (nf.orders.plus.order, nf.orders.minus.order) == (2, 6)
-    assert nf.degenerate is True
-    assert nf.order is None
 
 
 def test_normal_form_leading_norm_identity():
     # Q = R(z) z^m with N2(R(0)) = 2^(-2m) psi_plus(0) psi_minus(0)
     q = ParaFunction.from_z_poly([0, -2])
     nf = q.normal_form(16)
-    m = nf.order
+    m = nf.orders.plus.order  # both branches have order 1
     lead = ParaComplex(-2, 0)  # z-polynomial leading coefficient R(0)
     assert lead.n2() == Fraction(1, 2**(2 * m)) * nf.psi_plus_0 * nf.psi_minus_0
 

@@ -28,7 +28,6 @@ def test_arithmetic():
     assert p + q == Poly([0, 2])
     assert p - p == Poly()
     assert 2 * p == Poly([2, 2])
-    assert p**3 == Poly([1, 3, 3, 1])
 
 
 def test_derivative_antiderivative_roundtrip():

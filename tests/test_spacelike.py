@@ -6,7 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from oracles import reference_spacelike_classification_csv
+from oracles import (
+    numeric_second_forms,
+    reference_spacelike_classification_csv,
+    spacelike_conformal_factor,
+    spacelike_forms,
+    spacelike_hopf,
+    spacelike_normal,
+)
 from test_chart_engine import NON_SQUARE
 from zmcsurf import (
     ComplexWeierstrassData,
@@ -20,7 +27,7 @@ from zmcsurf.geometry import classify_chart
 from zmcsurf.outputs import classification_csv
 from zmcsurf.presets import preset_spec
 from zmcsurf.surfacespec import resolve
-from zmcsurf.weierstrass import minkowski_dot, numeric_first_forms, numeric_second_forms
+from zmcsurf.weierstrass import minkowski_dot, numeric_first_forms
 
 SAFE_POINTS = [(0.3, 0.1), (-0.25, 0.2), (0.1, -0.35), (0.2, 0.25)]
 
@@ -28,7 +35,7 @@ SAFE_POINTS = [(0.3, 0.1), (-0.25, 0.2), (0.1, -0.35), (0.2, 0.25)]
 def test_plane_from_zero_datum():
     patch = generate_kobayashi(ComplexWeierstrassData(Poly([0]), Poly([1])))
     assert np.allclose(patch.evaluate(0.7, -0.4), [0.7, 0.4, 0.0])
-    _sigma, L, M, N = patch.forms(0.7, -0.4)
+    _sigma, L, M, N = spacelike_forms(patch, 0.7, -0.4)
     assert (L, M, N) == (0.0, 0.0, 0.0)
 
 
@@ -39,15 +46,15 @@ def test_hopf_coefficient_is_monomial(m):
     for _ in range(50):
         u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
         z = complex(u, v)
-        assert abs(patch.hopf(u, v) - z**m) <= 1e-12 * (1 + abs(z) ** m)
-    assert patch.hopf(1.0, 0.0) == pytest.approx(1.0)  # m-th power at z=1
+        assert abs(spacelike_hopf(patch, u, v) - z**m) <= 1e-12 * (1 + abs(z) ** m)
+    assert spacelike_hopf(patch, 1.0, 0.0) == pytest.approx(1.0)  # m-th power at z=1
 
 
 def test_metric_is_isothermal_and_matches_conformal_factor():
     patch = generate_kobayashi(monomial_hopf_data(2))
     for u, v in SAFE_POINTS:
         E, F, G = numeric_first_forms(patch, u, v)
-        factor = patch.conformal_factor(u, v)
+        factor = spacelike_conformal_factor(patch, u, v)
         assert abs(E - factor) <= 1e-10 * (1 + factor)
         assert abs(G - factor) <= 1e-10 * (1 + factor)
         assert abs(F) <= 1e-10 * (1 + factor)
@@ -58,7 +65,7 @@ def test_normal_is_unit_timelike_and_orthogonal():
     patch = generate_kobayashi(monomial_hopf_data(1))
     h = 1e-6
     for u, v in SAFE_POINTS:
-        n = patch.normal(u, v)
+        n = spacelike_normal(patch, u, v)
         assert abs(minkowski_dot(n, n) + 1.0) <= 1e-10
         f = patch.evaluate
         fu = (f(u + h, v) - f(u - h, v)) / (2 * h)
@@ -71,7 +78,7 @@ def test_second_forms_match_finite_differences_and_zmc():
     for m in (1, 2):
         patch = generate_kobayashi(monomial_hopf_data(m))
         for u, v in SAFE_POINTS:
-            _sigma, L, M, N = patch.forms(u, v)
+            _sigma, L, M, N = spacelike_forms(patch, u, v)
             Ln, Mn, Nn = numeric_second_forms(patch, u, v)
             scale = 1 + abs(L) + abs(M) + abs(N)
             assert abs(L - Ln) <= 1e-5 * scale
@@ -84,8 +91,9 @@ def test_cauchy_riemann_residual_of_hopf_assembly():
     patch = generate_kobayashi(monomial_hopf_data(2))
     h = 1e-4
     for u, v in SAFE_POINTS:
-        A = lambda uu, vv: patch.forms(uu, vv)[1] - patch.forms(uu, vv)[3]  # L - N
-        B = lambda uu, vv: -2.0 * patch.forms(uu, vv)[2]  # -2M
+        # L - N
+        A = lambda uu, vv: spacelike_forms(patch, uu, vv)[1] - spacelike_forms(patch, uu, vv)[3]
+        B = lambda uu, vv: -2.0 * spacelike_forms(patch, uu, vv)[2]  # -2M
         a_u = (A(u + h, v) - A(u - h, v)) / (2 * h)
         a_v = (A(u, v + h) - A(u, v - h)) / (2 * h)
         b_u = (B(u + h, v) - B(u - h, v)) / (2 * h)
@@ -98,10 +106,10 @@ def test_codazzi_residuals_spacelike_convention():
     patch = generate_kobayashi(monomial_hopf_data(3))
     h = 1e-4
     for u, v in SAFE_POINTS:
-        L = lambda uu, vv: patch.forms(uu, vv)[1]
-        M = lambda uu, vv: patch.forms(uu, vv)[2]
-        N = lambda uu, vv: patch.forms(uu, vv)[3]
-        sig = lambda uu, vv: patch.forms(uu, vv)[0]
+        L = lambda uu, vv: spacelike_forms(patch, uu, vv)[1]
+        M = lambda uu, vv: spacelike_forms(patch, uu, vv)[2]
+        N = lambda uu, vv: spacelike_forms(patch, uu, vv)[3]
+        sig = lambda uu, vv: spacelike_forms(patch, uu, vv)[0]
         L_v = (L(u, v + h) - L(u, v - h)) / (2 * h)
         M_u = (M(u + h, v) - M(u - h, v)) / (2 * h)
         N_u = (N(u + h, v) - N(u - h, v)) / (2 * h)
@@ -133,7 +141,7 @@ def test_umbilics_isolated_and_no_quasi_umbilics():
             for j, v in enumerate(chart.grid.v_nodes()):
                 if float(u) ** 2 + float(v) ** 2 > 0.25 or (u == 0 and v == 0):
                     continue
-                assert abs(patch.hopf(u, v)) ** 2 > 0
+                assert abs(spacelike_hopf(patch, u, v)) ** 2 > 0
                 assert kinds[i, j] == "positive"
         assert not np.any(kinds == "quasi_umbilic")
         assert not np.any(kinds == "negative")
@@ -144,7 +152,7 @@ def test_eigenvalue_discriminant_nonnegative():
     rng = random.Random(2)
     for _ in range(200):
         u, v = rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)
-        sigma, L, M, N = patch.forms(u, v)
+        sigma, L, M, N = spacelike_forms(patch, u, v)
         disc = ((L - N) ** 2 + 4 * M * M) * math.exp(-4 * sigma)
         assert disc >= 0
 
@@ -195,7 +203,7 @@ def test_point_classes_match_eigh(preset):
 
 def _forms_line_field(patch, u, v):
     """The principal line field from the full forms (sigma, L, M, N)."""
-    _sigma, L, M, N = patch.forms(u, v)
+    _sigma, L, M, N = spacelike_forms(patch, u, v)
     a = (L - N) / 2.0
     if a == 0.0 and M == 0.0:
         return (0.0, 0.0)

@@ -2,12 +2,14 @@
 and spec forms and analysis settings the presets leave out."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from zmcsurf.cli import main
+from zmcsurf.cli import MAX_MARCH_STEPS, main
 from zmcsurf.geometry import GridSpec
+from zmcsurf.surfacespec import DEFAULT_SEEDS, MAX_SEEDS
 
 from spec_cases import SPEC_CASES
 
@@ -93,6 +95,46 @@ def test_analysis_seeds_set_the_streamlines(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["pointer"] == "/analysis/seeds/0"
 
 
+def test_seeds_are_limited_in_number_and_to_the_grid(tmp_path, capsys):
+    spec = SPEC_CASES["z3_seeds"][0]
+    cases = (
+        ([[0, 0]] * (MAX_SEEDS + 1), "/analysis/seeds"),
+        ([[0.5, 0], [0, "-101/100"]], "/analysis/seeds/1"),
+        ([[1e200, 1e200]], "/analysis/seeds/0"),
+    )
+    for seeds, pointer in cases:
+        for cmd in COMMANDS:
+            code, out = _run(tmp_path, "seeds", cmd, dict(spec, analysis={"seeds": seeds}))
+            assert code == 2 and not out.exists()
+            assert json.loads(capsys.readouterr().err)["pointer"] == pointer
+    # the rectangle is closed: MAX_SEEDS seeds on its corners are accepted
+    corners = [[-1, -1], [-1, 1], [1, -1], [1, 1]] * (MAX_SEEDS // 4)
+    code, out = _run(tmp_path, "corners", "flow", dict(spec, analysis={"seeds": corners}))
+    assert code == 0
+
+
+def test_default_seeds_are_not_checked_against_the_grid(tmp_path):
+    spec = dict(SPEC_CASES["z3_seeds"][0], analysis={})
+    spec["grid"] = dict(spec["grid"], u_min="-1/2", u_max="1/2", v_min="-1/2", v_max="1/2")
+    code, out = _run(tmp_path, "small_grid", "flow", spec)
+    assert code == 0
+    # only the four diagonal seeds (+-0.45, +-0.45) lie in the grid; a seed
+    # outside it draws nothing, as before seeds were checked
+    assert _read(out, "flow.svg").count("<polyline") == 2 * 4
+
+
+def test_a_march_is_bounded_on_a_wide_grid(tmp_path):
+    """z3 on [-1e6, 1e6]^2: each march stops after 4096 steps, so a
+    polyline has at most 2 * 4096 + 1 points."""
+    spec = dict(SPEC_CASES["z3_seeds"][0], analysis={})
+    spec["grid"] = dict(spec["grid"], u_min=-10**6, u_max=10**6, v_min=-10**6, v_max=10**6)
+    code, out = _run(tmp_path, "wide_grid", "flow", spec)
+    assert code == 0
+    lines = re.findall(r'<polyline points="([^"]*)"', _read(out, "flow.svg"))
+    assert len(lines) == 2 * len(DEFAULT_SEEDS)
+    assert max(len(points.split()) for points in lines) == 2 * MAX_MARCH_STEPS + 1
+
+
 def test_samples_and_jet_cap_overrides_reach_the_analysis(tmp_path):
     code, out = _run(tmp_path, "z3_samples_jet_cap", "index")
     assert code == 0
@@ -144,4 +186,3 @@ def test_exp_flat_null_spec_runs_every_command(tmp_path, cmd):
     code, out = _run(tmp_path, "exp_flat_null", cmd)
     assert code == 0
     assert out.exists()
-

@@ -15,7 +15,6 @@ from zmcsurf import (
     ParaFunction,
     WeierstrassData,
     analyze_point,
-    eigenfield_check,
     eigenfields,
     generate_ko,
     generate_null,
@@ -35,6 +34,8 @@ from zmcsurf.umbilic import (
     PRED_TOTALLY_UMBILIC,
     PRED_UNDECIDABLE,
 )
+
+from oracles import eigenfield_check
 
 
 def _hopf_of_z_power(k):

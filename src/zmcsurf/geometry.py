@@ -12,9 +12,9 @@ direction is null), positive (two real principal curvatures), negative
 (complex pair).  The discriminant D = e^{-4 sigma} ((L+N)^2 - 4 M^2)
 separates them.  Kinds, D, principal curvatures and directions are arrays
 over the grid; a generated chart's kinds are exact, from the signs of its two
-Hopf branches taken once per distinct null coordinate.  Generated charts of
-both signatures are built by `chart_from_nodes`, raw ones by
-`chart_from_arrays`.
+Hopf branches taken once per distinct null coordinate.  Time-like generated
+charts are built by `chart_from_nodes`, space-like ones on node arrays by
+`SpacelikePatch.chart`, raw ones by `chart_from_arrays`.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def _node_record(node):
     return True, 0.5 * math.log(abs(f)), L, M, N, 1 if f > 0 else -1
 
 
-def chart_from_nodes(grid: GridSpec, nodes, chart_type=SurfaceChart, **extras):
+def chart_from_nodes(grid: GridSpec, nodes, **extras) -> SurfaceChart:
     """The chart of a generated patch from one item per node, row-major:
     None for a masked node, or (metric factor, L, M, N).  sigma is
     log|factor|/2 and the metric sign is the factor's sign; a masked node
@@ -377,7 +377,7 @@ def chart_from_nodes(grid: GridSpec, nodes, chart_type=SurfaceChart, **extras):
         map(_node_record, nodes), dtype=_NODE_RECORD, count=grid.nu * grid.nv
     ).reshape(grid.nu, grid.nv)
     fields = ("sigma", "L", "M", "N", "mask", "sign")
-    return chart_type(grid, *(rec[k].copy() for k in fields), **extras)
+    return SurfaceChart(grid, *(rec[k].copy() for k in fields), **extras)
 
 
 def chart_from_arrays(grid: GridSpec, sigma, L, M, N, metric_sign=1) -> SurfaceChart:

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 
 class Poly:
     """Immutable dense polynomial ``c[0] + c[1] t + ... + c[n] t**n``."""
@@ -58,6 +60,16 @@ class Poly:
             floats = tuple(float(c) for c in reversed(self.coeffs))
             object.__setattr__(self, "_floats", floats)
         return self._floats
+
+    def at_complex(self, x, y) -> tuple:
+        """(real, imaginary) arrays of complex(self(complex(a, b))), bit for
+        bit, at the pairs (a, b) of float arrays x, y: CPython's complex
+        Horner steps, where the int 0 it starts from is 0j and a real c
+        is added as complex(c), adding 0.0 to the imaginary part."""
+        re = im = np.zeros(np.broadcast(x, y).shape)
+        for c in map(complex, reversed(self.coeffs)):
+            re, im = re * x - im * y + c.real, re * y + im * x + c.imag
+        return re, im
 
     def table(self, points) -> list:
         """[self(t) for t in points], each value equal (==, same type) to self(t).

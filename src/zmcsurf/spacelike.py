@@ -14,12 +14,15 @@ vanishes to order m.  Quasi-umbilics cannot occur: the shape operator is
 symmetric, hence diagonalizable, and its eigenvalue discriminant
 ((L-N)^2 + 4 M^2) e^{-4 sigma} is non-negative.
 
-Charts go through the same pipeline as time-like ones: `SpacelikeChart`
-is a `SurfaceChart` (metric sign +1), built by the same constructor,
-`geometry.chart_from_nodes`, from the conformal factor and (L, M, N) at
-each node (masked where the factor is at most 1e-300), and its `classify`
-yields the usual `ChartClassification`, so `classify_chart`,
-`classification_csv` and `classification_summary` serve both signatures.
+Charts are evaluated on node arrays: `Poly.at_complex` runs Horner's
+rule over the whole grid, one numpy operation per step of CPython's
+complex arithmetic, so every value is bit for bit the one a complex
+evaluation per node gives (abs as hypot; squares stay Python's `** 2`,
+C pow, and sigma a math.log per node).  `SpacelikeChart` is a
+`SurfaceChart` (metric sign +1, masked where the conformal factor is at
+most 1e-300), and its `classify` yields the usual `ChartClassification`,
+so `classify_chart`, `classification_csv` and `classification_summary`
+serve both signatures.
 Its nodes are umbilic (a tolerance test on L - N and M, hence marginal) or
 positive, with D = ((L-N)^2 + 4 M^2) e^{-4 sigma}, principal directions
 (cos t, sin t) and (-sin t, cos t) at t = atan2(M, (L-N)/2)/2, and
@@ -42,7 +45,6 @@ from .geometry import (
     ChartClassification,
     GridSpec,
     SurfaceChart,
-    chart_from_nodes,
     exp_each,
 )
 from .poly import Poly
@@ -79,29 +81,39 @@ class SpacelikePatch:
         z = complex(u) + 1j * complex(v)
         return np.array([complex(p(z)).real for p in self.primitives])
 
+    @np.errstate(all="ignore")
     def grid_coordinates(self, grid: GridSpec):
-        """Iterator over `evaluate(u, v)` at every node, row-major."""
-        return _at_nodes(grid, self.evaluate)
+        """Iterator over `evaluate(u, v)` at every node, as row-major triples."""
+        x, y = _z(grid)
+        return zip(*(p.at_complex(x, y)[0].ravel().tolist() for p in self.primitives))
 
-    # -- analytic first/second-order data ----------------------------------------
-
-    def _factor_and_hopf(self, u, v):
-        """(conformal factor, Hopf coefficient -(omega_hat g')) at (u, v),
-        evaluating g, omega_hat and g' once each.  The Hopf coefficient is
-        dz^2-normalized: the chart's (L - N) - 2iM is 4 times it."""
-        z = complex(u) + 1j * complex(v)
-        g = complex(self.data.g(z))
-        w = complex(self.data.omega_hat(z))
-        return (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2, -w * complex(self.g_prime(z))
-
+    @np.errstate(all="ignore")
     def chart(self, grid: GridSpec) -> "SpacelikeChart":
-        """The chart; a node is masked where the conformal factor is at
-        most 1e-300 (on |g| = 1 or at a zero of omega_hat)."""
-        nodes = (
-            None if factor <= 1e-300 else _node(factor, hopf)
-            for factor, hopf in _at_nodes(grid, self._factor_and_hopf)
-        )
-        return chart_from_nodes(grid, nodes, SpacelikeChart)
+        """The chart; a node is masked where the conformal factor
+        (1 - |g|^2)^2 |omega_hat|^2 is at most 1e-300 (on |g| = 1 or at a
+        zero of omega_hat), and (L - N) - 2iM is 4.0 times the Hopf
+        coefficient -(omega_hat g').  Where abs or `** 2` overflows, the
+        first such node, row-major, raises its OverflowError."""
+        x, y = _z(grid)
+        gr, gi = self.data.g.at_complex(x, y)
+        wr, wi = self.data.omega_hat.at_complex(x, y)
+        abs_g, abs_w = np.hypot(gr, gi), np.hypot(wr, wi)
+        factor = _squares(1.0 - _squares(abs_g)) * _squares(abs_w)
+        # an overflow leaves the factor infinite or NaN: rerun those nodes
+        for k in np.flatnonzero(~np.isfinite(factor)):
+            g, w = complex(gr.flat[k], gi.flat[k]), complex(wr.flat[k], wi.flat[k])
+            (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2  # raises where abs or ** did
+        pr, pi = self.g_prime.at_complex(x, y)
+        nr, ni = -wr, -wi  # -w * g'
+        hr, hi = nr * pr - ni * pi, nr * pi + ni * pr
+        a, b = 4.0 * hr - 0.0 * hi, 4.0 * hi + 0.0 * hr  # 4.0 * hopf
+        mask = ~(factor <= 1e-300)
+        L = np.where(mask, a / 2.0, 0.0)
+        sigma = np.full(mask.shape, np.nan)
+        sigma[mask] = 0.5 * np.array([math.log(t) for t in np.abs(factor[mask]).tolist()])
+        sign = np.where(mask & ~(factor > 0), -1, 1).astype(np.int8)
+        M, N = np.where(mask, -b / 2.0, 0.0), np.where(mask, -L, 0.0)
+        return SpacelikeChart(grid, sigma, L, M, N, mask, sign)
 
     def principal_line_field(self) -> FlowField:
         """The (unoriented) principal direction line field.
@@ -134,17 +146,24 @@ class SpacelikePatch:
         return FlowField(ev, kind=LINE_FIELD, name="principal_lines")
 
 
-def _node(factor: float, hopf: complex):
-    """(factor, L, M, N) from the conformal factor and the Hopf coefficient."""
-    w = 4.0 * hopf  # (L - N) - 2iM
-    L = w.real / 2.0
-    return factor, L, -w.imag / 2.0, -L
+def _z(grid: GridSpec):
+    """(Re z, Im z) of z = complex(u) + 1j * complex(v) at the nodes (the
+    imaginary part as one row), where 1j * complex(v) = (0 v - 0) + (0 + v) j."""
+    u = np.array([float(t) for t in grid.u_nodes()])[:, None]
+    v = np.array([float(t) for t in grid.v_nodes()])
+    return u + (0.0 * v - 0.0), 0.0 + (0.0 + v)
 
 
-def _at_nodes(grid: GridSpec, fn):
-    """Iterator over fn(u, v) at every node, row-major."""
-    v_nodes = grid.v_nodes()
-    return (fn(u, v) for u in grid.u_nodes() for v in v_nodes)
+def _square(t: float) -> float:
+    try:
+        return t**2
+    except OverflowError:
+        return math.inf
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """Python's t ** 2 of every value, inf where it raises OverflowError."""
+    return np.array(list(map(_square, a.ravel().tolist()))).reshape(a.shape)
 
 
 class SpacelikeChart(SurfaceChart):

@@ -47,12 +47,14 @@ The combination rounds exactly as the per-point API (`metric_factor`,
   true division is correctly rounded, like float(Fraction), so the two
   agree bit for bit; the mask test reads the integer numerator.
 * float or callable branch values: the per-point expression itself is
-  applied to the cached values.
+  applied to the cached values, except that with rational g and float w1
+  (exA2) the rational part -(1 - g1 g2)^2, which enters that expression
+  as one correctly rounded double, is formed from integer ratios.
 
-The nodes' (metric factor, L, M, N) go to `geometry.chart_from_nodes`, the
-one chart constructor for generated patches of both signatures; it forms
-sigma = log|factor|/2 with a per-node math.log call (numpy's log and exp
-do not always round like math's) and the metric sign from the factor's.
+The nodes' (metric factor, L, M, N) go to `geometry.chart_from_nodes`,
+which forms sigma = log|factor|/2 with a per-node math.log call (numpy's
+log and exp do not always round like math's) and the metric sign from
+the factor's.
 """
 
 from __future__ import annotations
@@ -271,7 +273,10 @@ class ImmersionPatch:
         g2, w2 = d.g2.table(ys), d.w2.table(ys)
         lx = [-2 * w * dg for w, dg in zip(w1, g1d.table(xs))]
         ny = [-2 * w * dg for w, dg in zip(w2, g2d.table(ys))]
-        nodes = _combine(lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, _float_node)
+        node = _float_node
+        if _rational(g1 + g2) and all(isinstance(v, float) for v in w1):
+            node = _rational_g_node  # exA2
+        nodes = _combine(lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, node)
         chart = chart_from_nodes(grid, nodes, lattice=lattice)
         hopf = self.hopf()
         if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
@@ -309,12 +314,15 @@ def _combine(lattice, x_tables, y_tables, exact, generic):
     """Iterator, per node in row-major order: `exact` on the flat
     (numerator, denominator) pairs of the x and y table rows when every
     value is rational, else `generic` on the values themselves."""
-    tables = (*x_tables, *y_tables)
-    if all(isinstance(v, (int, Fraction)) for t in tables for v in t):
+    if _rational(v for t in (*x_tables, *y_tables) for v in t):
         rows_x, rows_y, node = _ratios(x_tables), _ratios(y_tables), exact
     else:
         rows_x, rows_y, node = list(zip(*x_tables)), list(zip(*y_tables)), generic
     return (node(rows_x[a], rows_y[b]) for a, b in zip(lattice.ix, lattice.iy))
+
+
+def _rational(values) -> bool:
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def _ratios(tables) -> list:
@@ -351,6 +359,20 @@ def _float_node(x, y):
     if factor == 0 or abs(f) < 1e-300:
         return None
     return (f, *map(float, _forms(lx, ny)))
+
+
+def _rational_g_node(x, y):
+    """`_float_node` where g1, g2 are rational and w1 a float: the metric
+    factor is float(-(1 - g1 g2)^2) * w1 * w2 there, and that double is
+    formed from integer ratios, as `_exact_node` forms it."""
+    g1, w1, lx = x
+    g2, w2, ny = y
+    bd = g1.denominator * g2.denominator
+    t = bd - g1.numerator * g2.numerator
+    factor = -(t * t) / (bd * bd) * w1 * w2
+    if factor == 0 or abs(factor) < 1e-300:
+        return None
+    return (factor, *map(float, _forms(lx, ny)))
 
 
 def _exact_point(x, y):

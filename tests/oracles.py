@@ -44,6 +44,13 @@ field constructor `from_null_components`, and the space-like per-point
 data `spacelike_conformal_factor`, `spacelike_normal`, `spacelike_hopf`
 and `spacelike_forms`.  Their arithmetic is that of the package functions
 and methods they were.
+
+`spacelike_factor_and_hopf` and `spacelike_node` are the per-node
+arithmetic of the space-like chart before it was evaluated on node
+arrays; `reference_spacelike_chart` and `reference_spacelike_coordinates`
+run them (and `SpacelikePatch.evaluate`) once per node, the oracles for
+`SpacelikePatch.chart` and `grid_coordinates`, which must give the same
+bits and raise the same OverflowError.
 """
 
 import json
@@ -61,9 +68,10 @@ from zmcsurf.geometry import (
     KIND_UMBILIC,
     PointClass,
     _exact_branch_values,
+    chart_from_nodes,
 )
 from zmcsurf.outputs import CLASSIFICATION_COLUMNS, _csv_line, fmt
-from zmcsurf.spacelike import SpacelikePatch, _node as _spacelike_node
+from zmcsurf.spacelike import SpacelikeChart, SpacelikePatch
 from zmcsurf.svgplot import FLOW_COLORS, KIND_COLORS, ChartMap
 from zmcsurf.weierstrass import _float_point_of, minkowski_dot
 
@@ -583,8 +591,46 @@ def numeric_second_forms(patch, u: float, v: float, h: float = 1e-4):
     )
 
 
+def spacelike_factor_and_hopf(patch, u, v):
+    """(conformal factor, Hopf coefficient -(omega_hat g')) at (u, v),
+    evaluating g, omega_hat and g' once each.  The Hopf coefficient is
+    dz^2-normalized: the chart's (L - N) - 2iM is 4 times it."""
+    z = complex(u) + 1j * complex(v)
+    g = complex(patch.data.g(z))
+    w = complex(patch.data.omega_hat(z))
+    return (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2, -w * complex(patch.g_prime(z))
+
+
+def spacelike_node(factor: float, hopf: complex):
+    """(factor, L, M, N) from the conformal factor and the Hopf coefficient."""
+    w = 4.0 * hopf  # (L - N) - 2iM
+    L = w.real / 2.0
+    return factor, L, -w.imag / 2.0, -L
+
+
+def _at_nodes(grid, fn):
+    v_nodes = grid.v_nodes()
+    return (fn(u, v) for u in grid.u_nodes() for v in v_nodes)
+
+
+def reference_spacelike_chart(patch, grid):
+    """`SpacelikePatch.chart` as one complex evaluation per node."""
+    nodes = (
+        None if factor <= 1e-300 else spacelike_node(factor, hopf)
+        for factor, hopf in _at_nodes(grid, lambda u, v: spacelike_factor_and_hopf(patch, u, v))
+    )
+    chart = chart_from_nodes(grid, nodes)
+    fields = ("sigma", "L", "M", "N", "mask", "metric_sign")
+    return SpacelikeChart(grid, *(getattr(chart, k) for k in fields))
+
+
+def reference_spacelike_coordinates(patch, grid):
+    """`SpacelikePatch.grid_coordinates` as one `evaluate` per node."""
+    return _at_nodes(grid, patch.evaluate)
+
+
 def spacelike_conformal_factor(patch, u, v) -> float:
-    return patch._factor_and_hopf(u, v)[0]
+    return spacelike_factor_and_hopf(patch, u, v)[0]
 
 
 def spacelike_normal(patch, u, v) -> np.ndarray:
@@ -605,8 +651,8 @@ def spacelike_hopf(patch, u, v) -> complex:
 
 def spacelike_forms(patch, u, v):
     """(sigma, L, M, N) of a space-like patch's chart at (u, v)."""
-    factor, hopf = patch._factor_and_hopf(u, v)
+    factor, hopf = spacelike_factor_and_hopf(patch, u, v)
     if factor <= 0.0:
         raise ZeroDivisionError("chart degenerate here")
-    _, L, M, N = _spacelike_node(factor, hopf)
+    _, L, M, N = spacelike_node(factor, hopf)
     return 0.5 * math.log(factor), L, M, N

@@ -14,7 +14,9 @@ each in the closed grid rectangle; a non-finite number (NaN, Infinity,
 1e400) is a spec error too.  A flow streamline marches at most 4096
 steps (MAX_MARCH_STEPS) each way from its seed.  The slowest in-limit run
 measured, generate for the dense degree-64 null spec of the README at
-1025^2, took 57 s and 1.36 GB (Python 3.11.7, 2 shared CPUs).
+1025^2, took 57-115 s and 225 MB (Python 3.11.7, 2 shared CPUs); the CSV
+text is written one grid row at a time, so memory follows the chart's
+arrays.
 Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
 is not UTF-8 or is not JSON within Python's limits is one, and so are
 time-like data that are degenerate at the base point, unless the spec
@@ -38,8 +40,10 @@ from .outputs import (
     SURFACE_COLUMNS,
     canonical_json,
     classification_csv,
+    classification_lines,
     classification_summary,
     surface_csv,
+    surface_lines,
     winding_csv,
 )
 from .presets import PRESET_ORDER, preset_spec
@@ -47,8 +51,9 @@ from .surfacespec import ResolvedSpec, SpecError, resolve
 from .svgplot import render_svg
 from .umbilic import NoSmoothFlowError, analyze_point, eigenfields, measure_indices
 
-# perfbench/layertrace.py patches this name; drop it with the next change
-# to the benchmark.
+# perfbench/layertrace.py patches this alias and the imported surface_csv
+# and classification_csv, which the commands no longer call (they write the
+# `*_lines` blocks); drop them with the next change to the benchmark.
 spacelike_classification_csv = classification_csv
 
 EXIT_OK = 0
@@ -125,9 +130,11 @@ def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
     return meta
 
 
-def _write(out_dir: Path, name: str, text: str):
+def _write(out_dir: Path, name: str, blocks):
+    """Write the text blocks to out_dir/name, creating out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
+    with open(out_dir / name, "w", encoding="utf-8") as f:
+        f.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +155,11 @@ def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         raise SpecError("/route", "generate needs a generated route (ko/null/kobayashi)")
     chart = _surface_chart(resolved)
     patch = resolved.patch if resolved.is_timelike else resolved.spacelike_patch
-    _write(out_dir, "surface.csv", surface_csv(chart, patch))
+    _write(out_dir, "surface.csv", surface_lines(chart, patch))
     _write(
         out_dir,
         "metadata.json",
-        canonical_json(_metadata(resolved, args, SURFACE_COLUMNS)),
+        [canonical_json(_metadata(resolved, args, SURFACE_COLUMNS))],
     )
     return EXIT_OK
 
@@ -162,8 +169,8 @@ def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     if resolved.is_spacelike:
         extra["tagged"] = "spacelike"
     cls = classify_chart(_surface_chart(resolved))
-    _write(out_dir, "classification.csv", classification_csv(cls))
-    _write(out_dir, "summary.json", canonical_json(classification_summary(cls, extra)))
+    _write(out_dir, "classification.csv", classification_lines(cls))
+    _write(out_dir, "summary.json", [canonical_json(classification_summary(cls, extra))])
     return EXIT_OK
 
 
@@ -205,8 +212,8 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     else:
         raise SpecError("/route", "index needs a generated route (ko/null/kobayashi)")
 
-    _write(out_dir, "index_report.json", canonical_json(report))
-    _write(out_dir, "winding.csv", winding_csv(rows))
+    _write(out_dir, "index_report.json", [canonical_json(report)])
+    _write(out_dir, "winding.csv", [winding_csv(rows)])
     return EXIT_OK
 
 
@@ -256,7 +263,7 @@ def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         banner=banner,
         extra_metadata=meta,
     )
-    _write(out_dir, "flow.svg", svg)
+    _write(out_dir, "flow.svg", [svg])
     return EXIT_OK
 
 

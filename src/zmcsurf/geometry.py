@@ -45,14 +45,14 @@ class NumericGuardError(ArithmeticError):
 class NullLattice(NamedTuple):
     """The distinct null coordinates x = (u+v)/2, y = (u-v)/2 of a grid.
 
-    Node (i, j) sits at k = i * nv + j of the flat row-major index lists:
+    Node (i, j) sits at k = i * nv + j of the flat row-major index arrays:
     its coordinates are xs[ix[k]] and ys[iy[k]], exactly.
     """
 
     xs: list
     ys: list
-    ix: list
-    iy: list
+    ix: np.ndarray
+    iy: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,11 @@ class GridSpec:
 
 
 def _ranks(keys: list):
-    """The sorted distinct integer keys, and each key's position among them."""
+    """The sorted distinct integer keys, and each key's position among
+    them as an int array."""
     distinct = sorted(set(keys))
     rank = {k: n for n, k in enumerate(distinct)}
-    return distinct, [rank[k] for k in keys]
+    return distinct, np.fromiter(map(rank.__getitem__, keys), np.intp, len(keys))
 
 
 @dataclass

@@ -2,16 +2,18 @@
 
 All floats are written with 17 significant digits so two runs of the same
 spec produce byte-identical files; JSON objects are emitted with sorted
-keys and a fixed layout.  Every CSV file goes through one column writer,
-`_table`: a writer builds its text column by column (node coordinates
-formatted once per axis, masked or absent cells filled by `_cells`) and
-`_table` joins the rows.
+keys and a fixed layout.  Every CSV file goes through one row writer,
+`_lines`: the header, then one text block per row, each formed by a single
+`%` on a template with `%.17g` per number (the same text as `fmt`).  A grid
+CSV is one block per grid row: its numbers are arrays computed before the
+first block is formed, each node coordinate is formatted once per axis and
+placed into the row's template, and a cell left blank or printed `nan` is
+literal text of the node's template or a NaN value.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 import numpy as np
 
@@ -35,29 +37,45 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_line(fields: Iterable[str]) -> str:
-    return ",".join(fields) + "\n"
+def _lines(header, blocks):
+    """CSV text, one block at a time: the header line, then
+    `template % values` for each (template, values) pair of `blocks`."""
+    yield ",".join(header) + "\n"
+    for template, values in blocks:
+        yield template % values
 
 
-def _table(header, columns) -> str:
-    """CSV text: the header, then one line per row of the text columns."""
-    return _csv_line(header) + "".join(map(_csv_line, zip(*columns)))
-
-
-def _node_columns(grid) -> list:
-    """The u and v text columns of every node, row-major; each node
-    coordinate is formatted once."""
-    u_text = [fmt(u) for u in grid.u_nodes()]
-    v_text = [fmt(v) for v in grid.v_nodes()]
-    return [[u for u in u_text for _ in v_text], v_text * grid.nu]
-
-
-def _cells(values: np.ndarray, shown: np.ndarray, fill: str) -> list:
-    """`fmt` of each value where `shown`, `fill` elsewhere."""
-    return [fmt(x) if s else fill for x, s in zip(values.tolist(), shown.tolist())]
+def _grid_blocks(grid, cells, choice, values, shown):
+    """A (template, values) block per grid row.  Node (i, j) reads
+    "u_i,v_j," and then cells[choice[i, j]], whose `%.17g` fields take the
+    node's `values[i, j]` where `shown[i, j]`, in order."""
+    u_text = [fmt(u) + "," for u in grid.u_nodes()]
+    v_text = [fmt(v) + "," for v in grid.v_nodes()]
+    table = np.array([[v + c for v in v_text] for c in cells], dtype=object)
+    columns = np.arange(grid.nv)
+    for i, u in enumerate(u_text):
+        yield u + u.join(table[choice[i], columns]), tuple(values[i][shown[i]].tolist())
 
 
 SURFACE_COLUMNS = ("u", "v", "f0", "f1", "f2", "sigma", "L", "M", "N")
+_SURFACE_CELLS = ",".join(["%.17g"] * 7) + "\n"
+
+
+def surface_lines(chart: SurfaceChart, patch):
+    """The text of surface.csv, block by block (see `surface_csv`).  Every
+    number is computed before this returns, so an OverflowError of the
+    coordinates is raised here, before a block is formed."""
+    grid = chart.grid
+    shape = (grid.nu, grid.nv)
+    values = np.empty(shape + (7,))
+    values[..., :3] = np.fromiter(
+        patch.grid_coordinates(grid), np.dtype((float, 3)), grid.nu * grid.nv
+    ).reshape(shape + (3,))
+    forms = np.stack([chart.sigma, chart.L, chart.M, chart.N], axis=-1)
+    values[..., 3:] = np.where(chart.mask[..., None], forms, np.nan)
+    shown = np.broadcast_to(True, values.shape)
+    choice = np.broadcast_to(0, shape)
+    return _lines(SURFACE_COLUMNS, _grid_blocks(grid, [_SURFACE_CELLS], choice, values, shown))
 
 
 def surface_csv(chart: SurfaceChart, patch) -> str:
@@ -67,17 +85,7 @@ def surface_csv(chart: SurfaceChart, patch) -> str:
     every node, row-major; masked nodes keep their coordinates but print
     nan in all four form columns.
     """
-    coords = zip(*patch.grid_coordinates(chart.grid))
-    shown = chart.mask.ravel()
-    forms = (chart.sigma, chart.L, chart.M, chart.N)
-    return _table(
-        SURFACE_COLUMNS,
-        [
-            *_node_columns(chart.grid),
-            *([fmt(c) for c in column] for column in coords),
-            *(_cells(values.ravel(), shown, "nan") for values in forms),
-        ],
-    )
+    return "".join(surface_lines(chart, patch))
 
 
 CLASSIFICATION_COLUMNS = (
@@ -90,23 +98,37 @@ CLASSIFICATION_COLUMNS = (
     "dir2_u",
     "dir2_v",
 )
+# per kind: the cells after u and v, with D, dir1 and dir2 shown or blank
+_CLASSIFICATION_CELLS = {
+    KIND_MASKED: ",,,,\n",
+    KIND_UMBILIC: "%.17g,,,,\n",
+    KIND_NEGATIVE: "%.17g,,,,\n",
+    KIND_QUASI: "%.17g,%.17g,%.17g,,\n",
+    KIND_POSITIVE: "%.17g,%.17g,%.17g,%.17g,%.17g\n",
+}
+
+
+def classification_lines(cls: ChartClassification):
+    """The text of classification.csv, block by block (see
+    `classification_csv`)."""
+    kinds = cls.kinds
+    choice = np.zeros(kinds.shape, dtype=np.intp)
+    cells = []
+    for n, (kind, text) in enumerate(_CLASSIFICATION_CELLS.items()):
+        choice[kinds == kind] = n
+        cells.append(f"{kind},{text}")
+    values = np.concatenate([cls.D[..., None], cls.dirs.reshape(kinds.shape + (4,))], -1)
+    has_dir2 = kinds == KIND_POSITIVE
+    has_dir1 = has_dir2 | (kinds == KIND_QUASI)
+    shown = np.stack([kinds != KIND_MASKED, has_dir1, has_dir1, has_dir2, has_dir2], -1)
+    return _lines(CLASSIFICATION_COLUMNS, _grid_blocks(cls.chart.grid, cells, choice, values, shown))
 
 
 def classification_csv(cls: ChartClassification) -> str:
-    kinds = cls.kinds.ravel()
-    dirs = cls.dirs.reshape(-1, 4)
-    has_dir2 = kinds == KIND_POSITIVE
-    has_dir1 = has_dir2 | (kinds == KIND_QUASI)
-    return _table(
-        CLASSIFICATION_COLUMNS,
-        [
-            *_node_columns(cls.chart.grid),
-            kinds.tolist(),
-            _cells(cls.D.ravel(), kinds != KIND_MASKED, ""),
-            *(_cells(dirs[:, c], has_dir1, "") for c in (0, 1)),
-            *(_cells(dirs[:, c], has_dir2, "") for c in (2, 3)),
-        ],
-    )
+    """Kind, discriminant D and principal directions per grid node; D is
+    blank at masked nodes, dir1 where a node has no principal direction and
+    dir2 where it has fewer than two."""
+    return "".join(classification_lines(cls))
 
 
 def classification_summary(cls: ChartClassification, extra: dict = None) -> dict:
@@ -134,19 +156,13 @@ def classification_summary(cls: ChartClassification, extra: dict = None) -> dict
 
 
 WINDING_COLUMNS = ("field", "kind", "radius", "samples", "index", "max_jump")
+_WINDING_ROW = "%s,%s,%.17g,%s,%.17g,%.17g\n"
 
 
 def winding_csv(rows) -> str:
     """rows: iterable of (field_name, kind, WindingResult)."""
-    names, kinds, results = list(zip(*rows)) or ((), (), ())
-    return _table(
-        WINDING_COLUMNS,
-        [
-            names,
-            kinds,
-            [fmt(r.radius) for r in results],
-            [str(r.samples) for r in results],
-            [fmt(r.index) for r in results],
-            [fmt(r.max_jump) for r in results],
-        ],
+    blocks = (
+        (_WINDING_ROW, (name, kind, r.radius, r.samples, r.index, r.max_jump))
+        for name, kind, r in rows
     )
+    return "".join(_lines(WINDING_COLUMNS, blocks))

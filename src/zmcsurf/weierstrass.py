@@ -301,10 +301,14 @@ def _metric(g1, g2, w1, w2):
 
 
 def _forms(lx, ny):
-    """(L, M, N) from the dx^2- and dy^2-coefficients."""
-    L = (lx + ny) * _QUARTER
-    M = (lx - ny) * _QUARTER
-    return L, M, L
+    """(L, M, N) from the dx^2- and dy^2-coefficients.  A float is quartered
+    by * 0.25, the double that * Fraction(1, 4) gives through Fraction's
+    reverse operator; an int or Fraction stays exact, since float(t) * 0.25
+    can differ from float(t / 4) at subnormals and near overflow."""
+    total = lx + ny
+    quarter = 0.25 if isinstance(total, float) else _QUARTER
+    L = total * quarter
+    return L, (lx - ny) * quarter, L
 
 
 # -- separable chart engine: 1-D tables, per-node combination ---------------
@@ -318,7 +322,12 @@ def _combine(lattice, x_tables, y_tables, exact, generic):
         rows_x, rows_y, node = _ratios(x_tables), _ratios(y_tables), exact
     else:
         rows_x, rows_y, node = list(zip(*x_tables)), list(zip(*y_tables)), generic
-    return (node(rows_x[a], rows_y[b]) for a, b in zip(lattice.ix, lattice.iy))
+    return map(node, _take(rows_x, lattice.ix), _take(rows_y, lattice.iy))
+
+
+def _take(rows: list, index: np.ndarray) -> np.ndarray:
+    """rows[k] for every k of `index`, as an object array."""
+    return np.fromiter(rows, dtype=object, count=len(rows))[index]
 
 
 def _rational(values) -> bool:

@@ -70,7 +70,7 @@ from zmcsurf.geometry import (
     _exact_branch_values,
     chart_from_nodes,
 )
-from zmcsurf.outputs import CLASSIFICATION_COLUMNS, _csv_line, fmt
+from zmcsurf.outputs import CLASSIFICATION_COLUMNS, fmt
 from zmcsurf.spacelike import SpacelikeChart, SpacelikePatch
 from zmcsurf.svgplot import FLOW_COLORS, KIND_COLORS, ChartMap
 from zmcsurf.weierstrass import _float_point_of, minkowski_dot
@@ -219,6 +219,10 @@ def reference_principal_line_field(patch):
         return (math.cos(theta), math.sin(theta))
 
     return FlowField(ev, kind=LINE_FIELD, name="principal_lines")
+
+
+def _csv_line(fields) -> str:
+    return ",".join(fields) + "\n"
 
 
 def reference_spacelike_classification_csv(chart) -> str:

@@ -14,6 +14,7 @@ import io
 import json
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,25 @@ def test_rational_g_node_matches_float_node(name, n, monkeypatch):
     calls = _node_calls(monkeypatch, "_rational_g_node")
     _assert_same_chart(patch.chart(grid), want)
     assert len(calls) == n * n
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_float_forms_quarter_as_fraction_quarter(n):
+    """exA2's float (L, M) at every node: `_forms` multiplies by 0.25 and
+    gives the bits of the Fraction(1, 4) product it replaced."""
+    patch, grid = resolve(preset_spec("exA2")).patch, GridSpec.square(1, n)
+    lattice = grid.null_lattice()
+    g1d, g2d = patch.g_primes
+    lx = [-2 * w * dg for w, dg in zip(patch.data.w1.table(lattice.xs), g1d.table(lattice.xs))]
+    ny = [-2 * w * dg for w, dg in zip(patch.data.w2.table(lattice.ys), g2d.table(lattice.ys))]
+    assert all(isinstance(t, float) for t in lx + ny)
+    got, want = [], []
+    for a, b in zip(lattice.ix.tolist(), lattice.iy.tolist()):
+        L, M, N = weierstrass._forms(lx[a], ny[b])
+        got.append((L, M, N))
+        old = float((lx[a] + ny[b]) * Fraction(1, 4)), float((lx[a] - ny[b]) * Fraction(1, 4))
+        want.append((old[0], old[1], old[0]))
+    assert _same_bits(got, want)
 
 
 def test_float_g_rational_w_keeps_float_node(monkeypatch):

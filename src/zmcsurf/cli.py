@@ -143,19 +143,15 @@ def _write(out_dir: Path, name: str, blocks):
 
 
 def _surface_chart(resolved: ResolvedSpec):
-    if resolved.is_timelike:
-        return resolved.patch.chart(resolved.grid)
-    if resolved.is_spacelike:
-        return resolved.spacelike_patch.chart(resolved.grid)
-    return resolved.chart
+    if resolved.patch is None:
+        return resolved.chart
+    return resolved.patch.chart(resolved.grid)
 
 
 def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     if resolved.route == "chart":
         raise SpecError("/route", "generate needs a generated route (ko/null/kobayashi)")
-    chart = _surface_chart(resolved)
-    patch = resolved.patch if resolved.is_timelike else resolved.spacelike_patch
-    _write(out_dir, "surface.csv", surface_lines(chart, patch))
+    _write(out_dir, "surface.csv", surface_lines(_surface_chart(resolved), resolved.patch))
     _write(
         out_dir,
         "metadata.json",
@@ -178,7 +174,7 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     a = resolved.analysis
     rows = []
     if resolved.is_spacelike:
-        patch = resolved.spacelike_patch
+        patch = resolved.patch
         hopf = -(patch.data.omega_hat * patch.g_prime)
         m = hopf.trailing_order()
         report = {
@@ -241,7 +237,7 @@ def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     cls = classify_chart(_surface_chart(resolved))
     if resolved.is_spacelike:
         meta["tagged"] = "spacelike"
-        field = resolved.spacelike_patch.principal_line_field()
+        field = resolved.patch.principal_line_field()
         families = _flow_polylines(resolved, [field])
         marks = [(0.0, 0.0)]
     elif resolved.is_timelike:

@@ -12,9 +12,10 @@ direction is null), positive (two real principal curvatures), negative
 (complex pair).  The discriminant D = e^{-4 sigma} ((L+N)^2 - 4 M^2)
 separates them.  Kinds, D, principal curvatures and directions are arrays
 over the grid; a generated chart's kinds are exact, from the signs of its two
-Hopf branches taken once per distinct null coordinate.  Time-like generated
-charts are built by `chart_from_nodes`, space-like ones on node arrays by
-`SpacelikePatch.chart`, raw ones by `chart_from_arrays`.
+Hopf branches taken once per distinct null coordinate.  Generated charts
+of both signatures are built by `generated_chart` from arrays of the
+metric factor and the second forms, each patch type with its own mask
+rule; raw ones by `chart_from_arrays`.
 """
 
 from __future__ import annotations
@@ -356,29 +357,18 @@ def quasi_umbilic_direction_check(
     return found and not (sine > tol).any()
 
 
-_NODE_RECORD = np.dtype(
-    [("mask", "?"), ("sigma", "f8"), ("L", "f8"), ("M", "f8"), ("N", "f8"), ("sign", "i1")]
-)
-
-
-def _node_record(node):
-    """Chart record of a node from None (masked) or (metric factor, L, M, N)."""
-    if node is None:
-        return False, math.nan, 0.0, 0.0, 0.0, 1
-    f, L, M, N = node
-    return True, 0.5 * math.log(abs(f)), L, M, N, 1 if f > 0 else -1
-
-
-def chart_from_nodes(grid: GridSpec, nodes, **extras) -> SurfaceChart:
-    """The chart of a generated patch from one item per node, row-major:
-    None for a masked node, or (metric factor, L, M, N).  sigma is
-    log|factor|/2 and the metric sign is the factor's sign; a masked node
-    gets sigma NaN, L = M = N = 0 and sign +1."""
-    rec = np.fromiter(
-        map(_node_record, nodes), dtype=_NODE_RECORD, count=grid.nu * grid.nv
-    ).reshape(grid.nu, grid.nv)
-    fields = ("sigma", "L", "M", "N", "mask", "sign")
-    return SurfaceChart(grid, *(rec[k].copy() for k in fields), **extras)
+def generated_chart(grid: GridSpec, factor, mask, L, M, N, chart_type=SurfaceChart,
+                    **extras) -> SurfaceChart:
+    """The chart of a generated patch from [nu, nv] arrays of the metric
+    factor, the immersed-node mask and the second forms.  sigma is
+    log|factor|/2, one math.log per immersed node (numpy's log does not
+    always round like math's), and the metric sign is the factor's; a
+    masked node gets sigma NaN, L = M = N = 0 and sign +1."""
+    sigma = np.full(mask.shape, np.nan)
+    sigma[mask] = 0.5 * np.array([math.log(t) for t in np.abs(factor[mask]).tolist()])
+    sign = np.where(mask & ~(factor > 0), -1, 1).astype(np.int8)
+    forms = (np.where(mask, a, 0.0) for a in (L, M, N))
+    return chart_type(grid, sigma, *forms, mask, sign, **extras)
 
 
 def chart_from_arrays(grid: GridSpec, sigma, L, M, N, metric_sign=1) -> SurfaceChart:

@@ -68,9 +68,7 @@ def surface_lines(chart: SurfaceChart, patch):
     grid = chart.grid
     shape = (grid.nu, grid.nv)
     values = np.empty(shape + (7,))
-    values[..., :3] = np.fromiter(
-        patch.grid_coordinates(grid), np.dtype((float, 3)), grid.nu * grid.nv
-    ).reshape(shape + (3,))
+    values[..., :3] = patch.grid_coordinates(grid)
     forms = np.stack([chart.sigma, chart.L, chart.M, chart.N], axis=-1)
     values[..., 3:] = np.where(chart.mask[..., None], forms, np.nan)
     shown = np.broadcast_to(True, values.shape)
@@ -81,9 +79,9 @@ def surface_lines(chart: SurfaceChart, patch):
 def surface_csv(chart: SurfaceChart, patch) -> str:
     """Immersion coordinates and fundamental forms per grid node.
 
-    `patch.grid_coordinates(grid)` yields the three ambient coordinates of
-    every node, row-major; masked nodes keep their coordinates but print
-    nan in all four form columns.
+    `patch.grid_coordinates(grid)` is the [nu, nv, 3] array of the ambient
+    coordinates; masked nodes keep their coordinates but print nan in all
+    four form columns.
     """
     return "".join(surface_lines(chart, patch))
 

@@ -9,6 +9,9 @@ one-variable functions: h = EPS1*phi_plus(x) + EPSM1*phi_minus(y), where
 This module fixes that half-sum argument convention once and for all; the
 full-sum projections u+v, u-v of the raw idempotent split differ from the
 branch arguments by the factor 2, and every conversion is explicit.
+
+A branch is a polynomial or a smooth callable carrying its exact Taylor
+polynomial at 0, so branch orders at the base point are decided exactly.
 """
 
 from __future__ import annotations
@@ -38,14 +41,16 @@ class Branch:
     """One real branch of a para-holomorphic function.
 
     Either a polynomial (exact arithmetic) or a smooth callable carrying an
-    optional derivative evaluator and a jet provider giving the derivatives
-    d^k f(0)/dt^k needed for order-of-vanishing queries.
+    optional derivative evaluator and its exact Taylor polynomial at 0,
+    `taylor`: the callable minus `taylor` is flat at 0, so every order of
+    vanishing is read off a polynomial exactly.  None means the Taylor
+    polynomial is unknown (a Gauss-Legendre primitive, say).
     """
 
     poly: Optional[Poly] = None
     fn: Optional[Callable] = None
     dfn: Optional[Callable] = None
-    jet_fn: Optional[Callable[[int], Sequence]] = None
+    taylor: Optional[Poly] = None
 
     def __post_init__(self):
         if (self.poly is None) == (self.fn is None):
@@ -64,7 +69,8 @@ class Branch:
 
     @classmethod
     def exp_flat(cls) -> "Branch":
-        """exp(-1/t**2), extended by 0 at t = 0; every jet at 0 vanishes."""
+        """exp(-1/t**2), extended by 0 at t = 0; flat at 0, so its Taylor
+        polynomial there is zero."""
 
         def f(t):
             t = float(t)
@@ -78,7 +84,7 @@ class Branch:
                 return 0.0
             return 2.0 * math.exp(-1.0 / (t * t)) / t**3
 
-        return cls(fn=f, dfn=df, jet_fn=lambda k: 0.0)
+        return cls(fn=f, dfn=df, taylor=Poly())
 
     # -- evaluation ----------------------------------------------------------
 
@@ -106,7 +112,7 @@ class Branch:
         return Branch(
             fn=lambda t: f.fn(t) + g.fn(t),
             dfn=_maybe(lambda t: f.dfn(t) + g.dfn(t), f.dfn and g.dfn),
-            jet_fn=_maybe(lambda k: f.jet_fn(k) + g.jet_fn(k), f.jet_fn and g.jet_fn),
+            taylor=_known(Poly.__add__, f.taylor, g.taylor),
         )
 
     def __mul__(self, other) -> "Branch":
@@ -117,25 +123,18 @@ class Branch:
             return Branch(
                 fn=lambda t: f.fn(t) * other,
                 dfn=_maybe(lambda t: f.dfn(t) * other, f.dfn),
-                jet_fn=_maybe(lambda k: f.jet_fn(k) * other, f.jet_fn),
+                taylor=_known(lambda p: p * other, f.taylor),
             )
         if self.is_polynomial and other.is_polynomial:
             return Branch(poly=self.poly * other.poly)
         f, g = self._as_callable(), other._as_callable()
-        jet = None
-        if f.jet_fn and g.jet_fn:
-            def jet(k, _f=f.jet_fn, _g=g.jet_fn):
-                # Leibniz rule on derivatives at 0
-                return sum(
-                    math.comb(k, i) * _f(i) * _g(k - i) for i in range(k + 1)
-                )
         return Branch(
             fn=lambda t: f.fn(t) * g.fn(t),
             dfn=_maybe(
                 lambda t: f.dfn(t) * g.fn(t) + f.fn(t) * g.dfn(t),
                 f.dfn and g.dfn,
             ),
-            jet_fn=jet,
+            taylor=_known(Poly.__mul__, f.taylor, g.taylor),
         )
 
     __rmul__ = __mul__
@@ -150,11 +149,15 @@ class Branch:
         if not self.is_polynomial:
             return self
         p = self.poly
-        return Branch(
-            fn=p,
-            dfn=p.derivative(),
-            jet_fn=lambda k: p.coefficient(k) * math.factorial(k),
-        )
+        return Branch(fn=p, dfn=p.derivative(), taylor=p)
+
+    def _taylor(self) -> Poly:
+        """The polynomial whose orders at 0 are the branch's."""
+        if self.is_polynomial:
+            return self.poly
+        if self.taylor is None:
+            raise UnsupportedBranch("callable branch has no Taylor polynomial")
+        return self.taylor
 
     # -- calculus ------------------------------------------------------------
 
@@ -163,63 +166,45 @@ class Branch:
             return Branch(poly=self.poly.derivative())
         if self.dfn is None:
             raise UnsupportedBranch("callable branch has no derivative evaluator")
-        shifted = None
-        if self.jet_fn is not None:
-            shifted = lambda k, _j=self.jet_fn: _j(k + 1)
-        return Branch(fn=self.dfn, jet_fn=shifted)
+        return Branch(fn=self.dfn, taylor=_known(Poly.derivative, self.taylor))
 
     def compose_scale(self, a) -> "Branch":
         """The branch t -> f(a*t)."""
         if self.is_polynomial:
             return Branch(poly=self.poly.scale_arg(a))
         f = self
-        jet = None
-        if f.jet_fn is not None:
-            jet = lambda k, _j=f.jet_fn: _j(k) * a**k
         return Branch(
             fn=lambda t: f.fn(a * t),
             dfn=_maybe(lambda t: a * f.dfn(a * t), f.dfn),
-            jet_fn=jet,
+            taylor=_known(lambda p: p.scale_arg(a), f.taylor),
         )
 
     # -- jets and order of vanishing ------------------------------------------
 
     def jets(self, cap: int) -> list:
-        """Derivatives d^k f(0)/dt^k for k = 0..cap."""
-        if self.is_polynomial:
-            return [
-                self.poly.coefficient(k) * math.factorial(k) for k in range(cap + 1)
-            ]
-        if self.jet_fn is None:
-            raise UnsupportedBranch("callable branch has no jet provider")
-        return [self.jet_fn(k) for k in range(cap + 1)]
+        """Derivatives d^k f(0)/dt^k for k = 0..cap, exact."""
+        p = self._taylor()
+        return [p.coefficient(k) * math.factorial(k) for k in range(cap + 1)]
 
     def order_at_zero(self, cap: int) -> "BranchOrder":
-        """First non-vanishing Taylor order at 0, bounded by cap.
-
-        Polynomial branches are decided exactly (including exact infinite
-        order for the zero polynomial).  Floating jets use a relative
-        threshold so round-off is not mistaken for a leading coefficient.
-        """
-        if self.is_polynomial:
-            m = self.poly.trailing_order()
-            if m is None:
-                return BranchOrder(None, 0, True, cap)
-            if m > cap:
-                return BranchOrder(None, 0, False, cap)
-            return BranchOrder(m, self.poly.coefficient(m), False, cap)
-        jets = self.jets(cap)
-        taylor = [j / math.factorial(k) for k, j in enumerate(jets)]
-        scale = 0.0
-        for k, c in enumerate(taylor):
-            if abs(c) > 1e-9 * (1.0 + scale):
-                return BranchOrder(k, c, False, cap)
-            scale = max(scale, abs(c))
-        return BranchOrder(None, 0.0, False, cap)
+        """First non-vanishing Taylor order at 0, bounded by cap, decided
+        exactly on the Taylor polynomial.  Only the zero polynomial branch
+        has exact infinite order: a callable whose Taylor polynomial is zero
+        may still be a non-zero flat function."""
+        p = self._taylor()
+        m = p.trailing_order()
+        if m is None or m > cap:
+            return BranchOrder(None, 0, m is None and self.is_polynomial, cap)
+        return BranchOrder(m, p.coefficient(m), False, cap)
 
 
 def _maybe(fn, condition):
     return fn if condition else None
+
+
+def _known(op, *taylors):
+    """op(*taylors), or None when a Taylor polynomial is unknown."""
+    return None if any(p is None for p in taylors) else op(*taylors)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,13 @@ Charts are evaluated on node arrays: `Poly.at_complex` runs Horner's
 rule over the whole grid, one numpy operation per step of CPython's
 complex arithmetic, so every value is bit for bit the one a complex
 evaluation per node gives (abs as hypot; squares stay Python's `** 2`,
-C pow, and sigma a math.log per node).  `SpacelikeChart` is a
-`SurfaceChart` (metric sign +1, masked where the conformal factor is at
-most 1e-300), and its `classify` yields the usual `ChartClassification`,
-so `classify_chart`, `classification_csv` and `classification_summary`
-serve both signatures.
+C pow, and sigma a math.log per node).  `grid_coordinates` stacks the
+real parts of the three primitives into a [nu, nv, 3] array, as the
+time-like patch does.  `SpacelikeChart` is a `SurfaceChart` built by
+`geometry.generated_chart` (metric sign +1, masked where the conformal
+factor is at most 1e-300), and its `classify` yields the usual
+`ChartClassification`, so `classify_chart`, `classification_csv` and
+`classification_summary` serve both signatures.
 Its nodes are umbilic (a tolerance test on L - N and M, hence marginal) or
 positive, with D = ((L-N)^2 + 4 M^2) e^{-4 sigma}, principal directions
 (cos t, sin t) and (-sin t, cos t) at t = atan2(M, (L-N)/2)/2, and
@@ -46,6 +48,7 @@ from .geometry import (
     GridSpec,
     SurfaceChart,
     exp_each,
+    generated_chart,
 )
 from .poly import Poly
 
@@ -82,10 +85,10 @@ class SpacelikePatch:
         return np.array([complex(p(z)).real for p in self.primitives])
 
     @np.errstate(all="ignore")
-    def grid_coordinates(self, grid: GridSpec):
-        """Iterator over `evaluate(u, v)` at every node, as row-major triples."""
+    def grid_coordinates(self, grid: GridSpec) -> np.ndarray:
+        """`evaluate(u, v)` at every node, as a [nu, nv, 3] array."""
         x, y = _z(grid)
-        return zip(*(p.at_complex(x, y)[0].ravel().tolist() for p in self.primitives))
+        return np.stack([p.at_complex(x, y)[0] for p in self.primitives], axis=-1)
 
     @np.errstate(all="ignore")
     def chart(self, grid: GridSpec) -> "SpacelikeChart":
@@ -107,13 +110,9 @@ class SpacelikePatch:
         nr, ni = -wr, -wi  # -w * g'
         hr, hi = nr * pr - ni * pi, nr * pi + ni * pr
         a, b = 4.0 * hr - 0.0 * hi, 4.0 * hi + 0.0 * hr  # 4.0 * hopf
-        mask = ~(factor <= 1e-300)
-        L = np.where(mask, a / 2.0, 0.0)
-        sigma = np.full(mask.shape, np.nan)
-        sigma[mask] = 0.5 * np.array([math.log(t) for t in np.abs(factor[mask]).tolist()])
-        sign = np.where(mask & ~(factor > 0), -1, 1).astype(np.int8)
-        M, N = np.where(mask, -b / 2.0, 0.0), np.where(mask, -L, 0.0)
-        return SpacelikeChart(grid, sigma, L, M, N, mask, sign)
+        L = a / 2.0
+        return generated_chart(grid, factor, ~(factor <= 1e-300), L, -b / 2.0, -L,
+                               chart_type=SpacelikeChart)
 
     def principal_line_field(self) -> FlowField:
         """The (unoriented) principal direction line field.

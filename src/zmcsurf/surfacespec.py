@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .geometry import GridSpec, SurfaceChart, chart_from_arrays
 from .parafunc import Branch, ParaFunction
@@ -273,18 +273,17 @@ class ResolvedSpec:
     route: str
     grid: GridSpec
     analysis: AnalysisParams
-    patch: Optional[ImmersionPatch] = None
-    spacelike_patch: Optional[SpacelikePatch] = None
+    patch: Union[ImmersionPatch, SpacelikePatch, None] = None
     chart: Optional[SurfaceChart] = None
     echo: dict = field(default_factory=dict)
 
     @property
     def is_timelike(self) -> bool:
-        return self.patch is not None
+        return isinstance(self.patch, ImmersionPatch)
 
     @property
     def is_spacelike(self) -> bool:
-        return self.spacelike_patch is not None
+        return isinstance(self.patch, SpacelikePatch)
 
 
 def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
@@ -301,7 +300,7 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
         _fail("/allow_degenerate_base", f"expected true or false, got {_echo(allow)}")
     strict = not allow
 
-    patch = spatch = chart = None
+    patch = chart = None
     if route == "ko":
         for key in ("g", "omega_hat"):
             if key not in data:
@@ -322,7 +321,7 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
         for key in ("g", "omega_hat"):
             if key not in data:
                 _fail(f"/data/{key}", "missing holomorphic datum")
-        spatch = generate_kobayashi(
+        patch = generate_kobayashi(
             ComplexWeierstrassData(
                 _cpoly(data["g"], "/data/g"),
                 _cpoly(data["omega_hat"], "/data/omega_hat"),
@@ -345,8 +344,8 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
                     [float(_scalar(x, f"/data/{key}/{i}/{j}")) for j, x in enumerate(row)]
                 )
             arrays[key] = parsed
-        sign = spec.get("data", {}).get("metric_sign", 1)
-        if sign not in (1, -1):
+        sign = data.get("metric_sign", 1)
+        if not (_int_in(sign, -1, 1) and sign != 0):
             _fail("/data/metric_sign", "metric_sign must be +1 or -1")
         chart = chart_from_arrays(grid, metric_sign=sign, **arrays)
 
@@ -355,7 +354,6 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
         grid=grid,
         analysis=analysis,
         patch=patch,
-        spacelike_patch=spatch,
         chart=chart,
         echo=spec,
     )

@@ -35,7 +35,9 @@ g_i, w_i, the dx^2/dy^2 coefficients -2 w_i g_i', the three primitives per
 coordinate and the two Hopf branches.  `GridSpec.null_lattice` gives the
 distinct x and y values of a grid's nodes (nu + nv - 1 of each on a square
 grid with du = dv), so `ImmersionPatch.chart` and `grid_coordinates`
-evaluate each branch once per distinct value and only combine per node.
+evaluate each branch once per distinct value and only combine per node,
+into a float [nu, nv, 3] array: (metric factor, L, M) for the chart, the
+three coordinates for `grid_coordinates`.
 A rational polynomial branch is tabled over Python ints, one Fraction
 per value (see `Poly.table`).
 The combination rounds exactly as the per-point API (`metric_factor`,
@@ -51,10 +53,9 @@ The combination rounds exactly as the per-point API (`metric_factor`,
   (exA2) the rational part -(1 - g1 g2)^2, which enters that expression
   as one correctly rounded double, is formed from integer ratios.
 
-The nodes' (metric factor, L, M, N) go to `geometry.chart_from_nodes`,
-which forms sigma = log|factor|/2 with a per-node math.log call (numpy's
-log and exp do not always round like math's) and the metric sign from
-the factor's.
+A node is masked where |metric factor| < 1e-300, and its forms are not
+formed there; the arrays go to `geometry.generated_chart`, which forms
+sigma = log|factor|/2 and the metric sign from the factor's.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .geometry import GridSpec, SurfaceChart, chart_from_nodes
+from .geometry import GridSpec, SurfaceChart, generated_chart
 from .parafunc import Branch, ParaFunction, _halve
 from .poly import Poly
 
@@ -276,23 +277,25 @@ class ImmersionPatch:
         node = _float_node
         if _rational(g1 + g2) and all(isinstance(v, float) for v in w1):
             node = _rational_g_node  # exA2
-        nodes = _combine(lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, node)
-        chart = chart_from_nodes(grid, nodes, lattice=lattice)
+        nodes = _combine(grid, lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, node)
+        factor, L, M = np.moveaxis(nodes, -1, 0)
+        chart = generated_chart(grid, factor, ~(np.abs(factor) < _MASKED), L, M, L,
+                                lattice=lattice)
         hopf = self.hopf()
         if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
             chart.hopf_values = (hopf.plus.table(xs), hopf.minus.table(ys))
         return chart
 
-    def grid_coordinates(self, grid: GridSpec):
-        """Iterator over float(c) of `evaluate(u, v)` at every node, as
-        row-major triples."""
+    def grid_coordinates(self, grid: GridSpec) -> np.ndarray:
+        """float(c) of `evaluate(u, v)` at every node, a [nu, nv, 3] array."""
         lattice = grid.null_lattice()
         px = [c.table(lattice.xs) for c in self.comps_x]
         qy = [c.table(lattice.ys) for c in self.comps_y]
-        return _combine(lattice, px, qy, _exact_point, _float_point)
+        return _combine(grid, lattice, px, qy, _exact_point, _float_point)
 
 
 _QUARTER = Fraction(1, 4)
+_MASKED = 1e-300  # a node is masked where |metric factor| is below this
 
 
 def _metric(g1, g2, w1, w2):
@@ -314,15 +317,17 @@ def _forms(lx, ny):
 # -- separable chart engine: 1-D tables, per-node combination ---------------
 
 
-def _combine(lattice, x_tables, y_tables, exact, generic):
-    """Iterator, per node in row-major order: `exact` on the flat
-    (numerator, denominator) pairs of the x and y table rows when every
+def _combine(grid, lattice, x_tables, y_tables, exact, generic) -> np.ndarray:
+    """The [nu, nv, 3] float array of three values per node: `exact` on the
+    flat (numerator, denominator) pairs of the x and y table rows when every
     value is rational, else `generic` on the values themselves."""
     if _rational(v for t in (*x_tables, *y_tables) for v in t):
         rows_x, rows_y, node = _ratios(x_tables), _ratios(y_tables), exact
     else:
         rows_x, rows_y, node = list(zip(*x_tables)), list(zip(*y_tables)), generic
-    return map(node, _take(rows_x, lattice.ix), _take(rows_y, lattice.iy))
+    nodes = map(node, _take(rows_x, lattice.ix), _take(rows_y, lattice.iy))
+    values = np.fromiter(nodes, np.dtype((float, 3)), grid.nu * grid.nv)
+    return values.reshape(grid.nu, grid.nv, 3)
 
 
 def _take(rows: list, index: np.ndarray) -> np.ndarray:
@@ -342,32 +347,33 @@ def _ratios(tables) -> list:
 
 
 def _exact_node(x, y):
-    """float() of the metric factor and of (L, M, N), or None where masked;
-    x = (g1, w1, lx) and y = (g2, w2, ny) as numerator/denominator pairs."""
+    """float() of the metric factor and of L, M (0.0 where masked); x =
+    (g1, w1, lx) and y = (g2, w2, ny) as numerator/denominator pairs."""
     a, b, e, f, ln, ld = x
     c, d, g, h, nn, nd = y
     bd = b * d
     t = bd - a * c
-    num = -(t * t) * (e * g)
-    if not num:
-        return None
-    factor = num / (bd * bd * (f * h))
-    if abs(factor) < 1e-300:
-        return None
+    factor = -(t * t) * (e * g) / (bd * bd * (f * h))
+    if abs(factor) < _MASKED:
+        return factor, 0.0, 0.0
     den = 4 * ld * nd
-    L = (ln * nd + nn * ld) / den
-    return factor, L, (ln * nd - nn * ld) / den, L
+    return factor, (ln * nd + nn * ld) / den, (ln * nd - nn * ld) / den
 
 
 def _float_node(x, y):
     """As `_exact_node`, for values of any type: the per-point expressions."""
     g1, w1, lx = x
     g2, w2, ny = y
-    factor = _metric(g1, g2, w1, w2)
-    f = float(factor)
-    if factor == 0 or abs(f) < 1e-300:
-        return None
-    return (f, *map(float, _forms(lx, ny)))
+    return _float_forms(float(_metric(g1, g2, w1, w2)), lx, ny)
+
+
+def _float_forms(factor, lx, ny):
+    """(factor, float L, float M) from the dx^2- and dy^2-coefficients, the
+    forms 0.0 where the node is masked."""
+    if abs(factor) < _MASKED:
+        return factor, 0.0, 0.0
+    L, M, _ = _forms(lx, ny)
+    return factor, float(L), float(M)
 
 
 def _rational_g_node(x, y):
@@ -378,10 +384,7 @@ def _rational_g_node(x, y):
     g2, w2, ny = y
     bd = g1.denominator * g2.denominator
     t = bd - g1.numerator * g2.numerator
-    factor = -(t * t) / (bd * bd) * w1 * w2
-    if factor == 0 or abs(factor) < 1e-300:
-        return None
-    return (factor, *map(float, _forms(lx, ny)))
+    return _float_forms(-(t * t) / (bd * bd) * w1 * w2, lx, ny)
 
 
 def _exact_point(x, y):

@@ -51,6 +51,11 @@ arrays; `reference_spacelike_chart` and `reference_spacelike_coordinates`
 run them (and `SpacelikePatch.evaluate`) once per node, the oracles for
 `SpacelikePatch.chart` and `grid_coordinates`, which must give the same
 bits and raise the same OverflowError.
+
+`chart_from_nodes` is the per-node chart constructor both patch types
+used before `geometry.generated_chart` formed charts from arrays: one
+record per node, None for a masked node or (metric factor, L, M, N).  It
+is the oracle for `generated_chart`'s sigma, sign and masking.
 """
 
 import json
@@ -67,8 +72,8 @@ from zmcsurf.geometry import (
     KIND_QUASI,
     KIND_UMBILIC,
     PointClass,
+    SurfaceChart,
     _exact_branch_values,
-    chart_from_nodes,
 )
 from zmcsurf.outputs import CLASSIFICATION_COLUMNS, fmt
 from zmcsurf.spacelike import SpacelikeChart, SpacelikePatch
@@ -617,15 +622,38 @@ def _at_nodes(grid, fn):
     return (fn(u, v) for u in grid.u_nodes() for v in v_nodes)
 
 
+_NODE_RECORD = np.dtype(
+    [("mask", "?"), ("sigma", "f8"), ("L", "f8"), ("M", "f8"), ("N", "f8"), ("sign", "i1")]
+)
+
+
+def _node_record(node):
+    """Chart record of a node from None (masked) or (metric factor, L, M, N)."""
+    if node is None:
+        return False, math.nan, 0.0, 0.0, 0.0, 1
+    f, L, M, N = node
+    return True, 0.5 * math.log(abs(f)), L, M, N, 1 if f > 0 else -1
+
+
+def chart_from_nodes(grid, nodes, chart_type=SurfaceChart):
+    """The chart of a generated patch from one item per node, row-major:
+    None for a masked node, or (metric factor, L, M, N).  sigma is
+    log|factor|/2 and the metric sign is the factor's sign; a masked node
+    gets sigma NaN, L = M = N = 0 and sign +1."""
+    rec = np.fromiter(
+        map(_node_record, nodes), dtype=_NODE_RECORD, count=grid.nu * grid.nv
+    ).reshape(grid.nu, grid.nv)
+    fields = ("sigma", "L", "M", "N", "mask", "sign")
+    return chart_type(grid, *(rec[k].copy() for k in fields))
+
+
 def reference_spacelike_chart(patch, grid):
     """`SpacelikePatch.chart` as one complex evaluation per node."""
     nodes = (
         None if factor <= 1e-300 else spacelike_node(factor, hopf)
         for factor, hopf in _at_nodes(grid, lambda u, v: spacelike_factor_and_hopf(patch, u, v))
     )
-    chart = chart_from_nodes(grid, nodes)
-    fields = ("sigma", "L", "M", "N", "mask", "metric_sign")
-    return SpacelikeChart(grid, *(getattr(chart, k) for k in fields))
+    return chart_from_nodes(grid, nodes, SpacelikeChart)
 
 
 def reference_spacelike_coordinates(patch, grid):

@@ -170,7 +170,7 @@ def test_criterion_4_compatibility_residuals():
             assert abs(L_v - M_u) <= 1e-6, name
             assert abs(N_u - M_v) <= 1e-6, name
     for name in SPACELIKE_PRESETS:
-        patch = _resolved(name).spacelike_patch
+        patch = _resolved(name).patch
         for u, v in points:
             F = lambda uu, vv: oracles.spacelike_forms(patch, uu, vv)
             A = lambda uu, vv: F(uu, vv)[1] - F(uu, vv)[3]
@@ -348,7 +348,7 @@ def test_criterion_10_spacelike_index_law():
         assert spacelike_index(m, radius=0.05).index == want
     for name in SPACELIKE_PRESETS:
         spec = _resolved(name)
-        kinds = spec.spacelike_patch.chart(spec.grid).classify().kinds
+        kinds = spec.patch.chart(spec.grid).classify().kinds
         assert not np.any(kinds == "quasi_umbilic")
         assert not np.any(kinds == "negative")
     _report(10, "line-field indices -1/2, -1, -3/2 measured; no quasi-umbilics")

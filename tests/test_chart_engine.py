@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import spacelike_conformal_factor, spacelike_forms
+from spec_cases import SPEC_CASES
 from zmcsurf import Branch, GridSpec
 from zmcsurf.geometry import _exact_branch_values
 from zmcsurf.outputs import fmt, surface_csv
@@ -35,11 +36,14 @@ FLOAT_NULL = {
 # du/dv = (1/8) / (5/88) = 11/5
 NON_SQUARE = GridSpec(-1, 1, Fraction(-1, 2), Fraction(3, 4), 17, 23)
 
-CASES = ["z5", "deg26", "f2", "float_null", "exA2"]
+# underflow_mask masks nodes whose factor rounds below 1e-300 from a
+# non-zero numerator, z2 nodes whose factor is exactly zero
+CASES = ["z5", "deg26", "f2", "float_null", "exA2", "underflow_mask", "z2"]
+SPECS = {"float_null": FLOAT_NULL, "underflow_mask": SPEC_CASES["underflow_mask"][0]}
 
 
 def _patch_and_square_grid(name):
-    spec = FLOAT_NULL if name == "float_null" else preset_spec(name)
+    spec = SPECS[name] if name in SPECS else preset_spec(name)
     resolved = resolve(spec)
     return resolved.patch, resolved.grid
 
@@ -150,7 +154,7 @@ SPACELIKE_MASKS = {
 def test_spacelike_chart_matches_per_point_forms_bitwise(name):
     spec, expected_masked = SPACELIKE_MASKS[name]
     resolved = resolve(spec)
-    patch, grid = resolved.spacelike_patch, resolved.grid
+    patch, grid = resolved.patch, resolved.grid
     chart = patch.chart(grid)
     masked = []
     for i, j, u, v in _nodes(grid):
@@ -256,3 +260,16 @@ def test_z5_chart_and_surface_csv_make_no_poly_calls(monkeypatch):
     monkeypatch.setattr(Poly, "__call__", lambda p, t: calls.append(t) or call(p, t))
     surface_csv(patch.chart(grid), patch)
     assert calls == []
+
+
+def test_forms_are_not_formed_at_masked_nodes():
+    """g1 = 10^400 t, g2 = 0, w1 = 1, w2 = 10^-400: the metric factor
+    -10^-400 masks every node, and L = -10^400/2 would not fit a double
+    there; the chart comes out all masked instead of raising."""
+    poly = lambda *coeffs: {"kind": "poly", "coeffs": list(coeffs)}
+    data = {"g1": poly(0, 10**400), "g2": poly(0), "w1": poly(1), "w2": poly("1/1" + "0" * 400)}
+    spec = {"route": "null", "data": data, "grid": FLOAT_NULL["grid"]}
+    resolved = resolve(spec)
+    chart = resolved.patch.chart(resolved.grid)
+    assert not chart.mask.any()
+    assert (chart.L == 0.0).all() and (chart.M == 0.0).all()

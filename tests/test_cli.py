@@ -246,6 +246,21 @@ def test_sigma_guard_keeps_in_range_chart(tmp_path):
     assert _run(["classify", "--spec", str(f), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize(
+    "sign, code", [(True, 2), (False, 2), (1.0, 2), (-1.0, 2), (0, 2), (1, 0), (-1, 0)]
+)
+def test_metric_sign_is_the_integer_one_or_minus_one(tmp_path, capsys, sign, code):
+    """A chart's metric_sign is the JSON integer 1 or -1; booleans and
+    floats are refused, as for every integer field of a spec."""
+    f = _chart_spec_with_sigma(tmp_path, 0.0)
+    spec = json.loads(f.read_text())
+    spec["data"]["metric_sign"] = sign
+    f.write_text(json.dumps(spec))
+    assert _run(["classify", "--spec", str(f), "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert json.loads(capsys.readouterr().err)["pointer"] == "/data/metric_sign"
+
+
 @pytest.mark.parametrize("cmd", ["classify", "flow"])
 def test_exit_code_3_on_exa2_sigma_overflow(tmp_path, capsys, cmd):
     out = tmp_path / "o"

@@ -38,7 +38,7 @@ def _eigen(spec):
 
 def _spacelike(name):
     def build():
-        patch = load_preset(name).spacelike_patch
+        patch = load_preset(name).patch
         field = patch.principal_line_field()
         ref = oracles.reference_principal_line_field(patch)
         rng = np.random.default_rng(3)

@@ -8,6 +8,7 @@ import pytest
 
 from zmcsurf import Branch, ParaComplex, ParaFunction, UnsupportedBranch
 from zmcsurf.poly import Poly
+from zmcsurf.weierstrass import _primitive
 
 from oracles import exact_horner, para_cr_residual
 
@@ -101,10 +102,43 @@ def test_derivative_matches_definition_by_finite_differences():
 
 
 def test_derivative_unsupported_without_evaluator():
-    b = Branch(fn=lambda t: t * t, jet_fn=lambda k: 0.0)
+    b = Branch(fn=lambda t: t * t, taylor=Poly([0, 0, 1]))
     h = ParaFunction(b, b)
     with pytest.raises(UnsupportedBranch):
         h.derivative()
+
+
+def test_callable_order_is_exact_beside_a_tiny_constant():
+    """10^-12 + t + exp_flat has order 0 with coefficient exactly 10^-12:
+    no threshold mistakes the constant for round-off."""
+    b = Branch.from_poly([Fraction(1, 10**12), 1]) + Branch.exp_flat()
+    order = b.order_at_zero(16)
+    assert (order.order, order.coeff) == (0, Fraction(1, 10**12))
+    assert type(order.coeff) is Fraction
+    assert b.jets(2) == [Fraction(1, 10**12), 1, 0]
+
+
+def test_callable_product_order_has_an_exact_coefficient():
+    b = Branch.from_poly([0, 0, 0, 1]) * (Branch.constant(1) + Branch.exp_flat())
+    order = b.order_at_zero(16)
+    assert order.order == 3 and order.coeff == 1
+    assert isinstance(order.coeff, (int, Fraction))
+
+
+@pytest.mark.parametrize("cap", [8, 16])
+def test_flat_product_and_its_derivative_have_no_order(cap):
+    b = Branch.from_poly([Fraction(1, 3), 0, 5]) * Branch.exp_flat().compose_scale(2)
+    for branch in (b, b.derivative()):
+        order = branch.order_at_zero(cap)
+        assert order.order is None and not order.exact_infinite
+        assert order.label == f">={cap}"
+
+
+def test_order_of_a_branch_without_taylor_polynomial_is_unsupported():
+    primitive = _primitive(Branch.exp_flat())
+    assert primitive.taylor is None
+    with pytest.raises(UnsupportedBranch):
+        primitive.order_at_zero(16)
 
 
 def test_products():

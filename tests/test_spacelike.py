@@ -159,7 +159,7 @@ def test_eigenvalue_discriminant_nonnegative():
 
 def _spacelike_chart(preset, grid):
     resolved = resolve(preset_spec(preset))
-    return resolved.spacelike_patch.chart(grid or resolved.grid)
+    return resolved.patch.chart(grid or resolved.grid)
 
 
 @pytest.mark.parametrize("grid", [17, 33, "non_square"])
@@ -225,7 +225,7 @@ def test_line_field_from_hopf_alone_matches_forms_route(name):
     if name == "complex":
         patch = generate_kobayashi(COMPLEX_DATUM)
     else:
-        patch = resolve(preset_spec(name)).spacelike_patch
+        patch = resolve(preset_spec(name)).patch
     field = patch.principal_line_field()
     rng = random.Random(name)
     for _ in range(250):

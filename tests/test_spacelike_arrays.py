@@ -6,7 +6,8 @@ gives (`oracles.reference_spacelike_chart` and
 `reference_spacelike_coordinates`), with NaN equal to NaN, and on hostile
 data the same OverflowError must be raised.  exA2's metric factor, formed
 from the integer ratios of its rational g tables, must equal the
-per-point expression of `weierstrass._float_node` at every node.
+per-point expression of `weierstrass._float_node` at every node, put
+together by the per-node reference constructor `oracles.chart_from_nodes`.
 """
 
 import contextlib
@@ -19,11 +20,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import reference_spacelike_chart, reference_spacelike_coordinates
+from oracles import chart_from_nodes, reference_spacelike_chart, reference_spacelike_coordinates
 from test_chart_engine import NON_SQUARE
 from zmcsurf import GridSpec, weierstrass
 from zmcsurf.cli import main
-from zmcsurf.geometry import chart_from_nodes
 from zmcsurf.presets import preset_spec
 from zmcsurf.spacelike import SpacelikeChart
 from zmcsurf.surfacespec import resolve
@@ -62,36 +62,36 @@ def _assert_chart_matches_reference(patch, grid):
     for name in ("mask", "metric_sign"):
         got, ref = getattr(chart, name), getattr(want, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
-    coords = list(patch.grid_coordinates(grid))
+    coords = patch.grid_coordinates(grid)
     ref = [tuple(c) for c in reference_spacelike_coordinates(patch, grid)]
-    assert len(coords) == len(ref) == grid.nu * grid.nv
-    assert _same_bits(coords, ref)
+    assert coords.dtype == float and coords.shape == (grid.nu, grid.nv, 3)
+    assert _same_bits(coords.reshape(-1, 3), ref)
     return chart
 
 
 @pytest.mark.parametrize("n", [17, 33, 65])
 @pytest.mark.parametrize("preset", ["spacelike_m1", "spacelike_m2", "spacelike_m3"])
 def test_preset_charts_match_per_node_reference(preset, n):
-    patch = resolve(preset_spec(preset)).spacelike_patch
+    patch = resolve(preset_spec(preset)).patch
     _assert_chart_matches_reference(patch, GridSpec.square(1, n))
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("n", [17, 33, 65])
 def test_seeded_complex_specs_match_per_node_reference(seed, n):
-    patch = resolve(_seeded(seed)).spacelike_patch
+    patch = resolve(_seeded(seed)).patch
     _assert_chart_matches_reference(patch, GridSpec.square(1, n))
 
 
 @pytest.mark.parametrize("source", ["spacelike_m2", "seeded"])
 def test_non_square_grid_matches_per_node_reference(source):
     spec = preset_spec(source) if source != "seeded" else _seeded(7)
-    _assert_chart_matches_reference(resolve(spec).spacelike_patch, NON_SQUARE)
+    _assert_chart_matches_reference(resolve(spec).patch, NON_SQUARE)
 
 
 def test_unit_circle_nodes_are_masked_as_in_reference():
     # g = z: |g| = 1, hence a zero conformal factor, at (+-1, 0) and (0, +-1)
-    patch = resolve(_kobayashi([0, 1], [1])).spacelike_patch
+    patch = resolve(_kobayashi([0, 1], [1])).patch
     chart = _assert_chart_matches_reference(patch, GridSpec.square(1, 17))
     assert sorted(zip(*np.nonzero(~chart.mask))) == [(0, 8), (8, 0), (8, 16), (16, 8)]
 
@@ -121,7 +121,7 @@ def _raised(fn):
 @pytest.mark.parametrize("n", [17, 33])
 @pytest.mark.parametrize("name", HOSTILE)
 def test_hostile_data_raise_the_reference_error(name, n):
-    patch = resolve(_kobayashi(*HOSTILE[name], n=n)).spacelike_patch
+    patch = resolve(_kobayashi(*HOSTILE[name], n=n)).patch
     grid = GridSpec.square(1, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -175,7 +175,7 @@ def _float_node_chart(patch, grid):
     nodes = (
         weierstrass._float_node(rows_x[a], rows_y[b]) for a, b in zip(lattice.ix, lattice.iy)
     )
-    return chart_from_nodes(grid, nodes)
+    return chart_from_nodes(grid, (None if abs(f) < 1e-300 else (f, L, M, L) for f, L, M in nodes))
 
 
 def _assert_same_chart(got, want):

@@ -101,8 +101,7 @@ def test_csv_written_one_grid_row_per_call(monkeypatch, tmp_path, name):
     chart = cli._surface_chart(resolved)
     expected = {"classify": ("classification.csv", classification_csv(classify_chart(chart)))}
     if name != "chart":
-        patch = resolved.patch if resolved.is_timelike else resolved.spacelike_patch
-        expected["generate"] = ("surface.csv", surface_csv(chart, patch))
+        expected["generate"] = ("surface.csv", surface_csv(chart, resolved.patch))
     for command, (file_name, text) in expected.items():
         calls = _run_recorded(monkeypatch, tmp_path, command, spec)[file_name].calls
         assert "".join(calls) == text, (command, file_name)

@@ -13,10 +13,10 @@ degree 64 (65 coefficients per array), and at most 64 analysis.seeds,
 each in the closed grid rectangle; a non-finite number (NaN, Infinity,
 1e400) is a spec error too.  A flow streamline marches at most 4096
 steps (MAX_MARCH_STEPS) each way from its seed.  The slowest in-limit run
-measured, generate for the dense degree-64 null spec of the README at
-1025^2, took 57-115 s and 225 MB (Python 3.11.7, 2 shared CPUs); the CSV
-text is written one grid row at a time, so memory follows the chart's
-arrays.
+measured, generate for the dense degree-64 null spec of the README, took
+0.4 s and 33 MB at 129^2, 6.5 s and 70 MB at 513^2 (Python 3.11.7, 2 shared
+CPUs); the CSV text is written one grid row at a time, so memory follows
+the chart's arrays.
 Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
 is not UTF-8 or is not JSON within Python's limits is one, and so are
 time-like data that are degenerate at the base point, unless the spec

@@ -95,7 +95,11 @@ class GridSpec:
         return self._v
 
     def null_lattice(self) -> NullLattice:
-        """Integer keys of the nodes' null coordinates.
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> NullLattice:
+        """Integer keys of the nodes' null coordinates, built once per grid.
 
         With du/dv = p/q in lowest terms and h = dv/(2q), node (i, j) has
         x = x0 + (p i + q j) h and y = y0 + (p i + q (nv - 1 - j)) h, where

@@ -69,8 +69,8 @@ def surface_lines(chart: SurfaceChart, patch):
     shape = (grid.nu, grid.nv)
     values = np.empty(shape + (7,))
     values[..., :3] = patch.grid_coordinates(grid)
-    forms = np.stack([chart.sigma, chart.L, chart.M, chart.N], axis=-1)
-    values[..., 3:] = np.where(chart.mask[..., None], forms, np.nan)
+    for k, form in enumerate((chart.sigma, chart.L, chart.M, chart.N), 3):
+        values[..., k] = np.where(chart.mask, form, np.nan)
     shown = np.broadcast_to(True, values.shape)
     choice = np.broadcast_to(0, shape)
     return _lines(SURFACE_COLUMNS, _grid_blocks(grid, [_SURFACE_CELLS], choice, values, shown))

@@ -71,37 +71,36 @@ class Poly:
             re, im = re * x - im * y + c.real, re * y + im * x + c.imag
         return re, im
 
-    def table(self, points) -> list:
-        """[self(t) for t in points], each value equal (==, same type) to self(t).
-
-        With int/Fraction coefficients a_i at Fraction points, B the common
-        denominator of the coefficients and D that of the points, t = n/D and
-
-            p(t) = (sum_i a_i B D^(deg-i) n^i) / (B D^deg),
-
-        whose numerator is a Horner loop over ints: a value costs one gcd (in
-        Fraction) instead of about two per Horner step.  Other coefficients
-        or points, and the zero polynomial, go through `self(t)`."""
-        if not (
-            self.coeffs and _exact(self.coeffs) and all(isinstance(t, Fraction) for t in points)
-        ):
-            return [self(t) for t in points]
+    def numerators(self, points):
+        """(ints, den) with self(t) == ints[k] / den at the k-th point and
+        den > 0, or None unless the coefficients a_i are ints or Fractions
+        and the points Fractions.  With B and D the common denominators of
+        the a_i and of the points, t = n/D and p(t) is
+        (sum_i a_i B D^(deg-i) n^i) / (B D^deg), a Horner loop over ints
+        (zeros over 1 for the zero polynomial)."""
+        if not (_exact(self.coeffs) and all(isinstance(t, Fraction) for t in points)):
+            return None
         B = math.lcm(*(c.denominator for c in self.coeffs))
         D = math.lcm(*(t.denominator for t in points))
         # a_i B D^(deg-i), highest degree first
-        lead, *rest = [
-            c.numerator * (B // c.denominator) * D**k
-            for k, c in enumerate(reversed(self.coeffs))
-        ]
-        den = B * D**self.degree
+        ints = [c.numerator * (B // c.denominator) * D**k
+                for k, c in enumerate(reversed(self.coeffs))]
         out = []
         for t in points:
-            n = t.numerator * (D // t.denominator)
-            acc = lead
-            for a in rest:
+            n, acc = t.numerator * (D // t.denominator), 0
+            for a in ints:
                 acc = acc * n + a
-            out.append(Fraction(acc, den))
-        return out
+            out.append(acc)
+        return out, B * D ** max(self.degree, 0)
+
+    def table(self, points) -> list:
+        """[self(t) for t in points], each value equal (==, same type) to
+        self(t): a Fraction over `numerators` where they apply (one gcd, not
+        about two per Horner step), else self(t), as for the zero polynomial."""
+        exact = self.numerators(points) if self.coeffs else None
+        if exact is None:
+            return [self(t) for t in points]
+        return [Fraction(n, exact[1]) for n in exact[0]]
 
     def __bool__(self):
         return bool(self.coeffs)

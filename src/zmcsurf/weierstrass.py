@@ -31,31 +31,24 @@ Derived and validated here (rather than taken on faith):
   4 times that because du = (dz + conj dz)/2.
 
 Separable chart engine.  Every datum is a function of one null coordinate:
-g_i, w_i, the dx^2/dy^2 coefficients -2 w_i g_i', the three primitives per
-coordinate and the two Hopf branches.  `GridSpec.null_lattice` gives the
-distinct x and y values of a grid's nodes (nu + nv - 1 of each on a square
-grid with du = dv), so `ImmersionPatch.chart` and `grid_coordinates`
-evaluate each branch once per distinct value and only combine per node,
-into a float [nu, nv, 3] array: (metric factor, L, M) for the chart, the
-three coordinates for `grid_coordinates`.
-A rational polynomial branch is tabled over Python ints, one Fraction
-per value (see `Poly.table`).
-The combination rounds exactly as the per-point API (`metric_factor`,
-`second_forms`, `evaluate`) followed by float():
+g_i, w_i, g_i', the three primitives per coordinate and the Hopf branches.
+`GridSpec.null_lattice` gives the distinct x and y values of a grid's nodes
+(nu + nv - 1 of each on a square grid with du = dv); each branch is tabled
+once per value, and the node values of `ImmersionPatch.chart` (metric
+factor, L, M) and `grid_coordinates` are numpy object-array expressions
+over the tables, in blocks of 1024 nodes, rounded as the per-point API
+(`metric_factor`, `second_forms`, `evaluate`) followed by float():
 
-* rational branch values: the node value is formed as an unreduced
-  integer ratio, e.g. -(bd - ac)^2 e g / ((bd)^2 f h) for the metric
-  factor with g1 = a/b, g2 = c/d, w1 = e/f, w2 = g/h.  Python's int/int
-  true division is correctly rounded, like float(Fraction), so the two
-  agree bit for bit; the mask test reads the integer numerator.
-* float or callable branch values: the per-point expression itself is
-  applied to the cached values, except that with rational g and float w1
-  (exA2) the rational part -(1 - g1 g2)^2, which enters that expression
-  as one correctly rounded double, is formed from integer ratios.
+* exact tables, integer numerators over one positive denominator
+  (`Poly.numerators`): one correctly rounded int/int division per value,
+  a zero +0.0, e.g. with g1 = a/A, g2 = c/C, w1 = e/E, w2 = g/G the metric
+  factor -(AC - ac)^2 e g / ((AC)^2 E G);
+* other tables: `_metric` and `_forms` element by element, except that with
+  exact g and float w1 (exA2) -(1 - g1 g2)^2 is one such division.
 
 A node is masked where |metric factor| < 1e-300, and its forms are not
-formed there; the arrays go to `geometry.generated_chart`, which forms
-sigma = log|factor|/2 and the metric sign from the factor's.
+formed there; `geometry.generated_chart` forms sigma = log|factor|/2 and
+the metric sign from the factor's.
 """
 
 from __future__ import annotations
@@ -268,19 +261,19 @@ class ImmersionPatch:
     def chart(self, grid: GridSpec) -> SurfaceChart:
         lattice = grid.null_lattice()
         xs, ys = lattice.xs, lattice.ys
-        d = self.data
-        g1d, g2d = self.g_primes
-        g1, w1 = d.g1.table(xs), d.w1.table(xs)
-        g2, w2 = d.g2.table(ys), d.w2.table(ys)
-        lx = [-2 * w * dg for w, dg in zip(w1, g1d.table(xs))]
-        ny = [-2 * w * dg for w, dg in zip(w2, g2d.table(ys))]
-        node = _float_node
-        if _rational(g1 + g2) and all(isinstance(v, float) for v in w1):
-            node = _rational_g_node  # exA2
-        nodes = _combine(grid, lattice, (g1, w1, lx), (g2, w2, ny), _exact_node, node)
-        factor, L, M = np.moveaxis(nodes, -1, 0)
-        chart = generated_chart(grid, factor, ~(np.abs(factor) < _MASKED), L, M, L,
-                                lattice=lattice)
+        d, (g1d, g2d) = self.data, self.g_primes
+        x = [_numerators(b, xs) for b in (d.g1, d.w1, g1d)]
+        y = [_numerators(b, ys) for b in (d.g2, d.w2, g2d)]
+        factor, forms = _mixed_values(self, xs, ys, x, y) if None in x + y else _exact_values(x, y)
+
+        def node(kx, ky):
+            f = factor(kx, ky).astype(float)
+            L, M, keep = np.zeros_like(f), np.zeros_like(f), ~(np.abs(f) < _MASKED)
+            L[keep], M[keep] = forms(kx[keep], ky[keep])
+            return f, L, M
+
+        metric, L, M = np.moveaxis(_by_blocks(grid, lattice, node), -1, 0)
+        chart = generated_chart(grid, metric, ~(np.abs(metric) < _MASKED), L, M, L, lattice=lattice)
         hopf = self.hopf()
         if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
             chart.hopf_values = (hopf.plus.table(xs), hopf.minus.table(ys))
@@ -289,13 +282,13 @@ class ImmersionPatch:
     def grid_coordinates(self, grid: GridSpec) -> np.ndarray:
         """float(c) of `evaluate(u, v)` at every node, a [nu, nv, 3] array."""
         lattice = grid.null_lattice()
-        px = [c.table(lattice.xs) for c in self.comps_x]
-        qy = [c.table(lattice.ys) for c in self.comps_y]
-        return _combine(grid, lattice, px, qy, _exact_point, _float_point)
+        sums = [_node_sum(p, q, lattice) for p, q in zip(self.comps_x, self.comps_y)]
+        return _by_blocks(grid, lattice, lambda kx, ky: [s(kx, ky) for s in sums])
 
 
 _QUARTER = Fraction(1, 4)
 _MASKED = 1e-300  # a node is masked where |metric factor| is below this
+_BLOCK = 1024  # flat nodes per block of `_by_blocks`
 
 
 def _metric(g1, g2, w1, w2):
@@ -314,92 +307,76 @@ def _forms(lx, ny):
     return L, (lx - ny) * quarter, L
 
 
-# -- separable chart engine: 1-D tables, per-node combination ---------------
+# -- separable chart engine: 1-D tables, node values in blocks ---------------
+
+_metric_each, _forms_each = np.frompyfunc(_metric, 4, 1), np.frompyfunc(_forms, 2, 3)
 
 
-def _combine(grid, lattice, x_tables, y_tables, exact, generic) -> np.ndarray:
-    """The [nu, nv, 3] float array of three values per node: `exact` on the
-    flat (numerator, denominator) pairs of the x and y table rows when every
-    value is rational, else `generic` on the values themselves."""
-    if _rational(v for t in (*x_tables, *y_tables) for v in t):
-        rows_x, rows_y, node = _ratios(x_tables), _ratios(y_tables), exact
-    else:
-        rows_x, rows_y, node = list(zip(*x_tables)), list(zip(*y_tables)), generic
-    nodes = map(node, _take(rows_x, lattice.ix), _take(rows_y, lattice.iy))
-    values = np.fromiter(nodes, np.dtype((float, 3)), grid.nu * grid.nv)
-    return values.reshape(grid.nu, grid.nv, 3)
+def _objects(values) -> np.ndarray:
+    return np.array(values, dtype=object)
 
 
-def _take(rows: list, index: np.ndarray) -> np.ndarray:
-    """rows[k] for every k of `index`, as an object array."""
-    return np.fromiter(rows, dtype=object, count=len(rows))[index]
+def _numerators(branch: Branch, points):
+    """`Poly.numerators` of a polynomial branch, numerators as an object array."""
+    exact = branch.poly.numerators(points) if branch.is_polynomial else None
+    return exact and (_objects(exact[0]), exact[1])
 
 
-def _rational(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def _exact_values(x, y):
+    """(factor, forms) at lattice indices (kx, ky) from the numerator tables
+    of (g1, w1, g1') = (a/A, e/E, p/P) and (g2, w2, g2') = (c/C, g/G, q/Q)."""
+    (a, A), (e, E), (p, P) = x
+    (c, C), (g, G), (q, Q) = y
+    ac, den, minus_e = A * C, (A * C) ** 2 * E * G, -e
+    sx, sy, den4 = -2 * e * p * (G * Q), -2 * g * q * (E * P), 4 * E * P * G * Q
+    # np.square multiplies each int by itself, which CPython squares faster
+    factor = lambda kx, ky: np.square(ac - a[kx] * c[ky]) * (minus_e[kx] * g[ky]) / den
+    return factor, lambda kx, ky: ((sx[kx] + sy[ky]) / den4, (sx[kx] - sy[ky]) / den4)
 
 
-def _ratios(tables) -> list:
-    return [
-        tuple(n for v in vals for n in (v.numerator, v.denominator))
-        for vals in zip(*tables)
-    ]
+def _mixed_values(patch, xs, ys, x, y):
+    """`_exact_values` for other tables, -2 w g' formed per value: with exact
+    g and float w1 (exA2) the factor rounds as `Fraction * float * w2`."""
+    d, (g1d, g2d) = patch.data, patch.g_primes
+    w1, w2 = _objects(d.w1.table(xs)), _objects(d.w2.table(ys))
+    lx = _objects([-2 * w * dg for w, dg in zip(w1, g1d.table(xs))])
+    ny = _objects([-2 * w * dg for w, dg in zip(w2, g2d.table(ys))])
+    forms = lambda kx, ky: [v.astype(float) for v in _forms_each(lx[kx], ny[ky])[:2]]
+    if x[0] and y[0] and all(isinstance(v, float) for v in w1):
+        (a, A), (c, C) = x[0], y[0]
+        ratio = lambda kx, ky: -np.square(A * C - a[kx] * c[ky]) / (A * C) ** 2
+        return lambda kx, ky: ratio(kx, ky) * w1[kx] * w2[ky], forms
+    g1, g2 = _objects(d.g1.table(xs)), _objects(d.g2.table(ys))
+    return lambda kx, ky: _metric_each(g1[kx], g2[ky], w1[kx], w2[ky]), forms
 
 
-def _exact_node(x, y):
-    """float() of the metric factor and of L, M (0.0 where masked); x =
-    (g1, w1, lx) and y = (g2, w2, ny) as numerator/denominator pairs."""
-    a, b, e, f, ln, ld = x
-    c, d, g, h, nn, nd = y
-    bd = b * d
-    t = bd - a * c
-    factor = -(t * t) * (e * g) / (bd * bd * (f * h))
-    if abs(factor) < _MASKED:
-        return factor, 0.0, 0.0
-    den = 4 * ld * nd
-    return factor, (ln * nd + nn * ld) / den, (ln * nd - nn * ld) / den
+def _node_sum(p: Branch, q: Branch, lattice):
+    """(kx, ky) -> float(p(x) + q(y)) at lattice indices: over numerator
+    tables m/P and n/Q, (m Q + n P) / (P Q)."""
+    exact_p, exact_q = _numerators(p, lattice.xs), _numerators(q, lattice.ys)
+    if not (exact_p and exact_q):
+        px, qy = _objects(p.table(lattice.xs)), _objects(q.table(lattice.ys))
+        return lambda kx, ky: (px[kx] + qy[ky]).astype(float)
+    (m, P), (n, Q) = exact_p, exact_q
+    mx, ny, den = m * Q, n * P, P * Q
+    return lambda kx, ky: (mx[kx] + ny[ky]) / den
 
 
-def _float_node(x, y):
-    """As `_exact_node`, for values of any type: the per-point expressions."""
-    g1, w1, lx = x
-    g2, w2, ny = y
-    return _float_forms(float(_metric(g1, g2, w1, w2)), lx, ny)
-
-
-def _float_forms(factor, lx, ny):
-    """(factor, float L, float M) from the dx^2- and dy^2-coefficients, the
-    forms 0.0 where the node is masked."""
-    if abs(factor) < _MASKED:
-        return factor, 0.0, 0.0
-    L, M, _ = _forms(lx, ny)
-    return factor, float(L), float(M)
-
-
-def _rational_g_node(x, y):
-    """`_float_node` where g1, g2 are rational and w1 a float: the metric
-    factor is float(-(1 - g1 g2)^2) * w1 * w2 there, and that double is
-    formed from integer ratios, as `_exact_node` forms it."""
-    g1, w1, lx = x
-    g2, w2, ny = y
-    bd = g1.denominator * g2.denominator
-    t = bd - g1.numerator * g2.numerator
-    return _float_forms(-(t * t) / (bd * bd) * w1 * w2, lx, ny)
-
-
-def _exact_point(x, y):
-    """float(P_a(x) + Q_a(y)) for a = 0, 1, 2 from numerator/denominator pairs."""
-    n0, d0, n1, d1, n2, d2 = x
-    m0, e0, m1, e1, m2, e2 = y
-    return (
-        (n0 * e0 + m0 * d0) / (d0 * e0),
-        (n1 * e1 + m1 * d1) / (d1 * e1),
-        (n2 * e2 + m2 * d2) / (d2 * e2),
-    )
-
-
-def _float_point(x, y):
-    return tuple(float(p + q) for p, q in zip(x, y))
+def _by_blocks(grid, lattice, node) -> np.ndarray:
+    """The [nu, nv, 3] array of node(kx, ky), three float arrays at lattice
+    indices, on row-major blocks of `_BLOCK` nodes; after an OverflowError
+    the block is redone node by node, so the first node to raise one does."""
+    n = grid.nu * grid.nv
+    out = np.empty((n, 3))
+    for start in range(0, n, _BLOCK):
+        block = slice(start, min(n, start + _BLOCK))
+        try:
+            out[block] = np.transpose(node(lattice.ix[block], lattice.iy[block]))
+        except OverflowError:
+            for k in range(block.start, block.stop):
+                node(lattice.ix[k : k + 1], lattice.iy[k : k + 1])
+            raise
+    return out.reshape(grid.nu, grid.nv, 3)
 
 
 def generate_null(

@@ -15,6 +15,9 @@ arguments).  `test_spec_paths` checks what each run must show, and
   on half the chart;
 * `jet_cap_caveat`: a Hopf branch of order 19 above the default jet cap;
 * `exp_flat_null`: a null spec with the non-polynomial g1 = exp_flat.
+
+`dense_spec(n)` is the README's dense degree-64 null spec at n x n; it is
+not a CLI case here.
 """
 
 GRID = {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": 17, "nv": 17}
@@ -28,6 +31,14 @@ def poly(*coeffs) -> dict:
 def null_spec(g1, g2, w1=poly(1), w2=poly(1), **extra) -> dict:
     data = {"g1": g1, "g2": g2, "w1": w1, "w2": w2}
     return {"route": "null", "data": data, "grid": dict(GRID), **extra}
+
+
+def dense_spec(n: int) -> dict:
+    """g1 = g2 with coefficients 0, -1/2, 1/3, ..., (-1)^k/(k+1), ..., 1/65
+    and w1 = w2 with 1, 1/2, ..., 1/65, on [-1, 1]^2 at n x n nodes."""
+    g = poly(0, *(f"{(-1) ** k}/{k + 1}" for k in range(1, 65)))
+    w = poly(*(f"1/{k + 1}" for k in range(65)))
+    return {**null_spec(g, g, w, w), "grid": {**GRID, "nu": n, "nv": n}}
 
 
 def _z3(**extra) -> dict:

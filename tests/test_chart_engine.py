@@ -4,8 +4,11 @@
 classifier's Hopf-branch lookup are built from 1-D branch tables; every
 value must equal, bit for bit, what the per-point methods give at the
 node, and every exact table, evaluated over integers, must equal
-`Poly.__call__`.  The space-like chart, built by the same constructor, is
-checked against the per-point oracle `spacelike_forms` the same way.
+`Poly.__call__`.  The cases reach each way the chart forms its node
+values: exact numerator tables, rational g with float w1 (exA2), and the
+per-point expressions element by element for every other mix of types.
+The space-like chart, built by the same constructor, is checked against
+the per-point oracle `spacelike_forms` the same way.
 """
 
 import math
@@ -14,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import spacelike_conformal_factor, spacelike_forms
-from spec_cases import SPEC_CASES
-from zmcsurf import Branch, GridSpec
+from spec_cases import SPEC_CASES, dense_spec, null_spec, poly
+from zmcsurf import Branch, GridSpec, weierstrass
 from zmcsurf.geometry import _exact_branch_values
 from zmcsurf.outputs import fmt, surface_csv
 from zmcsurf.poly import Poly
@@ -36,10 +39,49 @@ FLOAT_NULL = {
 # du/dv = (1/8) / (5/88) = 11/5
 NON_SQUARE = GridSpec(-1, 1, Fraction(-1, 2), Fraction(3, 4), 17, 23)
 
+# non-dyadic rational g, so that a g product rounded in floats would differ
+# from the exact one
+RATIONAL_G = (poly(0, "1/3", "2/7"), poly(0, "-5/3", 0, "1/11"))
+FLOAT_W, RATIONAL_W = poly(1.0, 0.3, -0.1), poly(1, "1/7")
+
+
+def _square(spec, n):
+    return {**spec, "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": n, "nv": n}}
+
+
 # underflow_mask masks nodes whose factor rounds below 1e-300 from a
-# non-zero numerator, z2 nodes whose factor is exactly zero
-CASES = ["z5", "deg26", "f2", "float_null", "exA2", "underflow_mask", "z2"]
-SPECS = {"float_null": FLOAT_NULL, "underflow_mask": SPEC_CASES["underflow_mask"][0]}
+# non-zero numerator, z2 nodes whose factor is exactly zero; exA2_65 has
+# more nodes than one evaluation block
+SPECS = {
+    "float_null": FLOAT_NULL,
+    "underflow_mask": SPEC_CASES["underflow_mask"][0],
+    "exA2_33": _square(preset_spec("exA2"), 33),
+    "exA2_65": _square(preset_spec("exA2"), 65),
+    "rational_g_flat_w": _square(null_spec(*RATIONAL_G, {"kind": "exp_flat"},
+                                           {"kind": "exp_flat"}, allow_degenerate_base=True), 33),
+    "w1_float": null_spec(*RATIONAL_G, FLOAT_W, RATIONAL_W),
+    "w2_float": null_spec(*RATIONAL_G, RATIONAL_W, FLOAT_W),
+    "float_g_rational_w": _square(null_spec(poly(0.0, 0.5, 0.25), poly(0.0, -0.75, 0.0, 0.125),
+                                            poly(1, "1/3"), poly(2, 0, "-1/5")), 33),
+    # a float constant term makes g's values floats; g' stays exact
+    "g_float_constant": null_spec(poly(0.0, "1/3", "2/7"), RATIONAL_G[1], RATIONAL_W, RATIONAL_W),
+    "dense": dense_spec(17),
+}
+CASES = ["z5", "deg26", "f2", "exA2", "z2", *SPECS]
+
+
+# how each case's chart forms its metric factor and its forms
+FACTOR_PATHS = {
+    "z5": ("exact", "exact"),
+    "dense": ("exact", "exact"),
+    "exA2_65": ("rational g", "per point"),
+    "rational_g_flat_w": ("rational g", "per point"),
+    "w1_float": ("rational g", "per point"),
+    "w2_float": ("per point", "per point"),
+    "float_g_rational_w": ("per point", "per point"),
+    "g_float_constant": ("per point", "per point"),
+    "float_null": ("per point", "per point"),
+}
 
 
 def _patch_and_square_grid(name):
@@ -85,6 +127,12 @@ def test_null_lattice_gives_exact_null_coordinates(grid):
     assert len(set(lat.xs)) == len(lat.xs) and len(set(lat.ys)) == len(lat.ys)
 
 
+def test_null_lattice_is_built_once_per_grid():
+    grid = GridSpec.square(1, 17)
+    assert grid.null_lattice() is grid.null_lattice()
+    assert grid == GridSpec.square(1, 17)
+
+
 def test_square_lattice_has_nu_plus_nv_minus_one_values():
     lat = GridSpec.square(1, 33).null_lattice()
     assert len(lat.xs) == len(lat.ys) == 65
@@ -108,6 +156,23 @@ def test_chart_matches_per_point_forms_bitwise(patch_grid):
         assert _bits(chart.L[i, j]) == _bits(float(l)), (i, j)
         assert _bits(chart.M[i, j]) == _bits(float(m)), (i, j)
         assert _bits(chart.N[i, j]) == _bits(float(n)), (i, j)
+
+
+@pytest.mark.parametrize("name", FACTOR_PATHS)
+def test_each_type_mix_takes_its_node_path(name, monkeypatch):
+    """Which chart nodes go through the element-wise `_metric` and
+    `_forms`: none with exact tables, only the forms with rational g and
+    float w1, both otherwise."""
+    calls = set()
+    for attr in ("_metric_each", "_forms_each"):
+        each = getattr(weierstrass, attr)
+        recording = lambda *args, attr=attr, each=each: calls.add(attr) or each(*args)
+        monkeypatch.setattr(weierstrass, attr, recording)
+    patch, grid = _patch_and_square_grid(name)
+    patch.chart(grid)
+    metric, forms = FACTOR_PATHS[name]
+    assert ("_metric_each" in calls) == (metric == "per point")
+    assert ("_forms_each" in calls) == (forms == "per point")
 
 
 def test_surface_csv_coordinates_match_evaluate(patch_grid):

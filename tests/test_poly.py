@@ -113,6 +113,34 @@ def test_complex_coefficients_keep_the_exact_loop_at_float_points():
         p.float_coeffs()
 
 
+# the README's dense degree-64 g: 0, -1/2, 1/3, ..., 1/65
+DENSE = Poly([0] + [Fraction((-1) ** k, k + 1) for k in range(1, 65)])
+EXACT_POINTS = [Fraction(-7, 3), Fraction(-1), Fraction(0), Fraction(5, 4), Fraction(511, 512)]
+EXACT_POLYS = pytest.mark.parametrize(
+    "p", [Poly(), Poly([7]), Poly([Fraction(-5, 6)]), DENSE],
+    ids=["zero", "int_constant", "fraction_constant", "dense_64"],
+)
+
+
+@EXACT_POLYS
+def test_numerators_over_one_positive_denominator(p):
+    ints, den = p.numerators(EXACT_POINTS)
+    assert type(den) is int and den > 0 and all(type(n) is int for n in ints)
+    assert [Fraction(n, den) for n in ints] == [p(t) for t in EXACT_POINTS]
+
+
+def test_numerators_need_exact_coefficients_and_points():
+    assert Poly([1, 0.5]).numerators(EXACT_POINTS) is None
+    assert DENSE.numerators([Fraction(1, 2), 0.5]) is None
+    assert Poly().numerators([0.5]) is None
+
+
+@EXACT_POLYS
+def test_table_keeps_the_call_values_and_types(p):
+    """Fractions over the numerators; the zero polynomial's int 0."""
+    got = p.table(EXACT_POINTS)
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in map(p, EXACT_POINTS)]
+
 
 def _exact_coeffs(rng, n, kinds):
     out = []

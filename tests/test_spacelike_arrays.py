@@ -4,10 +4,9 @@
 float arrays; each value must equal what one complex evaluation per node
 gives (`oracles.reference_spacelike_chart` and
 `reference_spacelike_coordinates`), with NaN equal to NaN, and on hostile
-data the same OverflowError must be raised.  exA2's metric factor, formed
-from the integer ratios of its rational g tables, must equal the
-per-point expression of `weierstrass._float_node` at every node, put
-together by the per-node reference constructor `oracles.chart_from_nodes`.
+data the same OverflowError must be raised.  exA2's float (L, M) must
+keep the bits of the Fraction(1, 4) product; its metric factor is checked
+per point in `test_chart_engine`.
 """
 
 import contextlib
@@ -20,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import chart_from_nodes, reference_spacelike_chart, reference_spacelike_coordinates
+from oracles import reference_spacelike_chart, reference_spacelike_coordinates
 from test_chart_engine import NON_SQUARE
 from zmcsurf import GridSpec, weierstrass
 from zmcsurf.cli import main
@@ -159,62 +158,7 @@ def test_hostile_specs_keep_exit_codes_and_stderr(name, tmp_path):
             assert (code, err.getvalue()) == (3, RECORDED[name]), command
 
 
-# -- exA2: rational g tables, float w tables ------------------------------
-
-
-def _float_node_chart(patch, grid):
-    """`ImmersionPatch.chart`'s nodes through `_float_node` alone."""
-    lattice = grid.null_lattice()
-    xs, ys = lattice.xs, lattice.ys
-    d = patch.data
-    g1d, g2d = patch.g_primes
-    g1, w1, g2, w2 = d.g1.table(xs), d.w1.table(xs), d.g2.table(ys), d.w2.table(ys)
-    lx = [-2 * w * dg for w, dg in zip(w1, g1d.table(xs))]
-    ny = [-2 * w * dg for w, dg in zip(w2, g2d.table(ys))]
-    rows_x, rows_y = list(zip(g1, w1, lx)), list(zip(g2, w2, ny))
-    nodes = (
-        weierstrass._float_node(rows_x[a], rows_y[b]) for a, b in zip(lattice.ix, lattice.iy)
-    )
-    return chart_from_nodes(grid, (None if abs(f) < 1e-300 else (f, L, M, L) for f, L, M in nodes))
-
-
-def _assert_same_chart(got, want):
-    for name in ("sigma", "L", "M", "N"):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
-    assert np.array_equal(got.mask, want.mask)
-    assert np.array_equal(got.metric_sign, want.metric_sign)
-
-
-def _node_calls(monkeypatch, name):
-    calls = []
-    node = getattr(weierstrass, name)
-    monkeypatch.setattr(weierstrass, name, lambda x, y: calls.append(1) or node(x, y))
-    return calls
-
-
-# exA2's g values are dyadic; these are not, so a g product rounded in
-# floats would differ from the exact one
-RATIONAL_G_FLAT_W = {
-    "route": "null",
-    "data": {
-        "g1": {"kind": "poly", "coeffs": [0, "1/3", "2/7"]},
-        "g2": {"kind": "poly", "coeffs": [0, "-5/3", 0, "1/11"]},
-        "w1": {"kind": "exp_flat"},
-        "w2": {"kind": "exp_flat"},
-    },
-    "grid": {**SQUARE, "nu": 17, "nv": 17},
-    "allow_degenerate_base": True,
-}
-
-
-@pytest.mark.parametrize("name, n", [("exA2", 33), ("exA2", 65), ("rational_g", 33)])
-def test_rational_g_node_matches_float_node(name, n, monkeypatch):
-    spec = preset_spec(name) if name == "exA2" else RATIONAL_G_FLAT_W
-    patch, grid = resolve(spec).patch, GridSpec.square(1, n)
-    want = _float_node_chart(patch, grid)
-    calls = _node_calls(monkeypatch, "_rational_g_node")
-    _assert_same_chart(patch.chart(grid), want)
-    assert len(calls) == n * n
+# -- exA2: float forms ----------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [33, 65])
@@ -234,21 +178,3 @@ def test_float_forms_quarter_as_fraction_quarter(n):
         old = float((lx[a] + ny[b]) * Fraction(1, 4)), float((lx[a] - ny[b]) * Fraction(1, 4))
         want.append((old[0], old[1], old[0]))
     assert _same_bits(got, want)
-
-
-def test_float_g_rational_w_keeps_float_node(monkeypatch):
-    spec = {
-        "route": "null",
-        "data": {
-            "g1": {"kind": "poly", "coeffs": [0.0, 0.5, 0.25]},
-            "g2": {"kind": "poly", "coeffs": [0.0, -0.75, 0.0, 0.125]},
-            "w1": {"kind": "poly", "coeffs": [1, "1/3"]},
-            "w2": {"kind": "poly", "coeffs": [2, 0, "-1/5"]},
-        },
-        "grid": {**SQUARE, "nu": 33, "nv": 33},
-    }
-    resolved = resolve(spec)
-    want = _float_node_chart(resolved.patch, resolved.grid)
-    calls = _node_calls(monkeypatch, "_rational_g_node")
-    _assert_same_chart(resolved.patch.chart(resolved.grid), want)
-    assert not calls

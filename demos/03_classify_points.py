@@ -9,6 +9,7 @@ Lorentzian phenomenon.
 """
 
 from zmcsurf import classify_chart, quasi_umbilic_direction_check
+from zmcsurf.geometry import KIND_UMBILIC
 from zmcsurf.presets import load_preset
 
 for name in ("z2", "z3", "f1", "exA1"):
@@ -29,7 +30,7 @@ for name in ("z2", "z3", "f1", "exA1"):
         "/",
         counts["masked"],
     )
-    umb = [chart.node(i, j) for i, j in cls.nodes_of_kind("umbilic")]
+    umb = [chart.node(i, j) for i, j in cls.nodes_of_kind(KIND_UMBILIC)]
     if umb and len(umb) < 5:
         print("  umbilic nodes:", [(str(u), str(v)) for u, v in umb])
     print()

@@ -185,7 +185,8 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         }
         if m is None or m == 0:
             report["measured_index"] = None
-            report["note"] = "no isolated umbilic (Hopf coefficient has no zero at o)"
+            report["note"] = "no isolated umbilic (Hopf coefficient " + (
+                "is identically zero)" if m is None else "has no zero at o)")
             report["match"] = None
         else:
             field = patch.principal_line_field()

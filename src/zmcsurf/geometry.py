@@ -11,8 +11,10 @@ curvatures coincide but the operator is not scalar; the single principal
 direction is null), positive (two real principal curvatures), negative
 (complex pair).  The discriminant D = e^{-4 sigma} ((L+N)^2 - 4 M^2)
 separates them.  Kinds, D, principal curvatures and directions are arrays
-over the grid; a generated chart's kinds are exact, from the signs of its two
-Hopf branches taken once per distinct null coordinate.  Generated charts
+over the grid; a kind is an int8 code into one table (`KIND_NAMES`,
+`KIND_DIRECTIONS`), and the writers look its name up there.  A generated
+chart's kinds are exact, from the signs of its two Hopf branches taken once
+per distinct null coordinate.  Generated charts
 of both signatures are built by `generated_chart` from arrays of the
 metric factor and the second forms, each patch type with its own mask
 rule; raw ones by `chart_from_arrays`.
@@ -28,11 +30,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-KIND_UMBILIC = "umbilic"
-KIND_QUASI = "quasi_umbilic"
-KIND_POSITIVE = "positive"
-KIND_NEGATIVE = "negative"
-KIND_MASKED = "masked"
+# The kind table.  A node's kind is an int8 code, its position here; each
+# kind has a name (what the outputs print) and a number of principal
+# directions.  Writers index these tables by code.
+KIND_NAMES = ("masked", "umbilic", "negative", "quasi_umbilic", "positive")
+KIND_DIRECTIONS = (0, 0, 0, 1, 2)
+KIND_MASKED, KIND_UMBILIC, KIND_NEGATIVE, KIND_QUASI, KIND_POSITIVE = np.arange(
+    len(KIND_NAMES), dtype=np.int8)
 
 
 class NumericGuardError(ArithmeticError):
@@ -249,7 +253,7 @@ class ChartClassification:
     """Classification of every node of a chart, as arrays over the grid."""
 
     chart: SurfaceChart
-    kinds: np.ndarray  # str, [i, j]
+    kinds: np.ndarray  # int8 kind code, [i, j]: an index into the kind table
     D: np.ndarray  # NaN at masked nodes
     dirs: np.ndarray  # [i, j, 2, 2] unit directions, NaN past the node's count
     eigenvalues: np.ndarray  # [i, j, 2], NaN where the node has none
@@ -258,7 +262,7 @@ class ChartClassification:
     @classmethod
     def spread(cls, chart, *values):
         """The classification from (kinds, D, dirs, eigenvalues, marginal)
-        at the immersed nodes, in row-major order; masked nodes get
+        at the immersed nodes, in row-major order; masked nodes get the code
         KIND_MASKED, NaN and False."""
         arrays = []
         for v, fill in zip(values, (KIND_MASKED, np.nan, np.nan, np.nan, False)):
@@ -268,14 +272,14 @@ class ChartClassification:
 
     def point(self, i: int, j: int) -> PointClass:
         """The per-node view of node (i, j)."""
-        kind = str(self.kinds[i, j])
+        code = self.kinds[i, j]
         eigenvalues = tuple(self.eigenvalues[i, j].tolist())
-        if kind in (KIND_MASKED, KIND_NEGATIVE):
+        if code in (KIND_MASKED, KIND_NEGATIVE):
             eigenvalues = None
-        count = {KIND_POSITIVE: 2, KIND_QUASI: 1}.get(kind, 0)
-        dirs = tuple(self.dirs[i, j, :count].copy())
+        dirs = tuple(self.dirs[i, j, :KIND_DIRECTIONS[code]].copy())
         marginal = bool(self.marginal[i, j])
-        return PointClass(kind, float(self.D[i, j]), dirs, eigenvalues, marginal)
+        return PointClass(KIND_NAMES[code], float(self.D[i, j]), dirs, eigenvalues,
+                          marginal)
 
     @cached_property
     def points(self) -> dict:
@@ -283,22 +287,15 @@ class ChartClassification:
         nu, nv = self.kinds.shape
         return {(i, j): self.point(i, j) for i in range(nu) for j in range(nv)}
 
-    def nodes_of_kind(self, kind: str):
-        ii, jj = np.nonzero(self.kinds == kind)
+    def nodes_of_kind(self, code) -> list:
+        """The (i, j) of every node whose kind code is `code`, row-major."""
+        ii, jj = np.nonzero(self.kinds == code)
         return list(zip(ii.tolist(), jj.tolist()))
 
     def counts(self) -> dict:
-        out = {}
-        for kind in (
-            KIND_POSITIVE,
-            KIND_NEGATIVE,
-            KIND_UMBILIC,
-            KIND_QUASI,
-            KIND_MASKED,
-        ):
-            out[kind] = int(np.count_nonzero(self.kinds == kind))
-        out["total"] = int(self.kinds.size)
-        return out
+        """The number of nodes of each kind, by name, and their total."""
+        n = np.bincount(self.kinds.ravel(), minlength=len(KIND_NAMES))
+        return {**dict(zip(KIND_NAMES, n.tolist())), "total": int(self.kinds.size)}
 
 
 def _check_sigma(chart: SurfaceChart):

@@ -8,7 +8,10 @@ keys and a fixed layout.  Every CSV file goes through one row writer,
 CSV is one block per grid row: its numbers are arrays computed before the
 first block is formed, each node coordinate is formatted once per axis and
 placed into the row's template, and a cell left blank or printed `nan` is
-literal text of the node's template or a NaN value.
+literal text of the node's template or a NaN value.  classification.csv
+picks a node's template by its int8 kind code: one template per row of
+the kind table (`geometry.KIND_NAMES`), printing the kind's name, D unless
+the node is masked, and as many directions as `KIND_DIRECTIONS` gives it.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import json
 import numpy as np
 
 from .geometry import (
+    KIND_DIRECTIONS,
     KIND_MASKED,
-    KIND_NEGATIVE,
-    KIND_POSITIVE,
+    KIND_NAMES,
     KIND_QUASI,
     KIND_UMBILIC,
     ChartClassification,
@@ -45,16 +48,17 @@ def _lines(header, blocks):
         yield template % values
 
 
-def _grid_blocks(grid, cells, choice, values, shown):
+def _grid_blocks(grid, cells, shown, choice, values):
     """A (template, values) block per grid row.  Node (i, j) reads
-    "u_i,v_j," and then cells[choice[i, j]], whose `%.17g` fields take the
-    node's `values[i, j]` where `shown[i, j]`, in order."""
+    "u_i,v_j," and then cells[c], c = choice[i, j], whose `%.17g` fields
+    take the node's `values[i, j]` where `shown[c]`, in order."""
     u_text = [fmt(u) + "," for u in grid.u_nodes()]
     v_text = [fmt(v) + "," for v in grid.v_nodes()]
     table = np.array([[v + c for v in v_text] for c in cells], dtype=object)
     columns = np.arange(grid.nv)
     for i, u in enumerate(u_text):
-        yield u + u.join(table[choice[i], columns]), tuple(values[i][shown[i]].tolist())
+        text = u + u.join(table[choice[i], columns])
+        yield text, tuple(values[i][shown[choice[i]]].tolist())
 
 
 SURFACE_COLUMNS = ("u", "v", "f0", "f1", "f2", "sigma", "L", "M", "N")
@@ -71,9 +75,9 @@ def surface_lines(chart: SurfaceChart, patch):
     values[..., :3] = patch.grid_coordinates(grid)
     for k, form in enumerate((chart.sigma, chart.L, chart.M, chart.N), 3):
         values[..., k] = np.where(chart.mask, form, np.nan)
-    shown = np.broadcast_to(True, values.shape)
     choice = np.broadcast_to(0, shape)
-    return _lines(SURFACE_COLUMNS, _grid_blocks(grid, [_SURFACE_CELLS], choice, values, shown))
+    blocks = _grid_blocks(grid, [_SURFACE_CELLS], np.ones((1, 7), bool), choice, values)
+    return _lines(SURFACE_COLUMNS, blocks)
 
 
 def surface_csv(chart: SurfaceChart, patch) -> str:
@@ -96,30 +100,21 @@ CLASSIFICATION_COLUMNS = (
     "dir2_u",
     "dir2_v",
 )
-# per kind: the cells after u and v, with D, dir1 and dir2 shown or blank
-_CLASSIFICATION_CELLS = {
-    KIND_MASKED: ",,,,\n",
-    KIND_UMBILIC: "%.17g,,,,\n",
-    KIND_NEGATIVE: "%.17g,,,,\n",
-    KIND_QUASI: "%.17g,%.17g,%.17g,,\n",
-    KIND_POSITIVE: "%.17g,%.17g,%.17g,%.17g,%.17g\n",
-}
+# per kind code: which of D, dir1 (u, v) and dir2 (u, v) a row shows, and
+# its cells after u and v, the kind's name and a %.17g field per value shown
+_CLASSIFICATION_SHOWN = np.array([[code != KIND_MASKED] + [n > 0] * 2 + [n > 1] * 2
+                                  for code, n in enumerate(KIND_DIRECTIONS)])
+_CLASSIFICATION_CELLS = [",".join([name] + ["%.17g" if s else "" for s in shown]) + "\n"
+                         for name, shown in zip(KIND_NAMES, _CLASSIFICATION_SHOWN)]
 
 
 def classification_lines(cls: ChartClassification):
     """The text of classification.csv, block by block (see
     `classification_csv`)."""
-    kinds = cls.kinds
-    choice = np.zeros(kinds.shape, dtype=np.intp)
-    cells = []
-    for n, (kind, text) in enumerate(_CLASSIFICATION_CELLS.items()):
-        choice[kinds == kind] = n
-        cells.append(f"{kind},{text}")
-    values = np.concatenate([cls.D[..., None], cls.dirs.reshape(kinds.shape + (4,))], -1)
-    has_dir2 = kinds == KIND_POSITIVE
-    has_dir1 = has_dir2 | (kinds == KIND_QUASI)
-    shown = np.stack([kinds != KIND_MASKED, has_dir1, has_dir1, has_dir2, has_dir2], -1)
-    return _lines(CLASSIFICATION_COLUMNS, _grid_blocks(cls.chart.grid, cells, choice, values, shown))
+    values = np.concatenate([cls.D[..., None], cls.dirs.reshape(cls.kinds.shape + (4,))], -1)
+    blocks = _grid_blocks(cls.chart.grid, _CLASSIFICATION_CELLS, _CLASSIFICATION_SHOWN,
+                          cls.kinds, values)
+    return _lines(CLASSIFICATION_COLUMNS, blocks)
 
 
 def classification_csv(cls: ChartClassification) -> str:
@@ -137,16 +132,9 @@ def classification_summary(cls: ChartClassification, extra: dict = None) -> dict
         for u, v in [cls.chart.node(i, j)]
     ]
     summary = {
-        "counts": {
-            "positive": counts[KIND_POSITIVE],
-            "negative": counts[KIND_NEGATIVE],
-            "umbilic": counts[KIND_UMBILIC],
-            "quasi_umbilic": counts[KIND_QUASI],
-            "masked": counts[KIND_MASKED],
-            "total": counts["total"],
-        },
+        "counts": counts,
         "umbilic_nodes": umbilics,
-        "zero_set_size": counts[KIND_UMBILIC] + counts[KIND_QUASI],
+        "zero_set_size": counts[KIND_NAMES[KIND_UMBILIC]] + counts[KIND_NAMES[KIND_QUASI]],
     }
     if extra:
         summary.update(extra)

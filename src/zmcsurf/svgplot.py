@@ -19,13 +19,9 @@ import numpy as np
 
 VIEW = 800.0
 
-KIND_COLORS = {
-    "positive": "#cfe0f5",
-    "negative": "#f5cfcf",
-    "quasi_umbilic": "#f2dd88",
-    "umbilic": "#1a1a1a",
-    "masked": "#e8e8e8",
-}
+# background colour per kind code (masked, umbilic, negative, quasi-umbilic,
+# positive: the order of geometry.KIND_NAMES)
+KIND_COLORS = ("#e8e8e8", "#1a1a1a", "#f5cfcf", "#f2dd88", "#cfe0f5")
 
 FLOW_COLORS = ("#1a4fa0", "#a0341a")
 
@@ -67,7 +63,8 @@ def render_svg(
 ) -> str:
     """Build the SVG document.
 
-    kinds: [nu, nv] array of kind strings coloring the background cells.
+    kinds: [nu, nv] array of kind codes; cell (i, j) takes the colour
+    KIND_COLORS[kinds[i, j]].
     polyline_families: sequence of lists of polylines (each an array of
     (u,v) points); families get distinct colors.
     marks: (u, v) singular points.
@@ -95,7 +92,7 @@ def render_svg(
     cells = np.asarray(kinds)[: grid.nu - 1, : grid.nv - 1].tolist()
     for (x, width), column in zip(cols, cells):
         for (y, height), kind in zip(rows, column):
-            color = KIND_COLORS.get(str(kind), "#ffffff")
+            color = KIND_COLORS[kind]
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{width}" '
                 f'height="{height}" fill="{color}"/>\n'

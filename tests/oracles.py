@@ -67,6 +67,7 @@ import numpy as np
 from zmcsurf.flow import LINE_FIELD, VECTOR_FIELD, FlowField, _ZeroOnCircle
 from zmcsurf.geometry import (
     KIND_MASKED,
+    KIND_NAMES,
     KIND_NEGATIVE,
     KIND_POSITIVE,
     KIND_QUASI,
@@ -295,11 +296,16 @@ def _eigen_pair(chart, i, j, r):
     return (f * (t + r) / 2.0, f * (t - r) / 2.0)
 
 
+def _point(code, *rest):
+    """The PointClass of a node of kind `code`, named from the kind table."""
+    return PointClass(KIND_NAMES[code], *rest)
+
+
 def reference_classify_node(chart, i, j):
     """Classify one time-like node: exact sign tests on the Hopf branch
     values when the chart carries them, else a tolerance."""
     if not chart.mask[i, j]:
-        return PointClass(KIND_MASKED, float("nan"), (), None)
+        return _point(KIND_MASKED, float("nan"), (), None)
 
     L = float(chart.L[i, j])
     M = float(chart.M[i, j])
@@ -313,35 +319,35 @@ def reference_classify_node(chart, i, j):
     if exact is not None:
         pp, mm = exact
         if pp == 0 and mm == 0:
-            return PointClass(KIND_UMBILIC, 0.0, (), _eigen_pair(chart, i, j, 0.0))
+            return _point(KIND_UMBILIC, 0.0, (), _eigen_pair(chart, i, j, 0.0))
         if pp == 0 or mm == 0:
             s = 1 if pp == 0 else -1
-            return PointClass(
+            return _point(
                 KIND_QUASI, 0.0, (_unit(s, 1),), _eigen_pair(chart, i, j, 0.0)
             )
         same_sign = (pp > 0 and mm > 0) or (pp < 0 and mm < 0)
         kind = KIND_POSITIVE if same_sign else KIND_NEGATIVE
         if kind == KIND_NEGATIVE:
-            return PointClass(kind, D, (), None)
+            return _point(kind, D, (), None)
         r = math.sqrt(abs(a * a - b * b))
-        return PointClass(
+        return _point(
             kind, D, _eigendirections(a, b, r), _eigen_pair(chart, i, j, r)
         )
 
     tau = 1e-9 * (1.0 + abs(L) + abs(N) + abs(M))
     if abs(a) <= tau and abs(b) <= tau:
-        return PointClass(KIND_UMBILIC, D, (), _eigen_pair(chart, i, j, 0.0), True)
+        return _point(KIND_UMBILIC, D, (), _eigen_pair(chart, i, j, 0.0), True)
     if abs(abs(a) - abs(b)) <= tau:
         # degenerate eigenvalue; unique null direction (b, -a) up to scale
-        return PointClass(
+        return _point(
             KIND_QUASI, D, (_unit(b, -a),), _eigen_pair(chart, i, j, 0.0), True
         )
     if abs(a) > abs(b):
         r = math.sqrt(a * a - b * b)
-        return PointClass(
+        return _point(
             KIND_POSITIVE, D, _eigendirections(a, b, r), _eigen_pair(chart, i, j, r)
         )
-    return PointClass(KIND_NEGATIVE, D, (), None)
+    return _point(KIND_NEGATIVE, D, (), None)
 
 
 def reference_accumulate(field, radius, samples):
@@ -462,7 +468,7 @@ def reference_render_svg(
     v_nodes = grid.v_nodes()
     for i in range(grid.nu - 1):
         for j in range(grid.nv - 1):
-            color = KIND_COLORS.get(str(kinds[i, j]), "#ffffff")
+            color = KIND_COLORS[kinds[i, j]]
             x0, y0 = cmap.px(u_nodes[i], v_nodes[j + 1])
             x1, y1 = cmap.px(u_nodes[i + 1], v_nodes[j])
             parts.append(

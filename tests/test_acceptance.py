@@ -25,7 +25,7 @@ from zmcsurf import (
     winding_index,
 )
 from zmcsurf.cli import main as cli_main
-from zmcsurf.geometry import KIND_QUASI, KIND_UMBILIC
+from zmcsurf.geometry import KIND_NEGATIVE, KIND_QUASI, KIND_UMBILIC
 from zmcsurf.presets import PRESET_ORDER, load_preset
 
 TIMELIKE_PRESETS = ("plane", "exA1", "z2", "z3", "z5", "f1", "f2", "deg26", "exA2")
@@ -349,8 +349,8 @@ def test_criterion_10_spacelike_index_law():
     for name in SPACELIKE_PRESETS:
         spec = _resolved(name)
         kinds = spec.patch.chart(spec.grid).classify().kinds
-        assert not np.any(kinds == "quasi_umbilic")
-        assert not np.any(kinds == "negative")
+        assert not np.any(kinds == KIND_QUASI)
+        assert not np.any(kinds == KIND_NEGATIVE)
     _report(10, "line-field indices -1/2, -1, -3/2 measured; no quasi-umbilics")
 
 

@@ -83,6 +83,30 @@ def test_index_reports(tmp_path):
     assert reps["measured_index"] == -1.0 and reps["match"] is True
 
 
+@pytest.mark.parametrize(
+    "g, omega, umbilics",
+    [([0], [1], 17 * 17), ([0, 1], [0], 0), ([0, 1], [1], 0)],
+    ids=["constant_g", "zero_omega", "no_zero_at_o"],
+)
+def test_spacelike_index_note_names_a_vanishing_hopf_coefficient(tmp_path, g, omega, umbilics):
+    """Constant g or zero omega_hat make the Hopf coefficient -(omega_hat g')
+    the zero polynomial: every immersed node is umbilic, none isolated."""
+    spec = tmp_path / "spec.json"
+    data = {"route": "kobayashi", "data": {"g": g, "omega_hat": omega},
+            "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": 17, "nv": 17}}
+    spec.write_text(json.dumps(data))
+    for cmd in ("classify", "index"):
+        assert _run([cmd, "--spec", str(spec), "--out", str(tmp_path / cmd)]) == 0
+    summary = json.loads((tmp_path / "classify" / "summary.json").read_text())
+    assert summary["counts"]["umbilic"] == umbilics
+    report = json.loads((tmp_path / "index" / "index_report.json").read_text())
+    order = None if omega == [0] or g == [0] else 0
+    assert report["hopf_zero_order"] == order
+    zero = "is identically zero" if order is None else "has no zero at o"
+    assert report["note"] == f"no isolated umbilic (Hopf coefficient {zero})"
+    assert report["measured_index"] is None and report["match"] is None
+
+
 def test_index_skips_measurement_when_not_admissible(tmp_path):
     out = tmp_path / "z2"
     assert _run(["index", "--preset", "z2", "--out", str(out)]) == 0

@@ -109,9 +109,10 @@ def _winding(field, radius, monkeypatch, accumulate):
 
 
 def _kinds(grid):
-    names = sorted(KIND_COLORS) + ["unknown"]
+    """Every kind code, in a pattern over the grid."""
+    n = len(KIND_COLORS)
     return np.array(
-        [[names[(i * 7 + j) % len(names)] for j in range(grid.nv)] for i in range(grid.nu)]
+        [[(i * 7 + j) % n for j in range(grid.nv)] for i in range(grid.nu)], np.int8
     )
 
 

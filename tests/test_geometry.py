@@ -18,13 +18,16 @@ from zmcsurf import (
     quasi_umbilic_direction_check,
 )
 from zmcsurf.geometry import (
+    KIND_DIRECTIONS,
     KIND_MASKED,
+    KIND_NAMES,
     KIND_NEGATIVE,
     KIND_POSITIVE,
     KIND_QUASI,
     KIND_UMBILIC,
 )
 from zmcsurf.presets import preset_spec
+from zmcsurf.svgplot import KIND_COLORS
 from zmcsurf.surfacespec import resolve
 
 from oracles import reference_classify_node, weingarten
@@ -103,7 +106,7 @@ def test_weingarten_matches_null_route_conjugation():
 def test_classify_z3_origin_is_umbilic():
     chart = _chart_ko_monomial(3)
     pc = classify_chart(chart).point(16, 16)
-    assert pc.kind == KIND_UMBILIC and not pc.marginal
+    assert pc.kind == KIND_NAMES[KIND_UMBILIC] and not pc.marginal
 
 
 def test_classify_z2_sign_pattern():
@@ -158,8 +161,8 @@ def test_classify_chart_partitions_z3():
         assert (u, v) != (0, 0)
     # off the diagonals all positive
     counts = cls.counts()
-    assert counts[KIND_NEGATIVE] == 0
-    assert counts[KIND_POSITIVE] + counts[KIND_QUASI] + 1 + counts[KIND_MASKED] == 33 * 33
+    assert counts["negative"] == 0
+    assert counts["positive"] + counts["quasi_umbilic"] + 1 + counts["masked"] == 33 * 33
 
 
 def test_classify_chart_plane_totally_umbilic():
@@ -168,7 +171,7 @@ def test_classify_chart_plane_totally_umbilic():
     )
     chart = patch.chart(GridSpec.square(1, 17))
     cls = classify_chart(chart)
-    assert cls.counts()[KIND_UMBILIC] == 17 * 17
+    assert cls.counts()["umbilic"] == 17 * 17
 
 
 def test_classify_chart_ruled_example_totally_quasi_umbilic():
@@ -179,7 +182,7 @@ def test_classify_chart_ruled_example_totally_quasi_umbilic():
         GridSpec.square(1, 17)
     )
     cls = classify_chart(chart)
-    assert cls.counts()[KIND_QUASI] == 17 * 17
+    assert cls.counts()["quasi_umbilic"] == 17 * 17
     # the unique principal direction is the null ruling direction (1, -1)
     ref = np.array([1.0, -1.0]) / math.sqrt(2)
     for (i, j), pc in cls.points.items():
@@ -264,7 +267,7 @@ def test_negative_points_report_no_real_eigenvalues():
 def test_numeric_chart_marginal_flag():
     chart = _single_node_chart(0.0, 1e-12, 0.0, 1e-12)
     pc = classify_chart(chart).point(0, 0)
-    assert pc.kind == KIND_UMBILIC and pc.marginal
+    assert pc.kind == KIND_NAMES[KIND_UMBILIC] and pc.marginal
 
 
 def test_masked_node_rejected_by_weingarten():
@@ -281,12 +284,12 @@ def _plain_unit(p, q):
     return (u, v) if u > 0 or (u == 0 and v > 0) else (-u, -v)
 
 
-def _expected_dirs(chart, i, j, kind):
+def _expected_dirs(chart, i, j, code):
     L, M, N = (float(chart.L[i, j]), float(chart.M[i, j]), float(chart.N[i, j]))
     a, b = L + N, 2.0 * M
-    if kind == KIND_QUASI and chart.hopf_values is None:  # the null direction (b, -a)
+    if code == KIND_QUASI and chart.hopf_values is None:  # the null direction (b, -a)
         return [_plain_unit(b, -a)]
-    if kind == KIND_QUASI:  # the null direction (s, 1), s = 1 where plus(x) = 0
+    if code == KIND_QUASI:  # the null direction (s, 1), s = 1 where plus(x) = 0
         plus = chart.hopf_values[0][chart.lattice.ix[i * chart.grid.nv + j]]
         return [_plain_unit(1.0 if plus == 0 else -1.0, 1.0)]
     r = math.sqrt(abs(a * a - b * b))
@@ -354,11 +357,48 @@ def test_array_classifier_matches_per_node_reference(name, shape):
             assert _hexes(got.dirs) == _hexes(want.dirs), (i, j)
             assert len(got.dirs) == len(want.dirs), (i, j)
             assert _hexes(got.eigenvalues) == _hexes(want.eigenvalues), (i, j)
-            assert cls.kinds[i, j] == got.kind
-            kinds.add(got.kind)
+            assert KIND_NAMES[cls.kinds[i, j]] == got.kind
+            kinds.add(int(cls.kinds[i, j]))
     assert {KIND_POSITIVE, KIND_QUASI} <= kinds
     if name == "raw":
         assert {KIND_UMBILIC, KIND_NEGATIVE, KIND_MASKED} <= kinds
+
+
+def test_kind_table_has_one_row_per_code():
+    codes = (KIND_MASKED, KIND_UMBILIC, KIND_NEGATIVE, KIND_QUASI, KIND_POSITIVE)
+    assert [c.dtype for c in codes] == [np.int8] * 5
+    assert [int(c) for c in codes] == list(range(len(KIND_NAMES)))
+    assert len(KIND_DIRECTIONS) == len(KIND_COLORS) == len(KIND_NAMES)
+    assert dict(zip(KIND_NAMES, zip(KIND_DIRECTIONS, KIND_COLORS))) == {
+        "masked": (0, "#e8e8e8"),
+        "umbilic": (0, "#1a1a1a"),
+        "negative": (0, "#f5cfcf"),
+        "quasi_umbilic": (1, "#f2dd88"),
+        "positive": (2, "#cfe0f5"),
+    }
+
+
+# a chart source and its grid shape; exA2's sigma passes the guard at 17^2
+KIND_SOURCES = {
+    "exact_z3": (CHARTS["z3"], (17, 23)),
+    "tolerance_exA2": (lambda nu, nv: _generated_chart(preset_spec("exA2"), nu, nv), (17, 17)),
+    "raw": (_planted_chart, (17, 23)),
+    "spacelike_m2": (lambda nu, nv: _generated_chart(preset_spec("spacelike_m2"), nu, nv),
+                     (17, 23)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_SOURCES))
+def test_kinds_are_one_int8_code_per_node(name):
+    """Both classifiers, with and without Hopf tables, store one int8 code
+    per node: no kind strings."""
+    source, (nu, nv) = KIND_SOURCES[name]
+    chart = source(nu, nv)
+    assert (chart.hopf_values is not None) == name.startswith("exact")
+    kinds = classify_chart(chart).kinds
+    assert kinds.dtype == np.int8
+    assert kinds.shape == (nu, nv) and kinds.nbytes == nu * nv
+    assert 0 <= kinds.min() and kinds.max() < len(KIND_NAMES)
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "deg26", "raw"])
@@ -375,7 +415,7 @@ def test_principal_directions_pinned_to_plain_float_formula(name):
         if not pc.dirs:
             continue
         got = [tuple(float(c).hex() for c in d) for d in pc.dirs]
-        expected = _expected_dirs(cls.chart, i, j, pc.kind)
+        expected = _expected_dirs(cls.chart, i, j, cls.kinds[i, j])
         want = [tuple(c.hex() for c in d) for d in expected]
         assert got == want, (i, j)
         checked += 1

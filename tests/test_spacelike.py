@@ -23,7 +23,14 @@ from zmcsurf import (
     monomial_hopf_data,
     spacelike_index,
 )
-from zmcsurf.geometry import classify_chart
+from zmcsurf.geometry import (
+    KIND_NAMES,
+    KIND_NEGATIVE,
+    KIND_POSITIVE,
+    KIND_QUASI,
+    KIND_UMBILIC,
+    classify_chart,
+)
 from zmcsurf.outputs import classification_csv
 from zmcsurf.presets import preset_spec
 from zmcsurf.surfacespec import resolve
@@ -135,16 +142,16 @@ def test_umbilics_isolated_and_no_quasi_umbilics():
         chart = patch.chart(GridSpec.square(1, 33))
         kinds = chart.classify().kinds
         mid = 16
-        assert kinds[mid, mid] == "umbilic"
+        assert kinds[mid, mid] == KIND_UMBILIC
         # the squared modulus of the Hopf coefficient vanishes only at o
         for i, u in enumerate(chart.grid.u_nodes()):
             for j, v in enumerate(chart.grid.v_nodes()):
                 if float(u) ** 2 + float(v) ** 2 > 0.25 or (u == 0 and v == 0):
                     continue
                 assert abs(spacelike_hopf(patch, u, v)) ** 2 > 0
-                assert kinds[i, j] == "positive"
-        assert not np.any(kinds == "quasi_umbilic")
-        assert not np.any(kinds == "negative")
+                assert kinds[i, j] == KIND_POSITIVE
+        assert not np.any(kinds == KIND_QUASI)
+        assert not np.any(kinds == KIND_NEGATIVE)
 
 
 def test_eigenvalue_discriminant_nonnegative():
@@ -186,11 +193,11 @@ def test_point_classes_match_eigh(preset):
         shape = math.exp(-2.0 * chart.sigma[i, j]) * np.array([[L, M], [M, N]])
         values, vectors = np.linalg.eigh(shape)
         scale = 1e-12 * (1.0 + np.abs(values).max())
-        if pc.kind == "umbilic":
+        if pc.kind == KIND_NAMES[KIND_UMBILIC]:
             assert pc.marginal and pc.dirs == () and pc.eigenvalues == (0.0, 0.0)
             assert np.abs(values).max() <= 1e-9 * (1.0 + abs(L) + abs(M) + abs(N))
             continue
-        assert pc.kind == "positive" and not pc.marginal
+        assert pc.kind == KIND_NAMES[KIND_POSITIVE] and not pc.marginal
         # eigh sorts ascending; the PointClass pairs (+r, -r) with dirs
         assert abs(pc.eigenvalues[0] - values[1]) <= scale
         assert abs(pc.eigenvalues[1] - values[0]) <= scale
@@ -198,7 +205,7 @@ def test_point_classes_match_eigh(preset):
             assert abs(math.hypot(*d) - 1.0) <= 1e-15
             assert abs(abs(np.dot(d, vectors[:, k])) - 1.0) <= 1e-12
         assert pc.D == pytest.approx((values[1] - values[0]) ** 2, rel=1e-12)
-    assert cls.points[(16, 16)].kind == "umbilic"
+    assert cls.points[(16, 16)].kind == KIND_NAMES[KIND_UMBILIC]
 
 
 def _forms_line_field(patch, u, v):

@@ -146,10 +146,12 @@ MEASURE = (
 )
 
 
-def _peak_kib(tmp_path, n: int, source=("--preset", "z5")) -> int:
+def _peak_kib(tmp_path, n: int, source=("--preset", "z5"), command="generate") -> int:
+    """Peak RSS in KiB of one `command` at grid n x n, in a fresh process."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    argv = ["generate", *source, "--grid", str(n), "--out", str(tmp_path / str(n))]
+    out = tmp_path / f"{command}{n}"
+    argv = [command, *source, "--grid", str(n), "--out", str(out)]
     done = subprocess.run([sys.executable, "-c", MEASURE, *argv], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     return int(done.stdout.split()[-1])
@@ -177,3 +179,14 @@ def test_dense_chart_memory_grows_with_arrays_not_node_objects(tmp_path):
     spec.write_text(json.dumps(dense_spec(17)))
     peak = [_peak_kib(tmp_path, n, ("--spec", str(spec))) for n in (17, 257)]
     assert (peak[1] - peak[0]) / 1024 < 40
+
+
+def test_flow_memory_grows_with_kind_codes_not_kind_strings(tmp_path):
+    """flow z5 at 513^2 over 17^2: 144 MB more peak RSS when each node's
+    kind was a '<U13' string, 115 MB with int8 kind codes (Python 3.11.7,
+    numpy 2.4, Linux)."""
+    pytest.importorskip("resource")
+    if not sys.platform.startswith(("linux", "freebsd")):
+        pytest.skip("ru_maxrss is in KiB on Linux and FreeBSD only")
+    peak = [_peak_kib(tmp_path, n, command="flow") for n in (17, 513)]
+    assert (peak[1] - peak[0]) / 1024 < 130

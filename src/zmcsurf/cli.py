@@ -38,22 +38,22 @@ from .flow import LINE_FIELD, VECTOR_FIELD, WindingError, streamlines, winding_i
 from .geometry import NumericGuardError, classify_chart
 from .outputs import (
     SURFACE_COLUMNS,
-    canonical_json,
     classification_csv,
     classification_lines,
     classification_summary,
+    json_lines,
     surface_csv,
     surface_lines,
     winding_csv,
 )
 from .presets import PRESET_ORDER, preset_spec
 from .surfacespec import ResolvedSpec, SpecError, resolve
-from .svgplot import render_svg
+from .svgplot import render_svg, svg_lines
 from .umbilic import NoSmoothFlowError, analyze_point, eigenfields, measure_indices
 
-# perfbench/layertrace.py patches this alias and the imported surface_csv
-# and classification_csv, which the commands no longer call (they write the
-# `*_lines` blocks); drop them with the next change to the benchmark.
+# perfbench/layertrace.py patches this alias and the imported surface_csv,
+# classification_csv and render_svg, which the commands no longer call (they
+# write the `*_lines` blocks); drop them with the next change to the benchmark.
 spacelike_classification_csv = classification_csv
 
 EXIT_OK = 0
@@ -109,6 +109,7 @@ def _override(spec: dict, key: str, **values):
 
 
 def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
+    g = resolved.grid
     meta = {
         "package": "zmcsurf",
         "version": __version__,
@@ -116,14 +117,8 @@ def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
         "route": resolved.route,
         "spec": resolved.echo,
         "analysis": dataclasses.asdict(resolved.analysis),
-        "grid": {
-            "u_min": str(resolved.grid.u_min),
-            "u_max": str(resolved.grid.u_max),
-            "v_min": str(resolved.grid.v_min),
-            "v_max": str(resolved.grid.v_max),
-            "nu": resolved.grid.nu,
-            "nv": resolved.grid.nv,
-        },
+        "grid": {"nu": g.nu, "nv": g.nv,
+                 **{k: str(getattr(g, k)) for k in ("u_min", "u_max", "v_min", "v_max")}},
     }
     if columns:
         meta["columns"] = list(columns)
@@ -131,9 +126,13 @@ def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
 
 
 def _write(out_dir: Path, name: str, blocks):
-    """Write the text blocks to out_dir/name, creating out_dir."""
+    """Write the text blocks to out_dir/name, creating out_dir once the
+    first block is formed (a flow.svg header that fails leaves no file)."""
+    blocks = iter(blocks)
+    first = next(blocks)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / name, "w", encoding="utf-8") as f:
+        f.write(first)
         f.writelines(blocks)
 
 
@@ -152,11 +151,7 @@ def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     if resolved.route == "chart":
         raise SpecError("/route", "generate needs a generated route (ko/null/kobayashi)")
     _write(out_dir, "surface.csv", surface_lines(_surface_chart(resolved), resolved.patch))
-    _write(
-        out_dir,
-        "metadata.json",
-        [canonical_json(_metadata(resolved, args, SURFACE_COLUMNS))],
-    )
+    _write(out_dir, "metadata.json", json_lines(_metadata(resolved, args, SURFACE_COLUMNS)))
     return EXIT_OK
 
 
@@ -166,7 +161,7 @@ def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
         extra["tagged"] = "spacelike"
     cls = classify_chart(_surface_chart(resolved))
     _write(out_dir, "classification.csv", classification_lines(cls))
-    _write(out_dir, "summary.json", [canonical_json(classification_summary(cls, extra))])
+    _write(out_dir, "summary.json", json_lines(classification_summary(cls, extra)))
     return EXIT_OK
 
 
@@ -209,7 +204,7 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     else:
         raise SpecError("/route", "index needs a generated route (ko/null/kobayashi)")
 
-    _write(out_dir, "index_report.json", [canonical_json(report)])
+    _write(out_dir, "index_report.json", json_lines(report))
     _write(out_dir, "winding.csv", [winding_csv(rows)])
     return EXIT_OK
 
@@ -231,36 +226,23 @@ def _flow_polylines(resolved: ResolvedSpec, fields):
 
 
 def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
-    banner = ""
-    families = []
-    marks = []
+    fields, banner = [], ""
     meta = {"preset": args.preset}
     cls = classify_chart(_surface_chart(resolved))
     if resolved.is_spacelike:
         meta["tagged"] = "spacelike"
-        field = resolved.patch.principal_line_field()
-        families = _flow_polylines(resolved, [field])
-        marks = [(0.0, 0.0)]
+        fields = [resolved.patch.principal_line_field()]
     elif resolved.is_timelike:
-        q = resolved.patch.hopf()
         try:
-            fields = eigenfields(q, cap=resolved.analysis.jet_cap)
-            families = _flow_polylines(resolved, fields)
-            marks = [(0.0, 0.0)]
+            fields = eigenfields(resolved.patch.hopf(), cap=resolved.analysis.jet_cap)
         except NoSmoothFlowError as exc:
             banner = f"classification only: {exc}"
     else:
         banner = "classification only: no analytic flow data for this chart"
 
-    svg = render_svg(
-        resolved.grid,
-        cls.kinds,
-        polyline_families=families,
-        marks=marks,
-        banner=banner,
-        extra_metadata=meta,
-    )
-    _write(out_dir, "flow.svg", [svg])
+    _write(out_dir, "flow.svg", svg_lines(
+        resolved.grid, cls.kinds, polyline_families=_flow_polylines(resolved, fields),
+        marks=[(0.0, 0.0)] if fields else [], banner=banner, extra_metadata=meta))
     return EXIT_OK
 
 

@@ -130,38 +130,30 @@ def winding_index(
     """
     if samples < 720:
         raise ValueError("need at least 720 samples on the circle")
-    radii = [radius, radius * 1.0037, radius * 0.9961, radius * 1.0081]
-    total = max_jump = None
-    for r in radii:
-        n = samples
-        for _ in range(3):
+    for r in (radius, radius * 1.0037, radius * 0.9961, radius * 1.0081):
+        for n in (samples, 4 * samples, 16 * samples):
             try:
                 total, max_jump = _accumulate(field, r, n)
             except _ZeroOnCircle:
-                total = None
                 break
             if max_jump < math.pi / 2:
-                break
-            n *= 4
+                return _rounded(field, total, r, n, max_jump)
         else:
             raise WindingError("angle jumps stayed too large after resampling")
-        if total is not None:
-            radius, samples = r, n
-            break
-    if total is None:
-        raise WindingError("field vanished or was undefined on every sampled circle")
+    raise WindingError("field vanished or was undefined on every sampled circle")
 
+
+def _rounded(field: FlowField, total, radius, samples, max_jump) -> WindingResult:
+    """The result of an adequate pass: total / 2 pi rounded to the nearest
+    admissible index, or a WindingError if that is more than 0.05 away."""
     raw = total / (2.0 * math.pi)
-    if field.kind == LINE_FIELD:
-        nearest = round(2.0 * raw) / 2.0
-    else:
-        nearest = float(round(raw))
+    line = field.kind == LINE_FIELD
+    nearest = round(2.0 * raw) / 2.0 if line else float(round(raw))
     if abs(raw - nearest) > 0.05:
         raise WindingError(
             f"accumulated winding {raw:.6f} too far from admissible value {nearest}"
         )
-    index = nearest if field.kind == LINE_FIELD else int(nearest)
-    return WindingResult(index, radius, samples, max_jump)
+    return WindingResult(nearest if line else int(nearest), radius, samples, max_jump)
 
 
 def streamlines(

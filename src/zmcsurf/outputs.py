@@ -17,6 +17,7 @@ the node is masked, and as many directions as `KIND_DIRECTIONS` gives it.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -36,8 +37,16 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def json_lines(obj):
+    """The text of json.dumps(obj, sort_keys=True, indent=2) + "\n", in
+    blocks of 4096 encoder chunks."""
+    chunks = _JSON.iterencode(obj)
+    while block := "".join(islice(chunks, 4096)):
+        yield block
+    yield "\n"
 
 
 def _lines(header, blocks):
@@ -126,11 +135,10 @@ def classification_csv(cls: ChartClassification) -> str:
 
 def classification_summary(cls: ChartClassification, extra: dict = None) -> dict:
     counts = cls.counts()
-    umbilics = [
-        [fmt(u), fmt(v)]
-        for (i, j) in cls.nodes_of_kind(KIND_UMBILIC)
-        for u, v in [cls.chart.node(i, j)]
-    ]
+    grid = cls.chart.grid
+    u_text, v_text = [fmt(u) for u in grid.u_nodes()], [fmt(v) for v in grid.v_nodes()]
+    umbilics = [(u, v_text[j]) for u, row in zip(u_text, cls.kinds == KIND_UMBILIC)
+                for j in np.flatnonzero(row).tolist()]
     summary = {
         "counts": counts,
         "umbilic_nodes": umbilics,

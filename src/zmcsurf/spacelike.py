@@ -147,7 +147,9 @@ class SpacelikePatch:
 
 def _z(grid: GridSpec):
     """(Re z, Im z) of z = complex(u) + 1j * complex(v) at the nodes (the
-    imaginary part as one row), where 1j * complex(v) = (0 v - 0) + (0 + v) j."""
+    imaginary part as one row), where 1j * complex(v) = (0 v - 0) + (0 + v) j.
+    The zero terms decide the sign of a zero: a negative node nearer 0 than
+    half the smallest subnormal is -0.0, and there Re z is +0.0 where v > 0."""
     u = np.array([float(t) for t in grid.u_nodes()])[:, None]
     v = np.array([float(t) for t in grid.v_nodes()])
     return u + (0.0 * v - 0.0), 0.0 + (0.0 + v)

@@ -21,15 +21,18 @@ and a non-finite float (NaN, Infinity, 1e400) is refused.  Time-like
 data (routes "ko" and "null") must be regular at the base point: g
 vanishes there and omega_hat is not null; other data are refused at
 /data unless the spec sets "allow_degenerate_base": true (the key takes
-only true or false).
+only true or false).  Any other top-level key, or analysis key outside
+AnalysisParams, is refused.  A float grid bound reads as its double's
+exact value unless a fraction over at most 10^9 rounds to it (0.1 is 1/10).
 Validation failures raise SpecError carrying a JSON pointer to the
 offending field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -44,8 +47,6 @@ from .weierstrass import (
     generate_ko,
     generate_null,
 )
-
-ROUTES = ("ko", "null", "kobayashi", "chart")
 
 # Input limits: a larger value is refused as a spec error, so that no spec
 # can ask for an unbounded run.  Winding retries may raise the sample count
@@ -86,6 +87,14 @@ def _expect_list(value, pointer):
     if not isinstance(value, list):
         _fail(pointer, "expected an array")
     return value
+
+
+def _known_keys(value: dict, pointer, keys):
+    """Refuse a key of the object `value` that is not one of `keys`."""
+    for key in value:
+        if key not in keys:
+            escaped = str(key).replace("~", "~0").replace("/", "~1")
+            _fail(f"{pointer}/{escaped}", f"unknown key {_echo(key)}")
 
 
 def _coefficients(value, pointer) -> list:
@@ -142,18 +151,10 @@ def _parafunction(value, pointer) -> ParaFunction:
     if "z_poly" in keys:
         from .paracomplex import ParaComplex
 
-        coeffs = []
-        for k, c in enumerate(_coefficients(value["z_poly"], pointer + "/z_poly")):
-            cp = f"{pointer}/z_poly/{k}"
-            if isinstance(c, list):
-                if len(c) != 2:
-                    _fail(cp, "paracomplex coefficient needs [re, im]")
-                coeffs.append(
-                    ParaComplex(_scalar(c[0], cp + "/0"), _scalar(c[1], cp + "/1"))
-                )
-            else:
-                coeffs.append(ParaComplex(_scalar(c, cp), Fraction(0)))
-        return ParaFunction.from_z_poly(coeffs)
+        pairs = _pairs(value["z_poly"], pointer + "/z_poly", "paracomplex")
+        return ParaFunction.from_z_poly(
+            [ParaComplex(re, Fraction(0) if im is None else im) for re, im in pairs]
+        )
     if "branches" in keys:
         b = _expect_mapping(value["branches"], pointer + "/branches")
         return ParaFunction(
@@ -168,19 +169,39 @@ def _parafunction(value, pointer) -> ParaFunction:
     )
 
 
-def _cpoly(value, pointer) -> Poly:
-    coeffs = []
+def _pairs(value, pointer, what, number=lambda s: s) -> list:
+    """(re, im) per coefficient of a polynomial array, each part read by
+    _scalar and then `number`; a bare number c is (number(c), None)."""
+    pairs = []
     for k, c in enumerate(_coefficients(value, pointer)):
         cp = f"{pointer}/{k}"
-        if isinstance(c, list):
-            if len(c) != 2:
-                _fail(cp, "complex coefficient needs [re, im]")
-            coeffs.append(
-                float(_scalar(c[0], cp + "/0")) + 1j * float(_scalar(c[1], cp + "/1"))
-            )
+        if not isinstance(c, list):
+            pairs.append((number(_scalar(c, cp)), None))
+        elif len(c) != 2:
+            _fail(cp, f"{what} coefficient needs [re, im]")
         else:
-            coeffs.append(float(_scalar(c, cp)))
-    return Poly(coeffs)
+            pairs.append(tuple(number(_scalar(x, f"{cp}/{n}")) for n, x in enumerate(c)))
+    return pairs
+
+
+def _cpoly(value, pointer) -> Poly:
+    """Complex float coefficients; a bare number stays a float."""
+    pairs = _pairs(value, pointer, "complex", float)
+    return Poly([re if im is None else re + 1j * im for re, im in pairs])
+
+
+def _matrix(value, pointer, grid) -> list:
+    """A raw chart array: grid.nu rows of grid.nv numbers, as floats."""
+    rows = _expect_list(value, pointer)
+    if len(rows) != grid.nu:
+        _fail(pointer, f"need {grid.nu} rows")
+    parsed = []
+    for i, row in enumerate(rows):
+        row = _expect_list(row, f"{pointer}/{i}")
+        if len(row) != grid.nv:
+            _fail(f"{pointer}/{i}", f"need {grid.nv} entries")
+        parsed.append([float(_scalar(x, f"{pointer}/{i}/{j}")) for j, x in enumerate(row)])
+    return parsed
 
 
 def _grid(value, pointer, minimum_nodes=16) -> GridSpec:
@@ -190,7 +211,10 @@ def _grid(value, pointer, minimum_nodes=16) -> GridSpec:
         if key not in value:
             _fail(f"{pointer}/{key}", "missing grid bound")
         s = _scalar(value[key], f"{pointer}/{key}")
-        vals[key] = s if isinstance(s, Fraction) else Fraction(s).limit_denominator(10**9)
+        if isinstance(s, float):  # 0.1 reads 1/10, 1e-10 exactly
+            short = Fraction(s).limit_denominator(10**9)
+            s = short if float(short) == s else Fraction(s)
+        vals[key] = s
     for key in ("nu", "nv"):
         n = value.get(key)
         if not _int_in(n, minimum_nodes, MAX_GRID_NODES):
@@ -229,6 +253,7 @@ def _analysis(value, pointer, grid: GridSpec) -> AnalysisParams:
     if value is None:
         return AnalysisParams()
     value = _expect_mapping(value, pointer)
+    _known_keys(value, pointer, [f.name for f in fields(AnalysisParams)])
     kwargs = {}
     if "winding_radius" in value:
         r = _scalar(value["winding_radius"], pointer + "/winding_radius")
@@ -286,9 +311,21 @@ class ResolvedSpec:
         return isinstance(self.patch, SpacelikePatch)
 
 
+# per route: its data keys, the reader of each key's value and the word
+# for a missing key
+_ROUTE_DATA = {
+    "ko": (("g", "omega_hat"), _parafunction, "para-holomorphic datum"),
+    "null": (("g1", "g2", "w1", "w2"), _branch, "branch datum"),
+    "kobayashi": (("g", "omega_hat"), _cpoly, "holomorphic datum"),
+    "chart": (("sigma", "L", "M", "N"), _matrix, "chart array"),
+}
+ROUTES = tuple(_ROUTE_DATA)
+
+
 def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     """Validate a spec document and construct its surface object."""
     spec = _expect_mapping(spec, "")
+    _known_keys(spec, "", ("route", "grid", "analysis", "data", "allow_degenerate_base"))
     route = spec.get("route")
     if route not in ROUTES:
         _fail("/route", f"route must be one of {ROUTES}, got {_echo(route)}")
@@ -300,60 +337,26 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
         _fail("/allow_degenerate_base", f"expected true or false, got {_echo(allow)}")
     strict = not allow
 
+    keys, read, word = _ROUTE_DATA[route]
+    if read is _matrix:
+        read = functools.partial(_matrix, grid=grid)
+    parsed = {}
+    for key in keys:
+        if key not in data:
+            _fail(f"/data/{key}", f"missing {word}")
+        parsed[key] = read(data[key], f"/data/{key}")
+
     patch = chart = None
     if route == "ko":
-        for key in ("g", "omega_hat"):
-            if key not in data:
-                _fail(f"/data/{key}", "missing para-holomorphic datum")
-        wdata = WeierstrassData(
-            _parafunction(data["g"], "/data/g"),
-            _parafunction(data["omega_hat"], "/data/omega_hat"),
-        )
-        patch = _generated(generate_ko, wdata, strict=strict)
+        patch = _generated(generate_ko, WeierstrassData(**parsed), strict=strict)
     elif route == "null":
-        branches = {}
-        for key in ("g1", "g2", "w1", "w2"):
-            if key not in data:
-                _fail(f"/data/{key}", "missing branch datum")
-            branches[key] = _branch(data[key], f"/data/{key}")
-        patch = _generated(generate_null, **branches, strict=strict)
+        patch = _generated(generate_null, **parsed, strict=strict)
     elif route == "kobayashi":
-        for key in ("g", "omega_hat"):
-            if key not in data:
-                _fail(f"/data/{key}", "missing holomorphic datum")
-        patch = generate_kobayashi(
-            ComplexWeierstrassData(
-                _cpoly(data["g"], "/data/g"),
-                _cpoly(data["omega_hat"], "/data/omega_hat"),
-            )
-        )
+        patch = generate_kobayashi(ComplexWeierstrassData(**parsed))
     else:  # chart
-        arrays = {}
-        for key in ("sigma", "L", "M", "N"):
-            if key not in data:
-                _fail(f"/data/{key}", "missing chart array")
-            rows = _expect_list(data[key], f"/data/{key}")
-            if len(rows) != grid.nu:
-                _fail(f"/data/{key}", f"need {grid.nu} rows")
-            parsed = []
-            for i, row in enumerate(rows):
-                row = _expect_list(row, f"/data/{key}/{i}")
-                if len(row) != grid.nv:
-                    _fail(f"/data/{key}/{i}", f"need {grid.nv} entries")
-                parsed.append(
-                    [float(_scalar(x, f"/data/{key}/{i}/{j}")) for j, x in enumerate(row)]
-                )
-            arrays[key] = parsed
         sign = data.get("metric_sign", 1)
         if not (_int_in(sign, -1, 1) and sign != 0):
             _fail("/data/metric_sign", "metric_sign must be +1 or -1")
-        chart = chart_from_arrays(grid, metric_sign=sign, **arrays)
+        chart = chart_from_arrays(grid, metric_sign=sign, **parsed)
 
-    return ResolvedSpec(
-        route=route,
-        grid=grid,
-        analysis=analysis,
-        patch=patch,
-        chart=chart,
-        echo=spec,
-    )
+    return ResolvedSpec(route, grid, analysis, patch=patch, chart=chart, echo=spec)

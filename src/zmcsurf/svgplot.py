@@ -2,7 +2,8 @@
 
 Fixed 800x800 viewport; u increases rightward, v upward.  The chart-to-
 viewport affine map is recorded in the SVG <metadata> element.  Output is
-assembled from explicitly formatted strings so it is byte-reproducible.
+assembled from explicitly formatted strings so it is byte-reproducible,
+and `svg_lines` yields it in blocks of at most one grid column of cells.
 
 The map is separable, so background cells are formatted per axis: a
 cell's x and width once per grid column, its y and height once per grid
@@ -53,15 +54,16 @@ class ChartMap:
         }
 
 
-def render_svg(
+def svg_lines(
     grid,
     kinds,
     polyline_families=(),
     marks=(),
     banner: str = "",
     extra_metadata: dict = None,
-) -> str:
-    """Build the SVG document.
+):
+    """The SVG document, block by block: the header, one block per grid
+    column of background cells, then one per polyline, mark and banner.
 
     kinds: [nu, nv] array of kind codes; cell (i, j) takes the colour
     KIND_COLORS[kinds[i, j]].
@@ -74,14 +76,14 @@ def render_svg(
     if extra_metadata:
         meta.update(extra_metadata)
 
-    parts = [
+    yield (
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-        'viewBox="0 0 800 800">\n',
+        'viewBox="0 0 800 800">\n'
         "<metadata>"
         + json.dumps(meta, sort_keys=True)
-        + "</metadata>\n",
-        '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n',
-    ]
+        + "</metadata>\n"
+        '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>\n'
+    )
 
     # a cell's x and width depend on its column alone, its y and height on
     # its row alone: cell (i, j) spans px(u_i, v_j+1) to px(u_i+1, v_j)
@@ -91,12 +93,11 @@ def render_svg(
     rows = [(f"{y0:.3f}", f"{y1 - y0:.3f}") for y1, y0 in zip(ys, ys[1:])]
     cells = np.asarray(kinds)[: grid.nu - 1, : grid.nv - 1].tolist()
     for (x, width), column in zip(cols, cells):
-        for (y, height), kind in zip(rows, column):
-            color = KIND_COLORS[kind]
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{width}" '
-                f'height="{height}" fill="{color}"/>\n'
-            )
+        yield "".join([
+            f'<rect x="{x}" y="{y}" width="{width}" '
+            f'height="{height}" fill="{KIND_COLORS[kind]}"/>\n'
+            for (y, height), kind in zip(rows, column)
+        ])
 
     point = "{:.3f},{:.3f}".format
     for fam, lines in enumerate(polyline_families):
@@ -108,27 +109,29 @@ def render_svg(
             px = (cmap.sx * uv[:, 0] + cmap.tx).tolist()
             py = (cmap.sy * uv[:, 1] + cmap.ty).tolist()
             pts = " ".join(map(point, px, py))
-            parts.append(
+            yield (
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 'stroke-width="1.2"/>\n'
             )
 
     for u, v in marks:
         x, y = cmap.px(u, v)
-        parts.append(
+        yield (
             f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="#000000" '
             'stroke="#ffffff" stroke-width="1.5"/>\n'
         )
 
     if banner:
-        parts.append(
+        yield (
             '<rect x="0" y="0" width="800" height="28" fill="#ffffff" '
             'opacity="0.85"/>\n'
-        )
-        parts.append(
             '<text x="10" y="19" font-family="monospace" font-size="14" '
             f'fill="#7a1010">{banner}</text>\n'
         )
 
-    parts.append("</svg>\n")
-    return "".join(parts)
+    yield "</svg>\n"
+
+
+def render_svg(*args, **kwargs) -> str:
+    """The SVG document of `svg_lines(*args, **kwargs)` as one string."""
+    return "".join(svg_lines(*args, **kwargs))

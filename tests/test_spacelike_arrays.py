@@ -95,6 +95,18 @@ def test_unit_circle_nodes_are_masked_as_in_reference():
     assert sorted(zip(*np.nonzero(~chart.mask))) == [(0, 8), (8, 0), (8, 16), (16, 8)]
 
 
+def test_negative_zero_nodes_match_per_node_reference():
+    """Bounds of +-10^-400 make every node u < 0 the float -0.0, and
+    complex(-0.0) + 1j * complex(v) has real part +0.0 where v > 0: the
+    node arrays must keep that sign, or surface.csv prints "0" for L where
+    one complex evaluation per node gives "-0"."""
+    tiny = Fraction(1, 10**400)
+    grid = GridSpec(-tiny, tiny, -1, 1, 17, 17)
+    assert str(float(grid.u_nodes()[0])) == "-0.0"
+    patch = resolve(_kobayashi([-1.0, [0.5, -0.0], 0.0], [[-0.0, -1.0], [0.0, 0.0]])).patch
+    _assert_chart_matches_reference(patch, grid)
+
+
 # Data whose chart overflows: abs() raises "absolute value too large" and
 # `** 2` raises (34, 'Numerical result out of range'); the first failing
 # node in row-major order decides which.  In "abs_first_*" an abs

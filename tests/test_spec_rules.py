@@ -1,0 +1,79 @@
+"""Spec rules stated once in `surfacespec`: float grid bounds, unknown keys
+and the order of data-key diagnostics."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from zmcsurf.cli import main
+from zmcsurf.presets import preset_spec
+from zmcsurf.surfacespec import SpecError, resolve
+
+
+def _run(tmp_path, spec, cmd="generate"):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / cmd
+    return main([cmd, "--spec", str(path), "--grid", "17", "--out", str(out)]), out
+
+
+def _with_bounds(lo, hi):
+    spec = preset_spec("z3")
+    spec["grid"].update(u_min=lo, u_max=hi)
+    return spec
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e-10, 1e-10), (-7e-10, 7e-10),
+                                    (-1.23456789e-9, 1.23456789e-9)])
+def test_float_grid_bound_reads_its_exact_value(tmp_path, lo, hi):
+    """A float bound no fraction over at most 10^9 rounds to is read exactly:
+    +-1e-10 was an empty range, 7e-10 was 1/10^9."""
+    code, out = _run(tmp_path, _with_bounds(lo, hi))
+    assert code == 0
+    grid = json.loads((out / "metadata.json").read_text())["grid"]
+    assert (grid["u_min"], grid["u_max"]) == (str(Fraction(lo)), str(Fraction(hi)))
+    assert float(Fraction(grid["u_max"])) == hi
+
+
+def test_float_grid_bound_keeps_its_short_fraction(tmp_path):
+    code, out = _run(tmp_path, _with_bounds(-0.1, 0.1))
+    assert code == 0
+    grid = json.loads((out / "metadata.json").read_text())["grid"]
+    assert (grid["u_min"], grid["u_max"]) == ("-1/10", "1/10")
+
+
+@pytest.mark.parametrize(
+    "edit, pointer",
+    [
+        (lambda spec: spec.update(analyis={"samples": 720}), "/analyis"),
+        (lambda spec: spec.update(analysis={"sample": 720}), "/analysis/sample"),
+        (lambda spec: spec.update({"a/b~c": 1}), "/a~1b~0c"),
+    ],
+    ids=["top", "analysis", "escaped"],
+)
+def test_unknown_key_is_a_spec_error(tmp_path, capsys, edit, pointer):
+    spec = preset_spec("z3")
+    edit(spec)
+    for cmd in ("generate", "index"):
+        code, out = _run(tmp_path, spec, cmd)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == pointer and err["error"].startswith("unknown key")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "route, data, pointer",
+    [
+        # the first key's error comes first on every route
+        ("ko", {"g": {"z_poly": "x"}}, "/data/g/z_poly"),
+        ("kobayashi", {"g": ["x"]}, "/data/g/0"),
+        ("null", {"g1": {"kind": "x"}}, "/data/g1/kind"),
+    ],
+)
+def test_data_keys_are_checked_and_read_in_order(route, data, pointer):
+    spec = {**preset_spec("z3"), "route": route, "data": data}
+    with pytest.raises(SpecError) as info:
+        resolve(spec)
+    assert info.value.pointer == pointer

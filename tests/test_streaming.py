@@ -1,11 +1,13 @@
-"""CSV files are written one grid row at a time, from numbers computed first.
+"""Output files are written in blocks, from numbers computed first.
 
-`cli._write` hands the file one text block per grid row; each block is no
+`cli._write` hands a CSV file one text block per grid row; each block is no
 longer than one grid row plus the header, and the blocks join to the text
-of `surface_csv`/`classification_csv`.  Every number is computed before
-the output directory is created, so a value outside the double range still
-exits 3 with no output, and the peak memory of `generate` grows with the
-chart's arrays, not with its text or with the big-integer node values.
+of `surface_csv`/`classification_csv`.  flow.svg goes one grid column of
+cells per block, and the JSON files in blocks of encoder chunks.  Every
+number is computed before the output directory is created, so a value
+outside the double range still exits 3 with no output, and the peak
+memory of `generate` grows with the chart's arrays, not with its text or
+with the big-integer node values.
 """
 
 import json
@@ -110,6 +112,22 @@ def test_csv_written_one_grid_row_per_call(monkeypatch, tmp_path, name):
         assert max(map(len, calls)) <= _largest_block(text, nv) < len(text), command
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flow_svg_written_one_grid_column_per_call(monkeypatch, tmp_path, name):
+    """flow.svg is handed over block by block: the header, one grid column
+    of background cells per block, then each polyline, mark and banner."""
+    spec = CASES[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["flow", "--spec", str(path), "--out", str(tmp_path / "whole")]) == 0
+    text = (tmp_path / "whole" / "flow.svg").read_text()
+    calls = _run_recorded(monkeypatch, tmp_path, "flow", spec)["flow.svg"].calls
+    assert "".join(calls) == text
+    nu, nv = spec["grid"]["nu"], spec["grid"]["nv"]
+    assert text.count("<rect") >= (nu - 1) * (nv - 1) + 1
+    assert max(call.count("\n") for call in calls) <= max(3, nv - 1)
+
+
 # Only the coordinates overflow: the x-primitive t - 10^400 t^3 / 3 of
 # g1 = 10^200 t, while the metric factor (1 - 10^200 x y)^2 10^-300 and the
 # second forms stay inside the double range.
@@ -135,6 +153,24 @@ def test_coordinate_overflow_exits_3_before_any_output(tmp_path, capsys):
     assert cli.main(["generate", "--spec", str(path), "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "integer division result too large for a float"}
+    assert not out.exists()
+
+
+def test_flow_svg_header_failure_leaves_no_output(tmp_path, capsys):
+    """Bounds of +-10^-400 are distinct rationals but one double, so the
+    chart-to-viewport map divides by zero while forming the first flow.svg
+    block: exit 3, and no output directory, as when the SVG was one string."""
+    tiny = "1/1" + "0" * 400
+    spec = {"route": "null",
+            "data": {"g1": {"kind": "poly", "coeffs": [0, 0, 0, 1]},
+                     "g2": {"kind": "poly", "coeffs": [0, 1]}, "w1": ONE, "w2": ONE},
+            "grid": {"u_min": "-" + tiny, "u_max": tiny, "v_min": -1, "v_max": 1,
+                     "nu": 17, "nv": 17}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli.main(["flow", "--spec", str(path), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "float division by zero"}
     assert not out.exists()
 
 
@@ -190,3 +226,15 @@ def test_flow_memory_grows_with_kind_codes_not_kind_strings(tmp_path):
         pytest.skip("ru_maxrss is in KiB on Linux and FreeBSD only")
     peak = [_peak_kib(tmp_path, n, command="flow") for n in (17, 513)]
     assert (peak[1] - peak[0]) / 1024 < 130
+
+
+def test_classify_memory_grows_with_arrays_not_summary_text(tmp_path):
+    """classify plane (every node umbilic) at 513^2 over 17^2: 166 MB more
+    peak RSS when summary.json was built as one string from a list of
+    formatted [u, v] lists, 67 MB when each axis is formatted once and the
+    JSON is written in blocks (Python 3.11.7, numpy 2.4, Linux)."""
+    pytest.importorskip("resource")
+    if not sys.platform.startswith(("linux", "freebsd")):
+        pytest.skip("ru_maxrss is in KiB on Linux and FreeBSD only")
+    peak = [_peak_kib(tmp_path, n, ("--preset", "plane"), "classify") for n in (17, 513)]
+    assert (peak[1] - peak[0]) / 1024 < 120

@@ -21,7 +21,8 @@ Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
 is not UTF-8 or is not JSON within Python's limits is one, and so are
 time-like data that are degenerate at the base point, unless the spec
 sets "allow_degenerate_base": true), 3 numerical-guard failures,
-including an exact value that rounds outside the double range.
+including an exact value that rounds outside the double range and a
+float chart value or coordinate that overflows to infinity or NaN.
 Outputs are byte-deterministic for a fixed spec.
 """
 

@@ -13,18 +13,21 @@ orientation-reversing (the two orientation signs cancel), so no extra sign
 convention is needed.
 
 The umbilic eigenfields (`umbilic.eigenfields`) run Horner's rule over
-`Poly.float_coeffs()`, bit for bit `Poly.__call__` (see its docstring), so
-the winding and streamline loops here do float arithmetic only.  They call
-`FlowField.evaluator` directly, with no helper per sample, and keep the
-bits of the scalar loops they replaced (`tests/oracles.py`): every float
-operation is the same IEEE operation on the same operands in the same
-order, and hoisting `0.5 * step` or `2.0 * math.pi` out of a loop computes
-the value the loop computed first anyway.  `math.hypot`, `math.atan2`,
-`math.cos`, `math.sin` and Python's `**` stay scalar calls, because their
-numpy counterparts round differently: with numpy 2.4 on x86-64,
-`np.hypot` differs from `math.hypot` in about 0.6% of random pairs in
-[-1, 1]^2, and `np.power(x, 3)` from `x**3` in about 3% of samples, so a
-vectorized march would move the bits of every flow.svg.
+`Poly.float_coeffs()`, bit for bit `Poly.__call__` (see its docstring), and
+the loops here keep the bits of the scalar loops they replaced
+(`tests/oracles.py`): each float operation is the same IEEE operation on the
+same operands in the same order.  `math.hypot`, `atan2`, `cos`, `sin`,
+`remainder` and Python's `**` are never swapped for numpy's, which round
+differently: with numpy 2.4 on x86-64, `np.hypot` differs from `math.hypot`
+in about 0.6% of random pairs in [-1, 1]^2, and `np.power(x, 3)` from
+`x**3` in about 3% of samples.  `streamlines`, where each step needs the
+last, calls `FlowField.evaluator` once per sample, with no helper.  A
+winding circle is evaluated as arrays through `FlowField.arrays`, which
+the built-in fields have: numpy does `+ - * /` and `sqrt`, `geometry.each`
+maps the other calls over the samples, and `np.add.accumulate` sums the
+turning in loop order (`np.sum` sums pairwise).  A field without an array
+form, and a circle whose array pass raised OverflowError, go through the
+per-sample loop, where the first sample that raises decides the error.
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import each
+
 VECTOR_FIELD = "vector_field"
 LINE_FIELD = "line_field"
+_CHUNK = 4096  # samples per array pass of `_circle_angles`
 
 
 class WindingError(RuntimeError):
@@ -55,6 +61,9 @@ class FlowField:
     kind: str = VECTOR_FIELD
     singular_point: tuple = (0.0, 0.0)
     name: str = ""
+    # optional: (p, q) at float arrays (u, v), bit for bit the evaluator's,
+    # NaN where it raises ValueError; OverflowError may come from any sample
+    arrays: Optional[Callable] = None
 
     def __call__(self, u: float, v: float):
         return self.evaluator(u, v)
@@ -64,13 +73,13 @@ def perpendicular(field: FlowField) -> FlowField:
     """Swap the two components; in an isothermal chart this sends a principal
     field to the perpendicular principal field and negates the index."""
 
-    def ev(u, v, _base=field.evaluator):
-        p, q = _base(u, v)
-        return (q, p)
+    def swapped(base):
+        return lambda u, v: tuple(base(u, v))[::-1]
 
     return FlowField(
-        ev, kind=field.kind, singular_point=field.singular_point,
+        swapped(field.evaluator), kind=field.kind, singular_point=field.singular_point,
         name=field.name + "_perp" if field.name else "",
+        arrays=field.arrays and swapped(field.arrays),
     )
 
 
@@ -91,31 +100,55 @@ class _ZeroOnCircle(Exception):
 
 
 def _accumulate(field: FlowField, radius: float, samples: int):
-    u0, v0 = field.singular_point
+    """(total turning / doubling, largest jump) of the field's angle over
+    `samples` points of the circle (see the module docstring)."""
+    two_pi = 2.0 * math.pi
     doubling = 2.0 if field.kind == LINE_FIELD else 1.0
+    t = two_pi * np.arange(samples) / samples
+    try:
+        angles = field.arrays and _circle_angles(field, radius, t)
+    except OverflowError:
+        angles = None  # the per-sample loop finds the first sample that raises
+    if angles is None:
+        angles = _sample_angles(field, radius, t.tolist())
+    angles = doubling * angles
+    jumps = np.roll(angles, -1) - angles
+    # remainder(d, 2 pi) is exact, so it is d itself where |d| <= pi
+    wrap = np.abs(jumps) > math.pi
+    jumps[wrap] = each(math.remainder, jumps[wrap], two_pi)
+    total = np.add.accumulate(np.append(0.0, jumps))[-1]  # in loop order
+    return float(total) / doubling, float(np.max(np.abs(jumps), initial=0.0))
+
+
+@np.errstate(all="ignore")
+def _circle_angles(field: FlowField, radius: float, t: np.ndarray) -> np.ndarray:
+    """The field's angles at the angles t, _CHUNK samples at a time."""
+    u0, v0 = field.singular_point
+    angles = []
+    for k in range(0, t.size, _CHUNK):
+        c = t[k : k + _CHUNK]
+        p, q = field.arrays(u0 + radius * each(math.cos, c), v0 + radius * each(math.sin, c))
+        if not (np.isfinite(p) & np.isfinite(q) & ((p != 0.0) | (q != 0.0))).all():
+            raise _ZeroOnCircle
+        angles.append(each(math.atan2, q, p))
+    return np.concatenate(angles)
+
+
+def _sample_angles(field: FlowField, radius: float, t: list) -> np.ndarray:
+    u0, v0 = field.singular_point
     ev = field.evaluator
     cos, sin, atan2, isfinite = math.cos, math.sin, math.atan2, math.isfinite
-    two_pi = 2.0 * math.pi
     angles = []
-    for k in range(samples):
-        t = two_pi * k / samples
+    for s in t:
         try:
-            p, q = ev(u0 + radius * cos(t), v0 + radius * sin(t))
+            p, q = ev(u0 + radius * cos(s), v0 + radius * sin(s))
         except (ValueError, ZeroDivisionError, FloatingPointError):
             raise _ZeroOnCircle  # undefined counts as inadequate, like a zero
         p, q = float(p), float(q)
         if not (isfinite(p) and isfinite(q)) or (p == 0.0 and q == 0.0):
             raise _ZeroOnCircle
-        angles.append(doubling * atan2(q, p))
-    remainder = math.remainder
-    total = 0.0
-    max_jump = 0.0
-    for a, b in zip(angles, angles[1:] + angles[:1]):
-        d = remainder(b - a, two_pi)
-        if abs(d) > max_jump:
-            max_jump = abs(d)
-        total += d
-    return total / doubling, max_jump
+        angles.append(atan2(q, p))
+    return np.array(angles)
 
 
 def winding_index(

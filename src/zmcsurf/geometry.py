@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -167,7 +168,7 @@ class SurfaceChart:
         L, M, N = self.L[m], self.M[m], self.N[m]
         a, b = L + N, 2.0 * M
         disc = a * a - b * b
-        D = exp_each(-4.0, self.sigma[m]) * disc
+        D = each(math.exp, -4.0 * self.sigma[m]) * disc
         if self.hopf_values is None:
             tau = 1e-9 * (1.0 + np.abs(L) + np.abs(N) + np.abs(M))
             umbilic = (np.abs(a) <= tau) & (np.abs(b) <= tau)
@@ -188,7 +189,7 @@ class SurfaceChart:
             null_dir = _unit(s, np.ones_like(s))
         marginal = (umbilic | quasi) & (self.hopf_values is None)
         r = np.where(positive, np.sqrt(np.abs(disc)), 0.0)
-        f = self.metric_sign[m] * exp_each(-2.0, self.sigma[m])
+        f = self.metric_sign[m] * each(math.exp, -2.0 * self.sigma[m])
         eigenvalues = np.stack([f * (L - N + r) / 2.0, f * (L - N - r) / 2.0], axis=-1)
         eigenvalues[~(umbilic | quasi | positive)] = np.nan
         dirs = np.full(a.shape + (2, 2), np.nan)
@@ -215,10 +216,12 @@ class PointClass:
     marginal: bool = False
 
 
-def exp_each(scale: float, sigma: np.ndarray) -> np.ndarray:
-    """math.exp(scale * s) for every s: libm's exp one value at a time,
-    since numpy's vectorized exp may round differently."""
-    return np.array([math.exp(scale * s) for s in sigma.tolist()], dtype=float)
+def each(fn, a: np.ndarray, *rest) -> np.ndarray:
+    """fn at every value of the float array a and the matching values of the
+    arrays (or scalars) in rest: libm's functions or `pow` one value at a
+    time, since numpy's vectorized counterparts may round differently."""
+    rest = [r.ravel().tolist() if isinstance(r, np.ndarray) else repeat(r) for r in rest]
+    return np.fromiter(map(fn, a.ravel().tolist(), *rest), float, a.size).reshape(a.shape)
 
 
 def _sign(value) -> float:
@@ -366,7 +369,7 @@ def generated_chart(grid: GridSpec, factor, mask, L, M, N, chart_type=SurfaceCha
     always round like math's), and the metric sign is the factor's; a
     masked node gets sigma NaN, L = M = N = 0 and sign +1."""
     sigma = np.full(mask.shape, np.nan)
-    sigma[mask] = 0.5 * np.array([math.log(t) for t in np.abs(factor[mask]).tolist()])
+    sigma[mask] = 0.5 * each(math.log, np.abs(factor[mask]))
     sign = np.where(mask & ~(factor > 0), -1, 1).astype(np.int8)
     forms = (np.where(mask, a, 0.0) for a in (L, M, N))
     return chart_type(grid, sigma, *forms, mask, sign, **extras)

@@ -47,7 +47,7 @@ from .geometry import (
     ChartClassification,
     GridSpec,
     SurfaceChart,
-    exp_each,
+    each,
     generated_chart,
 )
 from .poly import Poly
@@ -87,7 +87,7 @@ class SpacelikePatch:
     @np.errstate(all="ignore")
     def grid_coordinates(self, grid: GridSpec) -> np.ndarray:
         """`evaluate(u, v)` at every node, as a [nu, nv, 3] array."""
-        x, y = _z(grid)
+        x, y = _grid_z(grid)
         return np.stack([p.at_complex(x, y)[0] for p in self.primitives], axis=-1)
 
     @np.errstate(all="ignore")
@@ -97,19 +97,16 @@ class SpacelikePatch:
         zero of omega_hat), and (L - N) - 2iM is 4.0 times the Hopf
         coefficient -(omega_hat g').  Where abs or `** 2` overflows, the
         first such node, row-major, raises its OverflowError."""
-        x, y = _z(grid)
+        x, y = _grid_z(grid)
         gr, gi = self.data.g.at_complex(x, y)
         wr, wi = self.data.omega_hat.at_complex(x, y)
         abs_g, abs_w = np.hypot(gr, gi), np.hypot(wr, wi)
-        factor = _squares(1.0 - _squares(abs_g)) * _squares(abs_w)
+        factor = each(_square, 1.0 - each(_square, abs_g)) * each(_square, abs_w)
         # an overflow leaves the factor infinite or NaN: rerun those nodes
         for k in np.flatnonzero(~np.isfinite(factor)):
             g, w = complex(gr.flat[k], gi.flat[k]), complex(wr.flat[k], wi.flat[k])
             (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2  # raises where abs or ** did
-        pr, pi = self.g_prime.at_complex(x, y)
-        nr, ni = -wr, -wi  # -w * g'
-        hr, hi = nr * pr - ni * pi, nr * pi + ni * pr
-        a, b = 4.0 * hr - 0.0 * hi, 4.0 * hi + 0.0 * hr  # 4.0 * hopf
+        a, b = _four_hopf(wr, wi, *self.g_prime.at_complex(x, y))
         L = a / 2.0
         return generated_chart(grid, factor, ~(factor <= 1e-300), L, -b / 2.0, -L,
                                chart_type=SpacelikeChart)
@@ -122,7 +119,9 @@ class SpacelikePatch:
         (cos theta, sin theta), defined up to sign as a line field.  The
         field evaluates the Hopf coefficient -(omega_hat g') inline: Horner's
         rule over the coefficients of omega_hat and g', as `Poly.__call__`
-        runs it at a complex point.
+        runs it at a complex point.  Its array form gives the same bits:
+        z as `_z` forms it, Horner by `Poly.at_complex`, the products
+        `-a * b` and `4.0 * w` as `_four_hopf`, libm per sample (`each`).
         """
         omega = tuple(reversed(self.data.omega_hat.coeffs))
         g_prime = tuple(reversed(self.g_prime.coeffs))
@@ -142,29 +141,43 @@ class SpacelikePatch:
             theta = 0.5 * math.atan2(M, a)
             return (math.cos(theta), math.sin(theta))
 
-        return FlowField(ev, kind=LINE_FIELD, name="principal_lines")
+        def arrays(u, v):
+            x, y = _z(u, v)
+            w = _four_hopf(*self.data.omega_hat.at_complex(x, y), *self.g_prime.at_complex(x, y))
+            a, M = w[0] / 2.0, -w[1] / 2.0
+            theta, zero = 0.5 * each(math.atan2, M, a), (a == 0.0) & (M == 0.0)
+            return tuple(np.where(zero, 0.0, each(f, theta)) for f in (math.cos, math.sin))
+
+        return FlowField(ev, kind=LINE_FIELD, name="principal_lines", arrays=arrays)
 
 
-def _z(grid: GridSpec):
-    """(Re z, Im z) of z = complex(u) + 1j * complex(v) at the nodes (the
-    imaginary part as one row), where 1j * complex(v) = (0 v - 0) + (0 + v) j.
-    The zero terms decide the sign of a zero: a negative node nearer 0 than
-    half the smallest subnormal is -0.0, and there Re z is +0.0 where v > 0."""
-    u = np.array([float(t) for t in grid.u_nodes()])[:, None]
-    v = np.array([float(t) for t in grid.v_nodes()])
+def _four_hopf(wr, wi, pr, pi):
+    """(real, imaginary) parts of 4.0 * (-w * g') from those of w and g', as
+    CPython's complex products form them (4.0 is 4.0 + 0.0j)."""
+    nr, ni = -wr, -wi
+    hr, hi = nr * pr - ni * pi, nr * pi + ni * pr
+    return 4.0 * hr - 0.0 * hi, 4.0 * hi + 0.0 * hr
+
+
+def _grid_z(grid: GridSpec):
+    """`_z` at the nodes, the imaginary part as one row."""
+    return _z(np.array(grid.u_nodes(), float)[:, None], np.array(grid.v_nodes(), float))
+
+
+def _z(u, v):
+    """(Re z, Im z) of z = complex(u) + 1j * complex(v) at float arrays u, v,
+    where 1j * complex(v) = (0 v - 0) + (0 + v) j.  The zero terms decide
+    the sign of a zero: a negative u nearer 0 than half the smallest
+    subnormal is -0.0, and there Re z is +0.0 where v > 0."""
     return u + (0.0 * v - 0.0), 0.0 + (0.0 + v)
 
 
 def _square(t: float) -> float:
+    """Python's t ** 2, inf where it raises OverflowError."""
     try:
         return t**2
     except OverflowError:
         return math.inf
-
-
-def _squares(a: np.ndarray) -> np.ndarray:
-    """Python's t ** 2 of every value, inf where it raises OverflowError."""
-    return np.array(list(map(_square, a.ravel().tolist()))).reshape(a.shape)
 
 
 class SpacelikeChart(SurfaceChart):
@@ -179,19 +192,16 @@ class SpacelikeChart(SurfaceChart):
         m = self.mask
         L, M, N, sigma = self.L[m], self.M[m], self.N[m], self.sigma[m]
         # Python's float power is C pow, which can differ from t * t
-        square = np.array([t**2 for t in (L - N).tolist()], dtype=float)
-        D = (square + 4 * M * M) * exp_each(-4.0, sigma)
+        D = (each(pow, L - N, 2) + 4 * M * M) * each(math.exp, -4.0 * sigma)
         tau = 1e-9 * (1.0 + np.abs(L) + np.abs(N) + np.abs(M))
         umbilic = (np.abs(L - N) <= tau) & (np.abs(2.0 * M) <= tau)
         off = ~umbilic
-        a, b = ((L - N) / 2.0)[off].tolist(), M[off].tolist()
-        theta = [0.5 * math.atan2(y, x) for y, x in zip(b, a)]
-        c, s = (np.array(list(map(f, theta)), dtype=float)
-                for f in (math.cos, math.sin))
+        a, b = ((L - N) / 2.0)[off], M[off]
+        theta = 0.5 * each(math.atan2, b, a)
+        c, s = each(math.cos, theta), each(math.sin, theta)
         dirs = np.full(L.shape + (2, 2), np.nan)
         dirs[off] = np.stack([c, s, -s, c], -1).reshape(-1, 2, 2)
-        hypot = np.array(list(map(math.hypot, a, b)), dtype=float)
-        r = exp_each(-2.0, sigma[off]) * hypot
+        r = each(math.exp, -2.0 * sigma[off]) * each(math.hypot, a, b)
         eigenvalues = np.zeros(L.shape + (2,))
         eigenvalues[off] = np.stack([r, -r], -1)
         kinds = np.where(umbilic, KIND_UMBILIC, KIND_POSITIVE)

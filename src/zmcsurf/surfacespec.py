@@ -21,8 +21,10 @@ and a non-finite float (NaN, Infinity, 1e400) is refused.  Time-like
 data (routes "ko" and "null") must be regular at the base point: g
 vanishes there and omega_hat is not null; other data are refused at
 /data unless the spec sets "allow_degenerate_base": true (the key takes
-only true or false).  Any other top-level key, or analysis key outside
-AnalysisParams, is refused.  A float grid bound reads as its double's
+only true or false).  An unknown key is refused at its own pointer at
+every level: the top level, grid, analysis (AnalysisParams), data (per
+route; metric_sign on route "chart" only), <branch>, <parafn> and the
+branches map.  A float grid bound reads as its double's
 exact value unless a fraction over at most 10^9 rounds to it (0.1 is 1/10).
 Validation failures raise SpecError carrying a JSON pointer to the
 offending field.
@@ -134,29 +136,32 @@ def _branch(value, pointer) -> Branch:
     value = _expect_mapping(value, pointer)
     kind = value.get("kind")
     if kind == "poly":
+        _known_keys(value, pointer, ("kind", "coeffs"))
         coeffs = _coefficients(value.get("coeffs"), pointer + "/coeffs")
         return Branch.from_poly(
             [_scalar(c, f"{pointer}/coeffs/{k}") for k, c in enumerate(coeffs)]
         )
     if kind == "exp_flat":
+        _known_keys(value, pointer, ("kind",))
         return Branch.exp_flat()
     _fail(pointer + "/kind", f"unknown branch kind: {_echo(kind)}")
 
 
 def _parafunction(value, pointer) -> ParaFunction:
     value = _expect_mapping(value, pointer)
-    keys = set(value) & {"z_poly", "branches", "wedge"}
-    if len(keys) != 1:
+    _known_keys(value, pointer, ("z_poly", "branches", "wedge"))
+    if len(value) != 1:
         _fail(pointer, "expected exactly one of z_poly / branches / wedge")
-    if "z_poly" in keys:
+    if "z_poly" in value:
         from .paracomplex import ParaComplex
 
         pairs = _pairs(value["z_poly"], pointer + "/z_poly", "paracomplex")
         return ParaFunction.from_z_poly(
             [ParaComplex(re, Fraction(0) if im is None else im) for re, im in pairs]
         )
-    if "branches" in keys:
+    if "branches" in value:
         b = _expect_mapping(value["branches"], pointer + "/branches")
+        _known_keys(b, pointer + "/branches", ("plus", "minus"))
         return ParaFunction(
             _branch(b.get("plus"), pointer + "/branches/plus"),
             _branch(b.get("minus"), pointer + "/branches/minus"),
@@ -206,6 +211,7 @@ def _matrix(value, pointer, grid) -> list:
 
 def _grid(value, pointer, minimum_nodes=16) -> GridSpec:
     value = _expect_mapping(value, pointer)
+    _known_keys(value, pointer, ("u_min", "u_max", "v_min", "v_max", "nu", "nv"))
     vals = {}
     for key in ("u_min", "u_max", "v_min", "v_max"):
         if key not in value:
@@ -338,6 +344,7 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     strict = not allow
 
     keys, read, word = _ROUTE_DATA[route]
+    _known_keys(data, "/data", keys + (("metric_sign",) if route == "chart" else ()))
     if read is _matrix:
         read = functools.partial(_matrix, grid=grid)
     parsed = {}

@@ -14,11 +14,15 @@ orders m this is exactly the residue of m mod 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .flow import FlowField, winding_index
+from .geometry import each
 from .parafunc import ParaFunction, SplitOrders
 
 PARITY_ODD = "odd_order"
@@ -260,8 +264,11 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
     Each field is one flat closure: Horner's rule over the psi polynomials'
     `float_coeffs()` inline, bit for bit `Poly.__call__` at the float point
     (see its docstring).  X2 is X1 with p = x^n1 sqrt(alpha) multiplied by
-    -1.0, which is exactly -p.  Raises OverflowError when a coefficient lies
-    outside the double range, and where x**n1 or y**n-1 overflows.
+    -1.0, which is exactly -p.  Its array form takes the same steps with
+    np.sqrt (correctly rounded, as math.sqrt is) and `pow` per value, NaN
+    where the closure raises ValueError.  Raises OverflowError when a
+    coefficient lies outside the double range, and where x**n1 or y**n-1
+    overflows.
     """
     nf = qhat.normal_form(cap)
     if not nf.finite:
@@ -280,7 +287,7 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
     alpha = nf.psi_plus.poly.float_coeffs()
     beta = nf.psi_minus.poly.float_coeffs()
 
-    def field(s):
+    def field(s, name):
         # one flat closure per field: s = +1 gives X1, s = -1 gives X2
         def ev(u, v):
             x, y = (u + v) / 2.0, (u - v) / 2.0
@@ -296,12 +303,18 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
             q = y**nm1 * math.sqrt(b)
             return (p + q, -p + q)
 
-        return ev
+        def arrays(u, v):
+            x, y = (u + v) / 2.0, (u - v) / 2.0
+            a = delta * functools.reduce(lambda acc, c: acc * x + c, alpha, 0)
+            b = delta * functools.reduce(lambda acc, c: acc * y + c, beta, 0)
+            # NaN where ev raises ValueError
+            p = s * (each(pow, x, n1) * np.sqrt(np.where(a > 0.0, a, np.nan)))
+            q = each(pow, y, nm1) * np.sqrt(np.where(b > 0.0, b, np.nan))
+            return (p + q, -p + q)
 
-    return (
-        FlowField(field(1.0), name="X1"),
-        FlowField(field(-1.0), name="X2"),
-    )
+        return FlowField(ev, name=name, arrays=arrays)
+
+    return field(1.0, "X1"), field(-1.0, "X2")
 
 
 def measure_indices(

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .geometry import GridSpec, SurfaceChart, generated_chart
+from .geometry import GridSpec, NumericGuardError, SurfaceChart, generated_chart
 from .parafunc import Branch, ParaFunction, _halve
 from .poly import Poly
 
@@ -258,7 +258,10 @@ class ImmersionPatch:
 
     # -- chart extraction ------------------------------------------------------------
 
+    @np.errstate(all="ignore")
     def chart(self, grid: GridSpec) -> SurfaceChart:
+        """The chart; NumericGuardError names the first immersed node,
+        row-major, whose metric factor, L or M is not a finite double."""
         lattice = grid.null_lattice()
         xs, ys = lattice.xs, lattice.ys
         d, (g1d, g2d) = self.data, self.g_primes
@@ -273,17 +276,24 @@ class ImmersionPatch:
             return f, L, M
 
         metric, L, M = np.moveaxis(_by_blocks(grid, lattice, node), -1, 0)
-        chart = generated_chart(grid, metric, ~(np.abs(metric) < _MASKED), L, M, L, lattice=lattice)
+        immersed = ~(np.abs(metric) < _MASKED)
+        finite = np.isfinite(metric) & np.isfinite(L) & np.isfinite(M)
+        _refuse(grid, immersed & ~finite, "the metric factor, L or M", "immersed node")
+        chart = generated_chart(grid, metric, immersed, L, M, L, lattice=lattice)
         hopf = self.hopf()
         if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
             chart.hopf_values = (hopf.plus.table(xs), hopf.minus.table(ys))
         return chart
 
+    @np.errstate(all="ignore")
     def grid_coordinates(self, grid: GridSpec) -> np.ndarray:
-        """float(c) of `evaluate(u, v)` at every node, a [nu, nv, 3] array."""
+        """float(c) of `evaluate(u, v)` at every node, a [nu, nv, 3] array;
+        NumericGuardError names the first node where one is not finite."""
         lattice = grid.null_lattice()
         sums = [_node_sum(p, q, lattice) for p, q in zip(self.comps_x, self.comps_y)]
-        return _by_blocks(grid, lattice, lambda kx, ky: [s(kx, ky) for s in sums])
+        xyz = _by_blocks(grid, lattice, lambda kx, ky: [s(kx, ky) for s in sums])
+        _refuse(grid, ~np.isfinite(xyz).all(axis=-1), "a coordinate", "node")
+        return xyz
 
 
 _QUARTER = Fraction(1, 4)
@@ -360,6 +370,15 @@ def _node_sum(p: Branch, q: Branch, lattice):
     (m, P), (n, Q) = exact_p, exact_q
     mx, ny, den = m * Q, n * P, P * Q
     return lambda kx, ky: (mx[kx] + ny[ky]) / den
+
+
+def _refuse(grid, bad, what, where):
+    """NumericGuardError at the first node of the [nu, nv] mask bad, row-major."""
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), grid.nv)
+        u, v = grid.u_nodes()[i], grid.v_nodes()[j]
+        raise NumericGuardError(f"{what} is not a finite double at {where} ({i}, {j}), "
+                                f"(u, v) = ({u}, {v})", (i, j))
 
 
 def _by_blocks(grid, lattice, node) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI commands: outputs, exit codes, spec diagnostics, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -378,6 +379,49 @@ def test_exit_code_3_on_values_outside_double_range(tmp_path, capsys, g1, codes)
             assert err == ""
             continue
         assert "too large" in json.loads(err)["error"]
+        assert not out.exists()
+
+
+def _float_spec(tmp_path, route, data, n):
+    spec = {"route": route, "data": data,
+            "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": n, "nv": n}}
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    return f
+
+
+_POLY = lambda *c: {"kind": "poly", "coeffs": list(c)}
+
+
+# float coefficients overflow to inf or NaN without an exception: g = 2jz +
+# 1e300 z^2 in the metric factor and forms, g1 = 1e160 t (with g2 = 0) in
+# the coordinates alone
+@pytest.mark.parametrize(
+    "route, data, n, commands, error",
+    [
+        ("ko", {"g": {"z_poly": [0, [1, "2"], 1e300]}, "omega_hat": {"z_poly": [1]}}, 16,
+         ("generate", "classify", "flow"),
+         {"error": "the metric factor, L or M is not a finite double at immersed node "
+                   "(0, 1), (u, v) = (-1, -13/15)", "node": [0, 1]}),
+        ("null", {"g1": _POLY(0, 1e160), "g2": _POLY(0), "w1": _POLY(1), "w2": _POLY(1)}, 17,
+         ("generate",),
+         {"error": "a coordinate is not a finite double at node (0, 0), (u, v) = (-1, -1)",
+          "node": [0, 0]}),
+    ],
+    ids=["ko_1e300", "null_1e160"],
+)
+def test_exit_code_3_on_non_finite_float_values(tmp_path, capsys, route, data, n, commands,
+                                                error):
+    """The first non-finite immersed node, row-major, is named; no numpy
+    warning is printed and no output directory is made."""
+    f = _float_spec(tmp_path, route, data, n)
+    for cmd in commands:
+        out = tmp_path / cmd
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 3
+        assert caught == []
+        assert json.loads(capsys.readouterr().err) == error
         assert not out.exists()
 
 

@@ -10,6 +10,7 @@ polylines (`np.array_equal`), the winding results and the SVG text must be
 the same.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -97,6 +98,22 @@ CASES = {
         grid=NON_SQUARE,
     ),
 }
+
+
+BUILT_IN = ("z3", "z5", "deg26", "null_fraction", "null_float",
+            "spacelike_m1", "spacelike_m2", "spacelike_m3")
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_winding_a_built_in_field_calls_no_scalar_evaluator(name):
+    """A built-in field winds a circle through its array form alone."""
+    fields, _ = CASES[name]()
+    for field in fields:
+        calls = []
+        counted = dataclasses.replace(
+            field, evaluator=lambda u, v, ev=field.evaluator: calls.append(u) or ev(u, v))
+        assert winding_index(counted).index == winding_index(field).index
+        assert calls == [], field.name
 
 
 def _winding(field, radius, monkeypatch, accumulate):

@@ -49,11 +49,18 @@ def test_float_grid_bound_keeps_its_short_fraction(tmp_path):
         (lambda spec: spec.update(analyis={"samples": 720}), "/analyis"),
         (lambda spec: spec.update(analysis={"sample": 720}), "/analysis/sample"),
         (lambda spec: spec.update({"a/b~c": 1}), "/a~1b~0c"),
+        (lambda spec: spec["grid"].update(nx=65), "/grid/nx"),
+        (lambda spec: spec["data"]["g"].update(zpoly=[0, 1]), "/data/g/zpoly"),
+        (lambda spec: spec["data"].update(metric_sign=1), "/data/metric_sign"),
     ],
-    ids=["top", "analysis", "escaped"],
+    ids=["top", "analysis", "escaped", "grid", "parafn", "ko_metric_sign"],
 )
 def test_unknown_key_is_a_spec_error(tmp_path, capsys, edit, pointer):
-    spec = preset_spec("z3")
+    _refused(tmp_path, capsys, "z3", edit, pointer)
+
+
+def _refused(tmp_path, capsys, preset, edit, pointer):
+    spec = preset_spec(preset)
     edit(spec)
     for cmd in ("generate", "index"):
         code, out = _run(tmp_path, spec, cmd)
@@ -61,6 +68,39 @@ def test_unknown_key_is_a_spec_error(tmp_path, capsys, edit, pointer):
         err = json.loads(capsys.readouterr().err)
         assert err["pointer"] == pointer and err["error"].startswith("unknown key")
         assert not out.exists()
+
+
+_EXP_FLAT = {"kind": "exp_flat"}
+
+
+@pytest.mark.parametrize(
+    "preset, edit, pointer",
+    [
+        ("f1", lambda spec: spec["data"].update(metric_sign=-1), "/data/metric_sign"),
+        ("f1", lambda spec: spec["data"]["g1"].update(coef=[0, 2]), "/data/g1/coef"),
+        ("exA2", lambda spec: spec["data"]["omega_hat"]["wedge"][1].update(coeffs=[1]),
+         "/data/omega_hat/wedge/1/coeffs"),
+        ("exA2", lambda spec: spec["data"].update(omega_hat={"branches": {
+            "plus": _EXP_FLAT, "minus": _EXP_FLAT, "zero": _EXP_FLAT}}),
+         "/data/omega_hat/branches/zero"),
+    ],
+    ids=["null_metric_sign", "branch", "exp_flat_branch", "branches_map"],
+)
+def test_unknown_key_below_the_top_level_is_a_spec_error(tmp_path, capsys, preset, edit,
+                                                         pointer):
+    """Keys inside data, branch objects and the branches map were dropped
+    without a word; each is refused at its own pointer now."""
+    _refused(tmp_path, capsys, preset, edit, pointer)
+
+
+def test_metric_sign_is_a_data_key_of_route_chart_only():
+    spec = {**preset_spec("z3"), "route": "chart"}
+    spec["grid"].update(nu=16, nv=16)
+    rows = [[0.0] * 16 for _ in range(16)]
+    spec["data"] = {k: rows for k in ("sigma", "L", "M", "N")}
+    for sign in (1, -1):
+        spec["data"]["metric_sign"] = sign
+        assert resolve(spec).chart.metric_sign[0, 0] == sign
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .flow import LINE_FIELD, VECTOR_FIELD, WindingError, streamlines, winding_index
+from .flow import LINE_FIELD, VECTOR_FIELD, Circles, WindingError, streamlines, winding_index
 from .geometry import NumericGuardError, classify_chart
 from .outputs import (
     SURFACE_COLUMNS,
@@ -185,7 +185,7 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
                 "is identically zero)" if m is None else "has no zero at o)")
             report["match"] = None
         else:
-            field = patch.principal_line_field()
+            (field,) = Circles().share(patch.principal_line_field())  # one cos/sin pass
             res = winding_index(field, radius=a.winding_radius, samples=a.samples)
             half = winding_index(field, radius=a.winding_radius / 2, samples=a.samples)
             report["measured_index"] = res.index

@@ -28,12 +28,19 @@ maps the other calls over the samples, and `np.add.accumulate` sums the
 turning in loop order (`np.sum` sums pairwise).  A field without an array
 form, and a circle whose array pass raised OverflowError, go through the
 per-sample loop, where the first sample that raises decides the error.
+
+Fields given one `Circles` (`Circles.share`) share their circles: the cos
+and sin of the sample angles are formed once per sample count, and an array
+form's (p, q) once per circle.  A `Swapped` form reads, and then drops, its
+base's pass, as X2 of `umbilic.eigenfields` reads X1's (X1 = (p + q, -p + q)
+and X2 = (-p + q, p + q), bit for bit).  `atan2` runs once per field and
+circle, and each field keeps its own retries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +49,7 @@ from .geometry import each
 
 VECTOR_FIELD = "vector_field"
 LINE_FIELD = "line_field"
-_CHUNK = 4096  # samples per array pass of `_circle_angles`
+_CHUNK = 4096  # samples per array call of `Circles`
 
 
 class WindingError(RuntimeError):
@@ -64,6 +71,7 @@ class FlowField:
     # optional: (p, q) at float arrays (u, v), bit for bit the evaluator's,
     # NaN where it raises ValueError; OverflowError may come from any sample
     arrays: Optional[Callable] = None
+    circles: Optional["Circles"] = None  # shared with other fields (`Circles.share`)
 
     def __call__(self, u: float, v: float):
         return self.evaluator(u, v)
@@ -72,15 +80,58 @@ class FlowField:
 def perpendicular(field: FlowField) -> FlowField:
     """Swap the two components; in an isothermal chart this sends a principal
     field to the perpendicular principal field and negates the index."""
-
-    def swapped(base):
-        return lambda u, v: tuple(base(u, v))[::-1]
-
     return FlowField(
-        swapped(field.evaluator), kind=field.kind, singular_point=field.singular_point,
+        Swapped(field.evaluator), kind=field.kind, singular_point=field.singular_point,
         name=field.name + "_perp" if field.name else "",
-        arrays=field.arrays and swapped(field.arrays),
+        arrays=field.arrays and Swapped(field.arrays),
     )
+
+
+@dataclass(frozen=True)
+class Swapped:
+    """A field's evaluator or array form with its two components exchanged."""
+
+    base: Callable
+
+    def __call__(self, u, v):
+        return tuple(self.base(u, v))[::-1]
+
+
+class Circles:
+    """The sampling circles that the fields given to `share` share (see the
+    module docstring); made per measurement, so none outlives a command."""
+
+    def __init__(self):
+        self.units, self.passes = {}, {}
+
+    def unit(self, n: int) -> list:
+        """(cos t, sin t) at t = 2 pi k / n, k < n, _CHUNK values a pair."""
+        if n not in self.units:
+            t = np.split(2.0 * math.pi * np.arange(n) / n, range(_CHUNK, n, _CHUNK))
+            self.units[n] = [(each(math.cos, c), each(math.sin, c)) for c in t]
+        return self.units[n]
+
+    @np.errstate(all="ignore")
+    def angles(self, field: FlowField, radius: float, samples: int) -> np.ndarray:
+        """The field's angles on the circle, _CHUNK samples an array call; a
+        `Swapped` form reads its base's pass and drops it."""
+        swap = isinstance(field.arrays, Swapped)
+        arrays, (u0, v0) = field.arrays.base if swap else field.arrays, field.singular_point
+        key = (arrays, u0, v0, radius, samples)
+        if key not in self.passes:
+            values = []
+            for c, s in self.unit(samples):
+                p, q = arrays(u0 + radius * c, v0 + radius * s)
+                if not (np.isfinite(p) & np.isfinite(q) & ((p != 0.0) | (q != 0.0))).all():
+                    raise _ZeroOnCircle
+                values.append((p, q))
+            self.passes[key] = values
+        values = self.passes.pop(key) if swap else self.passes[key]
+        return np.concatenate([each(math.atan2, *(pq if swap else pq[::-1])) for pq in values])
+
+    def share(self, *fields: FlowField) -> tuple:
+        """The fields, each given these circles."""
+        return tuple(replace(f, circles=self) for f in fields)
 
 
 @dataclass(frozen=True)
@@ -104,13 +155,13 @@ def _accumulate(field: FlowField, radius: float, samples: int):
     `samples` points of the circle (see the module docstring)."""
     two_pi = 2.0 * math.pi
     doubling = 2.0 if field.kind == LINE_FIELD else 1.0
-    t = two_pi * np.arange(samples) / samples
+    circles = field.circles or Circles()
     try:
-        angles = field.arrays and _circle_angles(field, radius, t)
+        angles = field.arrays and circles.angles(field, radius, samples)
     except OverflowError:
         angles = None  # the per-sample loop finds the first sample that raises
     if angles is None:
-        angles = _sample_angles(field, radius, t.tolist())
+        angles = _sample_angles(field, radius, circles.unit(samples))
     angles = doubling * angles
     jumps = np.roll(angles, -1) - angles
     # remainder(d, 2 pi) is exact, so it is d itself where |d| <= pi
@@ -120,28 +171,14 @@ def _accumulate(field: FlowField, radius: float, samples: int):
     return float(total) / doubling, float(np.max(np.abs(jumps), initial=0.0))
 
 
-@np.errstate(all="ignore")
-def _circle_angles(field: FlowField, radius: float, t: np.ndarray) -> np.ndarray:
-    """The field's angles at the angles t, _CHUNK samples at a time."""
-    u0, v0 = field.singular_point
-    angles = []
-    for k in range(0, t.size, _CHUNK):
-        c = t[k : k + _CHUNK]
-        p, q = field.arrays(u0 + radius * each(math.cos, c), v0 + radius * each(math.sin, c))
-        if not (np.isfinite(p) & np.isfinite(q) & ((p != 0.0) | (q != 0.0))).all():
-            raise _ZeroOnCircle
-        angles.append(each(math.atan2, q, p))
-    return np.concatenate(angles)
-
-
-def _sample_angles(field: FlowField, radius: float, t: list) -> np.ndarray:
+def _sample_angles(field: FlowField, radius: float, unit: list) -> np.ndarray:
     u0, v0 = field.singular_point
     ev = field.evaluator
-    cos, sin, atan2, isfinite = math.cos, math.sin, math.atan2, math.isfinite
+    atan2, isfinite = math.atan2, math.isfinite
     angles = []
-    for s in t:
+    for c, s in (cs for cos, sin in unit for cs in zip(cos.tolist(), sin.tolist())):
         try:
-            p, q = ev(u0 + radius * cos(s), v0 + radius * sin(s))
+            p, q = ev(u0 + radius * c, v0 + radius * s)
         except (ValueError, ZeroDivisionError, FloatingPointError):
             raise _ZeroOnCircle  # undefined counts as inadequate, like a zero
         p, q = float(p), float(q)

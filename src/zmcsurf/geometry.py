@@ -48,6 +48,15 @@ class NumericGuardError(ArithmeticError):
         self.node = node
 
 
+def _refuse(grid, bad, what, where):
+    """NumericGuardError at the first node of the [nu, nv] mask bad, row-major."""
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), grid.nv)
+        u, v = grid.u_nodes()[i], grid.v_nodes()[j]
+        raise NumericGuardError(f"{what} is not a finite double at {where} ({i}, {j}), "
+                                f"(u, v) = ({u}, {v})", (i, j))
+
+
 class NullLattice(NamedTuple):
     """The distinct null coordinates x = (u+v)/2, y = (u-v)/2 of a grid.
 
@@ -367,7 +376,10 @@ def generated_chart(grid: GridSpec, factor, mask, L, M, N, chart_type=SurfaceCha
     factor, the immersed-node mask and the second forms.  sigma is
     log|factor|/2, one math.log per immersed node (numpy's log does not
     always round like math's), and the metric sign is the factor's; a
-    masked node gets sigma NaN, L = M = N = 0 and sign +1."""
+    masked node gets sigma NaN, L = M = N = 0 and sign +1.  The first
+    immersed node, row-major, whose factor, L or M is not finite raises."""
+    finite = np.isfinite(factor) & np.isfinite(L) & np.isfinite(M)
+    _refuse(grid, mask & ~finite, "the metric factor, L or M", "immersed node")
     sigma = np.full(mask.shape, np.nan)
     sigma[mask] = 0.5 * each(math.log, np.abs(factor[mask]))
     sign = np.where(mask & ~(factor > 0), -1, 1).astype(np.int8)
@@ -377,18 +389,10 @@ def generated_chart(grid: GridSpec, factor, mask, L, M, N, chart_type=SurfaceCha
 
 def chart_from_arrays(grid: GridSpec, sigma, L, M, N, metric_sign=1) -> SurfaceChart:
     """Build a chart from plain per-node arrays (no analytic extras)."""
-    sigma = np.asarray(sigma, dtype=float)
-    shape = (grid.nu, grid.nv)
-    if sigma.shape != shape:
-        raise ValueError(f"sigma must have shape {shape}")
-    arrays = []
-    for name, arr in (("L", L), ("M", M), ("N", N)):
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != shape:
+    shape, arrays = (grid.nu, grid.nv), []
+    for name, arr in (("sigma", sigma), ("L", L), ("M", M), ("N", N)):
+        arrays.append(np.asarray(arr, dtype=float))
+        if arrays[-1].shape != shape:
             raise ValueError(f"{name} must have shape {shape}")
-        arrays.append(arr)
-    mask = np.isfinite(sigma)
-    for arr in arrays:
-        mask &= np.isfinite(arr)
-    sign = np.full(shape, metric_sign, dtype=np.int8)
-    return SurfaceChart(grid, sigma, arrays[0], arrays[1], arrays[2], mask, sign)
+    mask = np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    return SurfaceChart(grid, *arrays, mask, np.full(shape, metric_sign, dtype=np.int8))

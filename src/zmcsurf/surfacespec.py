@@ -196,7 +196,8 @@ def _cpoly(value, pointer) -> Poly:
 
 
 def _matrix(value, pointer, grid) -> list:
-    """A raw chart array: grid.nu rows of grid.nv numbers, as floats."""
+    """A raw chart array: grid.nu rows of grid.nv numbers, as floats; a row
+    that is not all finite JSON floats is read value by value."""
     rows = _expect_list(value, pointer)
     if len(rows) != grid.nu:
         _fail(pointer, f"need {grid.nu} rows")
@@ -205,7 +206,10 @@ def _matrix(value, pointer, grid) -> list:
         row = _expect_list(row, f"{pointer}/{i}")
         if len(row) != grid.nv:
             _fail(f"{pointer}/{i}", f"need {grid.nv} entries")
-        parsed.append([float(_scalar(x, f"{pointer}/{i}/{j}")) for j, x in enumerate(row)])
+        if set(map(type, row)) == {float} and math.isfinite(sum(row)):
+            parsed.append(row)  # JSON floats; an inf or NaN would make the sum one
+        else:
+            parsed.append([float(_scalar(x, f"{pointer}/{i}/{j}")) for j, x in enumerate(row)])
     return parsed
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import FlowField, winding_index
+from .flow import Circles, FlowField, Swapped, winding_index
 from .geometry import each
 from .parafunc import ParaFunction, SplitOrders
 
@@ -264,11 +264,12 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
     Each field is one flat closure: Horner's rule over the psi polynomials'
     `float_coeffs()` inline, bit for bit `Poly.__call__` at the float point
     (see its docstring).  X2 is X1 with p = x^n1 sqrt(alpha) multiplied by
-    -1.0, which is exactly -p.  Its array form takes the same steps with
-    np.sqrt (correctly rounded, as math.sqrt is) and `pow` per value, NaN
-    where the closure raises ValueError.  Raises OverflowError when a
-    coefficient lies outside the double range, and where x**n1 or y**n-1
-    overflows.
+    -1.0, which is exactly -p, so X2 = (-p + q, p + q) is X1 = (p + q, -p + q)
+    with the components swapped, bit for bit.  X1's array form takes the
+    same steps with np.sqrt (correctly rounded, as math.sqrt is) and `pow`
+    per value, NaN where the closure raises ValueError; X2's is X1's,
+    `Swapped`.  Raises OverflowError when a coefficient lies outside the
+    double range, and where x**n1 or y**n-1 overflows.
     """
     nf = qhat.normal_form(cap)
     if not nf.finite:
@@ -287,7 +288,7 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
     alpha = nf.psi_plus.poly.float_coeffs()
     beta = nf.psi_minus.poly.float_coeffs()
 
-    def field(s, name):
+    def closure(s):
         # one flat closure per field: s = +1 gives X1, s = -1 gives X2
         def ev(u, v):
             x, y = (u + v) / 2.0, (u - v) / 2.0
@@ -303,18 +304,19 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
             q = y**nm1 * math.sqrt(b)
             return (p + q, -p + q)
 
-        def arrays(u, v):
-            x, y = (u + v) / 2.0, (u - v) / 2.0
-            a = delta * functools.reduce(lambda acc, c: acc * x + c, alpha, 0)
-            b = delta * functools.reduce(lambda acc, c: acc * y + c, beta, 0)
-            # NaN where ev raises ValueError
-            p = s * (each(pow, x, n1) * np.sqrt(np.where(a > 0.0, a, np.nan)))
-            q = each(pow, y, nm1) * np.sqrt(np.where(b > 0.0, b, np.nan))
-            return (p + q, -p + q)
+        return ev
 
-        return FlowField(ev, name=name, arrays=arrays)
+    def arrays(u, v):
+        x, y = (u + v) / 2.0, (u - v) / 2.0
+        a = delta * functools.reduce(lambda acc, c: acc * x + c, alpha, 0)
+        b = delta * functools.reduce(lambda acc, c: acc * y + c, beta, 0)
+        # NaN where ev raises ValueError
+        p = each(pow, x, n1) * np.sqrt(np.where(a > 0.0, a, np.nan))
+        q = each(pow, y, nm1) * np.sqrt(np.where(b > 0.0, b, np.nan))
+        return (p + q, -p + q)
 
-    return field(1.0, "X1"), field(-1.0, "X2")
+    return (FlowField(closure(1.0), name="X1", arrays=arrays),
+            FlowField(closure(-1.0), name="X2", arrays=Swapped(arrays)))
 
 
 def measure_indices(
@@ -327,30 +329,23 @@ def measure_indices(
 
     Measurement is only attempted when the prediction names an index set;
     for "not admissible" and the other marker verdicts it is skipped with an
-    explanation, per the report contract.
+    explanation, per the report contract.  X1 and then X2 are wound at the
+    radius and at half of it; the four windings share two circles, as X2's
+    array form is X1's `Swapped`, and the first that fails raises.
     """
     if not isinstance(report.predicted_indices, frozenset):
         report.measured_indices = None
-        report.measured_info = {
-            "skipped": f"measurement skipped: {report.predicted_indices}"
-        }
+        report.measured_info = {"skipped": f"measurement skipped: {report.predicted_indices}"}
         report.match = None
         report.windings = None
         return report
-    fields = eigenfields(qhat, report.cap)
-    measured = {}
-    windings = []
-    info = {"radius": radius, "samples": samples}
-    stable = True
-    for f in fields:
+    windings, stable = [], True
+    for f in Circles().share(*eigenfields(qhat, report.cap)):
         res = winding_index(f, radius=radius, samples=samples)
-        measured[f.name] = res.index
         windings.append((f.name, res))
-        half = winding_index(f, radius=radius / 2.0, samples=samples)
-        stable = stable and (half.index == res.index)
-    info["radius_halving_stable"] = stable
-    report.measured_indices = measured
-    report.measured_info = info
+        stable &= winding_index(f, radius=radius / 2.0, samples=samples).index == res.index
     report.windings = tuple(windings)
+    report.measured_indices = measured = {name: res.index for name, res in windings}
+    report.measured_info = {"radius": radius, "samples": samples, "radius_halving_stable": stable}
     report.match = frozenset(measured.values()) == report.predicted_indices and stable
     return report

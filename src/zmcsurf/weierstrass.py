@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .geometry import GridSpec, NumericGuardError, SurfaceChart, generated_chart
+from .geometry import GridSpec, SurfaceChart, _refuse, generated_chart
 from .parafunc import Branch, ParaFunction, _halve
 from .poly import Poly
 
@@ -169,11 +169,10 @@ def _primitive(branch: Branch) -> Branch:
 
 @dataclass(frozen=True)
 class ImmersionPatch:
-    """A generated surface patch with analytic access to all derived data."""
+    """A generated surface patch with analytic access to all derived data;
+    the primitives `comps_x`, `comps_y` are built when coordinates need them."""
 
     data: NullData
-    comps_x: tuple  # three primitives in x
-    comps_y: tuple  # three primitives in y
     g_primes: tuple  # (g1', g2'), built once for the second-order data
     base_regular: bool = True
 
@@ -182,17 +181,17 @@ class ImmersionPatch:
     @classmethod
     def build(cls, data: NullData, strict: bool = True):
         regular = _check_base_point(data, strict)
-        one = Branch.constant(1)
-        g1, g2, w1, w2 = data.g1, data.g2, data.w1, data.w2
-        ints_x = ((one - g1 * g1) * w1, (g1 * 2) * w1, (one + g1 * g1) * w1)
-        ints_y = (-((one - g2 * g2) * w2), (g2 * 2) * w2, (one + g2 * g2) * w2)
-        return cls(
-            data=data,
-            comps_x=tuple(_primitive(b) for b in ints_x),
-            comps_y=tuple(_primitive(b) for b in ints_y),
-            g_primes=(g1.derivative(), g2.derivative()),
-            base_regular=regular,
-        )
+        return cls(data, (data.g1.derivative(), data.g2.derivative()), regular)
+
+    @functools.cached_property
+    def comps_x(self) -> tuple:  # the three primitives in x
+        one, g, w = Branch.constant(1), self.data.g1, self.data.w1
+        return tuple(map(_primitive, ((one - g * g) * w, (g * 2) * w, (one + g * g) * w)))
+
+    @functools.cached_property
+    def comps_y(self) -> tuple:  # the three primitives in y
+        one, g, w = Branch.constant(1), self.data.g2, self.data.w2
+        return tuple(map(_primitive, (-((one - g * g) * w), (g * 2) * w, (one + g * g) * w)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -261,7 +260,8 @@ class ImmersionPatch:
     @np.errstate(all="ignore")
     def chart(self, grid: GridSpec) -> SurfaceChart:
         """The chart; NumericGuardError names the first immersed node,
-        row-major, whose metric factor, L or M is not a finite double."""
+        row-major, whose metric factor, L or M is not a finite double
+        (`generated_chart`)."""
         lattice = grid.null_lattice()
         xs, ys = lattice.xs, lattice.ys
         d, (g1d, g2d) = self.data, self.g_primes
@@ -276,10 +276,8 @@ class ImmersionPatch:
             return f, L, M
 
         metric, L, M = np.moveaxis(_by_blocks(grid, lattice, node), -1, 0)
-        immersed = ~(np.abs(metric) < _MASKED)
-        finite = np.isfinite(metric) & np.isfinite(L) & np.isfinite(M)
-        _refuse(grid, immersed & ~finite, "the metric factor, L or M", "immersed node")
-        chart = generated_chart(grid, metric, immersed, L, M, L, lattice=lattice)
+        chart = generated_chart(grid, metric, ~(np.abs(metric) < _MASKED), L, M, L,
+                                lattice=lattice)
         hopf = self.hopf()
         if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
             chart.hopf_values = (hopf.plus.table(xs), hopf.minus.table(ys))
@@ -370,15 +368,6 @@ def _node_sum(p: Branch, q: Branch, lattice):
     (m, P), (n, Q) = exact_p, exact_q
     mx, ny, den = m * Q, n * P, P * Q
     return lambda kx, ky: (mx[kx] + ny[ky]) / den
-
-
-def _refuse(grid, bad, what, where):
-    """NumericGuardError at the first node of the [nu, nv] mask bad, row-major."""
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), grid.nv)
-        u, v = grid.u_nodes()[i], grid.v_nodes()[j]
-        raise NumericGuardError(f"{what} is not a finite double at {where} ({i}, {j}), "
-                                f"(u, v) = ({u}, {v})", (i, j))
 
 
 def _by_blocks(grid, lattice, node) -> np.ndarray:

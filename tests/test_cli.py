@@ -395,7 +395,8 @@ _POLY = lambda *c: {"kind": "poly", "coeffs": list(c)}
 
 # float coefficients overflow to inf or NaN without an exception: g = 2jz +
 # 1e300 z^2 in the metric factor and forms, g1 = 1e160 t (with g2 = 0) in
-# the coordinates alone
+# the coordinates alone, and the space-like conformal factor
+# (1 - |g|^2)^2 |omega_hat|^2 = (1e150)^2 (1e100)^2 of g = 1e75 z
 @pytest.mark.parametrize(
     "route, data, n, commands, error",
     [
@@ -407,8 +408,12 @@ _POLY = lambda *c: {"kind": "poly", "coeffs": list(c)}
          ("generate",),
          {"error": "a coordinate is not a finite double at node (0, 0), (u, v) = (-1, -1)",
           "node": [0, 0]}),
+        ("kobayashi", {"g": [0, 1e75], "omega_hat": [1e100]}, 16,
+         ("generate", "classify", "flow"),
+         {"error": "the metric factor, L or M is not a finite double at immersed node "
+                   "(0, 0), (u, v) = (-1, -1)", "node": [0, 0]}),
     ],
-    ids=["ko_1e300", "null_1e160"],
+    ids=["ko_1e300", "null_1e160", "kobayashi_1e75"],
 )
 def test_exit_code_3_on_non_finite_float_values(tmp_path, capsys, route, data, n, commands,
                                                 error):

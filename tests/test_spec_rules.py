@@ -4,6 +4,7 @@ and the order of data-key diagnostics."""
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zmcsurf.cli import main
@@ -117,3 +118,53 @@ def test_data_keys_are_checked_and_read_in_order(route, data, pointer):
     with pytest.raises(SpecError) as info:
         resolve(spec)
     assert info.value.pointer == pointer
+
+
+def _chart_text(token, at=(12, 13), n=16):
+    """A chart spec as JSON text: seeded float rows, and the raw JSON token
+    at node `at` of M."""
+    rng = np.random.default_rng(20)
+    arrays = {k: rng.uniform(-1.0, 1.0, (n, n)).tolist() for k in ("sigma", "L", "M", "N")}
+    arrays["M"][at[0]][at[1]] = "@"
+    spec = {"route": "chart", "data": arrays,
+            "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": n, "nv": n}}
+    return json.dumps(spec).replace('"@"', token), arrays
+
+
+# the pointer and message of the value-by-value reader
+@pytest.mark.parametrize("token, message", [
+    ("NaN", "not a finite number: nan"),
+    ("-Infinity", "not a finite number: -inf"),
+    ("1e400", "not a finite number: inf"),
+    ("true", "expected a number"),
+    ('"x"', "not a rational literal: 'x'"),
+    ('"1/0"', "not a rational literal: '1/0'"),
+    ("null", "expected a number or 'p/q' string"),
+])
+@pytest.mark.parametrize("at", [(12, 13), (0, 15), (15, 0)])
+def test_a_bad_value_in_a_float_row_keeps_its_pointer(token, message, at):
+    text, _ = _chart_text(token, at)
+    with pytest.raises(SpecError) as exc:
+        resolve(json.loads(text))
+    assert (exc.value.pointer, exc.value.message) == (f"/data/M/{at[0]}/{at[1]}", message)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("3", 3.0), ("-7", -7.0), ('"1/3"', 1 / 3), (str(2**80 + 1), float(2**80 + 1)),
+    ("0.125", 0.125),
+])
+def test_raw_chart_rows_read_every_value_as_its_float(token, value):
+    text, arrays = _chart_text(token)
+    chart = resolve(json.loads(text)).chart
+    arrays["M"][12][13] = value
+    for key in ("sigma", "L", "M", "N"):
+        assert getattr(chart, key).tolist() == arrays[key]
+
+
+def test_a_float_row_whose_sum_overflows_is_read_value_by_value():
+    text, arrays = _chart_text("1e308", (3, 4))
+    spec = json.loads(text)
+    spec["data"]["M"][3] = [1e308] * 16
+    chart = resolve(spec).chart
+    assert chart.M[3].tolist() == [1e308] * 16
+    assert chart.M[4].tolist() == arrays["M"][4]

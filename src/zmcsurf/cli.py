@@ -12,11 +12,11 @@ Input limits (exceeding one is a spec error): grid nu, nv and N in
 degree 64 (65 coefficients per array), and at most 64 analysis.seeds,
 each in the closed grid rectangle; a non-finite number (NaN, Infinity,
 1e400) is a spec error too.  A flow streamline marches at most 4096
-steps (MAX_MARCH_STEPS) each way from its seed.  The slowest in-limit run
-measured, generate for the dense degree-64 null spec of the README, took
-0.4 s and 33 MB at 129^2, 6.5 s and 70 MB at 513^2 (Python 3.11.7, 2 shared
-CPUs); the CSV text is written one grid row at a time, so memory follows
-the chart's arrays.
+steps (MAX_MARCH_STEPS) each way from its seed.  The limits do not bound
+exact work: generate for the dense degree-64 null spec of the README took
+6.5 s at 513^2, but classify at 1025^2 took 318 s and 395 MB for degree-64
+data over distinct 20-digit denominators (Python 3.11.7, 2 shared CPUs).
+The CSV text is written one grid row at a time.
 Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
 is not UTF-8 or is not JSON within Python's limits is one, and so are
 time-like data that are degenerate at the base point, unless the spec
@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .flow import LINE_FIELD, VECTOR_FIELD, Circles, WindingError, streamlines, winding_index
+from .flow import WindingError, streamlines, winding_index
 from .geometry import NumericGuardError, classify_chart
 from .outputs import (
     SURFACE_COLUMNS,
@@ -48,13 +48,15 @@ from .outputs import (
     winding_csv,
 )
 from .presets import PRESET_ORDER, preset_spec
-from .surfacespec import ResolvedSpec, SpecError, resolve
+from .surfacespec import ResolvedSpec, SpecError, expect_mapping, resolve
 from .svgplot import render_svg, svg_lines
-from .umbilic import NoSmoothFlowError, analyze_point, eigenfields, measure_indices
+from .umbilic import analyze_point, eigenfields, measure_indices
 
 # perfbench/layertrace.py patches this alias and the imported surface_csv,
 # classification_csv and render_svg, which the commands no longer call (they
-# write the `*_lines` blocks); drop them with the next change to the benchmark.
+# write the `*_lines` blocks) and analyze_point, eigenfields, measure_indices
+# and winding_index (the surface types' `index_report` and `flow_fields` call
+# them now); drop them with the next change to the benchmark.
 spacelike_classification_csv = classification_csv
 
 EXIT_OK = 0
@@ -77,9 +79,7 @@ def _load_spec(args) -> dict:
         spec = _read_spec(args.spec)
     else:
         raise SpecError("/", "one of --preset or --spec is required")
-    if not isinstance(spec, dict):
-        raise SpecError("/", "expected an object")
-    spec.setdefault("analysis", {})
+    expect_mapping(spec, "").setdefault("analysis", {})
     _override(spec, "grid", nu=args.grid, nv=args.grid)
     _override(spec, "analysis", winding_radius=args.radius, samples=args.samples,
               jet_cap=args.jet_cap)
@@ -103,10 +103,8 @@ def _read_spec(path: str):
 def _override(spec: dict, key: str, **values):
     """Set the command-line overrides that were given in spec[key]."""
     given = {k: v for k, v in values.items() if v is not None}
-    section = spec.setdefault(key, {}) if given else {}
-    if not isinstance(section, dict):
-        raise SpecError(f"/{key}", "expected an object")
-    section.update(given)
+    if given:
+        expect_mapping(spec.setdefault(key, {}), f"/{key}").update(given)
 
 
 def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
@@ -148,6 +146,11 @@ def _surface_chart(resolved: ResolvedSpec):
     return resolved.patch.chart(resolved.grid)
 
 
+def _tag(resolved: ResolvedSpec) -> dict:
+    """The surface type's keys for the output metadata; a raw chart has none."""
+    return {} if resolved.patch is None else resolved.patch.tag
+
+
 def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     if resolved.route == "chart":
         raise SpecError("/route", "generate needs a generated route (ko/null/kobayashi)")
@@ -157,9 +160,7 @@ def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
 
 
 def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
-    extra = {"preset": args.preset, "route": resolved.route}
-    if resolved.is_spacelike:
-        extra["tagged"] = "spacelike"
+    extra = {"preset": args.preset, "route": resolved.route, **_tag(resolved)}
     cls = classify_chart(_surface_chart(resolved))
     _write(out_dir, "classification.csv", classification_lines(cls))
     _write(out_dir, "summary.json", json_lines(classification_summary(cls, extra)))
@@ -167,44 +168,10 @@ def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
 
 
 def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
-    a = resolved.analysis
-    rows = []
-    if resolved.is_spacelike:
-        patch = resolved.patch
-        hopf = -(patch.data.omega_hat * patch.g_prime)
-        m = hopf.trailing_order()
-        report = {
-            "tagged": "spacelike",
-            "preset": args.preset,
-            "hopf_zero_order": m,
-            "predicted_index": None if m is None else -m / 2.0,
-        }
-        if m is None or m == 0:
-            report["measured_index"] = None
-            report["note"] = "no isolated umbilic (Hopf coefficient " + (
-                "is identically zero)" if m is None else "has no zero at o)")
-            report["match"] = None
-        else:
-            (field,) = Circles().share(patch.principal_line_field())  # one cos/sin pass
-            res = winding_index(field, radius=a.winding_radius, samples=a.samples)
-            half = winding_index(field, radius=a.winding_radius / 2, samples=a.samples)
-            report["measured_index"] = res.index
-            report["radius_halving_stable"] = half.index == res.index
-            report["match"] = (res.index == -m / 2.0) and report["radius_halving_stable"]
-            rows.append((field.name, LINE_FIELD, res))
-    elif resolved.is_timelike:
-        q = resolved.patch.hopf()
-        rep = analyze_point(q, cap=a.jet_cap)
-        rep = measure_indices(
-            rep, q, radius=a.winding_radius, samples=a.samples
-        )
-        report = rep.to_dict()
-        report["preset"] = args.preset
-        if rep.measured_indices:
-            rows = [(name, VECTOR_FIELD, res) for name, res in rep.windings]
-    else:
+    if resolved.patch is None:
         raise SpecError("/route", "index needs a generated route (ko/null/kobayashi)")
-
+    report, rows = resolved.patch.index_report(resolved.analysis)
+    report.update(resolved.patch.tag, preset=args.preset)
     _write(out_dir, "index_report.json", json_lines(report))
     _write(out_dir, "winding.csv", [winding_csv(rows)])
     return EXIT_OK
@@ -213,37 +180,20 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
 def _flow_polylines(resolved: ResolvedSpec, fields):
     g = resolved.grid
     bounds = (float(g.u_min), float(g.u_max), float(g.v_min), float(g.v_max))
-    span = min(bounds[1] - bounds[0], bounds[3] - bounds[2])
-    return [
-        streamlines(
-            f,
-            resolved.analysis.seeds,
-            step=2e-3,
-            max_len=min(1.2 * span, MAX_MARCH_STEPS * 2e-3),
-            bounds=bounds,
-        )
-        for f in fields
-    ]
+    max_len = min(1.2 * min(bounds[1] - bounds[0], bounds[3] - bounds[2]), MAX_MARCH_STEPS * 2e-3)
+    return [streamlines(f, resolved.analysis.seeds, step=2e-3, max_len=max_len, bounds=bounds)
+            for f in fields]
 
 
 def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
-    fields, banner = [], ""
-    meta = {"preset": args.preset}
     cls = classify_chart(_surface_chart(resolved))
-    if resolved.is_spacelike:
-        meta["tagged"] = "spacelike"
-        fields = [resolved.patch.principal_line_field()]
-    elif resolved.is_timelike:
-        try:
-            fields = eigenfields(resolved.patch.hopf(), cap=resolved.analysis.jet_cap)
-        except NoSmoothFlowError as exc:
-            banner = f"classification only: {exc}"
+    if resolved.patch is None:
+        fields, marks, banner = (), [], "classification only: no analytic flow data for this chart"
     else:
-        banner = "classification only: no analytic flow data for this chart"
-
+        fields, marks, banner = resolved.patch.flow_fields(resolved.analysis)
     _write(out_dir, "flow.svg", svg_lines(
         resolved.grid, cls.kinds, polyline_families=_flow_polylines(resolved, fields),
-        marks=[(0.0, 0.0)] if fields else [], banner=banner, extra_metadata=meta))
+        marks=marks, banner=banner, extra_metadata={"preset": args.preset, **_tag(resolved)}))
     return EXIT_OK
 
 
@@ -306,11 +256,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_SPEC
-    except (WindingError, ZeroDivisionError, OverflowError, NumericGuardError) as exc:
-        diagnostic = {"error": str(exc)}
-        if isinstance(exc, NumericGuardError):
-            diagnostic["node"] = list(exc.node)
-        print(json.dumps(diagnostic), file=sys.stderr)
+    except NumericGuardError as exc:
+        print(json.dumps({"error": str(exc), "node": list(exc.node)}), file=sys.stderr)
+        return EXIT_NUMERIC
+    except (WindingError, ZeroDivisionError, OverflowError) as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
 
 

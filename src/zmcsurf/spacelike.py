@@ -51,6 +51,7 @@ from .geometry import (
     generated_chart,
 )
 from .poly import Poly
+from .umbilic import wind_halving
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class SpacelikePatch:
     data: ComplexWeierstrassData
     primitives: tuple  # three complex polynomials P_a with f^a = Re P_a(z)
     g_prime: Poly  # dg/dz, built once for the Hopf coefficient
+    tag = {"tagged": "spacelike"}  # added to each command's output metadata
 
     @classmethod
     def build(cls, data: ComplexWeierstrassData) -> "SpacelikePatch":
@@ -111,6 +113,30 @@ class SpacelikePatch:
         return generated_chart(grid, factor, ~(factor <= 1e-300), L, -b / 2.0, -L,
                                chart_type=SpacelikeChart)
 
+    def hopf_order(self):
+        """Order m at o of the Hopf coefficient -(omega_hat g'); None for 0."""
+        return (self.data.omega_hat * self.g_prime).trailing_order()
+
+    def index_report(self, analysis) -> tuple:
+        """The index report at o and its winding row: the law -m/2 against the
+        principal line field's winding where o is an isolated umbilic (m >= 1)."""
+        m = self.hopf_order()
+        report = {"hopf_zero_order": m, "predicted_index": None if m is None else -m / 2.0}
+        if not m:
+            return {**report, "measured_index": None, "note": _NO_UMBILIC[m], "match": None}, []
+        ((name, res),), stable, match = wind_halving(
+            [self.principal_line_field()], {-m / 2.0}, analysis.winding_radius, analysis.samples)
+        report.update(measured_index=res.index, radius_halving_stable=stable, match=match)
+        return report, [(name, LINE_FIELD, res)]
+
+    def flow_fields(self, analysis) -> tuple:
+        """(fields, marks, banner): the principal line field, with o marked where
+        m >= 1, or none where the Hopf coefficient is identically zero."""
+        m = self.hopf_order()
+        if m is None:
+            return [], [], "classification only: " + _NO_UMBILIC[m]
+        return [self.principal_line_field()], [(0.0, 0.0)] if m else [], ""
+
     def principal_line_field(self) -> FlowField:
         """The (unoriented) principal direction line field.
 
@@ -149,6 +175,10 @@ class SpacelikePatch:
             return tuple(np.where(zero, 0.0, each(f, theta)) for f in (math.cos, math.sin))
 
         return FlowField(ev, kind=LINE_FIELD, name="principal_lines", arrays=arrays)
+
+
+_NO_UMBILIC = {None: "no isolated umbilic (Hopf coefficient is identically zero)",
+               0: "no isolated umbilic (Hopf coefficient has no zero at o)"}
 
 
 def _four_hopf(wr, wi, pr, pi):

@@ -79,7 +79,7 @@ def _echo(value, limit: int = 40) -> str:
     return text if len(text) <= limit else text[:limit] + "\u2026"
 
 
-def _expect_mapping(value, pointer):
+def expect_mapping(value, pointer):
     if not isinstance(value, dict):
         _fail(pointer, "expected an object")
     return value
@@ -133,7 +133,7 @@ def _scalar(value, pointer):
 
 
 def _branch(value, pointer) -> Branch:
-    value = _expect_mapping(value, pointer)
+    value = expect_mapping(value, pointer)
     kind = value.get("kind")
     if kind == "poly":
         _known_keys(value, pointer, ("kind", "coeffs"))
@@ -148,7 +148,7 @@ def _branch(value, pointer) -> Branch:
 
 
 def _parafunction(value, pointer) -> ParaFunction:
-    value = _expect_mapping(value, pointer)
+    value = expect_mapping(value, pointer)
     _known_keys(value, pointer, ("z_poly", "branches", "wedge"))
     if len(value) != 1:
         _fail(pointer, "expected exactly one of z_poly / branches / wedge")
@@ -160,7 +160,7 @@ def _parafunction(value, pointer) -> ParaFunction:
             [ParaComplex(re, Fraction(0) if im is None else im) for re, im in pairs]
         )
     if "branches" in value:
-        b = _expect_mapping(value["branches"], pointer + "/branches")
+        b = expect_mapping(value["branches"], pointer + "/branches")
         _known_keys(b, pointer + "/branches", ("plus", "minus"))
         return ParaFunction(
             _branch(b.get("plus"), pointer + "/branches/plus"),
@@ -214,7 +214,7 @@ def _matrix(value, pointer, grid) -> list:
 
 
 def _grid(value, pointer, minimum_nodes=16) -> GridSpec:
-    value = _expect_mapping(value, pointer)
+    value = expect_mapping(value, pointer)
     _known_keys(value, pointer, ("u_min", "u_max", "v_min", "v_max", "nu", "nv"))
     vals = {}
     for key in ("u_min", "u_max", "v_min", "v_max"):
@@ -262,7 +262,7 @@ class AnalysisParams:
 def _analysis(value, pointer, grid: GridSpec) -> AnalysisParams:
     if value is None:
         return AnalysisParams()
-    value = _expect_mapping(value, pointer)
+    value = expect_mapping(value, pointer)
     _known_keys(value, pointer, [f.name for f in fields(AnalysisParams)])
     kwargs = {}
     if "winding_radius" in value:
@@ -284,10 +284,10 @@ def _analysis(value, pointer, grid: GridSpec) -> AnalysisParams:
             sp = f"{pointer}/seeds/{k}"
             if not isinstance(s, list) or len(s) != 2:
                 _fail(sp, "seed needs [u, v]")
-            u, v = float(_scalar(s[0], sp + "/0")), float(_scalar(s[1], sp + "/1"))
+            u, v = _scalar(s[0], sp + "/0"), _scalar(s[1], sp + "/1")
             if not (grid.u_min <= u <= grid.u_max and grid.v_min <= v <= grid.v_max):
-                _fail(sp, "seed lies outside the grid rectangle")
-            seeds.append((u, v))
+                _fail(sp, "seed lies outside the grid rectangle")  # tested before rounding
+            seeds.append((float(u), float(v)))
         kwargs["seeds"] = tuple(seeds)
     return AnalysisParams(**kwargs)
 
@@ -312,14 +312,6 @@ class ResolvedSpec:
     chart: Optional[SurfaceChart] = None
     echo: dict = field(default_factory=dict)
 
-    @property
-    def is_timelike(self) -> bool:
-        return isinstance(self.patch, ImmersionPatch)
-
-    @property
-    def is_spacelike(self) -> bool:
-        return isinstance(self.patch, SpacelikePatch)
-
 
 # per route: its data keys, the reader of each key's value and the word
 # for a missing key
@@ -334,14 +326,14 @@ ROUTES = tuple(_ROUTE_DATA)
 
 def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     """Validate a spec document and construct its surface object."""
-    spec = _expect_mapping(spec, "")
+    spec = expect_mapping(spec, "")
     _known_keys(spec, "", ("route", "grid", "analysis", "data", "allow_degenerate_base"))
     route = spec.get("route")
     if route not in ROUTES:
         _fail("/route", f"route must be one of {ROUTES}, got {_echo(route)}")
     grid = _grid(spec.get("grid"), "/grid", minimum_nodes)
     analysis = _analysis(spec.get("analysis"), "/analysis", grid)
-    data = _expect_mapping(spec.get("data"), "/data")
+    data = expect_mapping(spec.get("data"), "/data")
     allow = spec.get("allow_degenerate_base", False)
     if not isinstance(allow, bool):
         _fail("/allow_degenerate_base", f"expected true or false, got {_echo(allow)}")

@@ -329,9 +329,9 @@ def measure_indices(
 
     Measurement is only attempted when the prediction names an index set;
     for "not admissible" and the other marker verdicts it is skipped with an
-    explanation, per the report contract.  X1 and then X2 are wound at the
-    radius and at half of it; the four windings share two circles, as X2's
-    array form is X1's `Swapped`, and the first that fails raises.
+    explanation, per the report contract.  X1 and X2 are wound by
+    `wind_halving`: the four windings share two circles, as X2's array form
+    is X1's `Swapped`.
     """
     if not isinstance(report.predicted_indices, frozenset):
         report.measured_indices = None
@@ -339,13 +339,22 @@ def measure_indices(
         report.match = None
         report.windings = None
         return report
+    report.windings, stable, report.match = wind_halving(
+        eigenfields(qhat, report.cap), report.predicted_indices, radius, samples)
+    report.measured_indices = {name: res.index for name, res in report.windings}
+    report.measured_info = {"radius": radius, "samples": samples, "radius_halving_stable": stable}
+    return report
+
+
+def wind_halving(fields, predicted, radius: float, samples: int) -> tuple:
+    """The radius-halving rule of both signatures: ((name, WindingResult at
+    the radius) per field, stable, match), each field wound at the radius and
+    at half of it on shared circles; stable iff each index is the same at
+    both, match iff the indices at the radius are the set `predicted` and
+    stable.  The first winding that fails raises."""
     windings, stable = [], True
-    for f in Circles().share(*eigenfields(qhat, report.cap)):
+    for f in Circles().share(*fields):
         res = winding_index(f, radius=radius, samples=samples)
         windings.append((f.name, res))
         stable &= winding_index(f, radius=radius / 2.0, samples=samples).index == res.index
-    report.windings = tuple(windings)
-    report.measured_indices = measured = {name: res.index for name, res in windings}
-    report.measured_info = {"radius": radius, "samples": samples, "radius_halving_stable": stable}
-    report.match = frozenset(measured.values()) == report.predicted_indices and stable
-    return report
+    return tuple(windings), stable, frozenset(r.index for _, r in windings) == predicted and stable

@@ -59,6 +59,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
+from . import umbilic
+from .flow import VECTOR_FIELD
 from .geometry import GridSpec, SurfaceChart, _refuse, generated_chart
 from .parafunc import Branch, ParaFunction, _halve
 from .poly import Poly
@@ -175,6 +177,7 @@ class ImmersionPatch:
     data: NullData
     g_primes: tuple  # (g1', g2'), built once for the second-order data
     base_regular: bool = True
+    tag = {}  # added to each command's output metadata: nothing for time-like
 
     # -- construction -----------------------------------------------------
 
@@ -254,6 +257,21 @@ class ImmersionPatch:
         return ParaFunction(
             -(self.data.w1 * g1d) * half, -(self.data.w2 * g2d) * half
         )
+
+    def index_report(self, analysis) -> tuple:
+        """The index report at o, read off the Hopf coefficient, and the winding
+        rows of X1 and X2 where it predicts indices (`umbilic.measure_indices`)."""
+        q = self.hopf()
+        rep = umbilic.measure_indices(umbilic.analyze_point(q, cap=analysis.jet_cap), q,
+                                      radius=analysis.winding_radius, samples=analysis.samples)
+        return rep.to_dict(), [(name, VECTOR_FIELD, res) for name, res in rep.windings or ()]
+
+    def flow_fields(self, analysis) -> tuple:
+        """(fields, marks, banner): X1 and X2 with o marked, or why they do not exist."""
+        try:
+            return umbilic.eigenfields(self.hopf(), cap=analysis.jet_cap), [(0.0, 0.0)], ""
+        except umbilic.NoSmoothFlowError as exc:
+            return (), [], f"classification only: {exc}"
 
     # -- chart extraction ------------------------------------------------------------
 

@@ -15,7 +15,8 @@ with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-and say in the change which runs moved and why.
+which prints each case whose exit code, stderr or files moved against the
+old record, and say in the change which runs moved and why.
 """
 
 from __future__ import annotations
@@ -108,11 +109,35 @@ def test_outputs_match_recorded_digests(case, recorded, tmp_path):
     assert run_case(case, tmp_path) == recorded[case]
 
 
+def moved(old: dict, new: dict) -> dict:
+    """case -> what differs from the old record: "exit", "stderr" and the
+    names of the files whose digest changed, appeared or went; a case new
+    to the sweep or gone from it maps to "new" or "gone"."""
+    out = {case: ["gone"] for case in old if case not in new}
+    for case, run in new.items():
+        was = old.get(case)
+        if was is None:
+            out[case] = ["new"]
+            continue
+        files, now = was["files"], run["files"]
+        diff = [key for key in ("exit", "stderr") if was[key] != run[key]]
+        diff += sorted(name for name in files.keys() | now.keys()
+                       if files.get(name) != now.get(name))
+        if diff:
+            out[case] = diff
+    return dict(sorted(out.items()))
+
+
 def record():
+    """Re-record every run, and print each case that moved and how."""
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         digests = {case: run_case(case, Path(work)) for case in CASES}
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(digests)} runs in {DIGESTS}", file=sys.stderr)
+    changes = moved(old, digests)
+    for case, what in changes.items():
+        print(f"{case}: {', '.join(what)}")
+    print(f"recorded {len(digests)} runs in {DIGESTS}; {len(changes)} moved", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -168,3 +168,25 @@ def test_a_float_row_whose_sum_overflows_is_read_value_by_value():
     chart = resolve(spec).chart
     assert chart.M[3].tolist() == [1e308] * 16
     assert chart.M[4].tolist() == arrays["M"][4]
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [[10**400, 0], [0, -(10**400)], [f"{10**400}/3", 0],
+     [f"{10**30 + 1}/{10**30}", 0]],  # just past u_max = 1, but 1.0 as a double
+    ids=["int", "negative_v", "fraction", "rounds_inside"],
+)
+@pytest.mark.parametrize("cmd", ["classify", "index", "flow"])
+def test_seed_outside_the_rectangle_is_refused_exactly(tmp_path, capsys, cmd, seed):
+    """The seed is compared with the grid bounds as its exact value, before it
+    is converted to a double: no OverflowError, and no seed outside the
+    rectangle that rounds onto its edge."""
+    spec = preset_spec("z3")
+    spec["analysis"] = {"seeds": [seed]}
+    capsys.readouterr()
+    code, out = _run(tmp_path, spec, cmd)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "seed lies outside the grid rectangle",
+                   "pointer": "/analysis/seeds/0"}
+    assert not out.exists()

@@ -16,13 +16,14 @@ steps (MAX_MARCH_STEPS) each way from its seed.  The limits do not bound
 exact work: generate for the dense degree-64 null spec of the README took
 6.5 s at 513^2, but classify at 1025^2 took 318 s and 395 MB for degree-64
 data over distinct 20-digit denominators (Python 3.11.7, 2 shared CPUs).
-The CSV text is written one grid row at a time.
-Exit codes: 0 success, 2 spec errors (a spec file that cannot be read,
-is not UTF-8 or is not JSON within Python's limits is one, and so are
-time-like data that are degenerate at the base point, unless the spec
-sets "allow_degenerate_base": true), 3 numerical-guard failures,
-including an exact value that rounds outside the double range and a
-float chart value or coordinate that overflows to infinity or NaN.
+The CSV text is written one grid row at a time.  Exit codes: 0 success,
+2 spec errors (a spec file that cannot be read, is not UTF-8 or is not JSON
+within Python's limits is one, and so are an --out that cannot be written,
+at /out, generate or index on route chart, at /route, and time-like data
+that are degenerate at the base point, unless the spec sets
+"allow_degenerate_base": true), 3 numerical-guard failures, including an
+exact value that rounds outside the double range and a float chart value
+or coordinate that overflows to infinity or NaN.
 Outputs are byte-deterministic for a fixed spec.
 """
 
@@ -125,14 +126,17 @@ def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
 
 
 def _write(out_dir: Path, name: str, blocks):
-    """Write the text blocks to out_dir/name, creating out_dir once the
-    first block is formed (a flow.svg header that fails leaves no file)."""
+    """Write the text blocks to out_dir/name, creating out_dir once the first block
+    is formed (a flow.svg header that fails leaves no file); an OSError is a spec error at /out."""
     blocks = iter(blocks)
     first = next(blocks)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w", encoding="utf-8") as f:
-        f.write(first)
-        f.writelines(blocks)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / name, "w", encoding="utf-8") as f:
+            f.write(first)
+            f.writelines(blocks)
+    except OSError as exc:
+        raise SpecError("/out", f"cannot write {exc.filename}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +145,19 @@ def _write(out_dir: Path, name: str, blocks):
 
 
 def _surface_chart(resolved: ResolvedSpec):
-    if resolved.patch is None:
-        return resolved.chart
     return resolved.patch.chart(resolved.grid)
 
 
-def _tag(resolved: ResolvedSpec) -> dict:
-    """The surface type's keys for the output metadata; a raw chart has none."""
-    return {} if resolved.patch is None else resolved.patch.tag
-
-
 def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
-    if resolved.route == "chart":
-        raise SpecError("/route", "generate needs a generated route (ko/null/kobayashi)")
+    """surface CSV + metadata JSON"""
     _write(out_dir, "surface.csv", surface_lines(_surface_chart(resolved), resolved.patch))
     _write(out_dir, "metadata.json", json_lines(_metadata(resolved, args, SURFACE_COLUMNS)))
     return EXIT_OK
 
 
 def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
-    extra = {"preset": args.preset, "route": resolved.route, **_tag(resolved)}
+    """classification CSV + summary JSON"""
+    extra = {"preset": args.preset, "route": resolved.route, **resolved.patch.tag}
     cls = classify_chart(_surface_chart(resolved))
     _write(out_dir, "classification.csv", classification_lines(cls))
     _write(out_dir, "summary.json", json_lines(classification_summary(cls, extra)))
@@ -168,8 +165,7 @@ def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
 
 
 def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
-    if resolved.patch is None:
-        raise SpecError("/route", "index needs a generated route (ko/null/kobayashi)")
+    """umbilic index report JSON + winding CSV"""
     report, rows = resolved.patch.index_report(resolved.analysis)
     report.update(resolved.patch.tag, preset=args.preset)
     _write(out_dir, "index_report.json", json_lines(report))
@@ -186,14 +182,12 @@ def _flow_polylines(resolved: ResolvedSpec, fields):
 
 
 def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
+    """flow portrait SVG"""
     cls = classify_chart(_surface_chart(resolved))
-    if resolved.patch is None:
-        fields, marks, banner = (), [], "classification only: no analytic flow data for this chart"
-    else:
-        fields, marks, banner = resolved.patch.flow_fields(resolved.analysis)
+    fields, marks, banner = resolved.patch.flow_fields(resolved.analysis)
     _write(out_dir, "flow.svg", svg_lines(
         resolved.grid, cls.kinds, polyline_families=_flow_polylines(resolved, fields),
-        marks=marks, banner=banner, extra_metadata={"preset": args.preset, **_tag(resolved)}))
+        marks=marks, banner=banner, extra_metadata={"preset": args.preset, **resolved.patch.tag}))
     return EXIT_OK
 
 
@@ -211,13 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-presets", action="store_true", help="list preset names and exit"
     )
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in (
-        ("generate", "surface CSV + metadata JSON"),
-        ("classify", "classification CSV + summary JSON"),
-        ("index", "umbilic index report JSON + winding CSV"),
-        ("flow", "flow portrait SVG"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--preset", help="preset name (see --list-presets)")
         p.add_argument("--spec", help="path to a JSON surface spec")
         p.add_argument("--out", required=True, help="output directory")

@@ -24,10 +24,11 @@ vanishes there and omega_hat is not null; other data are refused at
 only true or false).  An unknown key is refused at its own pointer at
 every level: the top level, grid, analysis (AnalysisParams), data (per
 route; metric_sign on route "chart" only), <branch>, <parafn> and the
-branches map.  A float grid bound reads as its double's
-exact value unless a fraction over at most 10^9 rounds to it (0.1 is 1/10).
+branches map.  A float grid bound reads as its double's exact value
+unless a fraction over at most 10^9 rounds to it (0.1 is 1/10).
 Validation failures raise SpecError carrying a JSON pointer to the
-offending field.
+offending field.  A ResolvedSpec holds one surface whatever the route:
+ImmersionPatch (ko, null), SpacelikePatch (kobayashi) or RawChart (chart).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .geometry import GridSpec, SurfaceChart, chart_from_arrays
 from .parafunc import Branch, ParaFunction
@@ -292,34 +293,54 @@ def _analysis(value, pointer, grid: GridSpec) -> AnalysisParams:
     return AnalysisParams(**kwargs)
 
 
-def _generated(make, *data, **kwargs) -> ImmersionPatch:
-    """make(*data, **kwargs), with data that are degenerate at the base
-    point refused as a spec error."""
-    try:
-        return make(*data, **kwargs)
-    except DegenerateDataError as exc:
-        _fail("/data", f"{exc}; \"allow_degenerate_base\": true accepts such data")
+@dataclass(frozen=True)
+class RawChart:
+    """Route "chart": the given per-node arrays, with no immersion and no
+    Hopf data, so `generate` and `index` are refused at /route."""
+
+    arrays: SurfaceChart
+    tag = {}  # added to each command's output metadata: nothing for a raw chart
+
+    @classmethod
+    def build(cls, arrays: dict, grid: GridSpec, data: dict, strict: bool) -> "RawChart":
+        sign = data.get("metric_sign", 1)
+        if not (_int_in(sign, -1, 1) and sign != 0):
+            _fail("/data/metric_sign", "metric_sign must be +1 or -1")
+        return cls(chart_from_arrays(grid, metric_sign=sign, **arrays))
+
+    def chart(self, grid: GridSpec) -> SurfaceChart:
+        return self.arrays
+
+    def grid_coordinates(self, grid: GridSpec):
+        _fail("/route", "generate needs a generated route (ko/null/kobayashi)")
+
+    def index_report(self, analysis):
+        _fail("/route", "index needs a generated route (ko/null/kobayashi)")
+
+    def flow_fields(self, analysis) -> tuple:
+        return (), [], "classification only: no analytic flow data for this chart"
 
 
 @dataclass(frozen=True)
 class ResolvedSpec:
-    """A validated spec with its constructed surface object."""
+    """A validated spec with its one surface object, whatever the route."""
 
     route: str
     grid: GridSpec
     analysis: AnalysisParams
-    patch: Union[ImmersionPatch, SpacelikePatch, None] = None
-    chart: Optional[SurfaceChart] = None
+    patch: Union[ImmersionPatch, SpacelikePatch, RawChart]
     echo: dict = field(default_factory=dict)
 
 
-# per route: its data keys, the reader of each key's value and the word
-# for a missing key
+# per route: data keys, reader of each value, word for a missing key, surface maker
 _ROUTE_DATA = {
-    "ko": (("g", "omega_hat"), _parafunction, "para-holomorphic datum"),
-    "null": (("g1", "g2", "w1", "w2"), _branch, "branch datum"),
-    "kobayashi": (("g", "omega_hat"), _cpoly, "holomorphic datum"),
-    "chart": (("sigma", "L", "M", "N"), _matrix, "chart array"),
+    "ko": (("g", "omega_hat"), _parafunction, "para-holomorphic datum",
+           lambda p, grid, data, strict: generate_ko(WeierstrassData(**p), strict=strict)),
+    "null": (("g1", "g2", "w1", "w2"), _branch, "branch datum",
+             lambda p, grid, data, strict: generate_null(**p, strict=strict)),
+    "kobayashi": (("g", "omega_hat"), _cpoly, "holomorphic datum",
+                  lambda p, grid, data, strict: generate_kobayashi(ComplexWeierstrassData(**p))),
+    "chart": (("sigma", "L", "M", "N"), _matrix, "chart array", RawChart.build),
 }
 ROUTES = tuple(_ROUTE_DATA)
 
@@ -337,9 +358,8 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     allow = spec.get("allow_degenerate_base", False)
     if not isinstance(allow, bool):
         _fail("/allow_degenerate_base", f"expected true or false, got {_echo(allow)}")
-    strict = not allow
 
-    keys, read, word = _ROUTE_DATA[route]
+    keys, read, word, make = _ROUTE_DATA[route]
     _known_keys(data, "/data", keys + (("metric_sign",) if route == "chart" else ()))
     if read is _matrix:
         read = functools.partial(_matrix, grid=grid)
@@ -348,18 +368,8 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
         if key not in data:
             _fail(f"/data/{key}", f"missing {word}")
         parsed[key] = read(data[key], f"/data/{key}")
-
-    patch = chart = None
-    if route == "ko":
-        patch = _generated(generate_ko, WeierstrassData(**parsed), strict=strict)
-    elif route == "null":
-        patch = _generated(generate_null, **parsed, strict=strict)
-    elif route == "kobayashi":
-        patch = generate_kobayashi(ComplexWeierstrassData(**parsed))
-    else:  # chart
-        sign = data.get("metric_sign", 1)
-        if not (_int_in(sign, -1, 1) and sign != 0):
-            _fail("/data/metric_sign", "metric_sign must be +1 or -1")
-        chart = chart_from_arrays(grid, metric_sign=sign, **parsed)
-
-    return ResolvedSpec(route, grid, analysis, patch=patch, chart=chart, echo=spec)
+    try:
+        patch = make(parsed, grid, data, not allow)
+    except DegenerateDataError as exc:
+        _fail("/data", f"{exc}; \"allow_degenerate_base\": true accepts such data")
+    return ResolvedSpec(route, grid, analysis, patch, echo=spec)

@@ -101,7 +101,8 @@ def test_metric_sign_is_a_data_key_of_route_chart_only():
     spec["data"] = {k: rows for k in ("sigma", "L", "M", "N")}
     for sign in (1, -1):
         spec["data"]["metric_sign"] = sign
-        assert resolve(spec).chart.metric_sign[0, 0] == sign
+        resolved = resolve(spec)
+        assert resolved.patch.chart(resolved.grid).metric_sign[0, 0] == sign
 
 
 @pytest.mark.parametrize(
@@ -155,7 +156,8 @@ def test_a_bad_value_in_a_float_row_keeps_its_pointer(token, message, at):
 ])
 def test_raw_chart_rows_read_every_value_as_its_float(token, value):
     text, arrays = _chart_text(token)
-    chart = resolve(json.loads(text)).chart
+    resolved = resolve(json.loads(text))
+    chart = resolved.patch.chart(resolved.grid)
     arrays["M"][12][13] = value
     for key in ("sigma", "L", "M", "N"):
         assert getattr(chart, key).tolist() == arrays[key]
@@ -165,7 +167,8 @@ def test_a_float_row_whose_sum_overflows_is_read_value_by_value():
     text, arrays = _chart_text("1e308", (3, 4))
     spec = json.loads(text)
     spec["data"]["M"][3] = [1e308] * 16
-    chart = resolve(spec).chart
+    resolved = resolve(spec)
+    chart = resolved.patch.chart(resolved.grid)
     assert chart.M[3].tolist() == [1e308] * 16
     assert chart.M[4].tolist() == arrays["M"][4]
 

@@ -5,7 +5,9 @@
 output metadata; they write what they are given.  A stub surface with only
 those members (and `chart`) goes through both commands unchanged.  The
 space-like `flow_fields` reads the Hopf order that `index_report` reads:
-it marks o exactly where `index` measures an isolated umbilic.
+it marks o exactly where `index` measures an isolated umbilic.  Every
+route, the raw `chart` route too, resolves to a surface with these members,
+and the raw chart's refusals and banner live with it.
 """
 
 import argparse
@@ -16,9 +18,10 @@ import pytest
 
 from zmcsurf import cli
 from zmcsurf.flow import FlowField, WindingResult
-from zmcsurf.geometry import GridSpec, chart_from_arrays, classify_chart
+from zmcsurf.geometry import GridSpec, SurfaceChart, chart_from_arrays, classify_chart
 from zmcsurf.outputs import winding_csv
-from zmcsurf.surfacespec import AnalysisParams, ResolvedSpec
+from zmcsurf.presets import preset_spec
+from zmcsurf.surfacespec import ROUTES, AnalysisParams, ResolvedSpec, SpecError, resolve
 from zmcsurf.svgplot import svg_lines
 
 GRID = GridSpec(-1, 1, -1, 1, 17, 17)
@@ -117,3 +120,73 @@ def test_spacelike_flow_marks_o_where_index_finds_an_umbilic(
     assert ("<polyline" in svg) == drawn
     assert ("classification only" in svg) == bool(banner)
     assert banner in svg
+
+
+def _raw_chart_spec():
+    n = GRID.nu
+    u = [[-1.0 + 2.0 * i / (n - 1)] * n for i in range(n)]
+    zeros = [[0.0] * n for _ in range(n)]
+    return {"route": "chart", "data": {"sigma": zeros, "L": u, "M": zeros, "N": u},
+            "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": n, "nv": n}}
+
+
+ROUTE_SPECS = {
+    "ko": preset_spec("z3"),
+    "null": preset_spec("plane"),
+    "kobayashi": preset_spec("spacelike_m1"),
+    "chart": _raw_chart_spec(),
+}
+
+
+def test_one_spec_per_route():
+    assert sorted(ROUTE_SPECS) == sorted(ROUTES)
+    assert all(spec["route"] == route for route, spec in ROUTE_SPECS.items())
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_SPECS))
+def test_every_route_resolves_to_a_surface(route):
+    resolved = resolve(ROUTE_SPECS[route])
+    patch = resolved.patch
+    for member in ("chart", "grid_coordinates", "index_report", "flow_fields"):
+        assert callable(getattr(patch, member)), (route, member)
+    assert isinstance(patch.tag, dict)
+    chart = patch.chart(resolved.grid)
+    assert isinstance(chart, SurfaceChart)
+    assert chart.mask.shape == (resolved.grid.nu, resolved.grid.nv)
+
+
+RAW_REFUSALS = {
+    "generate": "generate needs a generated route (ko/null/kobayashi)",
+    "index": "index needs a generated route (ko/null/kobayashi)",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(RAW_REFUSALS))
+def test_raw_chart_refuses_generate_and_index_at_route(tmp_path, capsys, cmd):
+    resolved = resolve(_raw_chart_spec())
+    out = tmp_path / "o"
+    with pytest.raises(SpecError) as refused:
+        cli.COMMANDS[cmd](resolved, out, ARGS)
+    assert (refused.value.pointer, refused.value.message) == ("/route", RAW_REFUSALS[cmd])
+    spec = tmp_path / "chart.json"
+    spec.write_text(json.dumps(_raw_chart_spec()))
+    assert cli.main([cmd, "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == json.dumps({"error": RAW_REFUSALS[cmd], "pointer": "/route"}) + "\n"
+    assert not out.exists()
+
+
+def test_raw_chart_flow_draws_the_classification_and_its_banner(tmp_path):
+    resolved = resolve(_raw_chart_spec())
+    assert cli.cmd_flow(resolved, tmp_path / "direct", ARGS) == 0
+    want = "".join(svg_lines(
+        GRID, classify_chart(resolved.patch.chart(GRID)).kinds, polyline_families=[],
+        marks=[], banner="classification only: no analytic flow data for this chart",
+        extra_metadata={"preset": "stubby"}))
+    assert (tmp_path / "direct" / "flow.svg").read_text() == want
+    spec = tmp_path / "chart.json"
+    spec.write_text(json.dumps(_raw_chart_spec()))
+    assert cli.main(["flow", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    svg = (tmp_path / "o" / "flow.svg").read_text()
+    assert "classification only: no analytic flow data for this chart" in svg
+    assert "<polyline" not in svg and "<circle" not in svg

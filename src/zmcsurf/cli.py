@@ -19,11 +19,12 @@ data over distinct 20-digit denominators (Python 3.11.7, 2 shared CPUs).
 The CSV text is written one grid row at a time.  Exit codes: 0 success,
 2 spec errors (a spec file that cannot be read, is not UTF-8 or is not JSON
 within Python's limits is one, and so are an --out that cannot be written,
-at /out, generate or index on route chart, at /route, and time-like data
-that are degenerate at the base point, unless the spec sets
-"allow_degenerate_base": true), 3 numerical-guard failures, including an
-exact value that rounds outside the double range and a float chart value
-or coordinate that overflows to infinity or NaN.
+at /out, generate or index on route chart, at /route, a spec number outside
+the double range, at its pointer, and time-like data that are degenerate
+at the base point, unless the spec sets "allow_degenerate_base": true), 3
+numerical-guard failures, including an exact value that rounds outside the
+double range, a float chart value or coordinate that overflows to infinity
+or NaN, and for classify alone a D or direction it cannot print.
 Outputs are byte-deterministic for a fixed spec.
 """
 
@@ -33,6 +34,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
@@ -125,17 +127,24 @@ def _metadata(resolved: ResolvedSpec, args, columns=None) -> dict:
     return meta
 
 
-def _write(out_dir: Path, name: str, blocks):
-    """Write the text blocks to out_dir/name, creating out_dir once the first block
-    is formed (a flow.svg header that fails leaves no file); an OSError is a spec error at /out."""
-    blocks = iter(blocks)
-    first = next(blocks)
+def _write(out_dir: Path, files: dict):
+    """Write each name -> text blocks to out_dir/name.  All files are opened
+    (append mode keeps an existing one) before any is emptied and written, so
+    a refusal leaves no file made or emptied; an OSError is a spec error at /out."""
+    blocks = {out_dir / name: iter(b) for name, b in files.items()}
+    first = {path: next(b) for path, b in blocks.items()}
+    made = [path for path in blocks if not path.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / name, "w", encoding="utf-8") as f:
-            f.write(first)
-            f.writelines(blocks)
+        with ExitStack() as stack:
+            opened = [stack.enter_context(open(path, "a", encoding="utf-8")) for path in blocks]
+            for f, path in zip(opened, blocks):
+                f.truncate(0)
+                f.write(first[path])
+                f.writelines(blocks[path])
     except OSError as exc:
+        for path in filter(Path.is_file, made):
+            path.unlink()
         raise SpecError("/out", f"cannot write {exc.filename}: {exc.strerror}")
 
 
@@ -144,23 +153,20 @@ def _write(out_dir: Path, name: str, blocks):
 # ---------------------------------------------------------------------------
 
 
-def _surface_chart(resolved: ResolvedSpec):
-    return resolved.patch.chart(resolved.grid)
-
-
 def cmd_generate(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     """surface CSV + metadata JSON"""
-    _write(out_dir, "surface.csv", surface_lines(_surface_chart(resolved), resolved.patch))
-    _write(out_dir, "metadata.json", json_lines(_metadata(resolved, args, SURFACE_COLUMNS)))
+    _write(out_dir, {
+        "surface.csv": surface_lines(resolved.patch.chart(resolved.grid), resolved.patch),
+        "metadata.json": json_lines(_metadata(resolved, args, SURFACE_COLUMNS))})
     return EXIT_OK
 
 
 def cmd_classify(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     """classification CSV + summary JSON"""
     extra = {"preset": args.preset, "route": resolved.route, **resolved.patch.tag}
-    cls = classify_chart(_surface_chart(resolved))
-    _write(out_dir, "classification.csv", classification_lines(cls))
-    _write(out_dir, "summary.json", json_lines(classification_summary(cls, extra)))
+    cls = classify_chart(resolved.patch.chart(resolved.grid))
+    _write(out_dir, {"classification.csv": classification_lines(cls),
+                     "summary.json": json_lines(classification_summary(cls, extra))})
     return EXIT_OK
 
 
@@ -168,8 +174,7 @@ def cmd_index(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     """umbilic index report JSON + winding CSV"""
     report, rows = resolved.patch.index_report(resolved.analysis)
     report.update(resolved.patch.tag, preset=args.preset)
-    _write(out_dir, "index_report.json", json_lines(report))
-    _write(out_dir, "winding.csv", [winding_csv(rows)])
+    _write(out_dir, {"index_report.json": json_lines(report), "winding.csv": [winding_csv(rows)]})
     return EXIT_OK
 
 
@@ -183,11 +188,11 @@ def _flow_polylines(resolved: ResolvedSpec, fields):
 
 def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     """flow portrait SVG"""
-    cls = classify_chart(_surface_chart(resolved))
+    cls = classify_chart(resolved.patch.chart(resolved.grid))
     fields, marks, banner = resolved.patch.flow_fields(resolved.analysis)
-    _write(out_dir, "flow.svg", svg_lines(
+    _write(out_dir, {"flow.svg": svg_lines(
         resolved.grid, cls.kinds, polyline_families=_flow_polylines(resolved, fields),
-        marks=marks, banner=banner, extra_metadata={"preset": args.preset, **resolved.patch.tag}))
+        marks=marks, banner=banner, extra_metadata={"preset": args.preset, **resolved.patch.tag})})
     return EXIT_OK
 
 

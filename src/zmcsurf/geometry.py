@@ -14,7 +14,10 @@ separates them.  Kinds, D, principal curvatures and directions are arrays
 over the grid; a kind is an int8 code into one table (`KIND_NAMES`,
 `KIND_DIRECTIONS`), and the writers look its name up there.  A generated
 chart's kinds are exact, from the signs of its two Hopf branches taken once
-per distinct null coordinate.  Generated charts
+per distinct null coordinate.  Classifying never raises (exponents are
+clamped to EXP_MAX; a direction whose length underflows is not finite), so
+every chart's kinds serve the flow portrait; `outputs.classification_lines`
+alone refuses a value it cannot print.  Generated charts
 of both signatures are built by `generated_chart` from arrays of the
 metric factor and the second forms, each patch type with its own mask
 rule; raw ones by `chart_from_arrays`.
@@ -40,8 +43,12 @@ KIND_MASKED, KIND_UMBILIC, KIND_NEGATIVE, KIND_QUASI, KIND_POSITIVE = np.arange(
     len(KIND_NAMES), dtype=np.int8)
 
 
+# math.exp(t) is a finite double exactly for t <= EXP_MAX: the classifiers clamp to it
+EXP_MAX = math.log(np.finfo(float).max)
+
+
 class NumericGuardError(ArithmeticError):
-    """A chart value is outside the range the classifier can evaluate."""
+    """A chart or classification value is not a finite double."""
 
     def __init__(self, message: str, node: tuple):
         super().__init__(message)
@@ -177,7 +184,7 @@ class SurfaceChart:
         L, M, N = self.L[m], self.M[m], self.N[m]
         a, b = L + N, 2.0 * M
         disc = a * a - b * b
-        D = each(math.exp, -4.0 * self.sigma[m]) * disc
+        D = each(math.exp, np.minimum(-4.0 * self.sigma[m], EXP_MAX)) * disc
         if self.hopf_values is None:
             tau = 1e-9 * (1.0 + np.abs(L) + np.abs(N) + np.abs(M))
             umbilic = (np.abs(a) <= tau) & (np.abs(b) <= tau)
@@ -198,7 +205,7 @@ class SurfaceChart:
             null_dir = _unit(s, np.ones_like(s))
         marginal = (umbilic | quasi) & (self.hopf_values is None)
         r = np.where(positive, np.sqrt(np.abs(disc)), 0.0)
-        f = self.metric_sign[m] * each(math.exp, -2.0 * self.sigma[m])
+        f = self.metric_sign[m] * each(math.exp, np.minimum(-2.0 * self.sigma[m], EXP_MAX))
         eigenvalues = np.stack([f * (L - N + r) / 2.0, f * (L - N - r) / 2.0], axis=-1)
         eigenvalues[~(umbilic | quasi | positive)] = np.nan
         dirs = np.full(a.shape + (2, 2), np.nan)
@@ -239,11 +246,9 @@ def _sign(value) -> float:
 
 
 def _unit(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows (p, q) / sqrt(p*p + q*q), first non-zero component positive, in
-    elementwise IEEE operations: no BLAS kernel or fused multiply-add."""
+    """Rows (p, q) / sqrt(p*p + q*q), not finite where that is 0, first non-zero
+    component positive, in elementwise IEEE operations: no BLAS or fused multiply-add."""
     n = np.sqrt(p * p + q * q)
-    if (n == 0).any():
-        raise ZeroDivisionError("float division by zero")
     x, y = p / n, q / n
     first = np.where(x != 0, x, y)
     flip = (first != 0) & ~(first > 0)
@@ -310,38 +315,8 @@ class ChartClassification:
         return {**dict(zip(KIND_NAMES, n.tolist())), "total": int(self.kinds.size)}
 
 
-def _check_sigma(chart: SurfaceChart):
-    """Refuse a chart whose D = e^{-4 sigma}(...) cannot be formed.
-
-    At an immersed node e^{4|sigma|} must be a finite double (so
-    |sigma| <= ~177.4); otherwise e^{-4 sigma} overflows or flushes to 0.
-    """
-    with np.errstate(invalid="ignore"):
-        suspect = chart.mask & ~(np.abs(chart.sigma) <= 177.0)
-    for i, j in zip(*np.nonzero(suspect)):
-        s = float(chart.sigma[i, j])
-        try:
-            ok = math.isfinite(math.exp(4.0 * abs(s)))
-        except OverflowError:
-            ok = False
-        if not ok:
-            i, j = int(i), int(j)
-            u, v = chart.node(i, j)
-            raise NumericGuardError(
-                f"sigma = {s!r} at node ({i}, {j}), (u, v) = ({u}, {v}): "
-                "e^(4|sigma|) is not a finite double, so the discriminant "
-                "cannot be formed",
-                (i, j),
-            )
-
-
 def classify_chart(chart: SurfaceChart) -> ChartClassification:
-    """Classify every node with the chart's own classifier.
-
-    Raises NumericGuardError before classifying anything when an immersed
-    node's sigma is out of range (see `_check_sigma`).
-    """
-    _check_sigma(chart)
+    """Classify every node with the chart's own classifier."""
     return chart.classify()
 
 

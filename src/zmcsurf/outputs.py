@@ -12,6 +12,7 @@ literal text of the node's template or a NaN value.  classification.csv
 picks a node's template by its int8 kind code: one template per row of
 the kind table (`geometry.KIND_NAMES`), printing the kind's name, D unless
 the node is masked, and as many directions as `KIND_DIRECTIONS` gives it.
+It is the one place a classification value is refused (`_refuse`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from itertools import islice
 import numpy as np
 
 from .geometry import (
+    EXP_MAX,
     KIND_DIRECTIONS,
     KIND_MASKED,
     KIND_NAMES,
@@ -29,6 +31,7 @@ from .geometry import (
     KIND_UMBILIC,
     ChartClassification,
     SurfaceChart,
+    _refuse,
 )
 
 
@@ -119,9 +122,15 @@ _CLASSIFICATION_CELLS = [",".join([name] + ["%.17g" if s else "" for s in shown]
 
 def classification_lines(cls: ChartClassification):
     """The text of classification.csv, block by block (see
-    `classification_csv`)."""
+    `classification_csv`).  Before any block, NumericGuardError names the
+    first immersed node, row-major, where e^(4|sigma|) is not a finite
+    double, else the first whose row shows a D or direction that is not."""
+    chart, shown = cls.chart, _CLASSIFICATION_SHOWN[cls.kinds]
     values = np.concatenate([cls.D[..., None], cls.dirs.reshape(cls.kinds.shape + (4,))], -1)
-    blocks = _grid_blocks(cls.chart.grid, _CLASSIFICATION_CELLS, _CLASSIFICATION_SHOWN,
+    huge = chart.mask & ~(np.abs(chart.sigma) <= EXP_MAX / 4.0)  # 4 |sigma| > EXP_MAX
+    _refuse(chart.grid, huge, "e^(4|sigma|)", "immersed node")
+    _refuse(chart.grid, (shown & ~np.isfinite(values)).any(-1), "D or a direction", "node")
+    blocks = _grid_blocks(chart.grid, _CLASSIFICATION_CELLS, _CLASSIFICATION_SHOWN,
                           cls.kinds, values)
     return _lines(CLASSIFICATION_COLUMNS, blocks)
 

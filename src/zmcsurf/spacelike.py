@@ -42,6 +42,7 @@ import numpy as np
 
 from .flow import LINE_FIELD, FlowField, WindingResult, winding_index
 from .geometry import (
+    EXP_MAX,
     KIND_POSITIVE,
     KIND_UMBILIC,
     ChartClassification,
@@ -222,7 +223,7 @@ class SpacelikeChart(SurfaceChart):
         m = self.mask
         L, M, N, sigma = self.L[m], self.M[m], self.N[m], self.sigma[m]
         # Python's float power is C pow, which can differ from t * t
-        D = (each(pow, L - N, 2) + 4 * M * M) * each(math.exp, -4.0 * sigma)
+        D = (each(pow, L - N, 2) + 4 * M * M) * each(math.exp, np.minimum(-4.0 * sigma, EXP_MAX))
         tau = 1e-9 * (1.0 + np.abs(L) + np.abs(N) + np.abs(M))
         umbilic = (np.abs(L - N) <= tau) & (np.abs(2.0 * M) <= tau)
         off = ~umbilic
@@ -231,7 +232,7 @@ class SpacelikeChart(SurfaceChart):
         c, s = each(math.cos, theta), each(math.sin, theta)
         dirs = np.full(L.shape + (2, 2), np.nan)
         dirs[off] = np.stack([c, s, -s, c], -1).reshape(-1, 2, 2)
-        r = each(math.exp, -2.0 * sigma[off]) * each(math.hypot, a, b)
+        r = each(math.exp, np.minimum(-2.0 * sigma[off], EXP_MAX)) * each(math.hypot, a, b)
         eigenvalues = np.zeros(L.shape + (2,))
         eigenvalues[off] = np.stack([r, -r], -1)
         kinds = np.where(umbilic, KIND_UMBILIC, KIND_POSITIVE)

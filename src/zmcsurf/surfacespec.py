@@ -133,6 +133,15 @@ def _scalar(value, pointer):
     _fail(pointer, "expected a number or 'p/q' string")
 
 
+def _double(value, pointer) -> float:
+    """_scalar rounded to a double; a number outside the double range is refused."""
+    number = _scalar(value, pointer)
+    try:
+        return float(number)
+    except OverflowError:
+        _fail(pointer, f"{_echo(value)} is outside the double range")
+
+
 def _branch(value, pointer) -> Branch:
     value = expect_mapping(value, pointer)
     kind = value.get("kind")
@@ -175,24 +184,24 @@ def _parafunction(value, pointer) -> ParaFunction:
     )
 
 
-def _pairs(value, pointer, what, number=lambda s: s) -> list:
+def _pairs(value, pointer, what, read=_scalar) -> list:
     """(re, im) per coefficient of a polynomial array, each part read by
-    _scalar and then `number`; a bare number c is (number(c), None)."""
+    `read`; a bare number c is (read(c), None)."""
     pairs = []
     for k, c in enumerate(_coefficients(value, pointer)):
         cp = f"{pointer}/{k}"
         if not isinstance(c, list):
-            pairs.append((number(_scalar(c, cp)), None))
+            pairs.append((read(c, cp), None))
         elif len(c) != 2:
             _fail(cp, f"{what} coefficient needs [re, im]")
         else:
-            pairs.append(tuple(number(_scalar(x, f"{cp}/{n}")) for n, x in enumerate(c)))
+            pairs.append(tuple(read(x, f"{cp}/{n}") for n, x in enumerate(c)))
     return pairs
 
 
 def _cpoly(value, pointer) -> Poly:
     """Complex float coefficients; a bare number stays a float."""
-    pairs = _pairs(value, pointer, "complex", float)
+    pairs = _pairs(value, pointer, "complex", _double)
     return Poly([re if im is None else re + 1j * im for re, im in pairs])
 
 
@@ -210,7 +219,7 @@ def _matrix(value, pointer, grid) -> list:
         if set(map(type, row)) == {float} and math.isfinite(sum(row)):
             parsed.append(row)  # JSON floats; an inf or NaN would make the sum one
         else:
-            parsed.append([float(_scalar(x, f"{pointer}/{i}/{j}")) for j, x in enumerate(row)])
+            parsed.append([_double(x, f"{pointer}/{i}/{j}") for j, x in enumerate(row)])
     return parsed
 
 
@@ -267,10 +276,10 @@ def _analysis(value, pointer, grid: GridSpec) -> AnalysisParams:
     _known_keys(value, pointer, [f.name for f in fields(AnalysisParams)])
     kwargs = {}
     if "winding_radius" in value:
-        r = _scalar(value["winding_radius"], pointer + "/winding_radius")
-        if float(r) <= 0:
-            _fail(pointer + "/winding_radius", "radius must be positive")
-        kwargs["winding_radius"] = float(r)
+        rp, x = pointer + "/winding_radius", value["winding_radius"]
+        kwargs["winding_radius"] = r = _double(x, rp)
+        if r <= 0:
+            _fail(rp, "radius rounds to 0.0" if _scalar(x, rp) > 0 else "radius must be positive")
     for key, lo, hi in (("samples", 720, MAX_SAMPLES), ("jet_cap", 1, MAX_JET_CAP)):
         if key in value:
             if not _int_in(value[key], lo, hi):

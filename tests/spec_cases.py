@@ -14,7 +14,15 @@ arguments).  `test_spec_paths` checks what each run must show, and
 * `underflow_mask`: rational data whose metric factor rounds below 1e-300
   on half the chart;
 * `jet_cap_caveat`: a Hopf branch of order 19 above the default jet cap;
-* `exp_flat_null`: a null spec with the non-polynomial g1 = exp_flat.
+* `exp_flat_null`: a null spec with the non-polynomial g1 = exp_flat;
+* refusals of classification.csv alone (flow draws the kinds):
+  `tiny_directions`, g1 = g2 = 10^-170 t^2, where p*p + q*q of a principal
+  direction underflows to 0, and `huge_chart_L`, a raw chart with
+  L = 1e200 at node (3, 5), where (L + N)^2 overflows;
+* spec numbers outside the double range, refused at their pointer:
+  `huge_winding_radius` (10^400), `tiny_winding_radius` (10^-400, which
+  rounds to 0.0), `huge_kobayashi` (a coefficient 10^400) and
+  `huge_chart_entry` (a raw chart entry 10^400).
 
 `dense_spec(n)` is the README's dense degree-64 null spec at n x n; it is
 not a CLI case here.
@@ -39,6 +47,17 @@ def dense_spec(n: int) -> dict:
     g = poly(0, *(f"{(-1) ** k}/{k + 1}" for k in range(1, 65)))
     w = poly(*(f"1/{k + 1}" for k in range(65)))
     return {**null_spec(g, g, w, w), "grid": {**GRID, "nu": n, "nv": n}}
+
+
+def chart_spec(**entries) -> dict:
+    """A raw chart on GRID: sigma = M = 0, L = N = 1, but for the entries
+    given as name=(i, j, value)."""
+    n = GRID["nu"]
+    data = {name: [[fill] * n for _ in range(n)]
+            for name, fill in (("sigma", 0.0), ("L", 1.0), ("M", 0.0), ("N", 1.0))}
+    for name, (i, j, value) in entries.items():
+        data[name][i][j] = value
+    return {"route": "chart", "data": data, "grid": dict(GRID)}
 
 
 def _z3(**extra) -> dict:
@@ -70,4 +89,10 @@ SPEC_CASES = {
     "underflow_mask": (null_spec(poly(0, 1), poly(0, 1), poly("1/1" + "0" * 150), poly("1/1" + "0" * 150)), []),
     "jet_cap_caveat": (null_spec(poly(0, 0, 0, 1), poly(*[0] * 20, 1)), []),
     "exp_flat_null": (null_spec({"kind": "exp_flat"}, poly(0, 0, 0, 1)), []),
+    "tiny_directions": (null_spec(poly(0, 0, "1/1" + "0" * 170), poly(0, 0, "1/1" + "0" * 170)), []),
+    "huge_chart_L": (chart_spec(L=(3, 5, 1e200)), []),
+    "huge_winding_radius": (_z3(analysis={"winding_radius": 10**400}), []),
+    "tiny_winding_radius": (_z3(analysis={"winding_radius": "1/1" + "0" * 400}), []),
+    "huge_kobayashi": ({"route": "kobayashi", "data": {"g": [0, 10**400], "omega_hat": [1]}, "grid": dict(GRID)}, []),
+    "huge_chart_entry": (chart_spec(sigma=(2, 3, 10**400)), []),
 }

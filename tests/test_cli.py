@@ -1,12 +1,15 @@
 """CLI commands: outputs, exit codes, spec diagnostics, determinism."""
 
 import json
+import re
 import warnings
 
 import pytest
 
 from zmcsurf.cli import main
 from zmcsurf.presets import PRESET_ORDER
+
+from spec_cases import SPEC_CASES
 
 
 def _run(args):
@@ -257,13 +260,16 @@ def _chart_spec_with_sigma(tmp_path, value):
 
 @pytest.mark.parametrize("sigma", [-400.0, 1e308])
 def test_exit_code_3_on_sigma_out_of_range(tmp_path, capsys, sigma):
+    """classification.csv cannot print D where e^(4|sigma|) is not a finite
+    double; the flow portrait needs only the kinds, so flow draws it."""
     f = _chart_spec_with_sigma(tmp_path, sigma)
-    for cmd in ("classify", "flow"):
-        out = tmp_path / cmd
-        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["node"] == [3, 5] and "(3, 5)" in err["error"]
-        assert not out.exists()
+    out = tmp_path / "classify"
+    assert _run(["classify", "--spec", str(f), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["node"] == [3, 5] and "(3, 5)" in err["error"] and "sigma" in err["error"]
+    assert not out.exists()
+    assert _run(["flow", "--spec", str(f), "--out", str(tmp_path / "flow")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sigma_guard_keeps_in_range_chart(tmp_path):
@@ -286,13 +292,59 @@ def test_metric_sign_is_the_integer_one_or_minus_one(tmp_path, capsys, sign, cod
         assert json.loads(capsys.readouterr().err)["pointer"] == "/data/metric_sign"
 
 
-@pytest.mark.parametrize("cmd", ["classify", "flow"])
+# classify alone: flow draws exA2 at 33^2 (test_exa2_flow_draws_its_kinds)
+@pytest.mark.parametrize("cmd", ["classify"])
 def test_exit_code_3_on_exa2_sigma_overflow(tmp_path, capsys, cmd):
     out = tmp_path / "o"
     assert _run([cmd, "--preset", "exA2", "--grid", "33", "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
-    i, j = err["node"]
-    assert f"({i}, {j})" in err["error"] and "sigma" in err["error"]
+    assert err["node"] == [0, 1]
+    assert "(0, 1)" in err["error"] and "sigma" in err["error"]
+    assert not out.exists()
+
+
+def _svg_cell_fills(svg: str) -> list:
+    """The fill of each background cell, in drawing order (i-major)."""
+    return re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="([^"]*)"/>',
+                      svg)[1:]
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_exa2_flow_draws_its_kinds(tmp_path, capsys, n):
+    """exA2's sigma leaves the range of e^(4|sigma|) beside the null lines at
+    33^2 and finer; the portrait needs only the kinds, so flow draws them."""
+    from zmcsurf.geometry import classify_chart
+    from zmcsurf.presets import preset_spec
+    from zmcsurf.surfacespec import resolve
+    from zmcsurf.svgplot import KIND_COLORS
+
+    out = tmp_path / "o"
+    assert _run(["flow", "--preset", "exA2", "--grid", str(n), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    svg = (out / "flow.svg").read_text()
+    assert "classification only: branch orders not finite under the jet cap" in svg
+    assert "<polyline" not in svg
+    spec = preset_spec("exA2")
+    spec["grid"].update(nu=n, nv=n)
+    resolved = resolve(spec)
+    kinds = classify_chart(resolved.patch.chart(resolved.grid)).kinds
+    assert _svg_cell_fills(svg) == [KIND_COLORS[k] for k in kinds[:-1, :-1].ravel()]
+
+
+def test_overflowing_raw_chart_squares_refuse_classify_not_flow(tmp_path, capsys):
+    """L = 1e200 at node (3, 5): (L + N)^2 overflows, so D is inf there."""
+    f = _chart_spec_with_sigma(tmp_path, 0.0)
+    spec = json.loads(f.read_text())
+    spec["data"]["L"][3][5] = 1e200
+    f.write_text(json.dumps(spec))
+    out = tmp_path / "classify"
+    assert _run(["classify", "--spec", str(f), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "D or a direction is not a finite double at node (3, 5), "
+                 "(u, v) = (-3/5, -1/3)", "node": [3, 5]}
+    assert not out.exists()
+    assert _run(["flow", "--spec", str(f), "--out", str(tmp_path / "flow")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_index_reuses_measured_windings(tmp_path, monkeypatch):
@@ -633,17 +685,18 @@ def test_polynomial_degree_limit(tmp_path, capsys, edit, pointer):
 
 def test_exit_code_3_when_principal_directions_underflow(tmp_path, capsys):
     """g1 = g2 = 10^-170 t^2: the forms are so small that p*p + q*q of a
-    principal direction underflows to 0."""
-    tiny = [0, 0, "1/1" + "0" * 170]
-    f = _null_spec_with_g1(tmp_path, tiny)
-    spec = json.loads(f.read_text())
-    spec["data"]["g2"]["coeffs"] = tiny
-    f.write_text(json.dumps(spec))
-    for cmd in ("classify", "flow"):
-        out = tmp_path / cmd
-        assert _run([cmd, "--spec", str(f), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == '{"error": "float division by zero"}\n'
-        assert not out.exists()
+    principal direction underflows to 0, so classification.csv cannot print
+    it; flow needs only the kinds."""
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(SPEC_CASES["tiny_directions"][0]))
+    out = tmp_path / "classify"
+    assert _run(["classify", "--spec", str(f), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    i, j = err["node"]
+    assert err["error"].startswith(f"D or a direction is not a finite double at node ({i}, {j})")
+    assert not out.exists()
+    assert _run(["flow", "--spec", str(f), "--out", str(tmp_path / "flow")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _degenerate_base_spec(tmp_path, name, allow):

@@ -2,7 +2,9 @@
 
 An `--out` that cannot be written (an existing file, a path under a file,
 or an output file name that is an existing directory) is a spec error at
-/out, as an unreadable spec file is one at /spec.  The spec refusals below
+/out, as an unreadable spec file is one at /spec; a refused second file
+leaves no first file behind.  A spec number that rounds to a double
+outside its range is refused at its own pointer.  The spec refusals below
 are each pinned by exit code, pointer and the absence of the output
 directory, for all four commands.
 """
@@ -13,6 +15,8 @@ import pytest
 
 from zmcsurf.cli import main
 from zmcsurf.presets import preset_spec
+
+from spec_cases import SPEC_CASES
 
 COMMANDS = ("generate", "classify", "index", "flow")
 FIRST_FILE = {
@@ -63,6 +67,26 @@ def test_output_file_name_that_is_a_directory_is_refused_at_out(tmp_path, capsys
     assert [p.name for p in out.iterdir()] == [FIRST_FILE[cmd]]
 
 
+SECOND_FILE = {"generate": "metadata.json", "classify": "summary.json", "index": "winding.csv"}
+
+
+@pytest.mark.parametrize("cmd", sorted(SECOND_FILE))
+@pytest.mark.parametrize("first", ["missing", "existing"])
+def test_refused_second_file_leaves_the_first_as_it_was(tmp_path, capsys, cmd, first):
+    """Every file is opened before any is written: the command neither
+    creates nor truncates its first file when its second is refused."""
+    out = tmp_path / "o"
+    (out / SECOND_FILE[cmd]).mkdir(parents=True)
+    if first == "existing":
+        (out / FIRST_FILE[cmd]).write_text("keep me")
+    err = _refused(capsys, [cmd, *Z3, "--out", str(out)], "/out")
+    assert SECOND_FILE[cmd] in err["error"]
+    names = {SECOND_FILE[cmd]} | ({FIRST_FILE[cmd]} if first == "existing" else set())
+    assert {p.name for p in out.iterdir()} == names
+    if first == "existing":
+        assert (out / FIRST_FILE[cmd]).read_text() == "keep me"
+
+
 # ---------------------------------------------------------------------------
 # spec refusals
 # ---------------------------------------------------------------------------
@@ -111,6 +135,11 @@ SPEC_REFUSALS = {
     "zero_winding_radius": (_z3(lambda s: s.update(analysis={"winding_radius": 0})),
                             "/analysis/winding_radius"),
     "null_without_w2": (_null_without_w2(), "/data/w2"),
+    # numbers that round to a double outside its range
+    "huge_winding_radius": (SPEC_CASES["huge_winding_radius"][0], "/analysis/winding_radius"),
+    "huge_kobayashi_coefficient": (SPEC_CASES["huge_kobayashi"][0], "/data/g/1"),
+    "huge_chart_entry": (SPEC_CASES["huge_chart_entry"][0], "/data/sigma/2/3"),
+    "tiny_winding_radius": (SPEC_CASES["tiny_winding_radius"][0], "/analysis/winding_radius"),
 }
 
 
@@ -146,6 +175,19 @@ def test_source_refusal_exits_2_before_any_output(
     err = _refused(capsys, [cmd, *source, "--out", str(out)], pointer)
     assert words in err["error"]
     assert not out.exists()
+
+
+OUTSIDE = "1000000000000000000000000000000000000000\u2026 is outside the double range"
+OUT_OF_RANGE = {"huge_winding_radius": OUTSIDE, "tiny_winding_radius": "radius rounds to 0.0",
+                "huge_kobayashi": OUTSIDE, "huge_chart_entry": OUTSIDE}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_number_is_named(tmp_path, capsys, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_CASES[name][0]))
+    assert main(["classify", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == OUT_OF_RANGE[name]
 
 
 def test_no_subcommand_prints_usage_and_exits_2(capsys):

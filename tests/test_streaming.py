@@ -67,6 +67,9 @@ class _Sink:
     def __exit__(self, *exc):
         return False
 
+    def truncate(self, size):
+        assert size == 0 and not self.calls
+
     def write(self, text):
         self.calls.append(text)
 
@@ -79,7 +82,7 @@ def _run_recorded(monkeypatch, tmp_path, command, spec) -> dict:
     sinks = {}
 
     def recording_open(path, mode="r", encoding=None):
-        assert (mode, encoding) == ("w", "utf-8")
+        assert (mode, encoding) == ("a", "utf-8")
         return sinks.setdefault(Path(path).name, _Sink())
 
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
@@ -101,7 +104,7 @@ def test_csv_written_one_grid_row_per_call(monkeypatch, tmp_path, name):
     spec = CASES[name]
     resolved = resolve(json.loads(json.dumps(spec)))
     nu, nv = resolved.grid.nu, resolved.grid.nv
-    chart = cli._surface_chart(resolved)
+    chart = resolved.patch.chart(resolved.grid)
     expected = {"classify": ("classification.csv", classification_csv(classify_chart(chart)))}
     if name != "chart":
         expected["generate"] = ("surface.csv", surface_csv(chart, resolved.patch))

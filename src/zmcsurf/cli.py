@@ -19,7 +19,8 @@ data over distinct 20-digit denominators (Python 3.11.7, 2 shared CPUs).
 The CSV text is written one grid row at a time.  Exit codes: 0 success,
 2 spec errors (a spec file that cannot be read, is not UTF-8 or is not JSON
 within Python's limits is one, and so are an --out that cannot be written,
-at /out, generate or index on route chart, at /route, a spec number outside
+at /out, generate or index on route chart, at /route, flow on a grid whose
+u or v bounds round to one double, at /grid, a spec number outside
 the double range, at its pointer, and time-like data that are degenerate
 at the base point, unless the spec sets "allow_degenerate_base": true), 3
 numerical-guard failures, including an exact value that rounds outside the
@@ -188,6 +189,11 @@ def _flow_polylines(resolved: ResolvedSpec, fields):
 
 def cmd_flow(resolved: ResolvedSpec, out_dir: Path, args) -> int:
     """flow portrait SVG"""
+    for axis in "uv":
+        low, high = (float(getattr(resolved.grid, f"{axis}_{end}")) for end in ("min", "max"))
+        if low == high:
+            raise SpecError("/grid", f"{axis}_min and {axis}_max round to equal doubles: "
+                                     "flow.svg needs a grid of non-zero float width")
     cls = classify_chart(resolved.patch.chart(resolved.grid))
     fields, marks, banner = resolved.patch.flow_fields(resolved.analysis)
     _write(out_dir, {"flow.svg": svg_lines(

@@ -25,9 +25,9 @@ last, calls `FlowField.evaluator` once per sample, with no helper.  A
 winding circle is evaluated as arrays through `FlowField.arrays`, which
 the built-in fields have: numpy does `+ - * /` and `sqrt`, `geometry.each`
 maps the other calls over the samples, and `np.add.accumulate` sums the
-turning in loop order (`np.sum` sums pairwise).  A field without an array
-form, and a circle whose array pass raised OverflowError, go through the
-per-sample loop, where the first sample that raises decides the error.
+turning in loop order (`np.sum` sums pairwise).  An array pass's
+OverflowError ends the winding.  A field without an array form goes through
+the per-sample loop, where the first sample that raises decides the error.
 
 Fields given one `Circles` (`Circles.share`) share their circles: the cos
 and sin of the sample angles are formed once per sample count, and an array
@@ -156,13 +156,8 @@ def _accumulate(field: FlowField, radius: float, samples: int):
     two_pi = 2.0 * math.pi
     doubling = 2.0 if field.kind == LINE_FIELD else 1.0
     circles = field.circles or Circles()
-    try:
-        angles = field.arrays and circles.angles(field, radius, samples)
-    except OverflowError:
-        angles = None  # the per-sample loop finds the first sample that raises
-    if angles is None:
-        angles = _sample_angles(field, radius, circles.unit(samples))
-    angles = doubling * angles
+    angles = doubling * (circles.angles(field, radius, samples) if field.arrays
+                         else _sample_angles(field, radius, circles.unit(samples)))
     jumps = np.roll(angles, -1) - angles
     # remainder(d, 2 pi) is exact, so it is d itself where |d| <= pi
     wrap = np.abs(jumps) > math.pi

@@ -247,8 +247,15 @@ def _sign(value) -> float:
 
 def _unit(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows (p, q) / sqrt(p*p + q*q), not finite where that is 0, first non-zero
-    component positive, in elementwise IEEE operations: no BLAS or fused multiply-add."""
+    component positive, in elementwise IEEE operations: no BLAS or fused multiply-add.
+    A finite row whose squares overflow is first scaled by 2^-513, which is exact
+    and leaves the quotients' bits; every other row keeps its bits."""
     n = np.sqrt(p * p + q * q)
+    big = np.isinf(n)
+    if big.any():
+        big &= np.isfinite(p) & np.isfinite(q)
+        p, q = (np.where(big, t * 2.0**-513, t) for t in (p, q))
+        n = np.sqrt(p * p + q * q)
     x, y = p / n, q / n
     first = np.where(x != 0, x, y)
     flip = (first != 0) & ~(first > 0)

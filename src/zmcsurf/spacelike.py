@@ -99,16 +99,12 @@ class SpacelikePatch:
         (1 - |g|^2)^2 |omega_hat|^2 is at most 1e-300 (on |g| = 1 or at a
         zero of omega_hat), and (L - N) - 2iM is 4.0 times the Hopf
         coefficient -(omega_hat g').  Where abs or `** 2` overflows, the
-        first such node, row-major, raises its OverflowError."""
+        factor is not finite, and `generated_chart` refuses the node."""
         x, y = _grid_z(grid)
         gr, gi = self.data.g.at_complex(x, y)
         wr, wi = self.data.omega_hat.at_complex(x, y)
         abs_g, abs_w = np.hypot(gr, gi), np.hypot(wr, wi)
         factor = each(_square, 1.0 - each(_square, abs_g)) * each(_square, abs_w)
-        # an overflow leaves the factor infinite or NaN: rerun those nodes
-        for k in np.flatnonzero(~np.isfinite(factor)):
-            g, w = complex(gr.flat[k], gi.flat[k]), complex(wr.flat[k], wi.flat[k])
-            (1.0 - abs(g) ** 2) ** 2 * abs(w) ** 2  # raises where abs or ** did
         a, b = _four_hopf(wr, wi, *self.g_prime.at_complex(x, y))
         L = a / 2.0
         return generated_chart(grid, factor, ~(factor <= 1e-300), L, -b / 2.0, -L,

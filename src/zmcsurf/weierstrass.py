@@ -390,18 +390,14 @@ def _node_sum(p: Branch, q: Branch, lattice):
 
 def _by_blocks(grid, lattice, node) -> np.ndarray:
     """The [nu, nv, 3] array of node(kx, ky), three float arrays at lattice
-    indices, on row-major blocks of `_BLOCK` nodes; after an OverflowError
-    the block is redone node by node, so the first node to raise one does."""
+    indices, on row-major blocks of `_BLOCK` nodes.  A block's pass raises its
+    own OverflowError: the first value of the first operation that overflows,
+    which need not be at the block's first failing node."""
     n = grid.nu * grid.nv
     out = np.empty((n, 3))
     for start in range(0, n, _BLOCK):
         block = slice(start, min(n, start + _BLOCK))
-        try:
-            out[block] = np.transpose(node(lattice.ix[block], lattice.iy[block]))
-        except OverflowError:
-            for k in range(block.start, block.stop):
-                node(lattice.ix[k : k + 1], lattice.iy[k : k + 1])
-            raise
+        out[block] = np.transpose(node(lattice.ix[block], lattice.iy[block]))
     return out.reshape(grid.nu, grid.nv, 3)
 
 

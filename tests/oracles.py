@@ -662,6 +662,21 @@ def reference_spacelike_chart(patch, grid):
     return chart_from_nodes(grid, nodes, SpacelikeChart)
 
 
+def reference_spacelike_failure(patch, grid):
+    """The first node (i, j), row-major, where `reference_spacelike_chart`'s
+    per-node arithmetic raises OverflowError or gives an unmasked node a
+    factor, L or M that is not finite; None if there is none."""
+    nodes = _at_nodes(grid, lambda u, v: (u, v))
+    for k, (u, v) in enumerate(nodes):
+        try:
+            factor, hopf = spacelike_factor_and_hopf(patch, u, v)
+        except OverflowError:
+            return divmod(k, grid.nv)
+        if not factor <= 1e-300 and not all(map(math.isfinite, spacelike_node(factor, hopf)[:3])):
+            return divmod(k, grid.nv)
+    return None
+
+
 def reference_spacelike_coordinates(patch, grid):
     """`SpacelikePatch.grid_coordinates` as one `evaluate` per node."""
     return _at_nodes(grid, patch.evaluate)

@@ -338,3 +338,18 @@ def test_forms_are_not_formed_at_masked_nodes():
     chart = resolved.patch.chart(resolved.grid)
     assert not chart.mask.any()
     assert (chart.L == 0.0).all() and (chart.M == 0.0).all()
+
+
+def test_an_overflowing_block_is_evaluated_once(monkeypatch):
+    """g1 = 10^200 t: the exact metric factor's division overflows in the
+    first block of 1024 nodes, whose own pass raises; no node is redone."""
+    calls, by_blocks = [], weierstrass._by_blocks
+
+    def counted(grid, lattice, node):
+        return by_blocks(grid, lattice, lambda kx, ky: calls.append(len(kx)) or node(kx, ky))
+
+    monkeypatch.setattr(weierstrass, "_by_blocks", counted)
+    patch = resolve(null_spec(poly(0, 10**200), poly(0, 1))).patch
+    with pytest.raises(OverflowError, match="^integer division result too large for a float$"):
+        patch.chart(GridSpec.square(1, 33))
+    assert calls == [1024]

@@ -193,3 +193,29 @@ def test_out_of_range_number_is_named(tmp_path, capsys, name):
 def test_no_subcommand_prints_usage_and_exits_2(capsys):
     assert main([]) == 2
     assert capsys.readouterr().err.startswith("usage: zmcsurf")
+
+
+NEAR_ONE = "1000000000000000000000000000001/1000000000000000000000000000000"
+TINY = "1/1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "axis, low, high", [("u", 1, NEAR_ONE), ("v", 1, NEAR_ONE), ("u", "-" + TINY, TINY)],
+    ids=["u_near_one", "v_near_one", "u_within_1e-400"])
+def test_flow_refuses_a_grid_of_zero_float_width(tmp_path, capsys, axis, low, high):
+    """Bounds that are distinct rationals but one double leave flow.svg no
+    width to place its nodes in: `flow` exits 2 at /grid before any output.
+    The commands that place no node are left alone: near 1 they exit 0."""
+    spec = _z3(lambda s: s["grid"].update({f"{axis}_min": low, f"{axis}_max": high},
+                                          nu=17, nv=17))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for cmd in COMMANDS:
+        out = tmp_path / cmd
+        argv = [cmd, "--spec", str(path), "--out", str(out)]
+        if cmd != "flow":
+            assert low == "-" + TINY or main(argv) == 0, cmd
+            continue
+        err = _refused(capsys, argv, "/grid")
+        assert f"{axis}_min and {axis}_max" in err["error"]
+        assert not out.exists()

@@ -420,3 +420,21 @@ def test_principal_directions_pinned_to_plain_float_formula(name):
         assert got == want, (i, j)
         checked += 1
     assert checked > 500
+
+
+@pytest.mark.parametrize("L, M, N", [(6e153, 5.5e153, 6e153), (1e200, 0.5e200, 0.0)],
+                         ids=["positive", "quasi_umbilic"])
+def test_directions_whose_squares_overflow_are_those_of_the_scaled_chart(L, M, N):
+    """Where p*p + q*q overflows a direction is normalised scaled by a power
+    of two: its bits are those of the chart times 2^-512, not (0, -0)."""
+    grid = GridSpec.square(1, 16)
+
+    def classified(scale):
+        forms = (np.full((16, 16), t * scale) for t in (L, M, N))
+        return classify_chart(chart_from_arrays(grid, np.zeros((16, 16)), *forms))
+
+    big, small = classified(1.0), classified(2.0**-512)
+    assert np.array_equal(big.kinds, small.kinds)
+    n = KIND_DIRECTIONS[big.kinds[0, 0]]
+    assert n > 0 and np.isfinite(big.dirs[..., :n, :]).all()
+    assert np.array_equal(big.dirs.view(np.int64), small.dirs.view(np.int64))

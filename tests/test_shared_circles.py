@@ -116,9 +116,9 @@ def test_x2_drops_each_pass_it_reads():
     assert x1.circles.passes == {} and sorted(x1.circles.units) == [2048]
 
 
-def test_an_overflowing_shared_circle_is_redone_per_sample_for_each_field():
-    """After the array pass raises, each field's own evaluator finds the first
-    sample that raises, in the order X1, X2."""
+def test_an_overflowing_shared_circle_calls_no_evaluator():
+    """The array pass raises for X1 and again for X2, whose base pass was
+    never stored; neither field's evaluator runs."""
     calls = []
 
     def counted(field):
@@ -130,7 +130,7 @@ def test_an_overflowing_shared_circle_is_redone_per_sample_for_each_field():
     for f in (x1, x2):
         with pytest.raises(OverflowError):
             flow._accumulate(f, 1e200, 720)
-    assert calls == ["X1", "X2"]
+    assert calls == [] and x1.circles.passes == {}
 
 
 def _counting(monkeypatch):

@@ -3,10 +3,13 @@
 `SpacelikePatch.chart` and `grid_coordinates` evaluate the whole grid as
 float arrays; each value must equal what one complex evaluation per node
 gives (`oracles.reference_spacelike_chart` and
-`reference_spacelike_coordinates`), with NaN equal to NaN, and on hostile
-data the same OverflowError must be raised.  exA2's float (L, M) must
-keep the bits of the Fraction(1, 4) product; its metric factor is checked
-per point in `test_chart_engine`.
+`reference_spacelike_coordinates`), with NaN equal to NaN.  On hostile
+data the chart must refuse the first node, row-major, where that per-node
+arithmetic raises OverflowError or is not finite
+(`oracles.reference_spacelike_failure`), and every command that builds the
+chart must exit 3 naming it.  exA2's float (L, M) must keep the bits of the
+Fraction(1, 4) product; its metric factor is checked per point in
+`test_chart_engine`.
 """
 
 import contextlib
@@ -19,10 +22,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import reference_spacelike_chart, reference_spacelike_coordinates
+from oracles import (
+    reference_spacelike_chart,
+    reference_spacelike_coordinates,
+    reference_spacelike_failure,
+)
 from test_chart_engine import NON_SQUARE
 from zmcsurf import GridSpec, weierstrass
 from zmcsurf.cli import main
+from zmcsurf.geometry import NumericGuardError
 from zmcsurf.presets import preset_spec
 from zmcsurf.spacelike import SpacelikeChart
 from zmcsurf.surfacespec import resolve
@@ -107,10 +115,10 @@ def test_negative_zero_nodes_match_per_node_reference():
     _assert_chart_matches_reference(patch, grid)
 
 
-# Data whose chart overflows: abs() raises "absolute value too large" and
-# `** 2` raises (34, 'Numerical result out of range'); the first failing
-# node in row-major order decides which.  In "abs_first_*" an abs
-# overflow comes before the first `**` overflow, in "pow_first_*" after.
+# Data whose chart overflows: per node, abs() raises "absolute value too
+# large", `** 2` raises (34, 'Numerical result out of range'), or the factor
+# is infinite.  In "abs_first_*" an abs overflow comes before the first `**`
+# overflow, in "pow_first_*" after; "far_*" fail first away from node (0, 0).
 HOSTILE = {
     "1e150_z2": ([0, 0, 1e150], [1]),
     "1e200_z2": ([0, 0, 1e200], [1]),
@@ -120,54 +128,52 @@ HOSTILE = {
     "abs_first_z": ([0, [1.3e308, 1.3e308]], [1]),
     "pow_first_g": ([[1.0e308, 1.0e308], [0.3e308, 0.0]], [1]),
     "pow_first_w": ([0, 0.5], [[1.0e308, 1.0e308], [0.3e308, 0]]),
+    "far_u": ([8e76, 8e76], [1]),
+    "far_corner": ([[4.6e76, 4.6e76], 4.6e76], [1]),
 }
 
 
-def _raised(fn):
-    with pytest.raises(OverflowError) as info:
-        fn()
-    return str(info.value)
+def _refusal(patch, grid) -> tuple:
+    """(message, node) of the refusal at the reference's first failing node."""
+    i, j = reference_spacelike_failure(patch, grid)
+    u, v = grid.u_nodes()[i], grid.v_nodes()[j]
+    return (f"the metric factor, L or M is not a finite double at immersed node "
+            f"({i}, {j}), (u, v) = ({u}, {v})", (i, j))
 
 
 @pytest.mark.parametrize("n", [17, 33])
 @pytest.mark.parametrize("name", HOSTILE)
-def test_hostile_data_raise_the_reference_error(name, n):
+def test_hostile_data_name_the_reference_node(name, n):
     patch = resolve(_kobayashi(*HOSTILE[name], n=n)).patch
     grid = GridSpec.square(1, n)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.raises(NumericGuardError) as info:
         warnings.simplefilter("error")
-        got = _raised(lambda: patch.chart(grid))
-    assert got == _raised(lambda: reference_spacelike_chart(patch, grid))
-    expected = "absolute value too large" if name.startswith("abs") else None
-    assert got == expected or (expected is None and got.startswith("(34, "))
+        patch.chart(grid)
+    assert (str(info.value), info.value.node) == _refusal(patch, grid)
+    if name.startswith("far"):
+        assert info.value.node != (0, 0)
 
 
-# exit code and stderr of each command at 17x17, recorded before the
-# space-like chart was evaluated on node arrays
-RANGE_ERROR = '{"error": "(34, \'Numerical result out of range\')"}\n'
-RECORDED = {
-    "1e150_z2": RANGE_ERROR,
-    "1e200_z2": RANGE_ERROR,
-    "i1e300_z": RANGE_ERROR,
-    "const_1e308": RANGE_ERROR,
-    "abs_first_z": '{"error": "absolute value too large"}\n',
-}
-
-
-@pytest.mark.parametrize("name", RECORDED)
-def test_hostile_specs_keep_exit_codes_and_stderr(name, tmp_path):
+@pytest.mark.parametrize("name", ["1e200_z2", "const_1e308", "abs_first_z", "far_corner"])
+def test_hostile_specs_exit_3_naming_the_node(name, tmp_path):
+    """Every command that builds the chart exits 3 naming the node and makes
+    no output; `index` builds none and exits 0."""
+    spec = _kobayashi(*HOSTILE[name])
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(_kobayashi(*HOSTILE[name])))
+    path.write_text(json.dumps(spec))
+    message, node = _refusal(resolve(spec).patch, GridSpec.square(1, 17))
     for command in ("generate", "classify", "flow", "index"):
-        err = io.StringIO()
+        out, err = tmp_path / command, io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([command, "--spec", str(path), "--out", str(tmp_path / command)])
+            code = main([command, "--spec", str(path), "--out", str(out)])
         assert not caught, command
         if command == "index":
             assert (code, err.getvalue()) == (0, ""), command
         else:
-            assert (code, err.getvalue()) == (3, RECORDED[name]), command
+            assert (code, json.loads(err.getvalue())) == (
+                3, {"error": message, "node": list(node)}), command
+            assert not out.exists(), command
 
 
 # -- exA2: float forms ----------------------------------------------------

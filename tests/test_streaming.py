@@ -159,24 +159,6 @@ def test_coordinate_overflow_exits_3_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_flow_svg_header_failure_leaves_no_output(tmp_path, capsys):
-    """Bounds of +-10^-400 are distinct rationals but one double, so the
-    chart-to-viewport map divides by zero while forming the first flow.svg
-    block: exit 3, and no output directory, as when the SVG was one string."""
-    tiny = "1/1" + "0" * 400
-    spec = {"route": "null",
-            "data": {"g1": {"kind": "poly", "coeffs": [0, 0, 0, 1]},
-                     "g2": {"kind": "poly", "coeffs": [0, 1]}, "w1": ONE, "w2": ONE},
-            "grid": {"u_min": "-" + tiny, "u_max": tiny, "v_min": -1, "v_max": 1,
-                     "nu": 17, "nv": 17}}
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    out = tmp_path / "out"
-    assert cli.main(["flow", "--spec", str(path), "--out", str(out)]) == 3
-    assert json.loads(capsys.readouterr().err) == {"error": "float division by zero"}
-    assert not out.exists()
-
-
 MEASURE = (
     "import resource, sys\n"
     "from zmcsurf.cli import main\n"

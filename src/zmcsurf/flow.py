@@ -21,7 +21,9 @@ same operands in the same order.  `math.hypot`, `atan2`, `cos`, `sin`,
 differently: with numpy 2.4 on x86-64, `np.hypot` differs from `math.hypot`
 in about 0.6% of random pairs in [-1, 1]^2, and `np.power(x, 3)` from
 `x**3` in about 3% of samples.  `streamlines`, where each step needs the
-last, calls `FlowField.evaluator` once per sample, with no helper.  A
+last, runs one flat loop per field kind: the four RK4 stages are written
+out, one `FlowField.evaluator` call each, and a vector sample is divided
+by its norm times the sign (exact: `p / -n == -(p / n)`).  A
 winding circle is evaluated as arrays through `FlowField.arrays`, which
 the built-in fields have: numpy does `+ - * /` and `sqrt`, `geometry.each`
 maps the other calls over the samples, and `np.add.accumulate` sums the
@@ -40,6 +42,7 @@ circle, and each field keeps its own retries.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -62,6 +65,8 @@ class FlowField:
 
     kind "vector_field": oriented, integer index.
     kind "line_field": defined only up to sign, half-integer index.
+    The evaluator returns (p, q), each a Python float, int or np.float64;
+    `streamlines` takes them as they are, with no `float()`.
     """
 
     evaluator: Callable[[float, float], tuple]
@@ -232,82 +237,106 @@ def streamlines(
 
     Each seed is integrated in both directions; for line fields the sample
     orientation is aligned with the previous step.  Integration stops at the
-    chart boundary, at max_len arclength, or where the field magnitude drops
-    below 1e-10.  Returns one polyline (ndarray of points) per seed.
+    chart boundary, at max_len arclength, where the field magnitude drops
+    below 1e-10 or is not finite, or where the evaluator raises ValueError,
+    ZeroDivisionError or FloatingPointError; OverflowError propagates.
+    Returns one polyline (ndarray of points) per seed.
 
-    One loop serves both field kinds; a vector field skips only the
-    orientation bookkeeping, which never changes its samples (its zero-step
-    stop, `hypot(du, dv) == 0.0`, is `du == dv == 0.0`).  The arithmetic is
-    that of the scalar loop this replaced, in the same order: the stage
-    points are `u + (0.5 * step) * k`, the step is
-    `(k1 + 2*k2 + 2*k3 + k4) / 6.0`, and a sample is divided by its norm
-    before the sign is applied.  Norms stay `math.hypot` (see the module
-    docstring), so every point keeps its bits.
+    Each field kind has one flat loop, picked once, with the four RK4 stages
+    written out and one `suppress` per march.  The arithmetic is that of the
+    scalar loop this replaced, in the same order: the stage points are
+    `u + (0.5 * step) * k`, the step is `(k1 + 2*k2 + 2*k3 + k4) / 6.0`,
+    and norms stay `math.hypot` (see the module docstring), so every point
+    keeps its bits.  A vector sample is divided by its norm times the sign,
+    which is exact: `p / -n` is `-(p / n)` in IEEE arithmetic.  Missing
+    bounds are infinite, so the march from a NaN seed ends after one step.
     """
-    ev = field.evaluator
-    line_field = field.kind == LINE_FIELD
-    hypot, isfinite = math.hypot, math.isfinite
-    half = 0.5 * step
-    n_steps = int(max_len / step)
-    bounded = bounds is not None
-    if bounded:
-        u_min, u_max, v_min, v_max = bounds
-
-    def march(u, v, sign):
-        def unit(x, y, ru, rv):
-            # the normalized field at (x, y), or None where the march stops
-            try:
-                p, q = ev(x, y)
-            except (ValueError, ZeroDivisionError, FloatingPointError):
-                return None
-            p, q = float(p), float(q)
-            norm = hypot(p, q)
-            if not isfinite(norm) or norm < 1e-10:
-                return None
-            p, q = p / norm, q / norm
-            if ru is None:
-                return sign * p, sign * q
-            # line field: keep the orientation continuous along the path
-            return (p, q) if p * ru + q * rv >= 0.0 else (-p, -q)
-
-        pts = []
-        pu = pv = None
-        for _ in range(n_steps):
-            k1 = unit(u, v, pu, pv)
-            if k1 is None:
-                break
-            a1, b1 = k1
-            k2 = unit(u + half * a1, v + half * b1, a1 if line_field else None, b1)
-            if k2 is None:
-                break
-            a2, b2 = k2
-            k3 = unit(u + half * a2, v + half * b2, a2 if line_field else None, b2)
-            if k3 is None:
-                break
-            a3, b3 = k3
-            k4 = unit(u + step * a3, v + step * b3, a3 if line_field else None, b3)
-            if k4 is None:
-                break
-            a4, b4 = k4
-            du = (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
-            dv = (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
-            u, v = u + step * du, v + step * dv
-            if bounded and not (u_min <= u <= u_max and v_min <= v <= v_max):
-                break
-            pts.append((u, v))
-            if line_field:
-                n = hypot(du, dv)
-                if n == 0.0:
-                    break
-                pu, pv = du / n, dv / n
-            elif du == 0.0 and dv == 0.0:
-                break
-        return pts
-
+    march = _line_march if field.kind == LINE_FIELD else _vector_march
+    n_steps, inf = int(max_len / step), math.inf
+    box = (-inf, inf, -inf, inf) if bounds is None else bounds
     out = []
     for seed in seeds:
         u, v = float(seed[0]), float(seed[1])
-        forward = march(u, v, +1.0)
-        backward = march(u, v, -1.0)
+        forward = march(field.evaluator, u, v, 1.0, step, n_steps, box)
+        backward = march(field.evaluator, u, v, -1.0, step, n_steps, box)
         out.append(np.array(backward[::-1] + [(u, v)] + forward))
     return out
+
+
+def _vector_march(ev, u, v, sign, step, n_steps, bounds) -> list:
+    """One march's points after (u, v) (see `streamlines`)."""
+    (u_min, u_max, v_min, v_max), hypot, inf, half = bounds, math.hypot, math.inf, 0.5 * step
+    pts = []
+    with suppress(ValueError, ZeroDivisionError, FloatingPointError):
+        for _ in range(n_steps):
+            p, q = ev(u, v)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            n *= sign
+            a1, b1 = p / n, q / n
+            p, q = ev(u + half * a1, v + half * b1)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            n *= sign
+            a2, b2 = p / n, q / n
+            p, q = ev(u + half * a2, v + half * b2)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            n *= sign
+            a3, b3 = p / n, q / n
+            p, q = ev(u + step * a3, v + step * b3)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            n *= sign
+            a4, b4 = p / n, q / n
+            du = (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
+            dv = (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
+            u, v = u + step * du, v + step * dv
+            if not (u_min <= u <= u_max and v_min <= v <= v_max):
+                break
+            pts.append((u, v))
+            if du == 0.0 and dv == 0.0:
+                break
+    return pts
+
+
+def _line_march(ev, u, v, sign, step, n_steps, bounds) -> list:
+    """One march's points after (u, v) (see `streamlines`): the sign orients
+    the first sample, and each later one is turned to face the one before."""
+    (u_min, u_max, v_min, v_max), hypot, inf, half = bounds, math.hypot, math.inf, 0.5 * step
+    pts, pu, pv = [], None, None
+    with suppress(ValueError, ZeroDivisionError, FloatingPointError):
+        for _ in range(n_steps):
+            p, q = ev(u, v)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            a1, b1 = p / n, q / n
+            if pu is None:
+                a1, b1 = sign * a1, sign * b1
+            else:
+                a1, b1 = (a1, b1) if a1 * pu + b1 * pv >= 0.0 else (-a1, -b1)
+            p, q = ev(u + half * a1, v + half * b1)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            a2, b2 = p / n, q / n
+            a2, b2 = (a2, b2) if a2 * a1 + b2 * b1 >= 0.0 else (-a2, -b2)
+            p, q = ev(u + half * a2, v + half * b2)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            a3, b3 = p / n, q / n
+            a3, b3 = (a3, b3) if a3 * a2 + b3 * b2 >= 0.0 else (-a3, -b3)
+            p, q = ev(u + step * a3, v + step * b3)
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            a4, b4 = p / n, q / n
+            a4, b4 = (a4, b4) if a4 * a3 + b4 * b3 >= 0.0 else (-a4, -b4)
+            du = (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
+            dv = (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
+            u, v = u + step * du, v + step * dv
+            if not (u_min <= u <= u_max and v_min <= v <= v_max):
+                break
+            pts.append((u, v))
+            if (n := hypot(du, dv)) == 0.0:
+                break
+            pu, pv = du / n, dv / n
+    return pts

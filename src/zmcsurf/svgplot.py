@@ -8,8 +8,10 @@ and `svg_lines` yields it in blocks of at most one grid column of cells.
 The map is separable, so background cells are formatted per axis: a
 cell's x and width once per grid column, its y and height once per grid
 row.  Polyline points are mapped as arrays, `sx * u + tx` by numpy's
-multiply and add, which round like the scalar expression, and each point
-is one `"{:.3f},{:.3f}"` format of the resulting Python floats.
+multiply and add, which round like the scalar expression, and each
+polyline's points are one `%` of a `"%.3f,%.3f"` per point over the
+interleaved pixel coordinates (`"%.3f" % x` is `"{:.3f}".format(x)` for
+every double).
 """
 
 from __future__ import annotations
@@ -99,16 +101,14 @@ def svg_lines(
             for (y, height), kind in zip(rows, column)
         ])
 
-    point = "{:.3f},{:.3f}".format
+    scale, shift = (cmap.sx, cmap.sy), (cmap.tx, cmap.ty)
     for fam, lines in enumerate(polyline_families):
         color = FLOW_COLORS[fam % len(FLOW_COLORS)]
         for line in lines:
             if len(line) < 2:
                 continue
-            uv = np.asarray(line, dtype=float)
-            px = (cmap.sx * uv[:, 0] + cmap.tx).tolist()
-            py = (cmap.sy * uv[:, 1] + cmap.ty).tolist()
-            pts = " ".join(map(point, px, py))
+            xy = np.asarray(line, dtype=float) * scale + shift
+            pts = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
             yield (
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 'stroke-width="1.2"/>\n'

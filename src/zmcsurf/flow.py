@@ -21,8 +21,8 @@ same operands in the same order.  `math.hypot`, `atan2`, `cos`, `sin`,
 differently: with numpy 2.4 on x86-64, `np.hypot` differs from `math.hypot`
 in about 0.6% of random pairs in [-1, 1]^2, and `np.power(x, 3)` from
 `x**3` in about 3% of samples.  `streamlines`, where each step needs the
-last, runs one flat loop per field kind: the four RK4 stages are written
-out, one `FlowField.evaluator` call each, and a vector sample is divided
+last, runs one flat loop for both field kinds: the four RK4 stages are
+written out, one `FlowField.evaluator` call each, and a sample is divided
 by its norm times the sign (exact: `p / -n == -(p / n)`).  A
 winding circle is evaluated as arrays through `FlowField.arrays`, which
 the built-in fields have: numpy does `+ - * /` and `sqrt`, `geometry.each`
@@ -242,31 +242,33 @@ def streamlines(
     ZeroDivisionError or FloatingPointError; OverflowError propagates.
     Returns one polyline (ndarray of points) per seed.
 
-    Each field kind has one flat loop, picked once, with the four RK4 stages
-    written out and one `suppress` per march.  The arithmetic is that of the
-    scalar loop this replaced, in the same order: the stage points are
-    `u + (0.5 * step) * k`, the step is `(k1 + 2*k2 + 2*k3 + k4) / 6.0`,
-    and norms stay `math.hypot` (see the module docstring), so every point
-    keeps its bits.  A vector sample is divided by its norm times the sign,
-    which is exact: `p / -n` is `-(p / n)` in IEEE arithmetic.  Missing
-    bounds are infinite, so the march from a NaN seed ends after one step.
+    Both field kinds run one flat loop, told the kind once per march, with
+    the four RK4 stages written out and one `suppress` per march.  The
+    arithmetic is that of the scalar loop this replaced, in the same order:
+    the stage points are `u + (0.5 * step) * k`, the step is
+    `(k1 + 2*k2 + 2*k3 + k4) / 6.0`, and norms stay `math.hypot` (see the
+    module docstring), so every point keeps its bits.  A sample is divided
+    by its norm times the sign, which is exact: `p / -n` is `-(p / n)` in
+    IEEE arithmetic.  Missing bounds are infinite, so the march from a NaN
+    seed ends after one step.
     """
-    march = _line_march if field.kind == LINE_FIELD else _vector_march
-    n_steps, inf = int(max_len / step), math.inf
+    line, n_steps, inf = field.kind == LINE_FIELD, int(max_len / step), math.inf
     box = (-inf, inf, -inf, inf) if bounds is None else bounds
     out = []
     for seed in seeds:
         u, v = float(seed[0]), float(seed[1])
-        forward = march(field.evaluator, u, v, 1.0, step, n_steps, box)
-        backward = march(field.evaluator, u, v, -1.0, step, n_steps, box)
+        forward = _march(field.evaluator, line, u, v, 1.0, step, n_steps, box)
+        backward = _march(field.evaluator, line, u, v, -1.0, step, n_steps, box)
         out.append(np.array(backward[::-1] + [(u, v)] + forward))
     return out
 
 
-def _vector_march(ev, u, v, sign, step, n_steps, bounds) -> list:
-    """One march's points after (u, v) (see `streamlines`)."""
+def _march(ev, line, u, v, sign, step, n_steps, bounds) -> list:
+    """One march's points after (u, v) (see `streamlines`).  Each sample is
+    divided by its norm times the sign; a line sample is then turned to face
+    the one before it, and after the first step its sign is 1."""
     (u_min, u_max, v_min, v_max), hypot, inf, half = bounds, math.hypot, math.inf, 0.5 * step
-    pts = []
+    pts, pu, pv = [], 0.0, 0.0  # a zero dot product: the first sample is not turned
     with suppress(ValueError, ZeroDivisionError, FloatingPointError):
         for _ in range(n_steps):
             p, q = ev(u, v)
@@ -274,21 +276,29 @@ def _vector_march(ev, u, v, sign, step, n_steps, bounds) -> list:
                 break
             n *= sign
             a1, b1 = p / n, q / n
+            if line and a1 * pu + b1 * pv < 0.0:
+                a1, b1 = -a1, -b1
             p, q = ev(u + half * a1, v + half * b1)
             if not 1e-10 <= (n := hypot(p, q)) < inf:
                 break
             n *= sign
             a2, b2 = p / n, q / n
+            if line and a2 * a1 + b2 * b1 < 0.0:
+                a2, b2 = -a2, -b2
             p, q = ev(u + half * a2, v + half * b2)
             if not 1e-10 <= (n := hypot(p, q)) < inf:
                 break
             n *= sign
             a3, b3 = p / n, q / n
+            if line and a3 * a2 + b3 * b2 < 0.0:
+                a3, b3 = -a3, -b3
             p, q = ev(u + step * a3, v + step * b3)
             if not 1e-10 <= (n := hypot(p, q)) < inf:
                 break
             n *= sign
             a4, b4 = p / n, q / n
+            if line and a4 * a3 + b4 * b3 < 0.0:
+                a4, b4 = -a4, -b4
             du = (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
             dv = (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
             u, v = u + step * du, v + step * dv
@@ -297,46 +307,7 @@ def _vector_march(ev, u, v, sign, step, n_steps, bounds) -> list:
             pts.append((u, v))
             if du == 0.0 and dv == 0.0:
                 break
-    return pts
-
-
-def _line_march(ev, u, v, sign, step, n_steps, bounds) -> list:
-    """One march's points after (u, v) (see `streamlines`): the sign orients
-    the first sample, and each later one is turned to face the one before."""
-    (u_min, u_max, v_min, v_max), hypot, inf, half = bounds, math.hypot, math.inf, 0.5 * step
-    pts, pu, pv = [], None, None
-    with suppress(ValueError, ZeroDivisionError, FloatingPointError):
-        for _ in range(n_steps):
-            p, q = ev(u, v)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            a1, b1 = p / n, q / n
-            if pu is None:
-                a1, b1 = sign * a1, sign * b1
-            else:
-                a1, b1 = (a1, b1) if a1 * pu + b1 * pv >= 0.0 else (-a1, -b1)
-            p, q = ev(u + half * a1, v + half * b1)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            a2, b2 = p / n, q / n
-            a2, b2 = (a2, b2) if a2 * a1 + b2 * b1 >= 0.0 else (-a2, -b2)
-            p, q = ev(u + half * a2, v + half * b2)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            a3, b3 = p / n, q / n
-            a3, b3 = (a3, b3) if a3 * a2 + b3 * b2 >= 0.0 else (-a3, -b3)
-            p, q = ev(u + step * a3, v + step * b3)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            a4, b4 = p / n, q / n
-            a4, b4 = (a4, b4) if a4 * a3 + b4 * b3 >= 0.0 else (-a4, -b4)
-            du = (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
-            dv = (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
-            u, v = u + step * du, v + step * dv
-            if not (u_min <= u <= u_max and v_min <= v <= v_max):
-                break
-            pts.append((u, v))
-            if (n := hypot(du, dv)) == 0.0:
-                break
-            pu, pv = du / n, dv / n
+            if line:
+                n = hypot(du, dv)
+                pu, pv, sign = du / n, dv / n, 1.0
     return pts

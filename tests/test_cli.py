@@ -347,6 +347,35 @@ def test_overflowing_raw_chart_squares_refuse_classify_not_flow(tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
+def _last_row_overflows(tmp_path):
+    """The raw chart of `_chart_spec_with_sigma` with L = 1e200 on its last
+    row: D is inf on that row alone."""
+    f = _chart_spec_with_sigma(tmp_path, 0.0)
+    spec = json.loads(f.read_text())
+    spec["data"]["L"][-1] = [1e200] * 16
+    f.write_text(json.dumps(spec))
+    return ["--spec", str(f)]
+
+
+# A refusal found in the last grid row and one found in the first: each
+# names its first node, row-major, and leaves no output directory
+@pytest.mark.parametrize("source, err", [
+    (_last_row_overflows, {
+        "error": "D or a direction is not a finite double at node (15, 0), (u, v) = (1, -1)",
+        "node": [15, 0]}),
+    (lambda tmp_path: ["--preset", "exA2", "--grid", "65"], {
+        "error": "e^(4|sigma|) is not a finite double at immersed node (0, 2), "
+                 "(u, v) = (-4/5, -3/4)",
+        "node": [0, 2]}),
+], ids=["raw_chart_last_row", "exA2_65"])
+def test_classify_refusal_in_the_first_or_last_row_leaves_no_output(tmp_path, capsys, source,
+                                                                    err):
+    out = tmp_path / "o"
+    assert _run(["classify", *source(tmp_path), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == err
+    assert not out.exists()
+
+
 def test_index_reuses_measured_windings(tmp_path, monkeypatch):
     from zmcsurf import cli, umbilic
     from zmcsurf.flow import winding_index

@@ -76,6 +76,13 @@ def _right_angle(u, v):
     return (1.0, 0.0) if u < 0.7 else (0.0, 1.0)
 
 
+def _right_angle_behind(u, v):
+    # `_right_angle` reflected in u: backward marches (sign -1) read the zero
+    # dot product, which leaves the sample as the sign of the march's first
+    # step does not
+    return (1.0, 0.0) if u > -0.7 else (0.0, 1.0)
+
+
 def _half_angle(u, v):
     theta = math.atan2(v, u)
     return (math.cos(theta / 2), math.sin(theta / 2))
@@ -144,6 +151,7 @@ CASES = {
         FlowField(_right_angle, kind=LINE_FIELD),
         grid=NON_SQUARE,
     ),
+    "right_angle_behind": _hand(FlowField(_right_angle_behind, kind=LINE_FIELD)),
     "stop_stages": _both_kinds(_kink(_raise)),
     "non_finite": _both_kinds(_non_finite, _kink(lambda u, v: (math.nan, 0.0))),
     "float64": _both_kinds(

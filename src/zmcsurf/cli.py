@@ -13,9 +13,9 @@ degree 64 (65 coefficients per array), and at most 64 analysis.seeds,
 each in the closed grid rectangle; a non-finite number (NaN, Infinity,
 1e400) is a spec error too.  A flow streamline marches at most 4096
 steps (MAX_MARCH_STEPS) each way from its seed.  The limits do not bound
-exact work: generate for the dense degree-64 null spec of the README took
-6.5 s at 513^2, but classify at 1025^2 took 318 s and 395 MB for degree-64
-data over distinct 20-digit denominators (Python 3.11.7, 2 shared CPUs).
+exact work: the README's dense degree-64 null spec takes 1.7 s to generate
+at 513^2, degree-64 data over 20-digit denominators 6.2 s to classify at
+1025^2, and over 100-digit ones 32.9 s to generate at 17^2 (2 shared CPUs).
 The CSV text is written one grid row at a time.  Exit codes: 0 success,
 2 spec errors (a spec file that cannot be read, is not UTF-8 or is not JSON
 within Python's limits is one, and so are an --out that cannot be written,

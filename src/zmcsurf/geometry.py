@@ -126,7 +126,8 @@ class GridSpec:
         x = x0 + (p i + q j) h and y = y0 + (p i + q (nv - 1 - j)) h, where
         x0 = (u_min + v_min)/2 and y0 = (u_min - v_max)/2.  Equal keys are
         equal coordinates, so a square grid with du = dv has nu + nv - 1
-        distinct values per coordinate.
+        distinct values per coordinate.  `np.unique` ranks the keys: int64
+        where the largest key fits, Python ints otherwise.
         """
         nu, nv = self.nu, self.nv
         du = (self.u_max - self.u_min) / (nu - 1)
@@ -134,22 +135,17 @@ class GridSpec:
         ratio = du / dv
         p, q = ratio.numerator, ratio.denominator
         h = dv / (2 * q)
-        rows, cols = range(nu), range(nv)
-        x_keys, ix = _ranks([p * i + q * j for i in rows for j in cols])
-        y_keys, iy = _ranks([p * i + q * (nv - 1 - j) for i in rows for j in cols])
-        x0 = (self.u_min + self.v_min) / 2
-        y0 = (self.u_min - self.v_max) / 2
-        return NullLattice(
-            [x0 + k * h for k in x_keys], [y0 + k * h for k in y_keys], ix, iy
-        )
+        dtype = np.int64 if p * (nu - 1) + q * (nv - 1) < 2**63 else object
+        i, j = np.arange(nu, dtype=dtype)[:, None], np.arange(nv, dtype=dtype)
+        x_keys, ix = np.unique((p * i + q * j).ravel(), return_inverse=True)
+        y_keys, iy = np.unique((p * i + q * (nv - 1 - j)).ravel(), return_inverse=True)
 
+        def line(t0, keys):  # t0 + k h, one gcd each rather than Fraction arithmetic's two
+            a, b, c, d = t0.numerator, t0.denominator, h.numerator, h.denominator
+            return [Fraction(a * d + k * c * b, b * d) for k in keys.tolist()]
 
-def _ranks(keys: list):
-    """The sorted distinct integer keys, and each key's position among
-    them as an int array."""
-    distinct = sorted(set(keys))
-    rank = {k: n for n, k in enumerate(distinct)}
-    return distinct, np.fromiter(map(rank.__getitem__, keys), np.intp, len(keys))
+        return NullLattice(line((self.u_min + self.v_min) / 2, x_keys),
+                           line((self.u_min - self.v_max) / 2, y_keys), ix, iy)
 
 
 @dataclass

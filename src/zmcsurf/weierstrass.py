@@ -35,16 +35,38 @@ g_i, w_i, g_i', the three primitives per coordinate and the Hopf branches.
 `GridSpec.null_lattice` gives the distinct x and y values of a grid's nodes
 (nu + nv - 1 of each on a square grid with du = dv); each branch is tabled
 once per value, and the node values of `ImmersionPatch.chart` (metric
-factor, L, M) and `grid_coordinates` are numpy object-array expressions
-over the tables, in blocks of 1024 nodes, rounded as the per-point API
-(`metric_factor`, `second_forms`, `evaluate`) followed by float():
+factor, L, M) and `grid_coordinates` are formed over the tables in blocks of
+1024 nodes, rounded as the per-point API (`metric_factor`, `second_forms`,
+`evaluate`) followed by float():
 
 * exact tables, integer numerators over one positive denominator
-  (`Poly.numerators`): one correctly rounded int/int division per value,
-  a zero +0.0, e.g. with g1 = a/A, g2 = c/C, w1 = e/E, w2 = g/G the metric
-  factor -(AC - ac)^2 e g / ((AC)^2 E G);
-* other tables: `_metric` and `_forms` element by element, except that with
-  exact g and float w1 (exA2) -(1 - g1 g2)^2 is one such division.
+  (`Poly.numerators`): certified double-doubles (below), else one correctly
+  rounded int/int division per value, a zero +0.0, e.g. with g1 = a/A,
+  g2 = c/C, w1 = e/E, w2 = g/G the metric factor -(AC - ac)^2 e g / ((AC)^2 E G);
+* other tables: numpy object arrays, `_metric` and `_forms` element by
+  element, except that with exact g and float w1 (exA2) -(1 - g1 g2)^2 is
+  one such division.
+
+Certificate.  An exact node value V is a multiple of 1/D (known D) and a sum
+of up to three terms: table entries (X + Y for a coordinate, L, M) or an
+x-entry times a y-entry ((-W1) W2 + (2 G1 W1) (G2 W2) + (-G1^2 W1)(G2^2 W2)
+for the factor).  Entries are tabled as hi = fl(a/b), lo = fl(a/b - hi) from
+ints, NaN unless hi = 0 or 2^-450 <= |hi| <= 2^450; hi is split in 26-bit
+halves.  The terms' leading doubles p (for a product fl(a_hi b_hi), whose
+error Dekker's TwoProd gets exactly, as no product underflows) are summed by
+TwoSum into s from +0.0; the rest (lo, or the TwoProd error plus
+fl(a_hi b_lo + a_lo b_hi), and the TwoSum errors) into a float t; and
+(r, rho) = TwoSum(s, t).
+With u = 2^-53 an entry is off by at most 1.01 u^2 |hi|, a term by
+10.1 u^2 |p| + 3 2^-1075, and t by 20.5 u^2 sum|p| (at most four roundings
+of addends below 5.1 u sum|p|), so |V - r - rho| <= 30.6 u^2 sum|p| +
+9 2^-1075, below beta = 2^-100 sum|p| + 2^-1071 by more than 4 u^2 sum|p| +
+2^-1073, also as beta is rounded.  r is kept where r + fl(rho - beta) and
+r + fl(rho + beta) both round to r: each rounding of rho -+ beta is below
+1.1 u^2 sum|p| + 2^-1075, so V lies between the two, and rounding is
+monotone.  r = 0 (never -0.0) is kept where beta < 2^-bitlength(D) <= 1/D:
+there rho = 0 and |V| < 1/D, so V = 0.
+Other nodes (NaN entries, ties, deep cancellation) take the division.
 
 A node is masked where |metric factor| < 1e-300, and its forms are not
 formed there; `geometry.generated_chart` forms sigma = log|factor|/2 and
@@ -355,9 +377,17 @@ def _exact_values(x, y):
     (c, C), (g, G), (q, Q) = y
     ac, den, minus_e = A * C, (A * C) ** 2 * E * G, -e
     sx, sy, den4 = -2 * e * p * (G * Q), -2 * g * q * (E * P), 4 * E * P * G * Q
-    # np.square multiplies each int by itself, which CPython squares faster
-    factor = lambda kx, ky: np.square(ac - a[kx] * c[ky]) * (minus_e[kx] * g[ky]) / den
-    return factor, lambda kx, ky: ((sx[kx] + sy[ky]) / den4, (sx[kx] - sy[ky]) / den4)
+    # the factor is (-W1) W2 + (2 G1 W1) (G2 W2) + (-G1^2 W1) (G2^2 W2); in the
+    # exact division np.square multiplies each int by itself, which CPython
+    # squares faster
+    factor = _certified(den, zip(
+        [_pairs(minus_e, E), _pairs(2 * a * e, A * E), _pairs(-a * a * e, A * A * E)],
+        [_pairs(g, G), _pairs(c * g, C * G), _pairs(c * c * g, C * C * G)]),
+        lambda kx, ky: np.square(ac - a[kx] * c[ky]) * (minus_e[kx] * g[ky]) / den)
+    lx, ly, lcm = _pairs(sx, den4), _pairs(sy, den4), math.lcm(2 * E * P, 2 * G * Q)
+    L = _certified(lcm, [(lx, None), (None, ly)], lambda kx, ky: (sx[kx] + sy[ky]) / den4)
+    M = _certified(lcm, [(lx, None), (None, -ly)], lambda kx, ky: (sx[kx] - sy[ky]) / den4)
+    return factor, lambda kx, ky: (L(kx, ky), M(kx, ky))
 
 
 def _mixed_values(patch, xs, ys, x, y):
@@ -378,14 +408,60 @@ def _mixed_values(patch, xs, ys, x, y):
 
 def _node_sum(p: Branch, q: Branch, lattice):
     """(kx, ky) -> float(p(x) + q(y)) at lattice indices: over numerator
-    tables m/P and n/Q, (m Q + n P) / (P Q)."""
+    tables m/P and n/Q, certified, else (m Q + n P) / (P Q)."""
     exact_p, exact_q = _numerators(p, lattice.xs), _numerators(q, lattice.ys)
     if not (exact_p and exact_q):
         px, qy = _objects(p.table(lattice.xs)), _objects(q.table(lattice.ys))
         return lambda kx, ky: (px[kx] + qy[ky]).astype(float)
     (m, P), (n, Q) = exact_p, exact_q
     mx, ny, den = m * Q, n * P, P * Q
-    return lambda kx, ky: (mx[kx] + ny[ky]) / den
+    return _certified(math.lcm(P, Q), [(_pairs(m, P), None), (None, _pairs(n, Q))],
+                      lambda kx, ky: (mx[kx] + ny[ky]) / den)
+
+
+def _pairs(nums, den) -> np.ndarray:
+    """Rows (hi, lo, hi1, hi2) of nums[k] / den as in the module docstring,
+    hi = hi1 + hi2 in 26-bit halves."""
+    his, los = [], []
+    for n in nums.tolist():
+        hi = n / den if abs(n) >> 450 < den else 0.0  # |hi| <= 2^450, no overflow
+        m, scale = hi.as_integer_ratio()
+        his.append(hi if not n or 2.0**-450 <= abs(hi) else math.nan)
+        los.append((n * scale - m * den) / (den * scale) if hi else 0.0)
+    hi, lo = np.array(his), np.array(los)
+    hi1 = hi * (2.0**27 + 1) - (hi * (2.0**27 + 1) - hi)
+    return np.array([hi, lo, hi1, hi - hi1])
+
+
+def _two_sum(a, b):  # (fl(a + b), its exact error): Knuth's TwoSum
+    s = a + b
+    return s, (a - (s - (s - a))) + (b - (s - a))
+
+
+def _certified(den, terms, exact):
+    """(kx, ky) -> float array: the sum of `terms` (an x- and a y-table of
+    `_pairs`, multiplied, or one of them and None), a multiple of 1/den,
+    certified as in the module docstring; exact(kx, ky) where that fails."""
+    terms, unit = list(terms), 2.0 ** -den.bit_length()  # unit <= 1/den
+
+    def value(kx, ky):
+        s = t = size = 0.0  # s starts at +0.0, so r is never -0.0
+        for tx, ty in terms:
+            if tx is None or ty is None:
+                p, q = tx[:2].take(kx, 1) if ty is None else ty[:2].take(ky, 1)
+            else:
+                (ah, al, a1, a2), (bh, bl, b1, b2) = tx.take(kx, 1), ty.take(ky, 1)
+                p = ah * bh
+                q = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + (ah * bl + al * bh)
+            s, e = _two_sum(s, p)
+            t, size = t + e + q, size + abs(p)
+        r, rho = _two_sum(s, t)
+        beta = size * 2.0**-100 + 2.0**-1071
+        ok = (r + (rho - beta) == r) & (r + (rho + beta) == r) | (r == 0) & (beta < unit)
+        if not ok.all():
+            r[~ok] = exact(kx[~ok], ky[~ok])
+        return r
+    return value
 
 
 def _by_blocks(grid, lattice, node) -> np.ndarray:

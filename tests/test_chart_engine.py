@@ -9,11 +9,22 @@ values: exact numerator tables, rational g with float w1 (exA2), and the
 per-point expressions element by element for every other mix of types.
 The space-like chart, built by the same constructor, is checked against
 the per-point oracle `spacelike_forms` the same way.
+
+Exact tables form their node values as certified double-doubles, with the
+exact division where the certificate fails (module docstring of
+`weierstrass`).  `EDGE_SPECS` take every node past the certificate's edges:
+seeded Fraction data, exact zeros, factors on both sides of 1e-300, values
+near overflow and subnormal ones, and exact ties and near-ties.  Two tests
+watch the certificate itself: near-ties within its bound take the division,
+and at most 1% of the values of the presets and the dense spec at 65 x 65
+do.
 """
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import spacelike_conformal_factor, spacelike_forms
@@ -67,6 +78,48 @@ SPECS = {
     "g_float_constant": null_spec(poly(0.0, "1/3", "2/7"), RATIONAL_G[1], RATIONAL_W, RATIONAL_W),
     "dense": dense_spec(17),
 }
+
+
+def _seeded_null(seed):
+    """A null spec with random Fraction coefficients: g_i of degree 3-5
+    vanishing at 0, w_i of degree 0-2 with w_i(0) = 1."""
+    rng = random.Random(seed)
+    coeff = lambda: str(Fraction(rng.randint(-40, 40), rng.randint(1, 60)))
+    g = lambda: poly(0, *(coeff() for _ in range(rng.randint(3, 5))))
+    w = lambda: poly(1, *(coeff() for _ in range(rng.randint(0, 2))))
+    return _square(null_spec(g(), g(), w(), w()), 17)
+
+
+# g = 0 and w = 1 give the coordinates (v, 0, u) and the factor -1 exactly;
+# u runs over 1 + 2^-53 + i 2^-102, so u_i lies i 2^-102 above the midpoint
+# of two doubles: node values that are exact ties and near-ties
+TIE_U = Fraction(1) + Fraction(1, 2**53)
+NEAR_TIES = {**null_spec(poly(0), poly(0)), "grid": {
+    "u_min": str(TIE_U), "u_max": str(TIE_U + Fraction(16, 2**102)), "nu": 17,
+    "v_min": str(Fraction(-1, 2**40)), "v_max": str(Fraction(1, 2**40)), "nv": 17}}
+TINY_150, TINY_310 = Fraction(1, 10**150), Fraction(1, 10**310)
+
+
+def _weights(scale, a, b):
+    """w1 = scale (1 + t/a), w2 = scale (1 + t/b), as spec polynomials."""
+    return [poly(str(scale), str(scale / k)) for k in (a, b)]
+
+
+# more edge cases of the certified values, each with the per-point API as
+# the reference: exact zeros (g1 g2 = 1 and L = M = 0 at nodes), factors on
+# both sides of 1e-300, values near the double range's ends
+EDGE_SPECS = {
+    "seeded_null_1": _seeded_null(1),
+    "seeded_null_2": _seeded_null(2),
+    "seeded_null_3": _seeded_null(3),
+    "unit_product_zeros": null_spec(poly(0, 2), poly(0, 2)),
+    "straddle_1e-300": null_spec(poly(0, 1), poly(0, "2/3"), *_weights(TINY_150, 3, -7)),
+    "near_overflow": null_spec(poly(0, 10**75), poly(0, 13 * 10**75)),
+    "subnormal_forms": null_spec(poly(0, 0, "1/1" + "0" * 310), poly(0, 0, "3/1" + "0" * 310)),
+    "subnormal_coordinates": null_spec(poly(0), poly(0), *_weights(TINY_310, 1, -3)),
+    "near_ties": NEAR_TIES,
+}
+SPECS.update(EDGE_SPECS)
 CASES = ["z5", "deg26", "f2", "exA2", "z2", *SPECS]
 
 
@@ -353,3 +406,94 @@ def test_an_overflowing_block_is_evaluated_once(monkeypatch):
     with pytest.raises(OverflowError, match="^integer division result too large for a float$"):
         patch.chart(GridSpec.square(1, 33))
     assert calls == [1024]
+
+
+def _fallbacks(monkeypatch):
+    """Wrap `weierstrass._certified`: a list that gets, for each certified
+    pass built after this call, the list of (kx, ky) lattice index pairs its
+    exact fallback receives."""
+    passes, certified = [], weierstrass._certified
+
+    def counting(den, terms, exact):
+        seen = []
+        passes.append(seen)
+        return certified(den, terms, lambda kx, ky: seen.extend(zip(kx, ky)) or exact(kx, ky))
+
+    monkeypatch.setattr(weierstrass, "_certified", counting)
+    return passes
+
+
+def _half_gap_distance(value: Fraction) -> Fraction:
+    """|value - m| for the nearest midpoint m between two adjacent doubles."""
+    r = float(value)
+    mids = [(Fraction(r) + Fraction(float(np.nextafter(r, s)))) / 2 for s in (-math.inf, math.inf)]
+    return min(abs(value - m) for m in mids)
+
+
+def test_near_ties_take_the_division(monkeypatch):
+    """The third coordinate of `NEAR_TIES` is u = x + y, i 2^-102 above a
+    midpoint on row i; the certificate's bound there is about 2^-100 (the
+    module docstring: beta = 2^-100 (|x| + |y|) + 2^-1071).  A node within
+    3/4 of beta of the midpoint takes the exact division; one farther than
+    3/2 beta keeps its certified value.  A bound half as wide would certify
+    row 3."""
+    passes = _fallbacks(monkeypatch)
+    resolved = resolve(NEAR_TIES)
+    patch, grid = resolved.patch, resolved.grid
+    lattice = grid.null_lattice()
+    patch.grid_coordinates(grid)
+    fallback = set(passes[2])
+    rows = set()
+    for i, j, u, v in _nodes(grid):
+        k = i * grid.nv + j
+        x, y = lattice.xs[lattice.ix[k]], lattice.ys[lattice.iy[k]]
+        beta = (abs(float(x)) + abs(float(y))) * 2.0**-100
+        distance = _half_gap_distance(u)
+        taken = (lattice.ix[k], lattice.iy[k]) in fallback
+        if distance < Fraction(3, 4) * Fraction(beta):
+            assert taken, (i, j)
+            rows.add(i)
+        elif distance > Fraction(3, 2) * Fraction(beta):
+            assert not taken, (i, j)
+    assert rows == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("name", ["z3", "z5", "f1", "f2", "deg26", "dense"])
+def test_the_certificate_clears_nearly_every_value(name, monkeypatch):
+    """At 65 x 65, at most 1% of the exact values of the chart and of the
+    coordinates fall back to the exact division."""
+    spec = dense_spec(65) if name == "dense" else preset_spec(name)
+    spec["grid"]["nu"] = spec["grid"]["nv"] = 65
+    resolved = resolve(spec)
+    passes = _fallbacks(monkeypatch)
+    patch, grid = resolved.patch, resolved.grid
+    chart = patch.chart(grid)
+    patch.grid_coordinates(grid)
+    assert len(passes) == 6  # the factor, L, M and three coordinates
+    values = grid.nu * grid.nv * 4 + 2 * int(chart.mask.sum())
+    assert sum(map(len, passes)) <= values // 100
+
+
+# u in [0, 1] and v in [0, 1 + 10^-30]: du/dv = p/q with p, q near 10^30, so
+# the lattice keys p i + q j do not fit an int64
+HUGE_KEYS = {"u_min": 0, "u_max": 1, "v_min": 0, "v_max": "1" + "0" * 29 + "1/1" + "0" * 30,
+             "nu": 17, "nv": 19}
+
+
+def test_null_lattice_with_keys_beyond_int64():
+    """The ranks are those of the sorted distinct Python ints (the CLI's
+    files on this grid are pinned in test_cli)."""
+    grid = resolve({**preset_spec("z3"), "grid": HUGE_KEYS}).grid
+    lat = grid.null_lattice()
+    du, dv = grid.u_nodes()[1] - grid.u_nodes()[0], grid.v_nodes()[1] - grid.v_nodes()[0]
+    p, q = (du / dv).numerator, (du / dv).denominator
+    assert p * (grid.nu - 1) + q * (grid.nv - 1) >= 2**63
+    for keys, index, values in (
+        ([p * i + q * j for i in range(grid.nu) for j in range(grid.nv)], lat.ix, lat.xs),
+        ([p * i + q * (grid.nv - 1 - j) for i in range(grid.nu) for j in range(grid.nv)],
+         lat.iy, lat.ys),
+    ):
+        distinct = sorted(set(keys))
+        assert index.dtype == np.intp and index.tolist() == list(map(distinct.index, keys))
+        assert len(values) == len(distinct)
+    test_null_lattice_gives_exact_null_coordinates(grid)

@@ -1,5 +1,6 @@
 """CLI commands: outputs, exit codes, spec diagnostics, determinism."""
 
+import hashlib
 import json
 import re
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import pytest
 
 from zmcsurf.cli import main
-from zmcsurf.presets import PRESET_ORDER
+from zmcsurf.presets import PRESET_ORDER, preset_spec
 
 from spec_cases import SPEC_CASES
 
@@ -509,6 +510,53 @@ def test_exit_code_3_on_non_finite_float_values(tmp_path, capsys, route, data, n
         assert caught == []
         assert json.loads(capsys.readouterr().err) == error
         assert not out.exists()
+
+
+# sha256 of each file `generate` and `classify` write for z3 on the grid u in
+# [0, 1], v in [0, 1 + 10^-30] at 17 x 19, where the null lattice's integer
+# keys exceed int64 (test_chart_engine.HUGE_KEYS), recorded before the
+# lattice ranks were formed with numpy
+HUGE_KEYS_DIGESTS = {
+    "metadata.json": "c676d80ba591bed0f711a794a719d40d7a45e89fb5bd5a2f445d101a798a12ba",
+    "surface.csv": "65b8e67c34576784a96860ebadf4dfd3796cbb0128742fc9546d789f42087862",
+    "classification.csv": "a88fce99ed8d8b178f5c59b12bf0cef5bb78defb13d000cbed19f21f2622ade1",
+    "summary.json": "92639ce1c604c8105e291f304403f3e96313dc0ff6574654ce2479d6047170df",
+}
+
+
+def test_lattice_keys_beyond_int64_write_the_same_files(tmp_path):
+    grid = {"u_min": 0, "u_max": 1, "v_min": 0, "v_max": "1" + "0" * 29 + "1/1" + "0" * 30,
+            "nu": 17, "nv": 19}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**preset_spec("z3"), "grid": grid}))
+    written = {}
+    for cmd in ("generate", "classify"):
+        assert _run([cmd, "--spec", str(path), "--out", str(tmp_path / cmd)]) == 0
+        for f in (tmp_path / cmd).iterdir():
+            written[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
+    assert written == HUGE_KEYS_DIGESTS
+
+
+def _sources(tmp_path):
+    """(name, CLI source arguments) of every preset and `spec_cases` entry."""
+    for name in PRESET_ORDER:
+        yield name, ["--preset", name]
+    for name, (spec, args) in SPEC_CASES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        yield name, ["--spec", str(path), *args]
+
+
+def test_generate_and_classify_raise_no_numpy_warning(tmp_path):
+    """Every warning is an error here: the float passes of the chart (the
+    certified node values among them, whose discarded lanes may overflow)
+    run under numpy's errstate, so none reaches the caller."""
+    for name, source in _sources(tmp_path):
+        for cmd in ("generate", "classify"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = _run([cmd, *source, "--out", str(tmp_path / cmd / name)])
+            assert code in (0, 2, 3), (name, cmd)
 
 
 @pytest.mark.parametrize(

@@ -11,17 +11,36 @@
 
 A node value that depended on the node's place in an evaluation block, or
 on a neighbour's null coordinate, would move a row between the two grids.
+A derandomized sweep checks refinement, n x n -> (2n - 1) x (2n - 1), on
+drawn Fraction null and ko specs and on every `spec_cases` entry with a
+generated chart, and also against a sub-rectangle of the finer grid with
+its spacing, whose rows are the finer grid's rows there.
 """
 
 import copy
+import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zmcsurf.geometry import classify_chart
+from zmcsurf.geometry import NumericGuardError, classify_chart
 from zmcsurf.outputs import classification_lines, surface_lines
 from zmcsurf.presets import preset_spec
-from zmcsurf.surfacespec import resolve
+from zmcsurf.surfacespec import SpecError, resolve
+
+from spec_cases import SPEC_CASES, null_spec, poly
+from test_route_properties import _ko_and_null, g_pairs, w_pairs
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+# keep hypothesis's storage out of the working directory (see test_spec_fuzz)
+_STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_STORAGE.name)
+
+SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
 COARSE, FINE = 33, 65
 
@@ -74,3 +93,77 @@ def test_swapping_the_branches_reverses_v_and_negates_m(name):
     assert len(np.unique(cls.kinds)) > 1
     assert np.array_equal(swapped_cls.kinds, cls.kinds[:, ::-1])
     assert np.array_equal(swapped_cls.D, cls.D[:, ::-1], equal_nan=True)
+
+
+def _spec_rows(spec, grid=None):
+    """(surface.csv lines, classification.csv lines) of `spec` on its grid
+    updated by `grid`; a file that refuses a value is None.  Analysis
+    settings play no part, and a seed could lie outside the grid."""
+    spec = copy.deepcopy(spec)
+    spec["grid"].update(grid or {})
+    spec.pop("analysis", None)
+    resolved = resolve(spec, minimum_nodes=2)
+    rows = []
+    for lines in (lambda c: surface_lines(c, resolved.patch),
+                  lambda c: classification_lines(classify_chart(c))):
+        try:
+            rows.append("".join(lines(resolved.patch.chart(resolved.grid))).splitlines())
+        except (NumericGuardError, OverflowError):
+            rows.append(None)
+    return rows
+
+
+def _refines(spec, n, sub):
+    """Rows of the n x n grid at its nodes in the (2n - 1) x (2n - 1) grid
+    over the same rectangle, and rows of the sub-rectangle of the finer grid
+    from node sub[:2] with sub[2:] steps, equal text node for node."""
+    fine_n = 2 * n - 1
+    fine = _spec_rows(spec, {"nu": fine_n, "nv": fine_n})
+    resolved = resolve({**spec, "grid": {**spec["grid"], "nu": fine_n, "nv": fine_n}})
+    us, vs = resolved.grid.u_nodes(), resolved.grid.v_nodes()
+    a, b = min(sub[0], fine_n - 2), min(sub[1], fine_n - 2)
+    k, m = min(sub[2], fine_n - 1 - a), min(sub[3], fine_n - 1 - b)
+    rectangle = {"u_min": str(us[a]), "u_max": str(us[a + k]), "nu": k + 1,
+                 "v_min": str(vs[b]), "v_max": str(vs[b + m]), "nv": m + 1}
+    checks = [(_spec_rows(spec, {"nu": n, "nv": n}), n, lambda i, j: (2 * i, 2 * j)),
+              (_spec_rows(spec, rectangle), m + 1, lambda i, j: (a + i, b + j))]
+    for rows, nv, place in checks:
+        for got, want in zip(rows, fine):
+            if got is None or want is None:
+                continue
+            assert got[0] == want[0]
+            for row, line in enumerate(got[1:]):
+                i, j = place(*divmod(row, nv))
+                assert line == want[1 + i * fine_n + j], (i, j)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+corners = st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(1, 16), st.integers(1, 16))
+
+
+@SWEEP
+@given(st.lists(rationals, min_size=1, max_size=4), st.lists(rationals, min_size=1, max_size=4),
+       st.lists(rationals, max_size=2), st.lists(rationals, max_size=2), corners)
+def test_null_spec_rows_do_not_depend_on_the_grid(g1, g2, w1, w2, sub):
+    branch = lambda head, tail: poly(*map(str, head + tail))
+    spec = null_spec(branch([0], g1), branch([0], g2), branch([1], w1), branch([1], w2))
+    _refines(spec, 17, sub)
+
+
+@SWEEP
+@given(g_pairs, w_pairs, corners)
+def test_ko_spec_rows_do_not_depend_on_the_grid(g, w, sub):
+    ko, _ = _ko_and_null([(Fraction(0), Fraction(0))] + g, [w[0]] + w[1])
+    _refines(ko, 17, sub)
+
+
+def _generated(name):
+    try:
+        return SPEC_CASES[name][0]["route"] != "chart" and bool(resolve(SPEC_CASES[name][0]))
+    except SpecError:
+        return False
+
+
+@pytest.mark.parametrize("name", [name for name in SPEC_CASES if _generated(name)])
+def test_spec_case_rows_do_not_depend_on_the_grid(name):
+    _refines(SPEC_CASES[name][0], 17, (5, 7, 9, 6))

@@ -12,15 +12,16 @@ direction is null), positive (two real principal curvatures), negative
 (complex pair).  The discriminant D = e^{-4 sigma} ((L+N)^2 - 4 M^2)
 separates them.  Kinds, D, principal curvatures and directions are arrays
 over the grid; a kind is an int8 code into one table (`KIND_NAMES`,
-`KIND_DIRECTIONS`), and the writers look its name up there.  A generated
-chart's kinds are exact, from the signs of its two Hopf branches taken once
-per distinct null coordinate.  Classifying never raises (exponents are
-clamped to EXP_MAX; a direction whose length underflows is not finite), so
-every chart's kinds serve the flow portrait; `outputs.classification_lines`
-alone refuses a value it cannot print.  Generated charts
-of both signatures are built by `generated_chart` from arrays of the
-metric factor and the second forms, each patch type with its own mask
-rule; raw ones by `chart_from_arrays`.
+`KIND_DIRECTIONS`), and the writers look its name up there.  A time-like
+generated chart with polynomial w_i and g_i' has exact kinds: the signs of
+the Hopf branches -w_i g_i'/2, taken once per distinct null coordinate from
+the chart's own L/M term tables and stored per node (`hopf_signs`).
+Classifying never raises (exponents are clamped to EXP_MAX; a direction
+whose length underflows is not finite), so every chart's kinds serve the
+flow portrait; `outputs.classification_lines` alone refuses a value it
+cannot print.  Generated charts of both signatures are built by
+`generated_chart` from arrays of the metric factor and the second forms,
+each patch type with its own mask rule; raw ones by `chart_from_arrays`.
 """
 
 from __future__ import annotations
@@ -159,10 +160,10 @@ class SurfaceChart:
     N: np.ndarray
     mask: np.ndarray  # True where the node is a valid immersed point
     metric_sign: np.ndarray  # sign of the du^2-coefficient of the metric
-    # the grid's null lattice, and the polynomial Hopf branches evaluated
-    # on it: (plus at lattice.xs, minus at lattice.ys)
-    lattice: Optional[NullLattice] = None
-    hopf_values: Optional[tuple] = None
+    # [2, nu, nv] int8 signs of the Hopf branches -w_i g_i'/2 at each node
+    # (plus at x, minus at y), taken once per distinct null coordinate from
+    # the chart's L/M term tables; None unless w_i and g_i' are polynomial
+    hopf_signs: Optional[np.ndarray] = None
 
     def node(self, i: int, j: int):
         return self.grid.u_nodes()[i], self.grid.v_nodes()[j]
@@ -171,9 +172,8 @@ class SurfaceChart:
     def classify(self) -> "ChartClassification":
         """Every node at once, as arrays over the grid.
 
-        With Hopf tables the kind is exact: the signs of the two branch
-        values, read once per distinct null coordinate, decide it.  Without
-        them a tolerance 1e-9 (1 + |L| + |N| + |M|) on a = L + N and b = 2M
+        With Hopf signs the two signs at the node decide the kind exactly.
+        Without them a tolerance 1e-9 (1 + |L| + |N| + |M|) on a = L + N and b = 2M
         decides, and the umbilic and quasi-umbilic nodes it finds are marginal.
         """
         m = self.mask
@@ -181,7 +181,7 @@ class SurfaceChart:
         a, b = L + N, 2.0 * M
         disc = a * a - b * b
         D = each(math.exp, np.minimum(-4.0 * self.sigma[m], EXP_MAX)) * disc
-        if self.hopf_values is None:
+        if self.hopf_signs is None:
             tau = 1e-9 * (1.0 + np.abs(L) + np.abs(N) + np.abs(M))
             umbilic = (np.abs(a) <= tau) & (np.abs(b) <= tau)
             quasi = ~umbilic & (np.abs(np.abs(a) - np.abs(b)) <= tau)
@@ -189,9 +189,7 @@ class SurfaceChart:
             # degenerate eigenvalue; unique null direction (b, -a) up to scale
             null_dir = _unit(b[quasi], -a[quasi])
         else:
-            plus, minus = (np.array([_sign(t) for t in v]) for v in self.hopf_values)
-            p = plus[self.lattice.ix].reshape(m.shape)[m]
-            q = minus[self.lattice.iy].reshape(m.shape)[m]
+            p, q = self.hopf_signs[:, m]
             umbilic = (p == 0) & (q == 0)
             quasi = (p == 0) != (q == 0)
             positive = p * q > 0
@@ -199,7 +197,7 @@ class SurfaceChart:
             # the null direction (s, 1), s = 1 where the plus branch vanishes
             s = np.where(p[quasi] == 0, 1.0, -1.0)
             null_dir = _unit(s, np.ones_like(s))
-        marginal = (umbilic | quasi) & (self.hopf_values is None)
+        marginal = (umbilic | quasi) & (self.hopf_signs is None)
         r = np.where(positive, np.sqrt(np.abs(disc)), 0.0)
         f = self.metric_sign[m] * each(math.exp, np.minimum(-2.0 * self.sigma[m], EXP_MAX))
         eigenvalues = np.stack([f * (L - N + r) / 2.0, f * (L - N - r) / 2.0], axis=-1)
@@ -236,11 +234,6 @@ def each(fn, a: np.ndarray, *rest) -> np.ndarray:
     return np.fromiter(map(fn, a.ravel().tolist(), *rest), float, a.size).reshape(a.shape)
 
 
-def _sign(value) -> float:
-    """+1, -1 or 0 by exact comparison; NaN for NaN."""
-    return 1.0 if value > 0 else -1.0 if value < 0 else 0.0 if value == 0 else math.nan
-
-
 def _unit(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows (p, q) / sqrt(p*p + q*q), not finite where that is 0, first non-zero
     component positive, in elementwise IEEE operations: no BLAS or fused multiply-add.
@@ -259,13 +252,9 @@ def _unit(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _exact_branch_values(chart, i, j):
-    """Hopf branch values (plus(x), minus(y)) at node (i, j), looked up in
-    the chart's 1-D tables; None when the chart carries none."""
-    if chart.hopf_values is None:
-        return None
-    plus, minus = chart.hopf_values
-    k = i * chart.grid.nv + j
-    return plus[chart.lattice.ix[k]], minus[chart.lattice.iy[k]]
+    """The signs (plus(x), minus(y)) of the Hopf branches at node (i, j),
+    as ints; None when the chart carries none."""
+    return None if chart.hopf_signs is None else tuple(chart.hopf_signs[:, i, j].tolist())
 
 
 @dataclass

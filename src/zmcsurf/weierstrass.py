@@ -31,7 +31,10 @@ Derived and validated here (rather than taken on faith):
   4 times that because du = (dz + conj dz)/2.
 
 Separable chart engine.  Every datum is a function of one null coordinate:
-g_i, w_i, g_i', the three primitives per coordinate and the Hopf branches.
+g_i, w_i, g_i', the three primitives per coordinate and the Hopf branches
+-w_i g_i'/2.  The kinds are the Hopf branches' signs, taken once per distinct
+null coordinate from the chart's own L/M term tables -2 w_i g_i' and stored
+per node (`SurfaceChart.hopf_signs`, where w_i and g_i' are polynomial).
 `GridSpec.null_lattice` gives the distinct x and y values of a grid's nodes
 (nu + nv - 1 of each on a square grid with du = dv); each branch is tabled
 once per value, and the node values of `ImmersionPatch.chart` (metric
@@ -299,15 +302,16 @@ class ImmersionPatch:
 
     @np.errstate(all="ignore")
     def chart(self, grid: GridSpec) -> SurfaceChart:
-        """The chart; NumericGuardError names the first immersed node,
-        row-major, whose metric factor, L or M is not a finite double
-        (`generated_chart`)."""
+        """The chart, with its Hopf signs where w_i and g_i' are polynomial;
+        NumericGuardError names the first immersed node, row-major, whose
+        metric factor, L or M is not a finite double (`generated_chart`)."""
         lattice = grid.null_lattice()
         xs, ys = lattice.xs, lattice.ys
         d, (g1d, g2d) = self.data, self.g_primes
         x = [_numerators(b, xs) for b in (d.g1, d.w1, g1d)]
         y = [_numerators(b, ys) for b in (d.g2, d.w2, g2d)]
-        factor, forms = _mixed_values(self, xs, ys, x, y) if None in x + y else _exact_values(x, y)
+        values = _mixed_values(self, xs, ys, x, y) if None in x + y else _exact_values(x, y)
+        factor, forms, (lx, ny) = values
 
         def node(kx, ky):
             f = factor(kx, ky).astype(float)
@@ -316,12 +320,12 @@ class ImmersionPatch:
             return f, L, M
 
         metric, L, M = np.moveaxis(_by_blocks(grid, lattice, node), -1, 0)
-        chart = generated_chart(grid, metric, ~(np.abs(metric) < _MASKED), L, M, L,
-                                lattice=lattice)
-        hopf = self.hopf()
-        if hopf.plus.is_polynomial and hopf.minus.is_polynomial:
-            chart.hopf_values = (hopf.plus.table(xs), hopf.minus.table(ys))
-        return chart
+        signs = None
+        if all(b.is_polynomial for b in (d.w1, d.w2, g1d, g2d)):  # by comparison: no NaN is cast
+            plus, minus = ((t > 0).astype(np.int8) - (t < 0) for t in (lx, ny))
+            signs = np.reshape([plus[lattice.ix], minus[lattice.iy]], (2, grid.nu, grid.nv))
+        return generated_chart(grid, metric, ~(np.abs(metric) < _MASKED), L, M, L,
+                               hopf_signs=signs)
 
     @np.errstate(all="ignore")
     def grid_coordinates(self, grid: GridSpec) -> np.ndarray:
@@ -372,7 +376,8 @@ def _numerators(branch: Branch, points):
 
 def _exact_values(x, y):
     """(factor, forms) at lattice indices (kx, ky) from the numerator tables
-    of (g1, w1, g1') = (a/A, e/E, p/P) and (g2, w2, g2') = (c/C, g/G, q/Q)."""
+    of (g1, w1, g1') = (a/A, e/E, p/P) and (g2, w2, g2') = (c/C, g/G, q/Q),
+    and the term tables (sx, sy), whose signs are those of -2 w_i g_i'."""
     (a, A), (e, E), (p, P) = x
     (c, C), (g, G), (q, Q) = y
     ac, den, minus_e = A * C, (A * C) ** 2 * E * G, -e
@@ -387,12 +392,12 @@ def _exact_values(x, y):
     lx, ly, lcm = _pairs(sx, den4), _pairs(sy, den4), math.lcm(2 * E * P, 2 * G * Q)
     L = _certified(lcm, [(lx, None), (None, ly)], lambda kx, ky: (sx[kx] + sy[ky]) / den4)
     M = _certified(lcm, [(lx, None), (None, -ly)], lambda kx, ky: (sx[kx] - sy[ky]) / den4)
-    return factor, lambda kx, ky: (L(kx, ky), M(kx, ky))
+    return factor, lambda kx, ky: (L(kx, ky), M(kx, ky)), (sx, sy)
 
 
 def _mixed_values(patch, xs, ys, x, y):
-    """`_exact_values` for other tables, -2 w g' formed per value: with exact
-    g and float w1 (exA2) the factor rounds as `Fraction * float * w2`."""
+    """`_exact_values` for other tables, the terms -2 w g' formed per value:
+    with exact g and float w1 (exA2) the factor rounds as `Fraction * float * w2`."""
     d, (g1d, g2d) = patch.data, patch.g_primes
     w1, w2 = _objects(d.w1.table(xs)), _objects(d.w2.table(ys))
     lx = _objects([-2 * w * dg for w, dg in zip(w1, g1d.table(xs))])
@@ -401,9 +406,9 @@ def _mixed_values(patch, xs, ys, x, y):
     if x[0] and y[0] and all(isinstance(v, float) for v in w1):
         (a, A), (c, C) = x[0], y[0]
         ratio = lambda kx, ky: -np.square(A * C - a[kx] * c[ky]) / (A * C) ** 2
-        return lambda kx, ky: ratio(kx, ky) * w1[kx] * w2[ky], forms
+        return lambda kx, ky: ratio(kx, ky) * w1[kx] * w2[ky], forms, (lx, ny)
     g1, g2 = _objects(d.g1.table(xs)), _objects(d.g2.table(ys))
-    return lambda kx, ky: _metric_each(g1[kx], g2[ky], w1[kx], w2[ky]), forms
+    return lambda kx, ky: _metric_each(g1[kx], g2[ky], w1[kx], w2[ky]), forms, (lx, ny)
 
 
 def _node_sum(p: Branch, q: Branch, lattice):

@@ -302,8 +302,8 @@ def _point(code, *rest):
 
 
 def reference_classify_node(chart, i, j):
-    """Classify one time-like node: exact sign tests on the Hopf branch
-    values when the chart carries them, else a tolerance."""
+    """Classify one time-like node: the Hopf branches' signs when the chart
+    carries them, else a tolerance."""
     if not chart.mask[i, j]:
         return _point(KIND_MASKED, float("nan"), (), None)
 

@@ -1,12 +1,13 @@
 """The separable chart engine against the per-point analytic API.
 
 `ImmersionPatch.chart`, `grid_coordinates` (hence surface.csv) and the
-classifier's Hopf-branch lookup are built from 1-D branch tables; every
-value must equal, bit for bit, what the per-point methods give at the
-node, and every exact table, evaluated over integers, must equal
-`Poly.__call__`.  The cases reach each way the chart forms its node
-values: exact numerator tables, rational g with float w1 (exA2), and the
-per-point expressions element by element for every other mix of types.
+chart's Hopf signs are built from 1-D branch tables; every value must
+equal, bit for bit, what the per-point methods give at the node (each
+sign, the sign of `patch.hopf()` there), and every exact table, evaluated
+over integers, must equal `Poly.__call__`.  The cases reach each way the
+chart forms its node values: exact numerator tables, rational g with float
+w1 (exA2), and the per-point expressions element by element for every
+other mix of types; `SIGN_SPECS` add seeded float data to the sign test.
 The space-like chart, built by the same constructor, is checked against
 the per-point oracle `spacelike_forms` the same way.
 
@@ -90,6 +91,17 @@ def _seeded_null(seed):
     return _square(null_spec(g(), g(), w(), w()), 17)
 
 
+def _seeded_float_null(seed):
+    """A null spec with random float coefficients: g_i of degree 2-5 with
+    g_i(0) = 0 and, for half of them, g_i'(0) = 0 too (a zero Hopf branch
+    at 0), w_i of degree 0-2 with w_i(0) = 1."""
+    rng = random.Random(seed)
+    coeffs = lambda n: [round(rng.uniform(-3, 3), rng.randint(1, 17)) for _ in range(n)]
+    g = lambda: poly(*[0.0] * rng.randint(1, 2), *coeffs(rng.randint(2, 4)))
+    w = lambda: poly(1.0, *coeffs(rng.randint(0, 2)))
+    return _square(null_spec(g(), g(), w(), w()), 17)
+
+
 # g = 0 and w = 1 give the coordinates (v, 0, u) and the factor -1 exactly;
 # u runs over 1 + 2^-53 + i 2^-102, so u_i lies i 2^-102 above the midpoint
 # of two doubles: node values that are exact ties and near-ties
@@ -121,6 +133,8 @@ EDGE_SPECS = {
 }
 SPECS.update(EDGE_SPECS)
 CASES = ["z5", "deg26", "f2", "exA2", "z2", *SPECS]
+# more cases of the Hopf-sign test only: float w_i g_i', signs taken per value
+SIGN_SPECS = {f"seeded_float_null_{seed}": _seeded_float_null(seed) for seed in range(25)}
 
 
 # how each case's chart forms its metric factor and its forms
@@ -138,7 +152,7 @@ FACTOR_PATHS = {
 
 
 def _patch_and_square_grid(name):
-    spec = SPECS[name] if name in SPECS else preset_spec(name)
+    spec = SPECS.get(name) or SIGN_SPECS.get(name) or preset_spec(name)
     resolved = resolve(spec)
     return resolved.patch, resolved.grid
 
@@ -238,8 +252,17 @@ def test_surface_csv_coordinates_match_evaluate(patch_grid):
         assert fields[:5] == [fmt(x) for x in expected], (i, j)
 
 
-def test_branch_lookup_matches_direct_hopf(patch_grid):
-    patch, grid = patch_grid
+def _sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
+@pytest.mark.parametrize("name", CASES + list(SIGN_SPECS))
+@pytest.mark.parametrize("grid_name", ["square", "non_square"])
+def test_branch_lookup_matches_direct_hopf(grid_name, name):
+    """The chart's Hopf signs are the signs of `patch.hopf()` at each node,
+    as ints, where both Hopf branches are polynomial, and absent otherwise."""
+    patch, grid = _patch_and_square_grid(name)
+    grid = grid if grid_name == "square" else NON_SQUARE
     chart = patch.chart(grid)
     hopf = patch.hopf()
     polynomial = hopf.plus.is_polynomial and hopf.minus.is_polynomial
@@ -248,8 +271,8 @@ def test_branch_lookup_matches_direct_hopf(patch_grid):
         if not polynomial:
             assert got is None
             continue
-        want = (hopf.plus((u + v) / 2), hopf.minus((u - v) / 2))
-        assert got == want and type(got[0]) is type(want[0]), (i, j)
+        want = (_sign(hopf.plus((u + v) / 2)), _sign(hopf.minus((u - v) / 2)))
+        assert got == want and {type(t) for t in got} == {int}, (i, j)
 
 
 def _kobayashi(omega, half_width, n):

@@ -548,11 +548,12 @@ def _sources(tmp_path):
 
 
 def test_generate_and_classify_raise_no_numpy_warning(tmp_path):
-    """Every warning is an error here: the float passes of the chart (the
-    certified node values among them, whose discarded lanes may overflow)
-    run under numpy's errstate, so none reaches the caller."""
+    """Every warning is an error here, in every command: the float passes of
+    the chart (the certified node values among them, whose discarded lanes
+    may overflow, and the Hopf signs, taken by comparison so that no NaN is
+    cast) run under numpy's errstate, so none reaches the caller."""
     for name, source in _sources(tmp_path):
-        for cmd in ("generate", "classify"):
+        for cmd in ("generate", "classify", "index", "flow"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code = _run([cmd, *source, "--out", str(tmp_path / cmd / name)])

@@ -287,11 +287,10 @@ def _plain_unit(p, q):
 def _expected_dirs(chart, i, j, code):
     L, M, N = (float(chart.L[i, j]), float(chart.M[i, j]), float(chart.N[i, j]))
     a, b = L + N, 2.0 * M
-    if code == KIND_QUASI and chart.hopf_values is None:  # the null direction (b, -a)
+    if code == KIND_QUASI and chart.hopf_signs is None:  # the null direction (b, -a)
         return [_plain_unit(b, -a)]
     if code == KIND_QUASI:  # the null direction (s, 1), s = 1 where plus(x) = 0
-        plus = chart.hopf_values[0][chart.lattice.ix[i * chart.grid.nv + j]]
-        return [_plain_unit(1.0 if plus == 0 else -1.0, 1.0)]
+        return [_plain_unit(1.0 if chart.hopf_signs[0, i, j] == 0 else -1.0, 1.0)]
     r = math.sqrt(abs(a * a - b * b))
     out = []
     for lam in (r, -r):
@@ -302,7 +301,7 @@ def _expected_dirs(chart, i, j, code):
 
 
 def _planted_chart(nu, nv, seed=5):
-    """A raw float chart (metric sign -1, no Hopf tables) in which a share
+    """A raw float chart (metric sign -1, no Hopf signs) in which a share
     of the nodes is planted umbilic (L = -N, M = 0), quasi-umbilic
     (|L + N| = |2M|) or masked (sigma NaN)."""
     rng = random.Random(seed)
@@ -390,11 +389,13 @@ KIND_SOURCES = {
 
 @pytest.mark.parametrize("name", sorted(KIND_SOURCES))
 def test_kinds_are_one_int8_code_per_node(name):
-    """Both classifiers, with and without Hopf tables, store one int8 code
-    per node: no kind strings."""
+    """Both classifiers, with and without Hopf signs, store one int8 code
+    per node: no kind strings.  The signs are int8 too, two per node."""
     source, (nu, nv) = KIND_SOURCES[name]
     chart = source(nu, nv)
-    assert (chart.hopf_values is not None) == name.startswith("exact")
+    assert (chart.hopf_signs is not None) == name.startswith("exact")
+    if chart.hopf_signs is not None:
+        assert chart.hopf_signs.dtype == np.int8 and chart.hopf_signs.shape == (2, nu, nv)
     kinds = classify_chart(chart).kinds
     assert kinds.dtype == np.int8
     assert kinds.shape == (nu, nv) and kinds.nbytes == nu * nv

@@ -7,14 +7,17 @@
   surface.csv is compared.
 * Branch swap: swapping (g1, w1) with (g2, w2) of a null spec trades x and
   y, so it reflects v.  The kinds, mask, sigma, L, N and D are those of the
-  original with v reversed, and M is negated, bit for bit.
+  original with v reversed, and M is negated, bit for bit; the text of
+  surface.csv and classification.csv follows, column by column (the
+  derivation is at `SWAP_COLUMNS`).
 
 A node value that depended on the node's place in an evaluation block, or
 on a neighbour's null coordinate, would move a row between the two grids.
 A derandomized sweep checks refinement, n x n -> (2n - 1) x (2n - 1), on
-drawn Fraction null and ko specs and on every `spec_cases` entry with a
-generated chart, and also against a sub-rectangle of the finer grid with
-its spacing, whose rows are the finer grid's rows there.
+drawn Fraction null and ko specs, drawn complex-coefficient kobayashi specs
+and every `spec_cases` entry with a generated chart, and also against a
+sub-rectangle of the finer grid with its spacing, whose rows are the finer
+grid's rows there.
 """
 
 import copy
@@ -24,12 +27,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zmcsurf.geometry import NumericGuardError, classify_chart
+from zmcsurf.geometry import KIND_POSITIVE, KIND_QUASI, NumericGuardError, classify_chart
 from zmcsurf.outputs import classification_lines, surface_lines
 from zmcsurf.presets import preset_spec
 from zmcsurf.surfacespec import SpecError, resolve
 
-from spec_cases import SPEC_CASES, null_spec, poly
+from spec_cases import GRID, SPEC_CASES, null_spec, poly
 from test_route_properties import _ko_and_null, g_pairs, w_pairs
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -82,17 +85,72 @@ def _swapped(spec):
     return spec
 
 
+def _same(text, left):
+    return text
+
+
+def _negated(text, left=None):
+    """The text of the negated value.  Every zero the chart and the
+    coordinates print here is +0.0, and stays "0"; nan and blanks stay."""
+    if text in ("0", "nan", ""):
+        return text
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def _reflected_dv(text, du):
+    """dv of a reflected direction: negated, except that a direction with
+    du = 0 is (0, 1) both ways, its first non-zero component positive."""
+    return text if du in ("0", "-0") else _negated(text)
+
+
+# How each column of a node's row moves under the swap, given the text of
+# the column to its left.  Node (u, v) of the swapped spec has x' = (u + v)/2
+# = y and y' = x, the null coordinates of the original node (u, -v), whose
+# row is the one compared (v reversed, on the presets' rectangle [-1, 1]^2):
+# * u is the same node coordinate; v is -v.
+# * f = (A1(x) - A2(y), B1(x) + B2(y), C1(x) + C2(y)), where (A, B, C) are
+#   the primitives of ((1 - g^2) w, 2 g w, (1 + g^2) w) and the y-branch
+#   enters A with a minus; swapped, f0 = A2(y) - A1(x) is negated and f1, f2
+#   are the same sums.  Each is the rounding of an exact value, and rounding
+#   to nearest is odd, so the text is negated.
+# * sigma = log|(1 - g1 g2)^2 w1 w2| / 2 is symmetric in the two branches,
+#   and so are L = N = (lx + ny)/4; M = (lx - ny)/4 is negated.
+# * kind: the Hopf signs trade places, and the kinds read them symmetrically
+#   (both zero, one zero, the sign of their product); D = e^(-4 sigma)
+#   ((L + N)^2 - 4 M^2) is even in M.
+# * directions: with M negated the shape operator is the original's
+#   conjugated by the reflection (du, dv) -> (du, -dv), so each direction
+#   keeps du and negates dv (`_reflected_dv`); the quasi-umbilic direction
+#   (s, 1) goes to (-s, 1), the same line as (s, -1).
+SWAP_COLUMNS = {
+    "surface": (_same, _negated, _negated, _same, _same, _same, _same, _negated, _same),
+    "classification": (_same, _negated, _same, _same, _same, _reflected_dv, _same,
+                       _reflected_dv),
+}
+
+
 @pytest.mark.parametrize("name", ["f1", "f2", "deg26"])
 def test_swapping_the_branches_reverses_v_and_negates_m(name):
-    original, _ = _chart(preset_spec(name), COARSE)
-    swapped, _ = _chart(_swapped(preset_spec(name)), COARSE)
+    original, patch = _chart(preset_spec(name), COARSE)
+    swapped, swapped_patch = _chart(_swapped(preset_spec(name)), COARSE)
     for form in ("mask", "sigma", "L", "N"):
         assert np.array_equal(getattr(swapped, form), getattr(original, form)[:, ::-1]), form
     assert np.array_equal(swapped.M, -original.M[:, ::-1])
     cls, swapped_cls = classify_chart(original), classify_chart(swapped)
-    assert len(np.unique(cls.kinds)) > 1
+    assert {KIND_POSITIVE, KIND_QUASI} <= set(np.unique(cls.kinds).tolist())
     assert np.array_equal(swapped_cls.kinds, cls.kinds[:, ::-1])
     assert np.array_equal(swapped_cls.D, cls.D[:, ::-1], equal_nan=True)
+    files = {"surface": (surface_lines(original, patch), surface_lines(swapped, swapped_patch)),
+             "classification": (classification_lines(cls), classification_lines(swapped_cls))}
+    for key, (lines, swapped_lines) in files.items():
+        want, got = "".join(lines).splitlines(), "".join(swapped_lines).splitlines()
+        assert got[0] == want[0]
+        for row, line in enumerate(got[1:]):
+            i, j = divmod(row, COARSE)
+            fields = want[1 + i * COARSE + COARSE - 1 - j].split(",")
+            moved = [move(text, left) for move, text, left
+                     in zip(SWAP_COLUMNS[key], fields, [""] + fields)]
+            assert line.split(",") == moved, (key, i, j)
 
 
 def _spec_rows(spec, grid=None):
@@ -155,6 +213,17 @@ def test_null_spec_rows_do_not_depend_on_the_grid(g1, g2, w1, w2, sub):
 def test_ko_spec_rows_do_not_depend_on_the_grid(g, w, sub):
     ko, _ = _ko_and_null([(Fraction(0), Fraction(0))] + g, [w[0]] + w[1])
     _refines(ko, 17, sub)
+
+
+complexes = st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(list), min_size=1,
+                     max_size=3)
+
+
+@SWEEP
+@given(complexes, complexes, corners)
+def test_kobayashi_spec_rows_do_not_depend_on_the_grid(g, w, sub):
+    spec = {"route": "kobayashi", "data": {"g": [0] + g, "omega_hat": w}, "grid": dict(GRID)}
+    _refines(spec, 17, sub)
 
 
 def _generated(name):

@@ -35,6 +35,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .poly import Points
+
 # The kind table.  A node's kind is an int8 code, its position here; each
 # kind has a name (what the outputs print) and a number of principal
 # directions.  Writers index these tables by code.
@@ -69,11 +71,12 @@ class NullLattice(NamedTuple):
     """The distinct null coordinates x = (u+v)/2, y = (u-v)/2 of a grid.
 
     Node (i, j) sits at k = i * nv + j of the flat row-major index arrays:
-    its coordinates are xs[ix[k]] and ys[iy[k]], exactly.
+    its coordinates are xs[ix[k]] and ys[iy[k]], exactly.  xs and ys are
+    `Points`, so each forms its common denominator once per grid.
     """
 
-    xs: list
-    ys: list
+    xs: Points
+    ys: Points
     ix: np.ndarray
     iy: np.ndarray
 
@@ -143,7 +146,7 @@ class GridSpec:
 
         def line(t0, keys):  # t0 + k h, one gcd each rather than Fraction arithmetic's two
             a, b, c, d = t0.numerator, t0.denominator, h.numerator, h.denominator
-            return [Fraction(a * d + k * c * b, b * d) for k in keys.tolist()]
+            return Points(Fraction(a * d + k * c * b, b * d) for k in keys.tolist())
 
         return NullLattice(line((self.u_min + self.v_min) / 2, x_keys),
                            line((self.u_min - self.v_max) / 2, y_keys), ix, iy)

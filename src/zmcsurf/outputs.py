@@ -2,22 +2,35 @@
 
 All floats are written with 17 significant digits so two runs of the same
 spec produce byte-identical files; JSON objects are emitted with sorted
-keys and a fixed layout.  Every CSV file goes through one row writer,
-`_lines`: the header, then one text block per row, each formed by a single
-`%` on a template with `%.17g` per number (the same text as `fmt`).  A grid
-CSV is one block per grid row: its numbers are arrays computed before the
-first block is formed, each node coordinate is formatted once per axis and
-placed into the row's template, and a cell left blank or printed `nan` is
-literal text of the node's template or a NaN value.  classification.csv
-picks a node's template by its int8 kind code: one template per row of
-the kind table (`geometry.KIND_NAMES`), printing the kind's name, D unless
-the node is masked, and as many directions as `KIND_DIRECTIONS` gives it.
-It is the one place a classification value is refused (`_refuse`).
+keys and a fixed layout.  A grid CSV is its header and a text block per
+grid row, from arrays computed first: `_grid_blocks` forms `_BLOCK` nodes
+at a time as NUL-padded byte rows.  A classification.csv row shows its
+kind's name (`geometry.KIND_NAMES`), D unless the node is masked, and
+`KIND_DIRECTIONS` directions; a value it cannot print is refused there.
+
+`_g17` gives the bytes of '%.17g' (`%` prints u, v, `fmt` and winding.csv).
+For |x| in [1e-280, 1e280), e = floor(log10 |x|), k = 16 - e, y = |x| 10^k
+is p + q: p = fl(|x| hi) with its error by Dekker's TwoProd (no FMA, no
+underflow) plus fl(|x| lo), hi = fl(10^k), lo = fl(10^k - hi).  With u =
+2^-53, |10^k - hi - lo| <= u^2 hi and |q| <= 2.01 u y, so |y - p - q| <=
+4.1 u^2 y < 2^-40 (y < 10^18), and N = p + rint(q) (p >= 2^53, an integer)
+is y rounded where f = q - rint(q) has |f| < 1/2 - 2^-40.  Ties: for 0 <= k
+<= 22, lo = 0, p + q = y and rint rounds to even, as Python (p is even);
+for k < 0 a tie makes |x| = (2N + 1) 5^-k 2^(-k-1), an odd factor over 2^54,
+not a double; for k > 22 it needs 5^k | 2N + 1 < 2.2 10^17 and fails the
+certificate.  Where N + f is outside [10^16, 10^17) (log10 off by one, or
+y just below 10^16: 1e-280 prints 9.9999999999999996e-281) e moves by one,
+once; within 2^-40 of 10^16 or 10^17 either side prints the same, and N =
+10^17 prints as 10^16 at e + 1.  Tables give 4 digits at a time and, per
+(layout, significant digits, sign), the places of the digits, '.', '-',
+"0.000" and "e+XX".  NaN, +-inf, other |x| and uncertified x take `%`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -52,44 +65,118 @@ def json_lines(obj):
     yield "\n"
 
 
-def _lines(header, blocks):
-    """CSV text, one block at a time: the header line, then
-    `template % values` for each (template, values) pair of `blocks`."""
+_SLOT = 24  # bytes of the longest %.17g text of a double, "-2.2250738585072014e-308"
+_BLOCK = 512  # nodes per block of `_grid_blocks`, or one grid row
+
+
+@functools.cache
+def _tables():
+    """Built on first use: (hi, lo, hi1, hi2) of 10^k at k + 300; 0000..9999
+    and their trailing zeros; "e+XX.-0" at XX + 300; `_g17`'s byte places."""
+    tens = [Fraction(10) ** k for k in range(-300, 300)]
+    hi = np.array([float(t) for t in tens])
+    lo = np.array([float(t - Fraction(h)) for t, h in zip(tens, hi.tolist())])
+    hi1 = hi * (2.0**27 + 1) - (hi * (2.0**27 + 1) - hi)
+    four, words = ["%04d" % i for i in range(10000)], lambda t, w: np.frombuffer(t.encode(), w)
+
+    def place(layout, n, neg):  # bytes 3-19 the digits, 20 NUL, 24-28 "e+XX", 29-31 ".-0"
+        digit = list(range(3, 20))
+        if layout == 22:  # zero
+            cols = [31]
+        elif layout == 21:  # d.ddde+XX
+            cols = [3] + [29] * (n > 1) + digit[1:n] + list(range(24, 29))
+        elif layout >= 4:  # fixed, exponent layout - 4 >= 0
+            cols = digit[:layout - 3] + [29] * (n > layout - 3) + digit[layout - 3:n]
+        else:  # fixed, 0.000ddd
+            cols = [31, 29] + [31] * (3 - layout) + digit[:n]
+        return [30] * neg + cols + [20] * (_SLOT - neg - len(cols))
+
+    return (np.array([hi, lo, hi1, hi - hi1]), words("".join(four), np.uint32),
+            np.array([4 - len(t.rstrip("0")) for t in four]),
+            words("".join(("e%+03d" % e).ljust(5, "\0") + ".-0" for e in range(-300, 300)),
+                  np.uint64),
+            np.array([place(layout, n, neg) for layout in range(23)
+                      for n in range(1, 18) for neg in (0, 1)]))
+
+
+def _scaled(a, e, powers):  # (N, f), N + f = p + q of the module docstring, N an int64
+    hi, lo, h1, h2 = powers[:, 316 - e]  # k = 16 - e at column k + 300
+    p, split = a * hi, a * (2.0**27 + 1)
+    a1 = split - (split - a)
+    q = ((a1 * h1 - p) + a1 * h2 + (a - a1) * h1) + (a - a1) * h2 + a * lo
+    r = np.rint(q)
+    return p.astype(np.int64) + r.astype(np.int64), q - r
+
+
+def _percent(values) -> np.ndarray:  # Python's '%.17g' of each value, as rows of `_g17`
+    return np.array([b"%.17g" % v for v in values], f"S{_SLOT}").view(np.uint8).reshape(-1, _SLOT)
+
+
+def _g17(x) -> np.ndarray:
+    """The '%.17g' text of each double of the 1-D array x, as NUL-padded
+    rows of `_SLOT` bytes (see the module docstring)."""
+    powers, digits, zeros, exps, places = _tables()
+    shift = lambda N, f: (((N > 10**17) | (N == 10**17) & (f >= 0)).astype(np.int64)
+                          - ((N < 10**16) | (N == 10**16) & (f < 0)))  # into [10^16, 10^17)
+    fast = (np.abs(x) >= 1e-280) & (np.abs(x) < 1e280)
+    a = np.where(fast, np.abs(x), 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    N, f = _scaled(a, e, powers)
+    redo = np.flatnonzero(shift(N, f))  # log10 was off by one, or N + f is just below 10^16
+    e[redo] += shift(N[redo], f[redo])
+    N[redo], f[redo] = again = _scaled(a[redo], e[redo], powers)
+    fast[redo[shift(*again) != 0]] = False
+    fast &= (-6 <= e) & (e <= 16) | (np.abs(f) < 0.5 - 2.0**-40)
+    N, e = np.where(N == 10**17, 10**16, N), e + (N == 10**17)  # rounded up to 10^17
+    b, c, d, g = *np.divmod(N // 10**8 % 10**8, 10**4), *np.divmod(N % 10**8, 10**4)
+    words = np.zeros((len(x), 8), np.uint32)  # 32 bytes, see `_tables`
+    words[:, :5] = digits[np.transpose([N // 10**16, b, c, d, g])]
+    words.view(np.uint64)[:, 3] = exps[e + 300]
+    tz = zeros[g] + (g == 0) * (zeros[d] + (d == 0) * (zeros[c] + (c == 0) * zeros[b]))
+    layout = np.where(x == 0, 22, np.where((-4 <= e) & (e <= 16), e + 4, 21))
+    at = places.take((layout * 17 + 16 - tz) * 2 + np.signbit(x), 0)
+    at += np.arange(0, 32 * len(x), 32)[:, None]
+    out, slow = words.view(np.uint8).take(at), ~fast & (x != 0)
+    out[slow] = _percent(x[slow].tolist())
+    return out
+
+
+def _grid_blocks(header, grid, cells, shown, choice, values):
+    """The header line, then the text of each grid row.  Node (i, j) reads
+    "u_i,v_j,", cells[c], c = choice[i, j], and a field per value of
+    values[i, j]: its '%.17g' text where shown[c], else nothing, then ","
+    ("\n" after the last)."""
     yield ",".join(header) + "\n"
-    for template, values in blocks:
-        yield template % values
-
-
-def _grid_blocks(grid, cells, shown, choice, values):
-    """A (template, values) block per grid row.  Node (i, j) reads
-    "u_i,v_j," and then cells[c], c = choice[i, j], whose `%.17g` fields
-    take the node's `values[i, j]` where `shown[c]`, in order."""
-    u_text = [fmt(u) + "," for u in grid.u_nodes()]
-    v_text = [fmt(v) + "," for v in grid.v_nodes()]
-    table = np.array([[v + c for v in v_text] for c in cells], dtype=object)
-    columns = np.arange(grid.nv)
-    for i, u in enumerate(u_text):
-        text = u + u.join(table[choice[i], columns])
-        yield text, tuple(values[i][shown[choice[i]]].tolist())
+    nu, nv, width = values.shape
+    u, v = (np.c_[_percent(map(float, t)), np.full(len(t), 44, np.uint8)]
+            for t in (grid.u_nodes(), grid.v_nodes()))
+    cells = np.array([c.encode() for c in cells]).view(np.uint8).reshape(len(cells), -1)
+    seps = np.array([44] * (width - 1) + [10], np.uint8)
+    step = max(1, _BLOCK // nv)
+    for i in range(0, nu, step):
+        rows, code = values[i:i + step].reshape(-1, width), choice[i:i + step].ravel()
+        text, show, n = np.zeros(rows.shape + (_SLOT + 1,), np.uint8), shown[code], len(code) // nv
+        text[show, :_SLOT], text[..., _SLOT] = _g17(rows[show]), seps
+        block = np.concatenate([np.repeat(u[i:i + n], nv, 0), np.tile(v, (n, 1)),
+                                cells[code], text.reshape(len(code), -1)], 1)
+        for row in block.reshape(n, -1):
+            yield row.tobytes().translate(None, b"\0").decode()
 
 
 SURFACE_COLUMNS = ("u", "v", "f0", "f1", "f2", "sigma", "L", "M", "N")
-_SURFACE_CELLS = ",".join(["%.17g"] * 7) + "\n"
 
 
 def surface_lines(chart: SurfaceChart, patch):
     """The text of surface.csv, block by block (see `surface_csv`).  Every
     number is computed before this returns, so an OverflowError of the
     coordinates is raised here, before a block is formed."""
-    grid = chart.grid
-    shape = (grid.nu, grid.nv)
+    grid, shape = chart.grid, (chart.grid.nu, chart.grid.nv)
     values = np.empty(shape + (7,))
     values[..., :3] = patch.grid_coordinates(grid)
     for k, form in enumerate((chart.sigma, chart.L, chart.M, chart.N), 3):
         values[..., k] = np.where(chart.mask, form, np.nan)
-    choice = np.broadcast_to(0, shape)
-    blocks = _grid_blocks(grid, [_SURFACE_CELLS], np.ones((1, 7), bool), choice, values)
-    return _lines(SURFACE_COLUMNS, blocks)
+    return _grid_blocks(SURFACE_COLUMNS, grid, [""], np.ones((1, 7), bool), np.zeros(shape, int),
+                        values)
 
 
 def surface_csv(chart: SurfaceChart, patch) -> str:
@@ -102,22 +189,12 @@ def surface_csv(chart: SurfaceChart, patch) -> str:
     return "".join(surface_lines(chart, patch))
 
 
-CLASSIFICATION_COLUMNS = (
-    "u",
-    "v",
-    "kind",
-    "D",
-    "dir1_u",
-    "dir1_v",
-    "dir2_u",
-    "dir2_v",
-)
+CLASSIFICATION_COLUMNS = ("u", "v", "kind", "D", "dir1_u", "dir1_v", "dir2_u", "dir2_v")
 # per kind code: which of D, dir1 (u, v) and dir2 (u, v) a row shows, and
-# its cells after u and v, the kind's name and a %.17g field per value shown
+# its cell after u and v, the kind's name
 _CLASSIFICATION_SHOWN = np.array([[code != KIND_MASKED] + [n > 0] * 2 + [n > 1] * 2
                                   for code, n in enumerate(KIND_DIRECTIONS)])
-_CLASSIFICATION_CELLS = [",".join([name] + ["%.17g" if s else "" for s in shown]) + "\n"
-                         for name, shown in zip(KIND_NAMES, _CLASSIFICATION_SHOWN)]
+_CLASSIFICATION_CELLS = [name + "," for name in KIND_NAMES]
 
 
 def classification_lines(cls: ChartClassification):
@@ -130,9 +207,8 @@ def classification_lines(cls: ChartClassification):
     huge = chart.mask & ~(np.abs(chart.sigma) <= EXP_MAX / 4.0)  # 4 |sigma| > EXP_MAX
     _refuse(chart.grid, huge, "e^(4|sigma|)", "immersed node")
     _refuse(chart.grid, (shown & ~np.isfinite(values)).any(-1), "D or a direction", "node")
-    blocks = _grid_blocks(chart.grid, _CLASSIFICATION_CELLS, _CLASSIFICATION_SHOWN,
-                          cls.kinds, values)
-    return _lines(CLASSIFICATION_COLUMNS, blocks)
+    return _grid_blocks(CLASSIFICATION_COLUMNS, chart.grid, _CLASSIFICATION_CELLS,
+                        _CLASSIFICATION_SHOWN, cls.kinds, values)
 
 
 def classification_csv(cls: ChartClassification) -> str:
@@ -164,8 +240,6 @@ _WINDING_ROW = "%s,%s,%.17g,%s,%.17g,%.17g\n"
 
 def winding_csv(rows) -> str:
     """rows: iterable of (field_name, kind, WindingResult)."""
-    blocks = (
-        (_WINDING_ROW, (name, kind, r.radius, r.samples, r.index, r.max_jump))
-        for name, kind, r in rows
-    )
-    return "".join(_lines(WINDING_COLUMNS, blocks))
+    return ",".join(WINDING_COLUMNS) + "\n" + "".join(
+        _WINDING_ROW % (name, kind, r.radius, r.samples, r.index, r.max_jump)
+        for name, kind, r in rows)

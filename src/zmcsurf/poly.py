@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,20 +75,20 @@ class Poly:
     def numerators(self, points):
         """(ints, den) with self(t) == ints[k] / den at the k-th point and
         den > 0, or None unless the coefficients a_i are ints or Fractions
-        and the points Fractions.  With B and D the common denominators of
-        the a_i and of the points, t = n/D and p(t) is
+        and the points Fractions.  With B the common denominator of the a_i
+        and t = n/D (`Points.scaled`), p(t) is
         (sum_i a_i B D^(deg-i) n^i) / (B D^deg), a Horner loop over ints
         (zeros over 1 for the zero polynomial)."""
-        if not (_exact(self.coeffs) and all(isinstance(t, Fraction) for t in points)):
+        points = points if isinstance(points, Points) else Points(points)
+        if not (_exact(self.coeffs) and (scaled := points.scaled)):
             return None
-        B = math.lcm(*(c.denominator for c in self.coeffs))
-        D = math.lcm(*(t.denominator for t in points))
+        (nums, D), B = scaled, math.lcm(*(c.denominator for c in self.coeffs))
         # a_i B D^(deg-i), highest degree first
         ints = [c.numerator * (B // c.denominator) * D**k
                 for k, c in enumerate(reversed(self.coeffs))]
         out = []
-        for t in points:
-            n, acc = t.numerator * (D // t.denominator), 0
+        for n in nums:
+            acc = 0
             for a in ints:
                 acc = acc * n + a
             out.append(acc)
@@ -192,6 +193,17 @@ class Poly:
         if any(c != 0 for c in self.coeffs[:m]):
             raise ValueError("polynomial is not divisible by t**%d" % m)
         return Poly(self.coeffs[m:])
+
+
+class Points(list):
+    """Points whose `scaled` form is formed once: (nums, D), t_k = nums[k] / D
+    over the lcm D of the denominators, or None unless all are Fractions."""
+
+    @cached_property
+    def scaled(self):
+        if all(isinstance(t, Fraction) for t in self):
+            D = math.lcm(*(t.denominator for t in self))
+            return [t.numerator * (D // t.denominator) for t in self], D
 
 
 def _as_poly(value) -> Poly:

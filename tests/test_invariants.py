@@ -9,7 +9,8 @@
   y, so it reflects v.  The kinds, mask, sigma, L, N and D are those of the
   original with v reversed, and M is negated, bit for bit; the text of
   surface.csv and classification.csv follows, column by column (the
-  derivation is at `SWAP_COLUMNS`).
+  derivation is at `SWAP_COLUMNS`).  On ko data the swap is the
+  split-complex conjugate of g and omega_hat, checked on drawn specs.
 
 A node value that depended on the node's place in an evaluation block, or
 on a neighbour's null coordinate, would move a row between the two grids.
@@ -99,8 +100,11 @@ def _negated(text, left=None):
 
 def _reflected_dv(text, du):
     """dv of a reflected direction: negated, except that a direction with
-    du = 0 is (0, 1) both ways, its first non-zero component positive."""
-    return text if du in ("0", "-0") else _negated(text)
+    du = 0 is (0, 1) both ways, its first non-zero component positive, and
+    a zero dv keeps its text: it comes with M = 0, which both charts hold
+    as +0.0 (a node on v = 0 of a self-conjugate ko spec prints (1, -0)
+    on both)."""
+    return text if du in ("0", "-0") or text in ("0", "-0") else _negated(text)
 
 
 # How each column of a node's row moves under the swap, given the text of
@@ -129,15 +133,17 @@ SWAP_COLUMNS = {
 }
 
 
-@pytest.mark.parametrize("name", ["f1", "f2", "deg26"])
-def test_swapping_the_branches_reverses_v_and_negates_m(name):
-    original, patch = _chart(preset_spec(name), COARSE)
-    swapped, swapped_patch = _chart(_swapped(preset_spec(name)), COARSE)
-    for form in ("mask", "sigma", "L", "N"):
-        assert np.array_equal(getattr(swapped, form), getattr(original, form)[:, ::-1]), form
-    assert np.array_equal(swapped.M, -original.M[:, ::-1])
+def _assert_swapped(spec, swapped_spec, n):
+    """The charts, kinds, D and CSV text of `swapped_spec` at n x n are those
+    of `spec` moved as above; returns the original's classification."""
+    original, patch = _chart(spec, n)
+    swapped, swapped_patch = _chart(swapped_spec, n)
+    assert np.array_equal(swapped.mask, original.mask[:, ::-1])
+    for form in ("sigma", "L", "N"):
+        assert np.array_equal(getattr(swapped, form), getattr(original, form)[:, ::-1],
+                              equal_nan=True), form
+    assert np.array_equal(swapped.M, -original.M[:, ::-1], equal_nan=True)
     cls, swapped_cls = classify_chart(original), classify_chart(swapped)
-    assert {KIND_POSITIVE, KIND_QUASI} <= set(np.unique(cls.kinds).tolist())
     assert np.array_equal(swapped_cls.kinds, cls.kinds[:, ::-1])
     assert np.array_equal(swapped_cls.D, cls.D[:, ::-1], equal_nan=True)
     files = {"surface": (surface_lines(original, patch), surface_lines(swapped, swapped_patch)),
@@ -146,11 +152,32 @@ def test_swapping_the_branches_reverses_v_and_negates_m(name):
         want, got = "".join(lines).splitlines(), "".join(swapped_lines).splitlines()
         assert got[0] == want[0]
         for row, line in enumerate(got[1:]):
-            i, j = divmod(row, COARSE)
-            fields = want[1 + i * COARSE + COARSE - 1 - j].split(",")
+            i, j = divmod(row, n)
+            fields = want[1 + i * n + n - 1 - j].split(",")
             moved = [move(text, left) for move, text, left
                      in zip(SWAP_COLUMNS[key], fields, [""] + fields)]
             assert line.split(",") == moved, (key, i, j)
+    return cls
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "deg26"])
+def test_swapping_the_branches_reverses_v_and_negates_m(name):
+    cls = _assert_swapped(preset_spec(name), _swapped(preset_spec(name)), COARSE)
+    assert {KIND_POSITIVE, KIND_QUASI} <= set(np.unique(cls.kinds).tolist())
+
+
+@SWEEP
+@given(g_pairs, w_pairs)
+def test_conjugating_ko_data_swaps_the_branches(g, w):
+    """The split-complex conjugate a - b j of each coefficient a + b j of g
+    and omega_hat trades the null projections a + b and a - b, that is, the
+    branches (g1, w1) and (g2, w2): the swap above, on ko data."""
+    ko, _ = _ko_and_null([(Fraction(0), Fraction(0))] + g, [w[0]] + w[1])
+    conjugate = copy.deepcopy(ko)
+    for key in ("g", "omega_hat"):
+        for coefficient in conjugate["data"][key]["z_poly"]:
+            coefficient[1] = str(-Fraction(coefficient[1]))
+    _assert_swapped(ko, conjugate, 17)
 
 
 def _spec_rows(spec, grid=None):

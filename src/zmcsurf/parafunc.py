@@ -16,11 +16,15 @@ polynomial at 0, so branch orders at the base point are decided exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
+from .geometry import each
 from .paracomplex import IdempotentPair, ParaComplex, recompose
 from .poly import Poly
 
@@ -44,13 +48,18 @@ class Branch:
     optional derivative evaluator and its exact Taylor polynomial at 0,
     `taylor`: the callable minus `taylor` is flat at 0, so every order of
     vanishing is read off a polynomial exactly.  None means the Taylor
-    polynomial is unknown (a Gauss-Legendre primitive, say).
+    polynomial is unknown (a Gauss-Legendre primitive, say).  `arrays` is fn
+    at every entry of a float64 array, bit for bit float(fn(t)) at each float
+    t, raising where fn raises (any one error where points raise several):
+    exp_flat has one, and so has what `+`, `*` and `compose_scale` build from
+    branches that have one; derivatives and primitives have none.
     """
 
     poly: Optional[Poly] = None
     fn: Optional[Callable] = None
     dfn: Optional[Callable] = None
     taylor: Optional[Poly] = None
+    arrays: Optional[Callable] = None
 
     def __post_init__(self):
         if (self.poly is None) == (self.fn is None):
@@ -84,7 +93,13 @@ class Branch:
                 return 0.0
             return 2.0 * math.exp(-1.0 / (t * t)) / t**3
 
-        return cls(fn=f, dfn=df, taylor=Poly())
+        @np.errstate(all="ignore")
+        def arrays(t):  # f divides by t * t = 0 at t != 0; exp(-1 / 0.0) = 0.0
+            if ((t * t == 0) & (t != 0)).any():
+                raise ZeroDivisionError("float division by zero")
+            return each(math.exp, -1.0 / (t * t))
+
+        return cls(fn=f, dfn=df, taylor=Poly(), arrays=arrays)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -98,10 +113,12 @@ class Branch:
         return self.fn(t)
 
     def table(self, points) -> list:
-        """[self(t) for t in points]; see `Poly.table`."""
+        """[self(t) for t in points]; see `Poly.table`.  A callable with a
+        `table` of its own (a Gauss-Legendre primitive) tables itself."""
         if self.poly is not None:
             return self.poly.table(points)
-        return [self.fn(t) for t in points]
+        table = getattr(self.fn, "table", None)
+        return table(points) if table else [self.fn(t) for t in points]
 
     # -- algebra -------------------------------------------------------------
 
@@ -113,6 +130,7 @@ class Branch:
             fn=lambda t: f.fn(t) + g.fn(t),
             dfn=_maybe(lambda t: f.dfn(t) + g.dfn(t), f.dfn and g.dfn),
             taylor=_known(Poly.__add__, f.taylor, g.taylor),
+            arrays=_maybe(lambda t: f.arrays(t) + g.arrays(t), f.arrays and g.arrays),
         )
 
     def __mul__(self, other) -> "Branch":
@@ -124,6 +142,8 @@ class Branch:
                 fn=lambda t: f.fn(t) * other,
                 dfn=_maybe(lambda t: f.dfn(t) * other, f.dfn),
                 taylor=_known(lambda p: p * other, f.taylor),
+                # float * Fraction, like float * int, is float(a) * float(b)
+                arrays=_maybe(lambda t: f.arrays(t) * float(other), f.arrays),
             )
         if self.is_polynomial and other.is_polynomial:
             return Branch(poly=self.poly * other.poly)
@@ -135,6 +155,7 @@ class Branch:
                 f.dfn and g.dfn,
             ),
             taylor=_known(Poly.__mul__, f.taylor, g.taylor),
+            arrays=_maybe(lambda t: f.arrays(t) * g.arrays(t), f.arrays and g.arrays),
         )
 
     __rmul__ = __mul__
@@ -149,7 +170,10 @@ class Branch:
         if not self.is_polynomial:
             return self
         p = self.poly
-        return Branch(fn=p, dfn=p.derivative(), taylor=p)
+        # `Poly.__call__` at a float: Horner from 0 over float_coeffs()
+        horner = lambda t: functools.reduce(lambda acc, c: acc * t + c, p.float_coeffs(),
+                                            np.zeros_like(t))
+        return Branch(fn=p, dfn=p.derivative(), taylor=p, arrays=horner)
 
     def _taylor(self) -> Poly:
         """The polynomial whose orders at 0 are the branch's."""
@@ -177,6 +201,7 @@ class Branch:
             fn=lambda t: f.fn(a * t),
             dfn=_maybe(lambda t: a * f.dfn(a * t), f.dfn),
             taylor=_known(lambda p: p.scale_arg(a), f.taylor),
+            arrays=_maybe(lambda t: f.arrays(float(a) * t), f.arrays),
         )
 
     # -- jets and order of vanishing ------------------------------------------

@@ -16,7 +16,8 @@ exact termwise antidifferentiation over rationals.  A smooth non-polynomial
 branch is integrated by a fixed composite rule: one 20-point Gauss-Legendre
 panel between consecutive knots 0, h, 2h, 4h, ... (and their negatives,
 h = 1/32), so a value at t costs at most 20 (2 + ceil(log2(32 |t|)))
-integrand evaluations and depends on t alone.
+integrand samples and depends on t alone; a table of values is one pass over
+the integrand's float array form (`Branch.arrays`).
 
 Derived and validated here (rather than taken on faith):
 
@@ -47,8 +48,8 @@ factor, L, M) and `grid_coordinates` are formed over the tables in blocks of
   rounded int/int division per value, a zero +0.0, e.g. with g1 = a/A,
   g2 = c/C, w1 = e/E, w2 = g/G the metric factor -(AC - ac)^2 e g / ((AC)^2 E G);
 * other tables: numpy object arrays, `_metric` and `_forms` element by
-  element, except that with exact g and float w1 (exA2) -(1 - g1 g2)^2 is
-  one such division.
+  element, but L and M on float arrays where the terms -2 w_i g_i' are floats,
+  and -(1 - g1 g2)^2 certified as above with exact g and float w1 (exA2).
 
 Certificate.  An exact node value V is a multiple of 1/D (known D) and a sum
 of up to three terms: table entries (X + Y for a coordinate, L, M) or an
@@ -86,7 +87,7 @@ import numpy as np
 
 from . import umbilic
 from .flow import VECTOR_FIELD
-from .geometry import GridSpec, SurfaceChart, _refuse, generated_chart
+from .geometry import GridSpec, SurfaceChart, _refuse, each, generated_chart
 from .parafunc import Branch, ParaFunction, _halve
 from .poly import Poly
 
@@ -134,35 +135,44 @@ def _check_base_point(data: NullData, strict: bool) -> bool:
 
 
 class _GaussPrimitive:
-    """t -> integral of fn over [0, t] by the fixed rule of the module
-    docstring: the integral up to each knot is cached per sign, and a value
-    adds one panel from the largest knot at or below |t| to t.  Known limit:
-    for |t| <= 0.025 one panel cannot resolve exp(-1/(4 t^2)), so there exA2's
+    """t -> integral over [0, t] of the function with float array form `arrays`
+    by the module docstring's rule: the integral up to each knot is cached per
+    sign, and a value adds one panel from the largest knot at or below |t| to
+    t.  `table` forms the panels of its points and of the knots not yet cached
+    in one pass, as arrays; a call is a table of one point.  Known limit: for
+    |t| <= 0.025 one panel cannot resolve exp(-1/(4 t^2)), so there exA2's
     primitives have no correct relative digits; the absolute error is below
     1e-178."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, arrays):
+        self.arrays, self._rule = arrays, np.array(_gauss_legendre()).T
         # integral up to knot k, per sign; -0.0 + x is x, with x's signed zero
         self._cumulative = {1.0: [-0.0], -1.0: [-0.0]}
 
     def __call__(self, t):
-        t = float(t)
-        if t == 0.0:
-            return 0.0
-        s = math.copysign(1.0, t)
-        knot = lambda k: s * math.ldexp(1.0, k - 6) if k else 0.0  # 0, s h 2^(k-1)
-        k = max(0, math.frexp(t)[1] + 5)  # the largest knot at or below |t|
-        cumulative = self._cumulative[s]
-        while len(cumulative) <= k:
-            n = len(cumulative)
-            cumulative.append(cumulative[-1] + self._panel(knot(n - 1), knot(n)))
-        return cumulative[k] + self._panel(knot(k), t)
+        return self.table([t])[0]
 
-    def _panel(self, a, b):
-        mid, half = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
-        terms = (w * self.fn(mid + half * x) for x, w in _gauss_legendre())
-        return half * math.fsum(terms)
+    @np.errstate(all="ignore")
+    def table(self, points) -> list:
+        t = np.array([float(p) for p in points])
+        live = t != 0  # the value at t = 0 is 0.0
+        s, k = np.copysign(1.0, t[live]), np.maximum(0, np.frexp(t[live])[1] + 5)
+        missing = [(sign, n) for sign, cum in self._cumulative.items()  # knots not yet cached
+                   for n in range(len(cum), k[s == sign].max(initial=0) + 1)]
+        knot = lambda s, k: math.ldexp(s, k - 6) if k else 0.0  # 0, s h 2^(k-1)
+        a = np.concatenate([[knot(sign, n - 1) for sign, n in missing],
+                            np.where(k > 0, np.ldexp(s, k - 6), 0.0)])  # knot k of each t
+        b = np.concatenate([[knot(sign, n) for sign, n in missing], t[live]])
+        (x, w), mid, half = self._rule, 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
+        terms = w * self.arrays(mid[:, None] + half[:, None] * x)
+        panels = iter([h * math.fsum(row) for h, row in zip(half.tolist(), terms.tolist())])
+        for sign, _ in missing:
+            cumulative = self._cumulative[sign]
+            cumulative.append(cumulative[-1] + next(panels))
+        values = np.zeros_like(t)
+        values[live] = [self._cumulative[sign][kk] + next(panels)
+                        for sign, kk in zip(s.tolist(), k.tolist())]
+        return values.tolist()
 
 
 @functools.cache
@@ -191,7 +201,8 @@ def _gauss_legendre(n: int = 20):
 def _primitive(branch: Branch) -> Branch:
     if branch.is_polynomial:
         return Branch(poly=branch.poly.antiderivative())
-    return Branch(fn=_GaussPrimitive(lambda t: float(branch(t))))
+    arrays = branch.arrays or (lambda t: each(lambda s: float(branch(s)), t))
+    return Branch(fn=_GaussPrimitive(arrays))
 
 
 @dataclass(frozen=True)
@@ -368,6 +379,10 @@ def _objects(values) -> np.ndarray:
     return np.array(values, dtype=object)
 
 
+def _floats(values) -> np.ndarray:  # a float array of floats, else an object array
+    return np.array(values, dtype=float if all(isinstance(v, float) for v in values) else object)
+
+
 def _numerators(branch: Branch, points):
     """`Poly.numerators` of a polynomial branch, numerators as an object array."""
     exact = branch.poly.numerators(points) if branch.is_polynomial else None
@@ -396,16 +411,21 @@ def _exact_values(x, y):
 
 
 def _mixed_values(patch, xs, ys, x, y):
-    """`_exact_values` for other tables, the terms -2 w g' formed per value:
+    """`_exact_values` for other tables, the terms -2 w g' formed per value;
     with exact g and float w1 (exA2) the factor rounds as `Fraction * float * w2`."""
     d, (g1d, g2d) = patch.data, patch.g_primes
-    w1, w2 = _objects(d.w1.table(xs)), _objects(d.w2.table(ys))
-    lx = _objects([-2 * w * dg for w, dg in zip(w1, g1d.table(xs))])
-    ny = _objects([-2 * w * dg for w, dg in zip(w2, g2d.table(ys))])
-    forms = lambda kx, ky: [v.astype(float) for v in _forms_each(lx[kx], ny[ky])[:2]]
-    if x[0] and y[0] and all(isinstance(v, float) for v in w1):
+    w1, w2 = _floats(d.w1.table(xs)), _floats(d.w2.table(ys))
+    lx = _floats([-2 * w * dg for w, dg in zip(w1.tolist(), g1d.table(xs))])
+    ny = _floats([-2 * w * dg for w, dg in zip(w2.tolist(), g2d.table(ys))])
+    forms = lambda kx, ky: ((lx[kx] + ny[ky]) * 0.25, (lx[kx] - ny[ky]) * 0.25)
+    if object in (lx.dtype, ny.dtype):
+        forms = lambda kx, ky: [v.astype(float) for v in _forms_each(lx[kx], ny[ky])[:2]]
+    if x[0] and y[0] and w1.dtype == float:
         (a, A), (c, C) = x[0], y[0]
-        ratio = lambda kx, ky: -np.square(A * C - a[kx] * c[ky]) / (A * C) ** 2
+        ratio = _certified((A * C) ** 2, zip(  # (-1) 1 + (2 G1) G2 + (-G1^2) G2^2
+            [_pairs(np.full_like(a, -1), 1), _pairs(2 * a, A), _pairs(-a * a, A * A)],
+            [_pairs(np.full_like(c, 1), 1), _pairs(c, C), _pairs(c * c, C * C)]),
+            lambda kx, ky: -np.square(A * C - a[kx] * c[ky]) / (A * C) ** 2)
         return lambda kx, ky: ratio(kx, ky) * w1[kx] * w2[ky], forms, (lx, ny)
     g1, g2 = _objects(d.g1.table(xs)), _objects(d.g2.table(ys))
     return lambda kx, ky: _metric_each(g1[kx], g2[ky], w1[kx], w2[ky]), forms, (lx, ny)

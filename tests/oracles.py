@@ -8,6 +8,11 @@ functions of (x, y).
 `exact_horner` is Horner's rule over a polynomial's exact coefficients,
 the oracle for the float path of `Poly.__call__`.
 
+`reference_gauss_primitive` is the Gauss-Legendre primitive as it ran
+before its panels were formed as arrays: one panel per value, one scalar
+integrand call per node.  It is the oracle for
+`weierstrass._GaussPrimitive.table`, which must give the same bits.
+
 `schoolbook_product` is the coefficient product of `Poly.__mul__` as one
 sum of `a_i * b_k` per coefficient, the oracle for its integer
 convolution of int/Fraction factors.
@@ -79,7 +84,7 @@ from zmcsurf.geometry import (
 from zmcsurf.outputs import CLASSIFICATION_COLUMNS, fmt
 from zmcsurf.spacelike import SpacelikeChart, SpacelikePatch
 from zmcsurf.svgplot import FLOW_COLORS, KIND_COLORS, ChartMap
-from zmcsurf.weierstrass import _float_point_of, minkowski_dot
+from zmcsurf.weierstrass import _float_point_of, _gauss_legendre, minkowski_dot
 
 
 def z2_surface(u, v):
@@ -172,6 +177,32 @@ def exact_horner(p, t):
     for c in reversed(p.coeffs):
         acc = acc * t + c
     return acc
+
+
+def reference_gauss_primitive(fn):
+    """t -> the integral of the scalar fn over [0, t] by the fixed rule of
+    `weierstrass`: the integral up to each knot is cached per sign, and a
+    value adds one panel from the largest knot at or below |t| to t."""
+    cumulative = {1.0: [-0.0], -1.0: [-0.0]}
+
+    def panel(a, b):
+        mid, half = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
+        return half * math.fsum(w * fn(mid + half * x) for x, w in _gauss_legendre())
+
+    def primitive(t):
+        t = float(t)
+        if t == 0.0:
+            return 0.0
+        s = math.copysign(1.0, t)
+        knot = lambda k: s * math.ldexp(1.0, k - 6) if k else 0.0  # 0, s h 2^(k-1)
+        k = max(0, math.frexp(t)[1] + 5)  # the largest knot at or below |t|
+        knots = cumulative[s]
+        while len(knots) <= k:
+            n = len(knots)
+            knots.append(knots[-1] + panel(knot(n - 1), knot(n)))
+        return knots[k] + panel(knot(k), t)
+
+    return primitive
 
 
 def schoolbook_product(a, b):

@@ -6,8 +6,9 @@ equal, bit for bit, what the per-point methods give at the node (each
 sign, the sign of `patch.hopf()` there), and every exact table, evaluated
 over integers, must equal `Poly.__call__`.  The cases reach each way the
 chart forms its node values: exact numerator tables, rational g with float
-w1 (exA2), and the per-point expressions element by element for every
-other mix of types; `SIGN_SPECS` add seeded float data to the sign test.
+w1 (exA2), forms on float arrays where both term tables are floats, and the
+per-point expressions element by element for every other mix of types;
+`SIGN_SPECS` add seeded float data to the sign test.
 The space-like chart, built by the same constructor, is checked against
 the per-point oracle `spacelike_forms` the same way.
 
@@ -141,13 +142,13 @@ SIGN_SPECS = {f"seeded_float_null_{seed}": _seeded_float_null(seed) for seed in 
 FACTOR_PATHS = {
     "z5": ("exact", "exact"),
     "dense": ("exact", "exact"),
-    "exA2_65": ("rational g", "per point"),
-    "rational_g_flat_w": ("rational g", "per point"),
+    "exA2_65": ("rational g", "float arrays"),
+    "rational_g_flat_w": ("rational g", "float arrays"),
     "w1_float": ("rational g", "per point"),
     "w2_float": ("per point", "per point"),
-    "float_g_rational_w": ("per point", "per point"),
+    "float_g_rational_w": ("per point", "float arrays"),
     "g_float_constant": ("per point", "per point"),
-    "float_null": ("per point", "per point"),
+    "float_null": ("per point", "float arrays"),
 }
 
 
@@ -228,8 +229,8 @@ def test_chart_matches_per_point_forms_bitwise(patch_grid):
 @pytest.mark.parametrize("name", FACTOR_PATHS)
 def test_each_type_mix_takes_its_node_path(name, monkeypatch):
     """Which chart nodes go through the element-wise `_metric` and
-    `_forms`: none with exact tables, only the forms with rational g and
-    float w1, both otherwise."""
+    `_forms`: none with exact tables; `_metric` unless g is exact and w1
+    float, `_forms` unless both term tables -2 w_i g_i' are floats."""
     calls = set()
     for attr in ("_metric_each", "_forms_each"):
         each = getattr(weierstrass, attr)

@@ -113,12 +113,10 @@ class Branch:
         return self.fn(t)
 
     def table(self, points) -> list:
-        """[self(t) for t in points]; see `Poly.table`.  A callable with a
-        `table` of its own (a Gauss-Legendre primitive) tables itself."""
-        if self.poly is not None:
-            return self.poly.table(points)
+        """[self(t) for t in points].  A callable with a `table` of its own
+        (a Gauss-Legendre primitive) tables itself."""
         table = getattr(self.fn, "table", None)
-        return table(points) if table else [self.fn(t) for t in points]
+        return table(points) if table else [self(t) for t in points]
 
     # -- algebra -------------------------------------------------------------
 

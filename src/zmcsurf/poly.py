@@ -94,15 +94,6 @@ class Poly:
             out.append(acc)
         return out, B * D ** max(self.degree, 0)
 
-    def table(self, points) -> list:
-        """[self(t) for t in points], each value equal (==, same type) to
-        self(t): a Fraction over `numerators` where they apply (one gcd, not
-        about two per Horner step), else self(t), as for the zero polynomial."""
-        exact = self.numerators(points) if self.coeffs else None
-        if exact is None:
-            return [self(t) for t in points]
-        return [Fraction(n, exact[1]) for n in exact[0]]
-
     def __bool__(self):
         return bool(self.coeffs)
 

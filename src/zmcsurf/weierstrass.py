@@ -37,19 +37,22 @@ g_i, w_i, g_i', the three primitives per coordinate and the Hopf branches
 null coordinate from the chart's own L/M term tables -2 w_i g_i' and stored
 per node (`SurfaceChart.hopf_signs`, where w_i and g_i' are polynomial).
 `GridSpec.null_lattice` gives the distinct x and y values of a grid's nodes
-(nu + nv - 1 of each on a square grid with du = dv); each branch is tabled
-once per value, and the node values of `ImmersionPatch.chart` (metric
-factor, L, M) and `grid_coordinates` are formed over the tables in blocks of
-1024 nodes, rounded as the per-point API (`metric_factor`, `second_forms`,
-`evaluate`) followed by float():
-
-* exact tables, integer numerators over one positive denominator
-  (`Poly.numerators`): certified double-doubles (below), else one correctly
-  rounded int/int division per value, a zero +0.0, e.g. with g1 = a/A,
-  g2 = c/C, w1 = e/E, w2 = g/G the metric factor -(AC - ac)^2 e g / ((AC)^2 E G);
-* other tables: numpy object arrays, `_metric` and `_forms` element by
-  element, but L and M on float arrays where the terms -2 w_i g_i' are floats,
-  and -(1 - g1 g2)^2 certified as above with exact g and float w1 (exA2).
+(nu + nv - 1 of each on a square grid with du = dv).  Each branch is tabled
+once per value: integer numerators over one positive denominator
+(`Poly.numerators`) for an exact polynomial, else its floats.  The node
+values of `ImmersionPatch.chart` (metric factor, L, M) and `grid_coordinates`
+are formed over the tables in blocks of 1024 nodes, rounded as the per-point
+API (`metric_factor`, `second_forms`, `evaluate`) followed by float().  As
+`Fraction op float` is `float(Fraction) op float`, a value is exact up to its
+first float operand: a certified double-double (below), else one correctly
+rounded int/int division, a zero +0.0 (the factor -(AC - ac)^2 e g /
+((AC)^2 E G) with g1 = a/A, g2 = c/C, w1 = e/E, w2 = g/G).  The per-point
+expression's float steps follow on arrays: with exact g the factor is
+-(1 - g1 g2)^2 times each leading exact w, times the other w's, and with a
+float g -(1.0 - g1 g2)^2 w1 w2, the square by `pow` per value (libm's pow
+can round unlike x * x); L and M are (lx +- ny) / 4 where both terms
+-2 w_i g_i' are exact, else (float(lx) +- float(ny)) * 0.25; a coordinate is
+P + Q, else float(P) + float(Q).
 
 Certificate.  An exact node value V is a multiple of 1/D (known D) and a sum
 of up to three terms: table entries (X + Y for a coordinate, L, M) or an
@@ -317,23 +320,22 @@ class ImmersionPatch:
         NumericGuardError names the first immersed node, row-major, whose
         metric factor, L or M is not a finite double (`generated_chart`)."""
         lattice = grid.null_lattice()
-        xs, ys = lattice.xs, lattice.ys
         d, (g1d, g2d) = self.data, self.g_primes
-        x = [_numerators(b, xs) for b in (d.g1, d.w1, g1d)]
-        y = [_numerators(b, ys) for b in (d.g2, d.w2, g2d)]
-        values = _mixed_values(self, xs, ys, x, y) if None in x + y else _exact_values(x, y)
-        factor, forms, (lx, ny) = values
+        g1, w1, p1 = (_table(b, lattice.xs) for b in (d.g1, d.w1, g1d))
+        g2, w2, p2 = (_table(b, lattice.ys) for b in (d.g2, d.w2, g2d))
+        terms = _term(w1, p1), _term(w2, p2)
+        factor, forms = _factor(g1, w1, g2, w2), _sums(*terms, (np.add, np.subtract), 4)
 
         def node(kx, ky):
-            f = factor(kx, ky).astype(float)
+            f = factor(kx, ky)
             L, M, keep = np.zeros_like(f), np.zeros_like(f), ~(np.abs(f) < _MASKED)
-            L[keep], M[keep] = forms(kx[keep], ky[keep])
+            L[keep], M[keep] = (form(kx[keep], ky[keep]) for form in forms)
             return f, L, M
 
         metric, L, M = np.moveaxis(_by_blocks(grid, lattice, node), -1, 0)
         signs = None
         if all(b.is_polynomial for b in (d.w1, d.w2, g1d, g2d)):  # by comparison: no NaN is cast
-            plus, minus = ((t > 0).astype(np.int8) - (t < 0) for t in (lx, ny))
+            plus, minus = ((t > 0).astype(np.int8) - (t < 0) for t, _ in terms)
             signs = np.reshape([plus[lattice.ix], minus[lattice.iy]], (2, grid.nu, grid.nv))
         return generated_chart(grid, metric, ~(np.abs(metric) < _MASKED), L, M, L,
                                hopf_signs=signs)
@@ -343,13 +345,13 @@ class ImmersionPatch:
         """float(c) of `evaluate(u, v)` at every node, a [nu, nv, 3] array;
         NumericGuardError names the first node where one is not finite."""
         lattice = grid.null_lattice()
-        sums = [_node_sum(p, q, lattice) for p, q in zip(self.comps_x, self.comps_y)]
+        sums = [s for p, q in zip(self.comps_x, self.comps_y)
+                for s in _sums(_table(p, lattice.xs), _table(q, lattice.ys))]
         xyz = _by_blocks(grid, lattice, lambda kx, ky: [s(kx, ky) for s in sums])
         _refuse(grid, ~np.isfinite(xyz).all(axis=-1), "a coordinate", "node")
         return xyz
 
 
-_QUARTER = Fraction(1, 4)
 _MASKED = 1e-300  # a node is masked where |metric factor| is below this
 _BLOCK = 1024  # flat nodes per block of `_by_blocks`
 
@@ -365,83 +367,81 @@ def _forms(lx, ny):
     reverse operator; an int or Fraction stays exact, since float(t) * 0.25
     can differ from float(t / 4) at subnormals and near overflow."""
     total = lx + ny
-    quarter = 0.25 if isinstance(total, float) else _QUARTER
+    quarter = 0.25 if isinstance(total, float) else Fraction(1, 4)
     L = total * quarter
     return L, (lx - ny) * quarter, L
 
 
 # -- separable chart engine: 1-D tables, node values in blocks ---------------
 
-_metric_each, _forms_each = np.frompyfunc(_metric, 4, 1), np.frompyfunc(_forms, 2, 3)
 
-
-def _objects(values) -> np.ndarray:
-    return np.array(values, dtype=object)
-
-
-def _floats(values) -> np.ndarray:  # a float array of floats, else an object array
-    return np.array(values, dtype=float if all(isinstance(v, float) for v in values) else object)
-
-
-def _numerators(branch: Branch, points):
-    """`Poly.numerators` of a polynomial branch, numerators as an object array."""
+def _table(branch: Branch, points):
+    """(ints, den), branch(t) == ints[k] / den at the k-th point, den > 0, for
+    an exact polynomial (`Poly.numerators`); else (floats, None)."""
     exact = branch.poly.numerators(points) if branch.is_polynomial else None
-    return exact and (_objects(exact[0]), exact[1])
+    if exact:
+        return np.array(exact[0], dtype=object), exact[1]
+    return np.array(branch.table(points), dtype=float), None
 
 
-def _exact_values(x, y):
-    """(factor, forms) at lattice indices (kx, ky) from the numerator tables
-    of (g1, w1, g1') = (a/A, e/E, p/P) and (g2, w2, g2') = (c/C, g/G, q/Q),
-    and the term tables (sx, sy), whose signs are those of -2 w_i g_i'."""
-    (a, A), (e, E), (p, P) = x
-    (c, C), (g, G), (q, Q) = y
+def _float(table):
+    """k -> float(value) at the entries k, each converted once as
+    float(Fraction) divides; its OverflowError where k needs a value that
+    rounds past the largest double, as |n / den| >= 2^1024 - 2^970 does."""
+    values, den = table
+    if den is None:
+        return values.__getitem__
+    limit = den * (2**1024 - 2**970)
+    floats = np.array([n / den if abs(n) < limit else math.nan for n in values.tolist()])
+
+    def at(k):
+        if np.isnan(floats[k]).any():
+            raise OverflowError("integer division result too large for a float")
+        return floats[k]
+    return at
+
+
+def _term(w, dg):
+    """The table of -2 w g', rounded as (-2 w) g' where it is not exact."""
+    (e, E), (p, P) = w, dg
+    if E is not None and P is not None:
+        return -2 * e * p, E * P
+    return _float((-2 * e, E))(slice(None)) * _float(dg)(slice(None)), None
+
+
+def _factor(g1, w1, g2, w2):
+    """(kx, ky) -> the metric factor at lattice indices (module docstring); a
+    w is 1/1 in the exact part where it is not in it, else 1.0 after it."""
+    if g1[1] is None or g2[1] is None:
+        G1, W1, G2, W2 = map(_float, (g1, w1, g2, w2))
+        return lambda kx, ky: -each(pow, 1.0 - G1(kx) * G2(ky), 2) * W1(kx) * W2(ky)
+    (a, A), (c, C) = g1, g2
+    lead = w1[1] is not None, w1[1] is not None and w2[1] is not None
+    (e, E), (g, G) = (w if ok else (np.ones(len(w[0]), dtype=object), 1)
+                      for w, ok in zip((w1, w2), lead))
+    W1, W2 = ((lambda k: 1.0) if ok else _float(w) for w, ok in zip((w1, w2), lead))
     ac, den, minus_e = A * C, (A * C) ** 2 * E * G, -e
-    sx, sy, den4 = -2 * e * p * (G * Q), -2 * g * q * (E * P), 4 * E * P * G * Q
-    # the factor is (-W1) W2 + (2 G1 W1) (G2 W2) + (-G1^2 W1) (G2^2 W2); in the
-    # exact division np.square multiplies each int by itself, which CPython
-    # squares faster
-    factor = _certified(den, zip(
+    # in the exact division np.square multiplies each int by itself, which
+    # CPython squares faster
+    exact = _certified(den, zip(
         [_pairs(minus_e, E), _pairs(2 * a * e, A * E), _pairs(-a * a * e, A * A * E)],
         [_pairs(g, G), _pairs(c * g, C * G), _pairs(c * c * g, C * C * G)]),
         lambda kx, ky: np.square(ac - a[kx] * c[ky]) * (minus_e[kx] * g[ky]) / den)
-    lx, ly, lcm = _pairs(sx, den4), _pairs(sy, den4), math.lcm(2 * E * P, 2 * G * Q)
-    L = _certified(lcm, [(lx, None), (None, ly)], lambda kx, ky: (sx[kx] + sy[ky]) / den4)
-    M = _certified(lcm, [(lx, None), (None, -ly)], lambda kx, ky: (sx[kx] - sy[ky]) / den4)
-    return factor, lambda kx, ky: (L(kx, ky), M(kx, ky)), (sx, sy)
+    return lambda kx, ky: exact(kx, ky) * W1(kx) * W2(ky)
 
 
-def _mixed_values(patch, xs, ys, x, y):
-    """`_exact_values` for other tables, the terms -2 w g' formed per value;
-    with exact g and float w1 (exA2) the factor rounds as `Fraction * float * w2`."""
-    d, (g1d, g2d) = patch.data, patch.g_primes
-    w1, w2 = _floats(d.w1.table(xs)), _floats(d.w2.table(ys))
-    lx = _floats([-2 * w * dg for w, dg in zip(w1.tolist(), g1d.table(xs))])
-    ny = _floats([-2 * w * dg for w, dg in zip(w2.tolist(), g2d.table(ys))])
-    forms = lambda kx, ky: ((lx[kx] + ny[ky]) * 0.25, (lx[kx] - ny[ky]) * 0.25)
-    if object in (lx.dtype, ny.dtype):
-        forms = lambda kx, ky: [v.astype(float) for v in _forms_each(lx[kx], ny[ky])[:2]]
-    if x[0] and y[0] and w1.dtype == float:
-        (a, A), (c, C) = x[0], y[0]
-        ratio = _certified((A * C) ** 2, zip(  # (-1) 1 + (2 G1) G2 + (-G1^2) G2^2
-            [_pairs(np.full_like(a, -1), 1), _pairs(2 * a, A), _pairs(-a * a, A * A)],
-            [_pairs(np.full_like(c, 1), 1), _pairs(c, C), _pairs(c * c, C * C)]),
-            lambda kx, ky: -np.square(A * C - a[kx] * c[ky]) / (A * C) ** 2)
-        return lambda kx, ky: ratio(kx, ky) * w1[kx] * w2[ky], forms, (lx, ny)
-    g1, g2 = _objects(d.g1.table(xs)), _objects(d.g2.table(ys))
-    return lambda kx, ky: _metric_each(g1[kx], g2[ky], w1[kx], w2[ky]), forms, (lx, ny)
-
-
-def _node_sum(p: Branch, q: Branch, lattice):
-    """(kx, ky) -> float(p(x) + q(y)) at lattice indices: over numerator
-    tables m/P and n/Q, certified, else (m Q + n P) / (P Q)."""
-    exact_p, exact_q = _numerators(p, lattice.xs), _numerators(q, lattice.ys)
-    if not (exact_p and exact_q):
-        px, qy = _objects(p.table(lattice.xs)), _objects(q.table(lattice.ys))
-        return lambda kx, ky: (px[kx] + qy[ky]).astype(float)
-    (m, P), (n, Q) = exact_p, exact_q
-    mx, ny, den = m * Q, n * P, P * Q
-    return _certified(math.lcm(P, Q), [(_pairs(m, P), None), (None, _pairs(n, Q))],
-                      lambda kx, ky: (mx[kx] + ny[ky]) / den)
+def _sums(x, y, ops=(np.add,), divisor=1):
+    """[(kx, ky) -> op(x-entry, y-entry) / divisor at lattice indices for op
+    in ops], np.add or np.subtract (module docstring), with the exact division
+    op(m Q, n P) / (divisor P Q) over m/P and n/Q where the certificate fails."""
+    (m, P), (n, Q) = x, y
+    if P is None or Q is None:
+        fx, fy = _float(x), _float(y)
+        return [lambda kx, ky, op=op: op(fx(kx), fy(ky)) * (1 / divisor) for op in ops]
+    mx, ny, den, lcm = m * Q, n * P, divisor * P * Q, math.lcm(divisor * P, divisor * Q)
+    px, py = _pairs(m, divisor * P), _pairs(n, divisor * Q)
+    return [_certified(lcm, [(px, None), (None, py if op is np.add else -py)],
+                       lambda kx, ky, op=op: op(mx[kx], ny[ky]) / den) for op in ops]
 
 
 def _pairs(nums, den) -> np.ndarray:

@@ -3,27 +3,32 @@
 `ImmersionPatch.chart`, `grid_coordinates` (hence surface.csv) and the
 chart's Hopf signs are built from 1-D branch tables; every value must
 equal, bit for bit, what the per-point methods give at the node (each
-sign, the sign of `patch.hopf()` there), and every exact table, evaluated
-over integers, must equal `Poly.__call__`.  The cases reach each way the
-chart forms its node values: exact numerator tables, rational g with float
-w1 (exA2), forms on float arrays where both term tables are floats, and the
-per-point expressions element by element for every other mix of types;
-`SIGN_SPECS` add seeded float data to the sign test.
+sign, the sign of `patch.hopf()` there), and every exact table the chart
+reads (`weierstrass._table`), as integers over a denominator, must equal
+`Poly.__call__`.  Every type mix takes one node path: each value is
+certified up to its first float operand, then takes the per-point
+expression's float steps on arrays (`pow` for **).  `FACTOR_PATHS` reach
+each certified part: the whole factor and forms of exact data, the factor's
+-(1 - g1 g2)^2 with or without w1, and float steps from a float g on; the
+path test checks that no per-point expression runs and that no polynomial
+is called twice at a point.  `SIGN_SPECS` add seeded float data to the
+sign test and the bitwise test, which also gets an exact w that no double
+holds (`HUGE_W`) and a callable g1.
 The space-like chart, built by the same constructor, is checked against
 the per-point oracle `spacelike_forms` the same way.
 
-Exact tables form their node values as certified double-doubles, with the
-exact division where the certificate fails (module docstring of
-`weierstrass`).  `EDGE_SPECS` take every node past the certificate's edges:
-seeded Fraction data, exact zeros, factors on both sides of 1e-300, values
-near overflow and subnormal ones, and exact ties and near-ties.  Two tests
-watch the certificate itself: near-ties within its bound take the division,
-and at most 1% of the values of the presets and the dense spec at 65 x 65
-do.
+Exact parts are certified double-doubles, with the exact division where
+the certificate fails (module docstring of `weierstrass`).  `EDGE_SPECS`
+take every node past the certificate's edges: seeded Fraction data, exact
+zeros, factors on both sides of 1e-300, values near overflow and subnormal
+ones, and exact ties and near-ties.  Two tests watch the certificate
+itself: near-ties within its bound take the division, and at most 1% of the
+values of the presets and the dense spec at 65 x 65 do.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -138,22 +143,30 @@ CASES = ["z5", "deg26", "f2", "exA2", "z2", *SPECS]
 SIGN_SPECS = {f"seeded_float_null_{seed}": _seeded_float_null(seed) for seed in range(25)}
 
 
-# how each case's chart forms its metric factor and its forms
+# g1 = t, g2 = t / (2 10^400), w1 = 10^-400, w2 = 10^400: exact data whose
+# chart values are doubles, though w2 is not one; a float(w2) raises
+HUGE_W = null_spec(poly(0, 1), poly(0, "1/2" + "0" * 400), poly("1/1" + "0" * 400), poly(10**400))
+# more cases of the bitwise test: float data, exact data beyond the doubles,
+# and a callable g1 (exp_flat), whose float M at o is -0.0 - 0.0
+BITWISE_SPECS = {**SIGN_SPECS, "huge_w": HUGE_W, "exp_flat_g1": SPEC_CASES["exp_flat_null"][0]}
+
+# the certified part of each case's metric factor and of its forms; float
+# steps follow it (module docstring of `weierstrass`)
 FACTOR_PATHS = {
-    "z5": ("exact", "exact"),
-    "dense": ("exact", "exact"),
-    "exA2_65": ("rational g", "float arrays"),
-    "rational_g_flat_w": ("rational g", "float arrays"),
-    "w1_float": ("rational g", "per point"),
-    "w2_float": ("per point", "per point"),
-    "float_g_rational_w": ("per point", "float arrays"),
-    "g_float_constant": ("per point", "per point"),
-    "float_null": ("per point", "float arrays"),
+    "z5": ("-(1 - g1 g2)^2 w1 w2", "(lx +- ny) / 4"),
+    "dense": ("-(1 - g1 g2)^2 w1 w2", "(lx +- ny) / 4"),
+    "exA2_65": ("-(1 - g1 g2)^2", "none"),
+    "rational_g_flat_w": ("-(1 - g1 g2)^2", "none"),
+    "w1_float": ("-(1 - g1 g2)^2", "none"),
+    "w2_float": ("-(1 - g1 g2)^2 w1", "none"),
+    "float_g_rational_w": ("none", "none"),
+    "g_float_constant": ("none", "(lx +- ny) / 4"),
+    "float_null": ("none", "none"),
 }
 
 
 def _patch_and_square_grid(name):
-    spec = SPECS.get(name) or SIGN_SPECS.get(name) or preset_spec(name)
+    spec = SPECS.get(name) or BITWISE_SPECS.get(name) or preset_spec(name)
     resolved = resolve(spec)
     return resolved.patch, resolved.grid
 
@@ -206,6 +219,7 @@ def test_square_lattice_has_nu_plus_nv_minus_one_values():
     assert len(lat.xs) == len(lat.ys) == 65
 
 
+@pytest.mark.parametrize("case", CASES + list(BITWISE_SPECS))
 def test_chart_matches_per_point_forms_bitwise(patch_grid):
     patch, grid = patch_grid
     chart = patch.chart(grid)
@@ -228,19 +242,26 @@ def test_chart_matches_per_point_forms_bitwise(patch_grid):
 
 @pytest.mark.parametrize("name", FACTOR_PATHS)
 def test_each_type_mix_takes_its_node_path(name, monkeypatch):
-    """Which chart nodes go through the element-wise `_metric` and
-    `_forms`: none with exact tables; `_metric` unless g is exact and w1
-    float, `_forms` unless both term tables -2 w_i g_i' are floats."""
-    calls = set()
-    for attr in ("_metric_each", "_forms_each"):
-        each = getattr(weierstrass, attr)
-        recording = lambda *args, attr=attr, each=each: calls.add(attr) or each(*args)
-        monkeypatch.setattr(weierstrass, attr, recording)
+    """`chart` and `grid_coordinates` run neither per-point `_metric` nor
+    `_forms` (their code raises here, through any reference to them, one
+    bound by np.frompyfunc too), and call each polynomial at most once per
+    table entry, never once per node; the chart certifies the parts
+    `FACTOR_PATHS` names, one pass for the factor's, two for the forms."""
     patch, grid = _patch_and_square_grid(name)
+
+    def per_point(*args):
+        raise AssertionError("a per-point expression ran")
+
+    for fn in (weierstrass._metric, weierstrass._forms):
+        monkeypatch.setattr(fn, "__code__", per_point.__code__)
+    calls, call = Counter(), Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda p, t: calls.update([(id(p), t)]) or call(p, t))
+    passes = _fallbacks(monkeypatch)
     patch.chart(grid)
-    metric, forms = FACTOR_PATHS[name]
-    assert ("_metric_each" in calls) == (metric == "per point")
-    assert ("_forms_each" in calls) == (forms == "per point")
+    factor, forms = FACTOR_PATHS[name]
+    assert len(passes) == (factor != "none") + 2 * (forms != "none")
+    patch.grid_coordinates(grid)
+    assert max(calls.values(), default=1) == 1
 
 
 def test_surface_csv_coordinates_match_evaluate(patch_grid):
@@ -343,8 +364,9 @@ def _branch_tables(patch):
 @pytest.mark.parametrize("grid_name", ["17", "65", "17x23"])
 @pytest.mark.parametrize("name", TIMELIKE_PRESETS)
 def test_integer_tables_equal_poly_call(name, grid_name):
-    """Every exact table, evaluated over integers, equals `Poly.__call__`
-    at each null coordinate, value and type."""
+    """Every exact table the chart engine reads (`weierstrass._table`),
+    integers over one positive denominator, equals `Poly.__call__` at each
+    null coordinate."""
     spec = preset_spec(name)
     if grid_name != "17x23":
         spec["grid"]["nu"] = spec["grid"]["nv"] = int(grid_name)
@@ -357,10 +379,9 @@ def test_integer_tables_equal_poly_call(name, grid_name):
         if not _exact_poly(fn):
             continue
         points = lattice.xs if axis == "x" else lattice.ys
-        got = fn.table(points)
-        want = [fn.poly(t) for t in points]
-        assert got == want, label
-        assert all(type(a) is type(b) is Fraction for a, b in zip(got, want)), label
+        ints, den = weierstrass._table(fn, points)
+        assert type(den) is int and den > 0 and all(type(n) is int for n in ints), label
+        assert [Fraction(n, den) for n in ints] == [fn.poly(t) for t in points], label
         checked += 1
     assert checked
 
@@ -368,26 +389,7 @@ def test_integer_tables_equal_poly_call(name, grid_name):
 MIXED_POINTS = [Fraction(-7, 3), Fraction(-1), Fraction(0), Fraction(5, 4), Fraction(2, 9)]
 
 
-@pytest.mark.parametrize(
-    "poly",
-    [
-        Poly([3]),
-        Poly([-4, 0, 1]),
-        Poly([1, -2, 5, 0, 7]),
-        Poly([Fraction(-5, 6)]),
-        Poly([0, Fraction(1, 10**40), -(10**30), Fraction(7, 3)]),
-    ],
-    ids=["int_constant", "int_quadratic", "int_quartic", "fraction_constant", "mixed"],
-)
-def test_integer_table_on_mixed_denominators(poly):
-    got = poly.table(MIXED_POINTS)
-    assert got == [poly(t) for t in MIXED_POINTS]
-    assert all(type(v) is Fraction for v in got)
-
-
-@pytest.mark.parametrize(
-    "fn", [Poly(), Poly([0.5, 1.0, -0.25]), Branch.exp_flat()], ids=["zero", "float", "callable"]
-)
+@pytest.mark.parametrize("fn", [Branch.exp_flat()], ids=["callable"])
 def test_other_tables_keep_the_function_call(fn):
     got = fn.table(MIXED_POINTS)
     want = [fn(t) for t in MIXED_POINTS]
@@ -412,6 +414,17 @@ def test_forms_are_not_formed_at_masked_nodes():
     data = {"g1": poly(0, 10**400), "g2": poly(0), "w1": poly(1), "w2": poly("1/1" + "0" * 400)}
     spec = {"route": "null", "data": data, "grid": FLOAT_NULL["grid"]}
     resolved = resolve(spec)
+    chart = resolved.patch.chart(resolved.grid)
+    assert not chart.mask.any()
+    assert (chart.L == 0.0).all() and (chart.M == 0.0).all()
+
+
+def test_float_forms_are_not_formed_at_masked_nodes():
+    """The float twin of the test above, w2 = 1e-301: L is a float sum,
+    and float(L's x-term -2 10^400) raises where it is formed; the chart
+    still comes out all masked."""
+    data = {"g1": poly(0, 10**400), "g2": poly(0), "w1": poly(1), "w2": poly(1e-301)}
+    resolved = resolve({"route": "null", "data": data, "grid": FLOAT_NULL["grid"]})
     chart = resolved.patch.chart(resolved.grid)
     assert not chart.mask.any()
     assert (chart.L == 0.0).all() and (chart.M == 0.0).all()

@@ -21,9 +21,10 @@ same operands in the same order.  `math.hypot`, `atan2`, `cos`, `sin`,
 differently: with numpy 2.4 on x86-64, `np.hypot` differs from `math.hypot`
 in about 0.6% of random pairs in [-1, 1]^2, and `np.power(x, 3)` from
 `x**3` in about 3% of samples.  `streamlines`, where each step needs the
-last, runs one flat loop for both field kinds: the four RK4 stages are
-written out, one `FlowField.evaluator` call each, and a sample is divided
-by its norm times the sign (exact: `p / -n == -(p / n)`).  A
+last, runs one march, generated from an RK4 stage template per field shape
+with a `Kernel` evaluator's statements inline and any other evaluator
+called: the text is made from the shape alone and every value is an
+argument, so no spec value reaches it.  A
 winding circle is evaluated as arrays through `FlowField.arrays`, which
 the built-in fields have: numpy does `+ - * /` and `sqrt`, `geometry.each`
 maps the other calls over the samples, and `np.add.accumulate` sums the
@@ -41,6 +42,7 @@ circle, and each field keeps its own retries.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -242,63 +244,58 @@ def streamlines(
     ZeroDivisionError or FloatingPointError; OverflowError propagates.
     Returns one polyline (ndarray of points) per seed.
 
-    Both field kinds run one flat loop, told the kind once per march, with
-    the four RK4 stages written out and one `suppress` per march.  The
-    arithmetic is that of the scalar loop this replaced, in the same order:
-    the stage points are `u + (0.5 * step) * k`, the step is
-    `(k1 + 2*k2 + 2*k3 + k4) / 6.0`, and norms stay `math.hypot` (see the
-    module docstring), so every point keeps its bits.  A sample is divided
-    by its norm times the sign, which is exact: `p / -n` is `-(p / n)` in
-    IEEE arithmetic.  Missing bounds are infinite, so the march from a NaN
-    seed ends after one step.
+    Both field kinds run one march (`_compiled`): each of the four RK4
+    stages runs the statements of a `Kernel` evaluator, or `p, q = ev(su,
+    sv)` for any other, and the march has one `suppress`.  The arithmetic is
+    that of the scalar loop this replaced, in the same order: the stage
+    points are `u + (0.5 * step) * k`, the step is `(k1 + 2*k2 + 2*k3 + k4)
+    / 6.0`, and norms stay `math.hypot` (see the module docstring), so every
+    point keeps its bits.  A sample is divided by its norm times the sign,
+    which is exact (`p / -n` is `-(p / n)`); a line sample is then turned to
+    face the one before it, and after the first step its sign is 1.  Missing
+    bounds are infinite, so the march from a NaN seed ends after one step.
     """
     line, n_steps, inf = field.kind == LINE_FIELD, int(max_len / step), math.inf
     box = (-inf, inf, -inf, inf) if bounds is None else bounds
+    kernel = ev if isinstance(ev := field.evaluator, Kernel) else Kernel("p, q = ev(su, sv)", ev=ev)
+    march, args = _compiled(kernel.source, *kernel.args)[0], kernel.args.values()
     out = []
     for seed in seeds:
         u, v = float(seed[0]), float(seed[1])
-        forward = _march(field.evaluator, line, u, v, 1.0, step, n_steps, box)
-        backward = _march(field.evaluator, line, u, v, -1.0, step, n_steps, box)
+        forward = march(u, v, 1.0, step, n_steps, box, line, *args)
+        backward = march(u, v, -1.0, step, n_steps, box, line, *args)
         out.append(np.array(backward[::-1] + [(u, v)] + forward))
     return out
 
 
-def _march(ev, line, u, v, sign, step, n_steps, bounds) -> list:
-    """One march's points after (u, v) (see `streamlines`).  Each sample is
-    divided by its norm times the sign; a line sample is then turned to face
-    the one before it, and after the first step its sign is 1."""
-    (u_min, u_max, v_min, v_max), hypot, inf, half = bounds, math.hypot, math.inf, 0.5 * step
-    pts, pu, pv = [], 0.0, 0.0  # a zero dot product: the first sample is not turned
+class Kernel:
+    """An evaluator as statements: `source` sets p, q at (su, sv) from the
+    names of `args`, bound as arguments, so that no value enters the text;
+    `streamlines` runs them inline in its march, and a call as a function."""
+
+    def __init__(self, source: str, **args):
+        self.source, self.args = source, args
+
+    def __call__(self, u, v):
+        return _compiled(self.source, *self.args)[1](u, v, *self.args.values())
+
+
+# RK4 stage k: the sample at (su, sv), turned to face sample k - 1 on a line field
+_STAGE = """
+{source}
+            if not 1e-10 <= (n := hypot(p, q)) < inf:
+                break
+            n *= sign
+            a{k}, b{k} = p / n, q / n
+            if line and a{k} * a{j} + b{k} * b{j} < 0.0:
+                a{k}, b{k} = -a{k}, -b{k}"""
+_MARCH = """
+def march(u, v, sign, step, n_steps, bounds, line, {names}):
+    (u_min, u_max, v_min, v_max), half = bounds, 0.5 * step
+    hypot, inf, sqrt = math.hypot, math.inf, math.sqrt
+    pts, a0, b0 = [], 0.0, 0.0  # a zero dot product: the first sample is not turned
     with suppress(ValueError, ZeroDivisionError, FloatingPointError):
-        for _ in range(n_steps):
-            p, q = ev(u, v)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            n *= sign
-            a1, b1 = p / n, q / n
-            if line and a1 * pu + b1 * pv < 0.0:
-                a1, b1 = -a1, -b1
-            p, q = ev(u + half * a1, v + half * b1)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            n *= sign
-            a2, b2 = p / n, q / n
-            if line and a2 * a1 + b2 * b1 < 0.0:
-                a2, b2 = -a2, -b2
-            p, q = ev(u + half * a2, v + half * b2)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            n *= sign
-            a3, b3 = p / n, q / n
-            if line and a3 * a2 + b3 * b2 < 0.0:
-                a3, b3 = -a3, -b3
-            p, q = ev(u + step * a3, v + step * b3)
-            if not 1e-10 <= (n := hypot(p, q)) < inf:
-                break
-            n *= sign
-            a4, b4 = p / n, q / n
-            if line and a4 * a3 + b4 * b3 < 0.0:
-                a4, b4 = -a4, -b4
+        for _ in range(n_steps):{stages}
             du = (a1 + 2 * a2 + 2 * a3 + a4) / 6.0
             dv = (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
             u, v = u + step * du, v + step * dv
@@ -309,5 +306,25 @@ def _march(ev, line, u, v, sign, step, n_steps, bounds) -> list:
                 break
             if line:
                 n = hypot(du, dv)
-                pu, pv, sign = du / n, dv / n, 1.0
+                a0, b0, sign = du / n, dv / n, 1.0
     return pts
+def evaluate(su, sv, {names}):
+{source}
+    return p, q
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(source: str, *names) -> tuple:
+    """(march of `streamlines`, evaluator (su, sv, *names) -> (p, q)) of the
+    statements `source` over the arguments `names`, compiled on first use:
+    one cache entry per source text, that is per field shape, at most 64."""
+    at = ("u, v", "u + half * a1, v + half * b1", "u + half * a2, v + half * b2",
+          "u + step * a3, v + step * b3")
+    indent = lambda pad, text: pad + text.replace("\n", "\n" + pad)
+    stages = "".join(_STAGE.format(k=k, j=k - 1, source=indent(" " * 12, f"su, sv = {p}\n{source}"))
+                     for k, p in enumerate(at, 1))
+    text = _MARCH.format(names=", ".join(names), stages=stages, source=indent("    ", source))
+    scope = {"math": math, "suppress": suppress, "sqrt": math.sqrt}
+    exec(compile(text, "<zmcsurf.flow>", "exec"), scope)
+    return scope["march"], scope["evaluate"]

@@ -113,9 +113,9 @@ class Branch:
         return self.fn(t)
 
     def table(self, points) -> list:
-        """[self(t) for t in points].  A callable with a `table` of its own
-        (a Gauss-Legendre primitive) tables itself."""
-        table = getattr(self.fn, "table", None)
+        """[self(t) for t in points].  A polynomial, and a callable with a
+        `table` of its own (a Gauss-Legendre primitive), table themselves."""
+        table = getattr(self.fn, "table", None) or getattr(self.poly, "table", None)
         return table(points) if table else [self(t) for t in points]
 
     # -- algebra -------------------------------------------------------------

@@ -94,6 +94,26 @@ class Poly:
             out.append(acc)
         return out, B * D ** max(self.degree, 0)
 
+    @np.errstate(all="ignore")
+    def table(self, points):
+        """[self(t) for t in points], bit for bit; at Fraction points with a float
+        coefficient and no complex one, Horner's rule is exact (`numerators`) up
+        to the first float c, where `Fraction + float` rounds acc t once, and
+        each later step is acc * float(t) + float(c) on the whole table.  The
+        first point is also called, so that an OverflowError is the call's."""
+        coeffs, points = self.coeffs[::-1], points if isinstance(points, Points) else Points(points)
+        k = next((i for i, c in enumerate(coeffs) if isinstance(c, float)), None)
+        real = all(isinstance(c, (int, Fraction, float)) for c in coeffs)
+        if k is None or not real or not points or not points.scaled:
+            return [self(t) for t in points]
+        self(points[0])
+        (nums, D), (ints, den) = points.scaled, Poly(coeffs[:k][::-1]).numerators(points)
+        acc = np.array([a * n / (den * D) for a, n in zip(ints, nums)]) + coeffs[k]
+        t = np.array([n / D for n in nums]) if coeffs[k + 1:] else None
+        for c in coeffs[k + 1:]:
+            acc = acc * t + float(c)
+        return acc
+
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import Circles, FlowField, Swapped, winding_index
+from .flow import Circles, FlowField, Kernel, Swapped, winding_index
 from .geometry import each
 from .parafunc import ParaFunction, SplitOrders
 
@@ -261,15 +261,19 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
 
     and X2 with the x-terms negated; they are defined where alpha, beta > 0.
 
-    Each field is one flat closure: Horner's rule over the psi polynomials'
-    `float_coeffs()` inline, bit for bit `Poly.__call__` at the float point
-    (see its docstring).  X2 is X1 with p = x^n1 sqrt(alpha) multiplied by
-    -1.0, which is exactly -p, so X2 = (-p + q, p + q) is X1 = (p + q, -p + q)
-    with the components swapped, bit for bit.  X1's array form takes the
-    same steps with np.sqrt (correctly rounded, as math.sqrt is) and `pow`
-    per value, NaN where the closure raises ValueError; X2's is X1's,
-    `Swapped`.  Raises OverflowError when a coefficient lies outside the
-    double range, and where x**n1 or y**n-1 overflows.
+    Each evaluator is a `flow.Kernel`, statements that `streamlines` runs
+    inline.  Horner's rule over the psi polynomials' `float_coeffs()` is bit
+    for bit `Poly.__call__` at the float point (see its docstring), and over
+    delta c it is delta psi but for the sign of a zero, refused either way.
+    A positive constant psi has its root taken once, the same bits at every
+    finite x.  The text depends only on the shape (X1 or X2, each psi's
+    length or that it is a positive constant); the values are arguments.
+    X2 = (-p + q, p + q) is X1 = (p + q, -p + q) with the components swapped.
+    X1's array form takes the same steps with np.sqrt (correctly rounded, as
+    math.sqrt is) and `pow` per value, NaN where the evaluator raises
+    ValueError; X2's is X1's, `Swapped`.  Raises OverflowError when a
+    coefficient lies outside the double range, and where x**n1 or y**n-1
+    overflows.
     """
     nf = qhat.normal_form(cap)
     if not nf.finite:
@@ -285,38 +289,32 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
         raise NoSmoothFlowError("branch factorizations unavailable (need polynomials)")
     delta = 1 if nf.psi_plus_0 > 0 else -1
     n1, nm1 = m1 // 2, mm1 // 2
-    alpha = nf.psi_plus.poly.float_coeffs()
-    beta = nf.psi_minus.poly.float_coeffs()
-
-    def closure(s):
-        # one flat closure per field: s = +1 gives X1, s = -1 gives X2
-        def ev(u, v):
-            x, y = (u + v) / 2.0, (u - v) / 2.0
-            a = b = 0
-            for c in alpha:
-                a = a * x + c
-            for c in beta:
-                b = b * y + c
-            a, b = delta * a, delta * b
-            if a <= 0.0 or b <= 0.0:
-                raise ValueError("eigenfield undefined: rescaled branch not positive")
-            p = s * (x**n1 * math.sqrt(a))
-            q = y**nm1 * math.sqrt(b)
-            return (p + q, -p + q)
-
-        return ev
+    alpha = [delta * c for c in nf.psi_plus.poly.float_coeffs()]
+    beta = [delta * c for c in nf.psi_minus.poly.float_coeffs()]
+    source, args = ["x, y = (su + sv) / 2.0, (su - sv) / 2.0"], dict(n1=n1, nm1=nm1)
+    for acc, var, coeffs in (("a", "x", alpha), ("b", "y", beta)):
+        if len(coeffs) == 1 and coeffs[0] > 0.0:  # a positive constant: its root, once
+            args["r" + acc] = math.sqrt(coeffs[0])
+        else:  # Horner's rule from int 0, whose first product 0 * x is 0.0 * x
+            cs = [f"{acc.upper()}{k}" for k in range(len(coeffs))]
+            args.update(zip(cs, coeffs))
+            source += [f"{acc} = {z} * {var} + {c}" for z, c in zip(["0.0"] + [acc] * len(cs), cs)]
+            source += [f"if {acc} <= 0.0:",
+                       '    raise ValueError("eigenfield undefined: rescaled branch not positive")',
+                       f"r{acc} = sqrt({acc})"]
+    source = "\n".join(source + ["p, q = x**n1 * ra, y**nm1 * rb"])
 
     def arrays(u, v):
         x, y = (u + v) / 2.0, (u - v) / 2.0
-        a = delta * functools.reduce(lambda acc, c: acc * x + c, alpha, 0)
-        b = delta * functools.reduce(lambda acc, c: acc * y + c, beta, 0)
+        a = functools.reduce(lambda acc, c: acc * x + c, alpha, 0)
+        b = functools.reduce(lambda acc, c: acc * y + c, beta, 0)
         # NaN where ev raises ValueError
         p = each(pow, x, n1) * np.sqrt(np.where(a > 0.0, a, np.nan))
         q = each(pow, y, nm1) * np.sqrt(np.where(b > 0.0, b, np.nan))
         return (p + q, -p + q)
 
-    return (FlowField(closure(1.0), name="X1", arrays=arrays),
-            FlowField(closure(-1.0), name="X2", arrays=Swapped(arrays)))
+    x1, x2 = (Kernel(f"{source}\np, q = {pq}", **args) for pq in ("p + q, -p + q", "-p + q, p + q"))
+    return FlowField(x1, name="X1", arrays=arrays), FlowField(x2, name="X2", arrays=Swapped(arrays))
 
 
 def measure_indices(

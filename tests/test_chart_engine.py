@@ -5,9 +5,11 @@ chart's Hopf signs are built from 1-D branch tables; every value must
 equal, bit for bit, what the per-point methods give at the node (each
 sign, the sign of `patch.hopf()` there), and every exact table the chart
 reads (`weierstrass._table`), as integers over a denominator, must equal
-`Poly.__call__`.  Every type mix takes one node path: each value is
-certified up to its first float operand, then takes the per-point
-expression's float steps on arrays (`pow` for **).  `FACTOR_PATHS` reach
+`Poly.__call__`, and so must every float table of a polynomial with a
+float coefficient (`Poly.table`) on float and mixed specs.  Every type mix
+takes one node path: each value is certified up to its first float
+operand, then takes the per-point expression's float steps on arrays
+(`pow` for **).  `FACTOR_PATHS` reach
 each certified part: the whole factor and forms of exact data, the factor's
 -(1 - g1 g2)^2 with or without w1, and float steps from a float g on; the
 path test checks that no per-point expression runs and that no polynomial
@@ -384,6 +386,49 @@ def test_integer_tables_equal_poly_call(name, grid_name):
         assert [Fraction(n, den) for n in ints] == [fn.poly(t) for t in points], label
         checked += 1
     assert checked
+
+
+def _seeded_mixed_null(seed):
+    """A null spec whose coefficients are ints, Fractions and floats at
+    random: g_i of degree 2-5 with g_i(0) = 0, w_i of degree 0-3 with
+    w_i(0) = 1."""
+    rng = random.Random(seed)
+    kinds = (lambda: rng.randint(-3, 3), lambda: round(rng.uniform(-3, 3), rng.randint(1, 17)),
+             lambda: str(Fraction(rng.randint(-40, 40), rng.randint(1, 60))))
+    coeffs = lambda n: [rng.choice(kinds)() for _ in range(n)]
+    return null_spec(poly(0, *coeffs(rng.randint(2, 5))), poly(0, *coeffs(rng.randint(2, 5))),
+                     poly(1, *coeffs(rng.randint(0, 3))), poly(1, *coeffs(rng.randint(0, 3))))
+
+
+def _has_float(spec) -> bool:
+    return any(isinstance(c, float) for f in spec["data"].values() for c in f.get("coeffs", ()))
+
+
+FLOAT_TABLE_SPECS = {
+    **{name: spec for name, (spec, _) in SPEC_CASES.items()
+       if spec["route"] == "null" and _has_float(spec)},
+    **{f"seeded_float_null_{seed}": _seeded_float_null(seed) for seed in range(4)},
+    **{f"seeded_mixed_null_{seed}": _seeded_mixed_null(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("n", [17, 65, 129])
+@pytest.mark.parametrize("name", FLOAT_TABLE_SPECS)
+def test_float_tables_equal_poly_call(name, n):
+    """Every table of a polynomial with a float coefficient that the chart
+    engine reads (`weierstrass._table`, through `Poly.table`) is bit for
+    bit `Poly.__call__` at each null coordinate."""
+    resolved = resolve(_square(FLOAT_TABLE_SPECS[name], n))
+    lattice = resolved.grid.null_lattice()
+    checked = 0
+    for label, fn, axis in _branch_tables(resolved.patch):
+        if fn.is_polynomial and any(isinstance(c, float) for c in fn.poly.coeffs):
+            points = lattice.xs if axis == "x" else lattice.ys
+            floats, den = weierstrass._table(fn, points)
+            want = np.array([fn.poly(t) for t in points], dtype=float)
+            assert den is None and floats.tobytes() == want.tobytes(), label
+            checked += 1
+    assert checked >= 4
 
 
 MIXED_POINTS = [Fraction(-7, 3), Fraction(-1), Fraction(0), Fraction(5, 4), Fraction(2, 9)]

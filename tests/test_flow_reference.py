@@ -1,8 +1,10 @@
 """The curvature-line loops against their scalar references, bit for bit.
 
-`flow.streamlines` and `flow._accumulate` call the field's evaluator
-directly, the eigenfields and the space-like line field are flat
-closures, and `svgplot.render_svg` formats pixel coordinates from arrays.
+`flow.streamlines` runs one generated march, with the eigenfields'
+statements inline (`flow.Kernel`) and any other evaluator called,
+`flow._accumulate` calls the evaluator or its array form, the space-like
+line field is a flat closure, and `svgplot.render_svg` formats pixel
+coordinates from arrays.
 The oracles in `oracles` are the scalar loops these replaced.  Over every
 kind of field the program draws, and hand fields that stop a march, refuse
 a sample, vanish at a seed or on a winding circle, or return ints or
@@ -11,6 +13,12 @@ SVG text must be the same.  The hand stop fields stop marches of both
 kinds at a raise and at a refused sample in every RK4 stage after the
 first, and at NaN, infinite and too-small samples in mid-march
 (`test_the_stop_cases_cover_every_stop`).
+
+The eigenfields of `EIGEN` (every smooth preset and spec case, 40 seeded
+null specs over every psi shape, psi that turn non-positive in mid-march)
+march bit for bit as the reference march over `oracles.reference_eigenfields`,
+without calling an evaluator.  The march's source text depends only on the
+field's shape, and the compile cache is bounded.
 """
 
 import dataclasses
@@ -23,16 +31,18 @@ import pytest
 
 import oracles
 from test_chart_engine import NON_SQUARE
-from test_compiled_fields import _null_spec
+from spec_cases import SPEC_CASES
+from test_compiled_fields import _integer_hopf, _narrow_domain_hopf, _null_spec
 from zmcsurf import flow
 from zmcsurf.cli import main
 from zmcsurf.flow import (LINE_FIELD, VECTOR_FIELD, FlowField, WindingError, streamlines,
                           winding_index)
 from zmcsurf.geometry import GridSpec
-from zmcsurf.presets import load_preset, preset_spec
-from zmcsurf.surfacespec import DEFAULT_SEEDS, resolve
+from zmcsurf.parafunc import ParaFunction
+from zmcsurf.presets import PRESET_ORDER, load_preset, preset_spec
+from zmcsurf.surfacespec import DEFAULT_SEEDS, MAX_DEGREE, SpecError, resolve
 from zmcsurf.svgplot import KIND_COLORS, ChartMap, render_svg
-from zmcsurf.umbilic import eigenfields
+from zmcsurf.umbilic import NoSmoothFlowError, eigenfields
 
 SQUARE = GridSpec(-1, 1, -1, 1, 33, 33)
 
@@ -159,6 +169,46 @@ CASES = {
 }
 
 
+# every time-like preset and spec case with a smooth flow
+SMOOTH_PRESETS = ("z3", "z5", "deg26")
+SMOOTH_SPEC_CASES = ("tiny_float_hopf", "tiny_rational_hopf", "tiny_float_omega",
+                     "tiny_rational_omega", "z3_branches", "z3_seeds", "z3_samples_jet_cap")
+CASES.update({name: _eigen(SPEC_CASES[name][0]) for name in SMOOTH_SPEC_CASES})
+
+
+def _seeded_null(seed, orders, as_float, constant):
+    """`_null_spec`, or with `constant` its g_i' = c_i t^m_i and w_i = 1,
+    whose psi are constants."""
+    spec = _null_spec(seed, orders, as_float)
+    if constant:
+        for k, m in zip((1, 2), orders):
+            del spec["data"][f"g{k}"]["coeffs"][m + 2:], spec["data"][f"w{k}"]["coeffs"][1:]
+    return spec
+
+
+def _hopf(spec):
+    return lambda: resolve(spec).patch.hopf()
+
+
+# the Hopf data whose eigenfields march on the generated path: the smooth
+# presets and spec cases, 40 seeded null specs over every psi shape kind
+# (Fraction and float, constant and not), psi that turn non-positive in
+# mid-march (narrow_domain, integer)
+EIGEN = {
+    **{name: _hopf(preset_spec(name)) for name in SMOOTH_PRESETS},
+    **{name: _hopf(SPEC_CASES[name][0]) for name in SMOOTH_SPEC_CASES},
+    **{f"null_{'float' if as_float else 'fraction'}_m{m1}{m2}_{'const' if constant else 'poly'}_{seed}":
+       _hopf(_seeded_null(seed, (m1, m2), as_float, constant))
+       for m1, m2 in ((2, 2), (2, 4), (4, 2), (4, 4), (6, 2)) for as_float in (False, True)
+       for constant in (True, False) for seed in (11, 12)},
+    "narrow_domain": _narrow_domain_hopf,
+    "integer": _integer_hopf,
+}
+# two opposite default seeds, seeds near the umbilic (where narrow_domain's
+# marches leave its domain in RK4 stages 2-4) and a NaN seed
+EIGEN_SEEDS = (*DEFAULT_SEEDS[::4], (0.1, 0.05), (-0.15, 0.1), (0.2, -0.1), (math.nan, 0.5))
+
+
 BUILT_IN = ("z3", "z5", "deg26", "null_fraction", "null_float",
             "spacelike_m1", "spacelike_m2", "spacelike_m3")
 
@@ -271,11 +321,11 @@ def test_power_overflow_in_a_march_and_the_far_seed_spec_error(tmp_path, capsys)
     assert json.loads(capsys.readouterr().err)["pointer"] == "/analysis/seeds/0"
 
 
-def _stops(field, kwargs):
+def _stops(field, kwargs, seeds=DEFAULT_SEEDS):
     """(how, stage, whole steps) of each march of the reference that a
     sample stopped: how is "raise", "nan", "inf" or "small"."""
     stops = []
-    for seed in DEFAULT_SEEDS:
+    for seed in seeds:
         log = []
 
         def ev(u, v):
@@ -345,3 +395,113 @@ def test_an_evaluator_overflow_propagates_as_in_the_reference(kind):
             march(FlowField(ev, kind=kind), DEFAULT_SEEDS[1:], step=5e-3, max_len=2.4)
         messages.append(str(exc.value))
     assert messages[0] == messages[1] == "math range error"
+
+
+def test_the_eigen_cases_are_every_smooth_flow():
+    """`SMOOTH_PRESETS` and `SMOOTH_SPEC_CASES` name every time-like preset
+    and spec case whose eigenfields exist."""
+
+    def smooth(spec):
+        try:
+            patch = resolve(spec).patch
+            return hasattr(patch, "hopf") and bool(eigenfields(patch.hopf()))
+        except (SpecError, NoSmoothFlowError):
+            return False
+
+    assert tuple(n for n in PRESET_ORDER if smooth(preset_spec(n))) == SMOOTH_PRESETS
+    assert tuple(n for n, (spec, _) in SPEC_CASES.items() if smooth(spec)) == SMOOTH_SPEC_CASES
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN))
+def test_the_generated_march_is_bitwise_the_reference(name):
+    """X1 and X2 march as `oracles.reference_streamlines` over
+    `oracles.reference_eigenfields`, which evaluates the exact psi on every
+    call: the same bytes, NaN seed included, in both march settings."""
+    qhat = EIGEN[name]()
+    for new, ref in zip(eigenfields(qhat), oracles.reference_eigenfields(qhat)):
+        assert isinstance(new.evaluator, flow.Kernel)
+        for kwargs in _marches(SQUARE):
+            got = streamlines(new, EIGEN_SEEDS, **kwargs)
+            want = oracles.reference_streamlines(ref, EIGEN_SEEDS, **kwargs)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], new.name
+
+
+def test_narrow_domain_marches_end_in_every_later_stage():
+    """From `EIGEN_SEEDS`, narrow_domain's psi turns non-positive in RK4
+    stages 2, 3 and 4 of marches some steps past their seeds."""
+    stops = [stop for field in oracles.reference_eigenfields(_narrow_domain_hopf())
+             for kwargs in _marches(SQUARE) for stop in _stops(field, kwargs, EIGEN_SEEDS)]
+    assert {stage for how, stage, steps in stops if how == "raise" and steps} == {2, 3, 4}
+
+
+@pytest.mark.parametrize("kind", ("X1", "X2"))
+def test_the_generated_march_lets_the_far_seed_overflow_through(kind):
+    """z5's x**n1 overflows at the far seed: both marches raise it."""
+    qhat = EIGEN["z5"]()
+    new, ref = (dict((f.name, f) for f in fields)[kind]
+                for fields in (eigenfields(qhat), oracles.reference_eigenfields(qhat)))
+    for kwargs in _marches(SQUARE):
+        messages = []
+        for march, field in ((streamlines, new), (oracles.reference_streamlines, ref)):
+            with pytest.raises(OverflowError) as exc:
+                march(field, [(1e200, 1e200)], **kwargs)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+def test_eigenfield_marches_call_no_evaluator(monkeypatch):
+    """The eigenfields' statements run inline: a march that fell back to
+    calling the evaluator would call `Kernel.__call__`."""
+    calls = []
+    monkeypatch.setattr(flow.Kernel, "__call__", lambda self, u, v: calls.append((u, v)))
+    for name in ("z5", "null_fraction_m24_poly_11", "null_float_m42_const_12"):
+        for field in eigenfields(EIGEN[name]()):
+            lines = streamlines(field, DEFAULT_SEEDS)
+            assert sum(map(len, lines)) > 10 * len(DEFAULT_SEEDS)
+    assert calls == []
+
+
+def _shape_hopf(plus, minus):
+    return ParaFunction.from_branches([0, 0, *plus], [0, 0, *minus])
+
+
+def test_the_source_depends_only_on_the_shape():
+    """Equal shapes give one source text, whatever the coefficients: a
+    double near the top of the range, a 4000-digit Fraction, and ints."""
+    digits = Fraction(10**3999 + 1, 10**3999)  # a 4000-digit numerator
+    fields = [eigenfields(_shape_hopf(plus, minus)) for plus, minus in (
+        ([1e308, 1.0], [digits, Fraction(1, 7)]), ([2.5, -1.0], [3, 1]), ([1, 3], [1, -2]))]
+    for k in (0, 1):
+        kernels = [f[k].evaluator for f in fields]
+        assert len({kernel.source for kernel in kernels}) == 1
+        assert kernels[0].args["A1"] == 1e308 and kernels[0].args["B1"] == float(digits)
+        assert len({tuple(kernel.args.values()) for kernel in kernels}) == 3
+    assert fields[0][0].evaluator.source != fields[0][1].evaluator.source  # X1 and X2
+
+
+def test_the_compile_cache_holds_one_entry_per_shape():
+    flow._compiled.cache_clear()
+    for n in range(1, 5):  # two Hopf data of each shape, two fields each
+        for c in (1, Fraction(5, 3)):
+            for field in eigenfields(_shape_hopf([c] * n, [2])):
+                streamlines(field, [(0.1, 0.05)], max_len=0.01)
+    assert flow._compiled.cache_info().currsize == 2 * 4
+    for n in range(5, 40):
+        for field in eigenfields(_shape_hopf([1] * n, [2])):
+            field(0.1, 0.05)
+    assert flow._compiled.cache_info().currsize == flow._compiled.cache_info().maxsize == 64
+
+
+def test_flow_runs_the_longest_psi_the_limits_allow(tmp_path):
+    """g_i of degree MAX_DEGREE with g_i'(0) = g_i''(0) = 0 and w_i of
+    degree MAX_DEGREE: psi of degree 2 MAX_DEGREE - 3."""
+    g = [0, 0, 0, "1/3"] + [f"1/{4**k}" for k in range(4, MAX_DEGREE + 1)]
+    w = [1] + [f"1/{2**k}" for k in range(1, MAX_DEGREE + 1)]
+    data = {name: {"kind": "poly", "coeffs": coeffs} for name, coeffs in
+            (("g1", g), ("g2", g), ("w1", w), ("w2", w))}
+    spec = {"route": "null", "data": data, "grid": dict(SPEC_CASES["z3_seeds"][0]["grid"])}
+    x1, _ = eigenfields(resolve(spec).patch.hopf())
+    assert x1.evaluator.args.keys() >= {f"A{2 * MAX_DEGREE - 3}", f"B{2 * MAX_DEGREE - 3}"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["flow", "--spec", str(path), "--grid", "17", "--out", str(tmp_path / "out")]) == 0

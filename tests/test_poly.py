@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zmcsurf import Poly
@@ -169,3 +170,43 @@ def test_inexact_factors_keep_the_schoolbook_order():
     for x, y in ((a, b), (b, a), (a, [1j, 2])):
         got = (Poly(x) * Poly(y)).coeffs
         assert [complex(c) for c in got] == [complex(c) for c in schoolbook_product(x, y)]
+
+
+HUGE = 10**400
+TABLE_POLYS = {
+    "float_lead": Poly([1, Fraction(-2, 3), 0.5, 3]),
+    "exact_lead": Poly([0.25, 1e-300, Fraction(7, 3), -2]),
+    "float_last": Poly([1.5, 2, Fraction(1, 3)]),
+    "one_float": Poly([-0.0]  + [0] * 3 + [1e300]),
+    "signed_zeros": Poly([-0.0, 0.0, -1.0]),
+    # OverflowError: a leading exact part past the doubles at t != 0, a
+    # later int or Fraction coefficient past them, and points past them
+    "huge_exact_lead": Poly([0.5, HUGE]),
+    "huge_int_later": Poly([HUGE, 0.5]),
+    "huge_fraction_later": Poly([Fraction(HUGE, 7), 0.5, 1]),
+    "huge_int_after_point": Poly([HUGE, 0.5, 1]),
+}
+TABLE_POINTS = {
+    "small": [Fraction(-7, 3), Fraction(-1), Fraction(0), Fraction(5, 4), Fraction(2, 9)],
+    "zero": [Fraction(0)],
+    "empty": [],
+    # the second point is past the doubles, the first is not
+    "far": [Fraction(1, 2), Fraction(HUGE, 3), Fraction(-1, 5)],
+}
+
+
+def _outcome(fn):
+    try:
+        return "value", np.array(fn(), dtype=float).tobytes()
+    except OverflowError as exc:
+        return "OverflowError", str(exc)
+
+
+@pytest.mark.parametrize("points", TABLE_POINTS)
+@pytest.mark.parametrize("name", TABLE_POLYS)
+def test_table_is_the_call_at_each_point(name, points):
+    """`Poly.table` at Fraction points, exact leading part and float steps
+    on arrays, gives the bits of one call per point, and raises the
+    OverflowError the first call that raises does."""
+    p, ts = TABLE_POLYS[name], TABLE_POINTS[points]
+    assert _outcome(lambda: p.table(ts)) == _outcome(lambda: [p(t) for t in ts])

@@ -22,15 +22,17 @@ differently: with numpy 2.4 on x86-64, `np.hypot` differs from `math.hypot`
 in about 0.6% of random pairs in [-1, 1]^2, and `np.power(x, 3)` from
 `x**3` in about 3% of samples.  `streamlines`, where each step needs the
 last, runs one march, generated from an RK4 stage template per field shape
-with a `Kernel` evaluator's statements inline and any other evaluator
-called: the text is made from the shape alone and every value is an
-argument, so no spec value reaches it.  A
-winding circle is evaluated as arrays through `FlowField.arrays`, which
-the built-in fields have: numpy does `+ - * /` and `sqrt`, `geometry.each`
-maps the other calls over the samples, and `np.add.accumulate` sums the
-turning in loop order (`np.sum` sums pairwise).  An array pass's
-OverflowError ends the winding.  A field without an array form goes through
-the per-sample loop, where the first sample that raises decides the error.
+with a `Kernel` evaluator's statements inline: every built-in field is one
+(the umbilic eigenfields and the space-like principal line field), and the
+evaluator of any other field, a library's or a test's, is called.  The
+text is made from the shape alone and every value is an argument, so no
+spec value reaches it.  A winding circle is evaluated as arrays through
+`FlowField.arrays`, which the built-in fields have: numpy does `+ - * /`
+and `sqrt`, `geometry.each` maps the other calls over the samples, and
+`np.add.accumulate` sums the turning in loop order (`np.sum` sums
+pairwise).  An array pass's OverflowError ends the winding.  A field
+without an array form goes through the per-sample loop, where the first
+sample that raises decides the error.
 
 Fields given one `Circles` (`Circles.share`) share their circles: the cos
 and sin of the sample angles are formed once per sample count, and an array
@@ -245,11 +247,12 @@ def streamlines(
     Returns one polyline (ndarray of points) per seed.
 
     Both field kinds run one march (`_compiled`): each of the four RK4
-    stages runs the statements of a `Kernel` evaluator, or `p, q = ev(su,
-    sv)` for any other, and the march has one `suppress`.  The arithmetic is
-    that of the scalar loop this replaced, in the same order: the stage
-    points are `u + (0.5 * step) * k`, the step is `(k1 + 2*k2 + 2*k3 + k4)
-    / 6.0`, and norms stay `math.hypot` (see the module docstring), so every
+    stages runs the statements of a `Kernel` evaluator, as every built-in
+    field's is, or `p, q = ev(su, sv)` for any other evaluator, and the
+    march has one `suppress`.  The arithmetic is that of the scalar loop
+    this replaced, in the same order: the stage points are
+    `u + (0.5 * step) * k`, the step is `(k1 + 2*k2 + 2*k3 + k4) / 6.0`,
+    and norms stay `math.hypot` (see the module docstring), so every
     point keeps its bits.  A sample is divided by its norm times the sign,
     which is exact (`p / -n` is `-(p / n)`); a line sample is then turned to
     face the one before it, and after the first step its sign is 1.  Missing

@@ -18,13 +18,20 @@ Charts are evaluated on node arrays: `Poly.at_complex` runs Horner's
 rule over the whole grid, one numpy operation per step of CPython's
 complex arithmetic, so every value is bit for bit the one a complex
 evaluation per node gives (abs as hypot; squares stay Python's `** 2`,
-C pow, and sigma a math.log per node).  `grid_coordinates` stacks the
-real parts of the three primitives into a [nu, nv, 3] array, as the
-time-like patch does.  `SpacelikeChart` is a `SurfaceChart` built by
-`geometry.generated_chart` (metric sign +1, masked where the conformal
-factor is at most 1e-300), and its `classify` yields the usual
-`ChartClassification`, so `classify_chart`, `classification_csv` and
-`classification_summary` serve both signatures.
+C pow, and sigma a math.log per node).  The principal line field is a
+`flow.Kernel` that writes the same steps out on (real, imag) floats for
+`streamlines` to run inline: z as `_z`, one Horner step per coefficient
+c from 0.0 with complex(c) bound as two arguments, `-a * b` and `4.0 * w`
+as `_four_hopf`.  Each is the IEEE operation that CPython's complex `+`
+and `*` take, on the same operands in the same order, so every sample
+keeps the bits of -complex(omega_hat(z)) * complex(g'(z)); a loop over
+Python complex values keeps them too, but marches ~1.3x slower.
+`grid_coordinates` stacks the real parts of the three primitives into a
+[nu, nv, 3] array, as the time-like patch does.  `SpacelikeChart` is a
+`SurfaceChart` built by `geometry.generated_chart` (metric sign +1,
+masked where the conformal factor is at most 1e-300), and its `classify`
+yields the usual `ChartClassification`, so `classify_chart`,
+`classification_csv` and `classification_summary` serve both signatures.
 Its nodes are umbilic (a tolerance test on L - N and M, hence marginal) or
 positive, with D = ((L-N)^2 + 4 M^2) e^{-4 sigma}, principal directions
 (cos t, sin t) and (-sin t, cos t) at t = atan2(M, (L-N)/2)/2, and
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import LINE_FIELD, FlowField, WindingResult, winding_index
+from .flow import LINE_FIELD, FlowField, Kernel, WindingResult, winding_index
 from .geometry import (
     EXP_MAX,
     KIND_POSITIVE,
@@ -140,29 +147,22 @@ class SpacelikePatch:
         The eigen-line of [[a, M], [M, -a]] with a = (L-N)/2 sits at angle
         theta = atan2(M, a)/2; the returned representative is
         (cos theta, sin theta), defined up to sign as a line field.  The
-        field evaluates the Hopf coefficient -(omega_hat g') inline: Horner's
-        rule over the coefficients of omega_hat and g', as `Poly.__call__`
-        runs it at a complex point.  Its array form gives the same bits:
-        z as `_z` forms it, Horner by `Poly.at_complex`, the products
-        `-a * b` and `4.0 * w` as `_four_hopf`, libm per sample (`each`).
+        evaluator is a `flow.Kernel`: Horner's rule unrolled over the
+        coefficients of omega_hat and g', bound as arguments, in the float
+        steps of CPython's complex arithmetic (see the module docstring).
+        Its text is made from the lengths of omega_hat and g' alone; a
+        coefficient outside the double range raises OverflowError here.
+        The array form takes the same steps: `_z`, `Poly.at_complex`,
+        `_four_hopf`, and libm per sample (`each`).
         """
-        omega = tuple(reversed(self.data.omega_hat.coeffs))
-        g_prime = tuple(reversed(self.g_prime.coeffs))
-
-        def ev(u, v):
-            z = complex(u) + 1j * complex(v)
-            a = b = 0
-            for c in omega:
-                a = a * z + c
-            for c in g_prime:
-                b = b * z + c
-            # the Hopf coefficient alone: 4 hopf = (L - N) - 2iM, N = -L
-            w = 4.0 * (-complex(a) * complex(b))
-            a, M = w.real / 2.0, -w.imag / 2.0
-            if a == 0.0 and M == 0.0:
-                return (0.0, 0.0)  # umbilic: winding guard will reject
-            theta = 0.5 * math.atan2(M, a)
-            return (math.cos(theta), math.sin(theta))
+        source = ["zr, zi = su + (0.0 * sv - 0.0), 0.0 + (0.0 + sv)", "wr = wi = gr = gi = 0.0"]
+        args = dict(atan2=math.atan2, cos=math.cos, sin=math.sin)
+        for acc, poly in (("w", self.data.omega_hat), ("g", self.g_prime)):
+            for k, c in enumerate(map(complex, reversed(poly.coeffs))):
+                args[f"{acc}{k}r"], args[f"{acc}{k}i"] = c.real, c.imag
+                source.append(f"{acc}r, {acc}i = {acc}r * zr - {acc}i * zi + {acc}{k}r, "
+                              f"{acc}r * zi + {acc}i * zr + {acc}{k}i")
+        kernel = Kernel("\n".join(source) + _EIGEN_LINE, **args)
 
         def arrays(u, v):
             x, y = _z(u, v)
@@ -171,8 +171,20 @@ class SpacelikePatch:
             theta, zero = 0.5 * each(math.atan2, M, a), (a == 0.0) & (M == 0.0)
             return tuple(np.where(zero, 0.0, each(f, theta)) for f in (math.cos, math.sin))
 
-        return FlowField(ev, kind=LINE_FIELD, name="principal_lines", arrays=arrays)
+        return FlowField(kernel, kind=LINE_FIELD, name="principal_lines", arrays=arrays)
 
+
+# after the Horner steps: 4 hopf = (L - N) - 2iM (N = -L) as `_four_hopf` forms
+# it, and the eigen-line; (0, 0) at an umbilic, which the winding guard rejects
+_EIGEN_LINE = """
+nr, ni = -wr, -wi
+hr, hi = nr * gr - ni * gi, nr * gi + ni * gr
+a, M = (4.0 * hr - 0.0 * hi) / 2.0, -(4.0 * hi + 0.0 * hr) / 2.0
+if a == 0.0 and M == 0.0:
+    p, q = 0.0, 0.0
+else:
+    theta = 0.5 * atan2(M, a)
+    p, q = cos(theta), sin(theta)"""
 
 _NO_UMBILIC = {None: "no isolated umbilic (Hopf coefficient is identically zero)",
                0: "no isolated umbilic (Hopf coefficient has no zero at o)"}

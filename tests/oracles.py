@@ -17,13 +17,16 @@ integrand call per node.  It is the oracle for
 sum of `a_i * b_k` per coefficient, the oracle for its integer
 convolution of int/Fraction factors.
 
+`converted_horner` is `exact_horner` at a float point with each
+coefficient converted once by float(c), the step `float + Fraction` takes
+(`Fraction.__radd__` computes float(a) + float(c)), so the same bits.
 `reference_eigenfields` is the uncompiled evaluation of the umbilic
-eigenfields through `exact_horner`, the oracle for the float-coefficient
-fields of `zmcsurf.umbilic.eigenfields`.
+eigenfields through it, the oracle for the float-coefficient fields of
+`zmcsurf.umbilic.eigenfields`.
 
 `reference_principal_line_field` is the space-like principal line field
-through one `spacelike_hopf` call per sample, the oracle for the flat
-closure of `SpacelikePatch.principal_line_field`.
+through one `spacelike_hopf` call per sample, the oracle for the
+`flow.Kernel` of `SpacelikePatch.principal_line_field`.
 
 `reference_spacelike_classification_csv` is the space-like classifier and
 writer that ran beside the shared pipeline before space-like charts went
@@ -179,6 +182,21 @@ def exact_horner(p, t):
     return acc
 
 
+def converted_horner(p):
+    """t -> `exact_horner(p, t)` at a float t, each coefficient converted
+    once by float(c) (ints and Fractions alike; a value outside the double
+    range raises OverflowError here)."""
+    coeffs = [float(c) for c in reversed(p.coeffs)]
+
+    def horner(t):
+        acc = 0
+        for c in coeffs:
+            acc = acc * t + c
+        return acc
+
+    return horner
+
+
 def reference_gauss_primitive(fn):
     """t -> the integral of the scalar fn over [0, t] by the fixed rule of
     `weierstrass`: the integral up to each knot is cached per sign, and a
@@ -216,18 +234,18 @@ def schoolbook_product(a, b):
 
 
 def reference_eigenfields(qhat, cap=16):
-    """X1, X2 at an admissible umbilic, evaluating the exact psi
-    polynomials by `exact_horner` at the float point on every call;
-    admissibility is not re-checked here."""
+    """X1, X2 at an admissible umbilic, evaluating the psi polynomials by
+    `converted_horner` (bit for bit `exact_horner`) at the float point on
+    every call; admissibility is not re-checked here."""
     nf = qhat.normal_form(cap)
     delta = 1 if nf.psi_plus_0 > 0 else -1
     n1, nm1 = nf.orders.plus.order // 2, nf.orders.minus.order // 2
-    alpha, beta = nf.psi_plus.poly, nf.psi_minus.poly
+    alpha, beta = converted_horner(nf.psi_plus.poly), converted_horner(nf.psi_minus.poly)
 
     def components(u, v):
         x, y = (u + v) / 2.0, (u - v) / 2.0
-        a = delta * float(exact_horner(alpha, x))
-        b = delta * float(exact_horner(beta, y))
+        a = delta * float(alpha(x))
+        b = delta * float(beta(y))
         if a <= 0.0 or b <= 0.0:
             raise ValueError("eigenfield undefined: rescaled branch not positive")
         return x**n1 * math.sqrt(a), y**nm1 * math.sqrt(b)

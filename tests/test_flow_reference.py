@@ -1,10 +1,10 @@
 """The curvature-line loops against their scalar references, bit for bit.
 
-`flow.streamlines` runs one generated march, with the eigenfields'
-statements inline (`flow.Kernel`) and any other evaluator called,
-`flow._accumulate` calls the evaluator or its array form, the space-like
-line field is a flat closure, and `svgplot.render_svg` formats pixel
-coordinates from arrays.
+`flow.streamlines` runs one generated march, with the statements of the
+built-in fields inline (`flow.Kernel`: the umbilic eigenfields and the
+space-like principal line field) and any other evaluator called,
+`flow._accumulate` calls the evaluator or its array form, and
+`svgplot.render_svg` formats pixel coordinates from arrays.
 The oracles in `oracles` are the scalar loops these replaced.  Over every
 kind of field the program draws, and hand fields that stop a march, refuse
 a sample, vanish at a seed or on a winding circle, or return ints or
@@ -17,13 +17,17 @@ first, and at NaN, infinite and too-small samples in mid-march
 The eigenfields of `EIGEN` (every smooth preset and spec case, 40 seeded
 null specs over every psi shape, psi that turn non-positive in mid-march)
 march bit for bit as the reference march over `oracles.reference_eigenfields`,
-without calling an evaluator.  The march's source text depends only on the
-field's shape, and the compile cache is bounded.
+without calling an evaluator, and so do the principal line fields of
+`SPACELIKE` (seeded kobayashi specs) over
+`oracles.reference_principal_line_field`.  The march's source text depends
+only on the field's shape, no kernel name shadows one of the march's own,
+and the compile cache is bounded.
 """
 
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +43,9 @@ from zmcsurf.flow import (LINE_FIELD, VECTOR_FIELD, FlowField, WindingError, str
                           winding_index)
 from zmcsurf.geometry import GridSpec
 from zmcsurf.parafunc import ParaFunction
+from zmcsurf.poly import Poly
 from zmcsurf.presets import PRESET_ORDER, load_preset, preset_spec
+from zmcsurf.spacelike import ComplexWeierstrassData, generate_kobayashi
 from zmcsurf.surfacespec import DEFAULT_SEEDS, MAX_DEGREE, SpecError, resolve
 from zmcsurf.svgplot import KIND_COLORS, ChartMap, render_svg
 from zmcsurf.umbilic import NoSmoothFlowError, eigenfields
@@ -449,15 +455,83 @@ def test_the_generated_march_lets_the_far_seed_overflow_through(kind):
         assert messages[0] == messages[1]
 
 
+def test_the_converted_psi_horner_is_bitwise_exact_horner():
+    """`oracles.reference_eigenfields` converts each psi coefficient once:
+    at float points its Horner gives `exact_horner`'s bits over the ten
+    seeded Fraction null specs with a non-constant psi."""
+    rng = np.random.default_rng(33)
+    points = rng.uniform(-1.0, 1.0, 1000).tolist() + [0.0, -0.0, 0.5, -0.5, 1.0, -1.0]
+    names = [name for name in EIGEN if name.startswith("null_fraction") and "_poly_" in name]
+    assert len(names) == 10
+    for name in names:
+        nf = EIGEN[name]().normal_form(16)
+        for psi in (nf.psi_plus.poly, nf.psi_minus.poly):
+            assert psi.degree > 0 and any(isinstance(c, Fraction) for c in psi.coeffs)
+            horner = oracles.converted_horner(psi)
+            for t in points:
+                assert horner(t).hex() == oracles.exact_horner(psi, t).hex(), (name, t)
+
+
+def _kobayashi(g, omega):
+    return {"route": "kobayashi", "data": {"g": g, "omega_hat": omega},
+            "grid": {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1, "nu": 17, "nv": 17}}
+
+
+def _seeded_kobayashi(seed):
+    """g = g0 + c z^(zeros + 1) + ..., whose g' has `zeros` leading zero
+    coefficients, and omega_hat of degree seed % 3; complex coefficients
+    on even seeds, floats on odd ones."""
+    rng = random.Random(seed)
+    part = lambda: rng.uniform(-1.5, 1.5)
+    coeff = (lambda: [part(), part()]) if seed % 2 == 0 else part
+    zeros = seed // 2 % 4
+    g = [coeff()] + [0] * zeros + [coeff() for _ in range(1 + seed % 3)]
+    return _kobayashi(g, [coeff() for _ in range(1 + seed % 3)])
+
+
+# principal line fields over every omega_hat degree 0-2, complex and float
+# coefficients, g' with 0-3 leading zeros (an umbilic at o of that order),
+# -0.0 coefficients, and Horner steps that reach inf (the march stops there)
+SPACELIKE = {
+    **{f"seeded_{seed}": _seeded_kobayashi(seed) for seed in range(17)},
+    "negative_zero": _kobayashi([0, -0.0, [0.5, -0.0], -0.25], [-0.0, [0.0, 1.0], -0.0]),
+    "huge_omega": _kobayashi([0, 0, 0.5], [1e308, 1e308]),
+    "huge_complex": _kobayashi([0, 0.5, [-0.25, 0.75]], [[1e308, 1e308], [1e308, -0.5]]),
+}
+# `EIGEN_SEEDS` and the umbilic at o
+SPACELIKE_SEEDS = (*EIGEN_SEEDS, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("name", sorted(SPACELIKE))
+def test_the_space_like_march_is_bitwise_the_reference(name):
+    """The principal line field marches as `oracles.reference_streamlines`
+    over `oracles.reference_principal_line_field`, which evaluates the
+    Hopf coefficient in complex arithmetic: the same bytes, in both march
+    settings; where Horner reaches inf the field is NaN and marches stop."""
+    patch = resolve(SPACELIKE[name]).patch
+    new, ref = patch.principal_line_field(), oracles.reference_principal_line_field(patch)
+    assert isinstance(new.evaluator, flow.Kernel)
+    for kwargs in _marches(SQUARE):
+        got = streamlines(new, SPACELIKE_SEEDS, **kwargs)
+        want = oracles.reference_streamlines(ref, SPACELIKE_SEEDS, **kwargs)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    if name.startswith("huge"):
+        assert all(map(math.isnan, new(0.9, 0.0))) and all(map(math.isnan, ref(0.9, 0.0)))
+
+
 def test_eigenfield_marches_call_no_evaluator(monkeypatch):
-    """The eigenfields' statements run inline: a march that fell back to
-    calling the evaluator would call `Kernel.__call__`."""
+    """The statements of the eigenfields and of the space-like principal
+    line fields run inline: a march that fell back to calling the
+    evaluator would call `Kernel.__call__`."""
     calls = []
     monkeypatch.setattr(flow.Kernel, "__call__", lambda self, u, v: calls.append((u, v)))
-    for name in ("z5", "null_fraction_m24_poly_11", "null_float_m42_const_12"):
-        for field in eigenfields(EIGEN[name]()):
-            lines = streamlines(field, DEFAULT_SEEDS)
-            assert sum(map(len, lines)) > 10 * len(DEFAULT_SEEDS)
+    fields = [field for name in ("z5", "null_fraction_m24_poly_11", "null_float_m42_const_12")
+              for field in eigenfields(EIGEN[name]())]
+    fields += [load_preset(f"spacelike_m{m}").patch.principal_line_field() for m in (1, 2, 3)]
+    fields.append(resolve(SPACELIKE["seeded_4"]).patch.principal_line_field())
+    for field in fields:
+        lines = streamlines(field, DEFAULT_SEEDS)
+        assert sum(map(len, lines)) > 10 * len(DEFAULT_SEEDS)
     assert calls == []
 
 
@@ -477,6 +551,28 @@ def test_the_source_depends_only_on_the_shape():
         assert kernels[0].args["A1"] == 1e308 and kernels[0].args["B1"] == float(digits)
         assert len({tuple(kernel.args.values()) for kernel in kernels}) == 3
     assert fields[0][0].evaluator.source != fields[0][1].evaluator.source  # X1 and X2
+    # space-like: one text per length of omega_hat and g'
+    kernels = [generate_kobayashi(ComplexWeierstrassData(Poly([0, 0, -0.5]), Poly([c, 1.0])))
+               .principal_line_field().evaluator for c in (1e308, 0.5 - 2j, 2.5)]
+    assert len({kernel.source for kernel in kernels}) == 1
+    assert (kernels[0].args["w1r"], kernels[1].args["w1r"], kernels[1].args["w1i"]) == (1e308, 0.5, -2.0)
+    assert len({tuple(kernel.args.values()) for kernel in kernels}) == 3
+
+
+def test_kernel_names_do_not_shadow_the_march():
+    """No built-in Kernel binds or assigns one of the march's own names,
+    its parameters and locals beside the Kernel's p and q, as the compiled
+    code of a march and of each Kernel's evaluator list them."""
+    march = flow._compiled("p, q = ev(su, sv)", "ev")[0].__code__
+    own = set(march.co_varnames) - {"ev", "p", "q"}
+    assert {"u", "v", "n", "sign", "half", "du", "dv", "su", "sv", "a0", "a4", "b0", "b4"} <= own
+    fields = [field for name in EIGEN for field in eigenfields(EIGEN[name]())]
+    fields += [resolve(spec).patch.principal_line_field() for spec in SPACELIKE.values()]
+    fields += [load_preset(f"spacelike_m{m}").patch.principal_line_field() for m in (1, 2, 3)]
+    for field in fields:
+        kernel = field.evaluator
+        names = flow._compiled(kernel.source, *kernel.args)[1].__code__.co_varnames
+        assert {"p", "q"} <= set(names) and not (set(names) - {"su", "sv", "p", "q"}) & own, field.name
 
 
 def test_the_compile_cache_holds_one_entry_per_shape():
@@ -486,6 +582,11 @@ def test_the_compile_cache_holds_one_entry_per_shape():
             for field in eigenfields(_shape_hopf([c] * n, [2])):
                 streamlines(field, [(0.1, 0.05)], max_len=0.01)
     assert flow._compiled.cache_info().currsize == 2 * 4
+    for n in range(1, 4):  # two space-like patches of each omega_hat length
+        for c in (0.5, 0.25 - 1j):
+            field = generate_kobayashi(ComplexWeierstrassData(Poly([0, 0, c]), Poly([1.0] * n)))
+            streamlines(field.principal_line_field(), [(0.1, 0.05)], max_len=0.01)
+    assert flow._compiled.cache_info().currsize == 2 * 4 + 3
     for n in range(5, 40):
         for field in eigenfields(_shape_hopf([1] * n, [2])):
             field(0.1, 0.05)
@@ -502,6 +603,19 @@ def test_flow_runs_the_longest_psi_the_limits_allow(tmp_path):
     spec = {"route": "null", "data": data, "grid": dict(SPEC_CASES["z3_seeds"][0]["grid"])}
     x1, _ = eigenfields(resolve(spec).patch.hopf())
     assert x1.evaluator.args.keys() >= {f"A{2 * MAX_DEGREE - 3}", f"B{2 * MAX_DEGREE - 3}"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["flow", "--spec", str(path), "--grid", "17", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_flow_runs_the_longest_space_like_shape(tmp_path):
+    """g and omega_hat of degree MAX_DEGREE: a kernel of 2 MAX_DEGREE + 1
+    Horner steps."""
+    g = [0, 0] + [[1 / 4**k, (-1) ** k / 8**k] for k in range(2, MAX_DEGREE + 1)]
+    w = [1] + [1 / 2**k for k in range(1, MAX_DEGREE + 1)]
+    spec = _kobayashi(g, w)
+    kernel = resolve(spec).patch.principal_line_field().evaluator
+    assert kernel.args.keys() >= {f"w{MAX_DEGREE}r", f"g{MAX_DEGREE - 1}i"}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["flow", "--spec", str(path), "--grid", "17", "--out", str(tmp_path / "out")]) == 0

@@ -26,17 +26,17 @@ with a `Kernel` evaluator's statements inline: every built-in field is one
 (the umbilic eigenfields and the space-like principal line field), and the
 evaluator of any other field, a library's or a test's, is called.  The
 text is made from the shape alone and every value is an argument, so no
-spec value reaches it.  A winding circle is evaluated as arrays through
-`FlowField.arrays`, which the built-in fields have: numpy does `+ - * /`
-and `sqrt`, `geometry.each` maps the other calls over the samples, and
-`np.add.accumulate` sums the turning in loop order (`np.sum` sums
-pairwise).  An array pass's OverflowError ends the winding.  A field
-without an array form goes through the per-sample loop, where the first
-sample that raises decides the error.
+spec value reaches it.  `Circles` winds every field, _CHUNK samples a pass:
+by `FlowField.arrays`, which the built-in fields have (numpy does `+ - * /`
+and `sqrt`, `geometry.each` maps the other calls over the samples), else
+by one evaluator call per sample, in sample order.  `np.add.accumulate`
+sums the turning in loop order (`np.sum` sums pairwise).  An OverflowError of
+a pass ends any winding, even after a zero sample of its chunk; a ValueError,
+ZeroDivisionError or FloatingPointError of an evaluator counts as a zero.
 
 Fields given one `Circles` (`Circles.share`) share their circles: the cos
-and sin of the sample angles are formed once per sample count, and an array
-form's (p, q) once per circle.  A `Swapped` form reads, and then drops, its
+and sin of the sample angles are formed once per sample count, and a
+field's (p, q) once per circle.  A `Swapped` form reads, and then drops, its
 base's pass, as X2 of `umbilic.eigenfields` reads X1's (X1 = (p + q, -p + q)
 and X2 = (-p + q, p + q), bit for bit).  `atan2` runs once per field and
 circle, and each field keeps its own retries.
@@ -77,8 +77,8 @@ class FlowField:
     kind: str = VECTOR_FIELD
     singular_point: tuple = (0.0, 0.0)
     name: str = ""
-    # optional: (p, q) at float arrays (u, v), bit for bit the evaluator's,
-    # NaN where it raises ValueError; OverflowError may come from any sample
+    # optional: (p, q) at float arrays (u, v), bit for bit the evaluator's, NaN where it raises
+    # ValueError; may raise OverflowError at any sample.  Without it, one evaluator call a sample
     arrays: Optional[Callable] = None
     circles: Optional["Circles"] = None  # shared with other fields (`Circles.share`)
 
@@ -122,15 +122,17 @@ class Circles:
 
     @np.errstate(all="ignore")
     def angles(self, field: FlowField, radius: float, samples: int) -> np.ndarray:
-        """The field's angles on the circle, _CHUNK samples an array call; a
-        `Swapped` form reads its base's pass and drops it."""
-        swap = isinstance(field.arrays, Swapped)
-        arrays, (u0, v0) = field.arrays.base if swap else field.arrays, field.singular_point
-        key = (arrays, u0, v0, radius, samples)
+        """The field's angles on the circle, _CHUNK samples an array call (or
+        `_each_sample`); a `Swapped` form reads its base's pass and drops it."""
+        form = field.arrays or field.evaluator
+        swap = isinstance(form, Swapped)
+        form, (u0, v0) = form.base if swap else form, field.singular_point
+        key = (form, u0, v0, radius, samples)
         if key not in self.passes:
             values = []
             for c, s in self.unit(samples):
-                p, q = arrays(u0 + radius * c, v0 + radius * s)
+                u, v = u0 + radius * c, v0 + radius * s
+                p, q = form(u, v) if field.arrays else _each_sample(form, u, v)
                 if not (np.isfinite(p) & np.isfinite(q) & ((p != 0.0) | (q != 0.0))).all():
                     raise _ZeroOnCircle
                 values.append((p, q))
@@ -159,37 +161,27 @@ class _ZeroOnCircle(Exception):
     pass
 
 
+def _each_sample(ev, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(p, q) as float arrays, one evaluator call per sample in sample order."""
+    try:
+        return np.array(list(map(ev, u.tolist(), v.tolist())), float).T
+    except (ValueError, ZeroDivisionError, FloatingPointError):
+        raise _ZeroOnCircle  # undefined counts as inadequate, like a zero
+
+
 def _accumulate(field: FlowField, radius: float, samples: int):
     """(total turning / doubling, largest jump) of the field's angle over
     `samples` points of the circle (see the module docstring)."""
     two_pi = 2.0 * math.pi
     doubling = 2.0 if field.kind == LINE_FIELD else 1.0
     circles = field.circles or Circles()
-    angles = doubling * (circles.angles(field, radius, samples) if field.arrays
-                         else _sample_angles(field, radius, circles.unit(samples)))
+    angles = doubling * circles.angles(field, radius, samples)
     jumps = np.roll(angles, -1) - angles
     # remainder(d, 2 pi) is exact, so it is d itself where |d| <= pi
     wrap = np.abs(jumps) > math.pi
     jumps[wrap] = each(math.remainder, jumps[wrap], two_pi)
     total = np.add.accumulate(np.append(0.0, jumps))[-1]  # in loop order
     return float(total) / doubling, float(np.max(np.abs(jumps), initial=0.0))
-
-
-def _sample_angles(field: FlowField, radius: float, unit: list) -> np.ndarray:
-    u0, v0 = field.singular_point
-    ev = field.evaluator
-    atan2, isfinite = math.atan2, math.isfinite
-    angles = []
-    for c, s in (cs for cos, sin in unit for cs in zip(cos.tolist(), sin.tolist())):
-        try:
-            p, q = ev(u0 + radius * c, v0 + radius * s)
-        except (ValueError, ZeroDivisionError, FloatingPointError):
-            raise _ZeroOnCircle  # undefined counts as inadequate, like a zero
-        p, q = float(p), float(q)
-        if not (isfinite(p) and isfinite(q)) or (p == 0.0 and q == 0.0):
-            raise _ZeroOnCircle
-        angles.append(atan2(q, p))
-    return np.array(angles)
 
 
 def winding_index(

@@ -128,10 +128,10 @@ class SpacelikePatch:
         report = {"hopf_zero_order": m, "predicted_index": None if m is None else -m / 2.0}
         if not m:
             return {**report, "measured_index": None, "note": _NO_UMBILIC[m], "match": None}, []
-        ((name, res),), stable, match = wind_halving(
+        rows, stable, match = wind_halving(
             [self.principal_line_field()], {-m / 2.0}, analysis.winding_radius, analysis.samples)
-        report.update(measured_index=res.index, radius_halving_stable=stable, match=match)
-        return report, [(name, LINE_FIELD, res)]
+        report.update(measured_index=rows[0][2].index, radius_halving_stable=stable, match=match)
+        return report, rows
 
     def flow_fields(self, analysis) -> tuple:
         """(fields, marks, banner): the principal line field, with o marked where
@@ -155,7 +155,7 @@ class SpacelikePatch:
         The array form takes the same steps: `_z`, `Poly.at_complex`,
         `_four_hopf`, and libm per sample (`each`).
         """
-        source = ["zr, zi = su + (0.0 * sv - 0.0), 0.0 + (0.0 + sv)", "wr = wi = gr = gi = 0.0"]
+        source = ["zr, zi = su + 0.0 * sv, 0.0 + sv", "wr = wi = gr = gi = 0.0"]
         args = dict(atan2=math.atan2, cos=math.cos, sin=math.sin)
         for acc, poly in (("w", self.data.omega_hat), ("g", self.g_prime)):
             for k, c in enumerate(map(complex, reversed(poly.coeffs))):
@@ -205,10 +205,11 @@ def _grid_z(grid: GridSpec):
 
 def _z(u, v):
     """(Re z, Im z) of z = complex(u) + 1j * complex(v) at float arrays u, v,
-    where 1j * complex(v) = (0 v - 0) + (0 + v) j.  The zero terms decide
-    the sign of a zero: a negative u nearer 0 than half the smallest
-    subnormal is -0.0, and there Re z is +0.0 where v > 0."""
-    return u + (0.0 * v - 0.0), 0.0 + (0.0 + v)
+    where 1j * complex(v) = (0 v - 0) + (0 + v) j: x - 0.0 is x, and 0.0 + v
+    is never -0.0, so those two zero terms go.  The other two decide the sign
+    of a zero: a negative u nearer 0 than half the smallest subnormal is
+    -0.0, and there Re z is +0.0 where v >= 0; Im z is +0.0 at v = -0.0."""
+    return u + 0.0 * v, 0.0 + v
 
 
 def _square(t: float) -> float:

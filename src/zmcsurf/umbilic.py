@@ -63,7 +63,7 @@ class IndexReport:
     measured_indices: Optional[dict] = None
     measured_info: Optional[dict] = None
     match: Optional[bool] = None
-    # (field name, WindingResult) at the requested radius; not serialized
+    # (field name, kind, WindingResult) at the requested radius; not serialized
     windings: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -339,20 +339,20 @@ def measure_indices(
         return report
     report.windings, stable, report.match = wind_halving(
         eigenfields(qhat, report.cap), report.predicted_indices, radius, samples)
-    report.measured_indices = {name: res.index for name, res in report.windings}
+    report.measured_indices = {name: res.index for name, _, res in report.windings}
     report.measured_info = {"radius": radius, "samples": samples, "radius_halving_stable": stable}
     return report
 
 
 def wind_halving(fields, predicted, radius: float, samples: int) -> tuple:
-    """The radius-halving rule of both signatures: ((name, WindingResult at
-    the radius) per field, stable, match), each field wound at the radius and
-    at half of it on shared circles; stable iff each index is the same at
-    both, match iff the indices at the radius are the set `predicted` and
-    stable.  The first winding that fails raises."""
-    windings, stable = [], True
+    """The radius-halving rule of both signatures: (rows of winding.csv, that
+    is (name, own kind, WindingResult at the radius) per field, stable,
+    match), each field wound at the radius and at half of it on shared
+    circles; stable iff each index is the same at both, match iff the indices
+    at the radius are the set `predicted` and stable.  The first failure raises."""
+    rows, stable = [], True
     for f in Circles().share(*fields):
         res = winding_index(f, radius=radius, samples=samples)
-        windings.append((f.name, res))
+        rows.append((f.name, f.kind, res))
         stable &= winding_index(f, radius=radius / 2.0, samples=samples).index == res.index
-    return tuple(windings), stable, frozenset(r.index for _, r in windings) == predicted and stable
+    return tuple(rows), stable, frozenset(r.index for *_, r in rows) == predicted and stable

@@ -89,7 +89,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import umbilic
-from .flow import VECTOR_FIELD
 from .geometry import GridSpec, SurfaceChart, _refuse, each, generated_chart
 from .parafunc import Branch, ParaFunction, _halve
 from .poly import Poly
@@ -303,7 +302,7 @@ class ImmersionPatch:
         q = self.hopf()
         rep = umbilic.measure_indices(umbilic.analyze_point(q, cap=analysis.jet_cap), q,
                                       radius=analysis.winding_radius, samples=analysis.samples)
-        return rep.to_dict(), [(name, VECTOR_FIELD, res) for name, res in rep.windings or ()]
+        return rep.to_dict(), rep.windings or ()
 
     def flow_fields(self, analysis) -> tuple:
         """(fields, marks, banner): X1 and X2 with o marked, or why they do not exist."""

@@ -6,7 +6,10 @@ runs over a whole circle.  It must give the evaluator's bits at every
 point (NaN where the evaluator refuses a point), and `winding_index` must
 give the result of the scalar loop `oracles.reference_accumulate` on every
 retry path: a zero on the circle, 4x and 16x resampling, undefined samples
-and an OverflowError, which the array pass raises itself.
+and an OverflowError, which the array pass raises itself.  Each path is
+wound a second time with no array form, where `Circles` calls the evaluator
+once per sample; there, too, an OverflowError of a pass ends the winding,
+even after a zero sample of the same pass.
 """
 
 import dataclasses
@@ -110,19 +113,24 @@ def _zero_at_first_sample():
     return patch.principal_line_field()
 
 
+RETRY_PATHS = [
+    (_zero_at_first_sample(), 0.1, 720, "radius"),
+    (_rotating(200), 0.1, 720, 4),
+    (_rotating(1000), 0.1, 720, 16),
+    (load_preset("spacelike_m2").patch.principal_line_field(), 0.1, 720, 1),
+    (eigenfields(HOPF["narrow_domain"]())[0], 0.3, 720, "undefined"),
+    (eigenfields(HOPF["narrow_domain"]())[1], 1.0, 2048, "undefined"),
+    (eigenfields(HOPF["z5"]())[0], 1e200, 2048, "overflow"),
+]
+RETRY_IDS = ["zero_on_circle", "resample_4x", "resample_16x", "first_try", "undefined_some",
+             "undefined_all", "overflow"]
+
+
+# each path a second time with no array form: `Circles` calls the evaluator per sample
 @pytest.mark.parametrize(
     "field, radius, samples, retry",
-    [
-        (_zero_at_first_sample(), 0.1, 720, "radius"),
-        (_rotating(200), 0.1, 720, 4),
-        (_rotating(1000), 0.1, 720, 16),
-        (load_preset("spacelike_m2").patch.principal_line_field(), 0.1, 720, 1),
-        (eigenfields(HOPF["narrow_domain"]())[0], 0.3, 720, "undefined"),
-        (eigenfields(HOPF["narrow_domain"]())[1], 1.0, 2048, "undefined"),
-        (eigenfields(HOPF["z5"]())[0], 1e200, 2048, "overflow"),
-    ],
-    ids=["zero_on_circle", "resample_4x", "resample_16x", "first_try", "undefined_some",
-         "undefined_all", "overflow"],
+    RETRY_PATHS + [(dataclasses.replace(f, arrays=None), *rest) for f, *rest in RETRY_PATHS],
+    ids=RETRY_IDS + [name + "_evaluator" for name in RETRY_IDS],
 )
 def test_winding_index_is_the_reference_on_every_retry_path(field, radius, samples, retry,
                                                             monkeypatch):
@@ -150,6 +158,21 @@ def test_a_circle_that_overflows_calls_no_evaluator():
     with pytest.raises(OverflowError):
         flow._accumulate(counted, 1e200, 720)
     assert calls == []
+
+
+def test_an_overflow_after_a_zero_in_the_chunk_ends_the_winding():
+    """A field with no array form: its first sample of every circle is a zero,
+    and a later sample of the same 4096-sample chunk raises OverflowError.
+    The pass raises that OverflowError, as an array pass does, and the
+    winding ends with it; the zero does not turn it into a retry."""
+
+    def ev(u, v):
+        if v > 0.0:
+            raise OverflowError("past the double range")
+        return (0.0, 0.0) if v == 0.0 else (-v, u)
+
+    with pytest.raises(OverflowError, match="past the double range"):
+        winding_index(FlowField(ev), radius=0.1, samples=720)
 
 
 def test_index_overflow_keeps_its_exit_code_and_diagnostic(tmp_path, capsys):

@@ -3,7 +3,8 @@
 `flow.streamlines` runs one generated march, with the statements of the
 built-in fields inline (`flow.Kernel`: the umbilic eigenfields and the
 space-like principal line field) and any other evaluator called,
-`flow._accumulate` calls the evaluator or its array form, and
+`flow._accumulate` winds every field through `Circles` (its array form, or
+one evaluator call per sample), and
 `svgplot.render_svg` formats pixel coordinates from arrays.
 The oracles in `oracles` are the scalar loops these replaced.  Over every
 kind of field the program draws, and hand fields that stop a march, refuse

@@ -14,7 +14,9 @@ Fraction(1, 4) product; its metric factor is checked per point in
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -30,9 +32,10 @@ from oracles import (
 from test_chart_engine import NON_SQUARE
 from zmcsurf import GridSpec, weierstrass
 from zmcsurf.cli import main
+from zmcsurf.flow import Kernel
 from zmcsurf.geometry import NumericGuardError
-from zmcsurf.presets import preset_spec
-from zmcsurf.spacelike import SpacelikeChart
+from zmcsurf.presets import load_preset, preset_spec
+from zmcsurf.spacelike import SpacelikeChart, _z
 from zmcsurf.surfacespec import resolve
 
 SQUARE = {"u_min": -1, "u_max": 1, "v_min": -1, "v_max": 1}
@@ -113,6 +116,26 @@ def test_negative_zero_nodes_match_per_node_reference():
     assert str(float(grid.u_nodes()[0])) == "-0.0"
     patch = resolve(_kobayashi([-1.0, [0.5, -0.0], 0.0], [[-0.0, -1.0], [0.0, 0.0]])).patch
     _assert_chart_matches_reference(patch, grid)
+
+
+def test_z_is_bitwise_the_complex_sum_at_signed_zeros_and_extremes():
+    """`_z` and the z statement of the principal line field's Kernel are
+    complex(u) + 1j * complex(v) bit for bit, NaN as NaN, over every pair of
+    +-0.0, +-5e-324, +-1.0, +-1e308, +-inf and NaN: the zero terms they keep
+    decide the sign of a zero, which no march test sees."""
+    edges = [s * x for x in (0.0, 5e-324, 1.0, 1e308, math.inf) for s in (1.0, -1.0)]
+    pairs = list(itertools.product(edges + [math.nan], repeat=2))
+    bits = lambda x: "nan" if math.isnan(x) else x.hex()
+    want = [(bits(z.real), bits(z.imag)) for z in (complex(u) + 1j * complex(v) for u, v in pairs)]
+    u, v = (np.array(c) for c in zip(*pairs))
+    with np.errstate(invalid="ignore"):  # 0.0 * inf is NaN, as in CPython
+        zr, zi = _z(u, v)
+    assert [(bits(a), bits(b)) for a, b in zip(zr.tolist(), zi.tolist())] == want
+    statement = load_preset("spacelike_m1").patch.principal_line_field().evaluator.source
+    statement = statement.splitlines()[0]
+    assert statement.startswith("zr, zi = ")
+    z = Kernel(statement + "\np, q = zr, zi")
+    assert [tuple(map(bits, z(a, b))) for a, b in pairs] == want
 
 
 # Data whose chart overflows: per node, abs() raises "absolute value too

@@ -16,7 +16,6 @@ polynomial at 0, so branch orders at the base point are decided exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +51,9 @@ class Branch:
     at every entry of a float64 array, bit for bit float(fn(t)) at each float
     t, raising where fn raises (any one error where points raise several):
     exp_flat has one, and so has what `+`, `*` and `compose_scale` build from
-    branches that have one; derivatives and primitives have none.
+    branches that have one; derivatives and primitives have none.  A
+    polynomial's `fn`, `taylor` and `arrays` are its `Poly` and its `dfn` is
+    None (`_dfn`); parts are tested `is None`, as the zero `Poly` is falsy.
     """
 
     poly: Optional[Poly] = None
@@ -64,13 +65,15 @@ class Branch:
     def __post_init__(self):
         if (self.poly is None) == (self.fn is None):
             raise ValueError("exactly one of poly/fn must be given")
+        if self.poly is not None:
+            for name in ("fn", "taylor", "arrays"):
+                object.__setattr__(self, name, self.poly)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_poly(cls, coeffs) -> "Branch":
-        p = coeffs if isinstance(coeffs, Poly) else Poly(coeffs)
-        return cls(poly=p)
+        return cls(poly=coeffs if isinstance(coeffs, Poly) else Poly(coeffs))
 
     @classmethod
     def constant(cls, c) -> "Branch":
@@ -108,14 +111,12 @@ class Branch:
         return self.poly is not None
 
     def __call__(self, t):
-        if self.poly is not None:
-            return self.poly(t)
         return self.fn(t)
 
     def table(self, points) -> list:
         """[self(t) for t in points].  A polynomial, and a callable with a
         `table` of its own (a Gauss-Legendre primitive), table themselves."""
-        table = getattr(self.fn, "table", None) or getattr(self.poly, "table", None)
+        table = getattr(self.fn, "table", None)
         return table(points) if table else [self(t) for t in points]
 
     # -- algebra -------------------------------------------------------------
@@ -123,12 +124,12 @@ class Branch:
     def __add__(self, other: "Branch") -> "Branch":
         if self.is_polynomial and other.is_polynomial:
             return Branch(poly=self.poly + other.poly)
-        f, g = self._as_callable(), other._as_callable()
+        f, g, df, dg = self, other, self._dfn(), other._dfn()
         return Branch(
             fn=lambda t: f.fn(t) + g.fn(t),
-            dfn=_maybe(lambda t: f.dfn(t) + g.dfn(t), f.dfn and g.dfn),
+            dfn=_maybe(lambda t: df(t) + dg(t), df, dg),
             taylor=_known(Poly.__add__, f.taylor, g.taylor),
-            arrays=_maybe(lambda t: f.arrays(t) + g.arrays(t), f.arrays and g.arrays),
+            arrays=_maybe(lambda t: f.arrays(t) + g.arrays(t), f.arrays, g.arrays),
         )
 
     def __mul__(self, other) -> "Branch":
@@ -145,15 +146,12 @@ class Branch:
             )
         if self.is_polynomial and other.is_polynomial:
             return Branch(poly=self.poly * other.poly)
-        f, g = self._as_callable(), other._as_callable()
+        f, g, df, dg = self, other, self._dfn(), other._dfn()
         return Branch(
             fn=lambda t: f.fn(t) * g.fn(t),
-            dfn=_maybe(
-                lambda t: f.dfn(t) * g.fn(t) + f.fn(t) * g.dfn(t),
-                f.dfn and g.dfn,
-            ),
+            dfn=_maybe(lambda t: df(t) * g.fn(t) + f.fn(t) * dg(t), df, dg),
             taylor=_known(Poly.__mul__, f.taylor, g.taylor),
-            arrays=_maybe(lambda t: f.arrays(t) * g.arrays(t), f.arrays and g.arrays),
+            arrays=_maybe(lambda t: f.arrays(t) * g.arrays(t), f.arrays, g.arrays),
         )
 
     __rmul__ = __mul__
@@ -164,19 +162,12 @@ class Branch:
     def __sub__(self, other: "Branch") -> "Branch":
         return self + (-other)
 
-    def _as_callable(self) -> "Branch":
-        if not self.is_polynomial:
-            return self
-        p = self.poly
-        # `Poly.__call__` at a float: Horner from 0 over float_coeffs()
-        horner = lambda t: functools.reduce(lambda acc, c: acc * t + c, p.float_coeffs(),
-                                            np.zeros_like(t))
-        return Branch(fn=p, dfn=p.derivative(), taylor=p, arrays=horner)
+    def _dfn(self):
+        """The derivative evaluator, a polynomial's formed as it meets a callable."""
+        return self.poly.derivative() if self.is_polynomial else self.dfn
 
     def _taylor(self) -> Poly:
         """The polynomial whose orders at 0 are the branch's."""
-        if self.is_polynomial:
-            return self.poly
         if self.taylor is None:
             raise UnsupportedBranch("callable branch has no Taylor polynomial")
         return self.taylor
@@ -221,8 +212,8 @@ class Branch:
         return BranchOrder(m, p.coefficient(m), False, cap)
 
 
-def _maybe(fn, condition):
-    return fn if condition else None
+def _maybe(fn, *parts):
+    return None if any(p is None for p in parts) else fn
 
 
 def _known(op, *taylors):
@@ -368,11 +359,9 @@ class ParaFunction:
 
     def normal_form(self, cap: int = 16) -> NormalForm:
         orders = self.split_orders(cap)
-        psi_p = psi_m = None
-        if orders.plus.finite and self.plus.is_polynomial:
-            psi_p = Branch(poly=self.plus.poly.deflate(orders.plus.order))
-        if orders.minus.finite and self.minus.is_polynomial:
-            psi_m = Branch(poly=self.minus.poly.deflate(orders.minus.order))
+        psi_p, psi_m = (
+            Branch(poly=b.poly.deflate(o.order)) if o.finite and b.is_polynomial else None
+            for b, o in ((self.plus, orders.plus), (self.minus, orders.minus)))
         return NormalForm(
             orders=orders,
             psi_plus_0=orders.plus.coeff,

@@ -4,6 +4,8 @@ Coefficients are stored ascending by degree.  With ``fractions.Fraction``
 coefficients every operation here (including antidifferentiation) is exact,
 which the closed-form surface generation relies on; ``float`` and ``complex``
 coefficients work with the same code paths.
+`horner` is the one Horner loop of every value (`Poly.__call__`,
+`numerators`, `table`), and `_over_lcm` the one common-denominator scaling.
 """
 
 from __future__ import annotations
@@ -40,17 +42,16 @@ class Poly:
         float `acc * t`, and `float + Fraction` (like `float + int`) is
         computed as `float(a) + float(c)`, so each coefficient was already
         rounded to a double at every step.  A coefficient outside the
-        double range raises OverflowError at every float t either way."""
+        double range raises OverflowError at every float t either way.  A
+        float ndarray takes the same steps from +0.0, bit for bit each entry's
+        call, with numpy's IEEE `*` and `+`."""
         coeffs = reversed(self.coeffs)
-        if isinstance(t, float):
+        if isinstance(t, (float, np.ndarray)):
             try:
                 coeffs = self.float_coeffs()
             except TypeError:  # complex coefficients
                 pass
-        acc = 0
-        for c in coeffs:
-            acc = acc * t + c
-        return acc
+        return horner(coeffs, t, np.zeros(t.shape) if isinstance(t, np.ndarray) else 0)
 
     def float_coeffs(self) -> tuple:
         """float(c) of every coefficient, highest degree first (the order
@@ -77,30 +78,23 @@ class Poly:
         den > 0, or None unless the coefficients a_i are ints or Fractions
         and the points Fractions.  With B the common denominator of the a_i
         and t = n/D (`Points.scaled`), p(t) is
-        (sum_i a_i B D^(deg-i) n^i) / (B D^deg), a Horner loop over ints
-        (zeros over 1 for the zero polynomial)."""
+        (sum_i a_i B D^(deg-i) n^i) / (B D^deg), `horner` over ints at each
+        n (zeros over 1 for the zero polynomial)."""
         points = points if isinstance(points, Points) else Points(points)
         if not (_exact(self.coeffs) and (scaled := points.scaled)):
             return None
-        (nums, D), B = scaled, math.lcm(*(c.denominator for c in self.coeffs))
+        (nums, D), (ints, B) = scaled, _over_lcm(self.coeffs)
         # a_i B D^(deg-i), highest degree first
-        ints = [c.numerator * (B // c.denominator) * D**k
-                for k, c in enumerate(reversed(self.coeffs))]
-        out = []
-        for n in nums:
-            acc = 0
-            for a in ints:
-                acc = acc * n + a
-            out.append(acc)
-        return out, B * D ** max(self.degree, 0)
+        ints = [a * D**k for k, a in enumerate(reversed(ints))]
+        return [horner(ints, n) for n in nums], B * D ** max(self.degree, 0)
 
     @np.errstate(all="ignore")
     def table(self, points):
         """[self(t) for t in points], bit for bit; at Fraction points with a float
         coefficient and no complex one, Horner's rule is exact (`numerators`) up
         to the first float c, where `Fraction + float` rounds acc t once, and
-        each later step is acc * float(t) + float(c) on the whole table.  The
-        first point is also called, so that an OverflowError is the call's."""
+        each later step (`horner`) is acc * float(t) + float(c) on the whole
+        table.  The first point is also called, so that an OverflowError is the call's."""
         coeffs, points = self.coeffs[::-1], points if isinstance(points, Points) else Points(points)
         k = next((i for i, c in enumerate(coeffs) if isinstance(c, float)), None)
         real = all(isinstance(c, (int, Fraction, float)) for c in coeffs)
@@ -110,9 +104,7 @@ class Poly:
         (nums, D), (ints, den) = points.scaled, Poly(coeffs[:k][::-1]).numerators(points)
         acc = np.array([a * n / (den * D) for a, n in zip(ints, nums)]) + coeffs[k]
         t = np.array([n / D for n in nums]) if coeffs[k + 1:] else None
-        for c in coeffs[k + 1:]:
-            acc = acc * t + float(c)
-        return acc
+        return horner(map(float, coeffs[k + 1:]), t, acc)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -213,8 +205,21 @@ class Points(list):
     @cached_property
     def scaled(self):
         if all(isinstance(t, Fraction) for t in self):
-            D = math.lcm(*(t.denominator for t in self))
-            return [t.numerator * (D // t.denominator) for t in self], D
+            return _over_lcm(self)
+
+
+def horner(coeffs, t, acc=0):
+    """Horner's rule from acc over coeffs, highest degree first: the steps
+    acc = acc * t + c in this order, so the bits are those of their types."""
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
+
+
+def _over_lcm(values) -> tuple:
+    """(ints, D), values[k] == ints[k] / D, D the lcm of their denominators."""
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 def _as_poly(value) -> Poly:
@@ -233,17 +238,14 @@ def _exact_product(a: Sequence, b: Sequence) -> Poly:
     integer lists are convolved, so a coefficient costs one Fraction (one
     gcd) instead of one per term.  As in the schoolbook sum, a coefficient
     is a Fraction when a Fraction enters one of its terms, else an int."""
-    A = math.lcm(*(c.denominator for c in a))
-    B = math.lcm(*(c.denominator for c in b))
+    (ints_a, A), (ints_b, B) = _over_lcm(a), _over_lcm(b)
     out = [0] * (len(a) + len(b) - 1)
     frac = [False] * len(out)
     for factor, other in ((a, b), (b, a)):
         for i, c in enumerate(factor):
             if isinstance(c, Fraction):
                 frac[i : i + len(other)] = [True] * len(other)
-    ints_b = [c.numerator * (B // c.denominator) for c in b]
-    for i, c in enumerate(a):
-        x = c.numerator * (A // c.denominator)
+    for i, x in enumerate(ints_a):
         if x:
             for k, y in enumerate(ints_b, i):
                 out[k] += x * y

@@ -21,7 +21,8 @@ and a non-finite float (NaN, Infinity, 1e400) is refused.  Time-like
 data (routes "ko" and "null") must be regular at the base point: g
 vanishes there and omega_hat is not null; other data are refused at
 /data unless the spec sets "allow_degenerate_base": true (the key takes
-only true or false).  An unknown key is refused at its own pointer at
+only true or false).  An absent analysis takes the defaults, and a null
+one is refused at /analysis.  An unknown key is refused at its own pointer at
 every level: the top level, grid, analysis (AnalysisParams), data (per
 route; metric_sign on route "chart" only), <branch>, <parafn> and the
 branches map.  A float grid bound reads as its double's exact value
@@ -270,8 +271,6 @@ class AnalysisParams:
 
 
 def _analysis(value, pointer, grid: GridSpec) -> AnalysisParams:
-    if value is None:
-        return AnalysisParams()
     value = expect_mapping(value, pointer)
     _known_keys(value, pointer, [f.name for f in fields(AnalysisParams)])
     kwargs = {}
@@ -362,7 +361,7 @@ def resolve(spec: dict, minimum_nodes: int = 16) -> ResolvedSpec:
     if route not in ROUTES:
         _fail("/route", f"route must be one of {ROUTES}, got {_echo(route)}")
     grid = _grid(spec.get("grid"), "/grid", minimum_nodes)
-    analysis = _analysis(spec.get("analysis"), "/analysis", grid)
+    analysis = _analysis(spec.get("analysis", {}), "/analysis", grid)
     data = expect_mapping(spec.get("data"), "/data")
     allow = spec.get("allow_degenerate_base", False)
     if not isinstance(allow, bool):

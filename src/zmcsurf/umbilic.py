@@ -14,7 +14,6 @@ orders m this is exactly the residue of m mod 4.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,6 +23,7 @@ import numpy as np
 from .flow import Circles, FlowField, Kernel, Swapped, winding_index
 from .geometry import each
 from .parafunc import ParaFunction, SplitOrders
+from .poly import horner
 
 PARITY_ODD = "odd_order"
 PARITY_MOD4_2 = "m_mod_4_eq_2"
@@ -269,11 +269,11 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
     finite x.  The text depends only on the shape (X1 or X2, each psi's
     length or that it is a positive constant); the values are arguments.
     X2 = (-p + q, p + q) is X1 = (p + q, -p + q) with the components swapped.
-    X1's array form takes the same steps with np.sqrt (correctly rounded, as
-    math.sqrt is) and `pow` per value, NaN where the evaluator raises
-    ValueError; X2's is X1's, `Swapped`.  Raises OverflowError when a
-    coefficient lies outside the double range, and where x**n1 or y**n-1
-    overflows.
+    X1's array form takes the same steps with `poly.horner`, np.sqrt
+    (correctly rounded, as math.sqrt is) and `pow` per value, NaN where the
+    evaluator raises ValueError; X2's is X1's, `Swapped`.  Raises
+    OverflowError when a coefficient lies outside the double range, and
+    where x**n1 or y**n-1 overflows.
     """
     nf = qhat.normal_form(cap)
     if not nf.finite:
@@ -306,8 +306,7 @@ def eigenfields(qhat: ParaFunction, cap: int = 16) -> tuple:
 
     def arrays(u, v):
         x, y = (u + v) / 2.0, (u - v) / 2.0
-        a = functools.reduce(lambda acc, c: acc * x + c, alpha, 0)
-        b = functools.reduce(lambda acc, c: acc * y + c, beta, 0)
+        a, b = horner(alpha, x), horner(beta, y)
         # NaN where ev raises ValueError
         p = each(pow, x, n1) * np.sqrt(np.where(a > 0.0, a, np.nan))
         q = each(pow, y, nm1) * np.sqrt(np.where(b > 0.0, b, np.nan))

@@ -64,9 +64,10 @@ def _integrands(patch):
     return out
 
 
-# callable branches of every construction that carries `arrays`: a zero and
-# a float polynomial made callable, a coefficient past the double range,
-# scalars of each type, compose_scale by an int, a Fraction and a float
+# branches of every construction that carries `arrays`: a zero and a float
+# polynomial entering a callable, a coefficient past the double range,
+# scalars of each type, compose_scale by an int, a Fraction and a float, and
+# polynomials, whose array form is their `Poly`
 ZOO = {
     "exp_flat": FLAT,
     "exp_flat(2t)": FLAT.compose_scale(2),
@@ -87,6 +88,9 @@ ZOO = {
     "10^400+exp_flat": Branch.from_poly([10**400]) + FLAT,
     # its primitive varies, and stays finite, out to the end of the double range
     "1e-308t*exp_flat": Branch.from_poly([0, 1e-308]) * FLAT,
+    "poly 1/7-5t/3+t^3": Branch.from_poly([Fraction(1, 7), Fraction(-5, 3), 0, 1]),
+    "poly float_mixed": Branch.from_poly([0.25, -1.5, 3, Fraction(1, 3)]),
+    "poly 10^400t": Branch.from_poly([1, 10**400]),
 }
 for _name in ("exA2_17", "rational_g_flat_w", "exp_flat_null"):
     for _axis, _label, _branch in _integrands(resolve(SPECS[_name]).patch):

@@ -135,6 +135,10 @@ SPEC_REFUSALS = {
     "zero_winding_radius": (_z3(lambda s: s.update(analysis={"winding_radius": 0})),
                             "/analysis/winding_radius"),
     "null_without_w2": (_null_without_w2(), "/data/w2"),
+    # an absent analysis takes the defaults; a null one is refused, overrides or not
+    "null_analysis": (_z3(lambda s: s.update(analysis=None)), "/analysis"),
+    "null_analysis_with_radius": (_z3(lambda s: s.update(analysis=None)), "/analysis",
+                                  "--radius", "0.05"),
     # numbers that round to a double outside its range
     "huge_winding_radius": (SPEC_CASES["huge_winding_radius"][0], "/analysis/winding_radius"),
     "huge_kobayashi_coefficient": (SPEC_CASES["huge_kobayashi"][0], "/data/g/1"),
@@ -146,11 +150,11 @@ SPEC_REFUSALS = {
 @pytest.mark.parametrize("cmd", COMMANDS)
 @pytest.mark.parametrize("name", sorted(SPEC_REFUSALS))
 def test_spec_refusal_exits_2_at_its_pointer_before_any_output(tmp_path, capsys, cmd, name):
-    spec, pointer = SPEC_REFUSALS[name]
+    spec, pointer, *options = SPEC_REFUSALS[name]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "o"
-    _refused(capsys, [cmd, "--spec", str(path), "--out", str(out)], pointer)
+    _refused(capsys, [cmd, "--spec", str(path), *options, "--out", str(out)], pointer)
     assert not out.exists()
 
 

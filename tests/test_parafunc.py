@@ -125,6 +125,15 @@ def test_callable_product_order_has_an_exact_coefficient():
     assert isinstance(order.coeff, (int, Fraction))
 
 
+def test_a_constant_beside_a_callable_keeps_its_derivative():
+    """A constant's derivative is the zero `Poly`, which is falsy but known:
+    1 + exp_flat and 2 exp_flat differentiate."""
+    flat = Branch.exp_flat()
+    for t in (0.0, 0.5, -0.75):
+        assert (Branch.constant(1) + flat).derivative()(t) == flat.dfn(t)
+        assert (Branch.constant(2) * flat).derivative()(t) == 2 * flat.dfn(t)
+
+
 @pytest.mark.parametrize("cap", [8, 16])
 def test_flat_product_and_its_derivative_have_no_order(cap):
     b = Branch.from_poly([Fraction(1, 3), 0, 5]) * Branch.exp_flat().compose_scale(2)
@@ -274,16 +283,16 @@ def test_polynomial_in_a_callable_product_is_float_horner_bitwise():
     floats += [rng.uniform(-2, 2) for _ in range(200)]
     rationals = [0, 3, Fraction(-7, 3), Fraction(5, 64), Fraction(-1, 10**9)]
     for p in _rational_polys():
-        product = Branch(poly=p)._as_callable()
-        dp = p.derivative()
+        branch = Branch(poly=p)
+        dfn, dp = branch._dfn(), p.derivative()  # the derivative a callable mix forms
         for t in floats + rationals:
-            assert _same(product.fn(t), exact_horner(p, t)), (p, t)
-            assert _same(product.dfn(t), exact_horner(dp, t)), (p, t)
+            assert _same(branch.fn(t), exact_horner(p, t)), (p, t)
+            assert _same(dfn(t), exact_horner(dp, t)), (p, t)
 
 
 def test_float_horner_overflows_as_poly_call_does():
     p = Poly([1, Fraction(10**400, 3)])
-    product = Branch(poly=p)._as_callable()
+    product = Branch(poly=p)
     for fn in (partial(exact_horner, p), product.fn, product.fn):
         with pytest.raises(OverflowError):  # the second call retries the conversion
             fn(0.5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zmcsurf import Poly
+from zmcsurf import Branch, Poly
 
 from oracles import exact_horner, schoolbook_product
 
@@ -66,7 +66,9 @@ def _bits(value):
     return type(value), value.hex() if isinstance(value, float) else value
 
 
-FLOAT_POINTS = [0.0, -0.0, 0.5, -1.75, 3e-5, -2.5e100, 1e-300, float("inf"), float("nan")]
+# with subnormals, and 1e200 and -3e150, where a quartic overflows to +-inf
+FLOAT_POINTS = [0.0, -0.0, 0.5, -1.75, 3e-5, -2.5e100, 1e-300, float("inf"), float("nan"),
+                5e-324, -2.5e-310, 1e200, -3e150]
 
 
 @pytest.mark.parametrize(
@@ -81,9 +83,16 @@ FLOAT_POINTS = [0.0, -0.0, 0.5, -1.75, 3e-5, -2.5e100, 1e-300, float("inf"), flo
     ],
     ids=["zero", "int_constant", "fraction_constant", "int_quartic", "mixed", "float_mixed"],
 )
+@np.errstate(all="ignore")
 def test_float_path_is_exact_horner_bitwise(p):
     for t in FLOAT_POINTS:
         assert _bits(p(t)) == _bits(exact_horner(p, t)), t
+    # on a float array, each entry's call bit for bit (the zero polynomial's int 0 is +0.0)
+    points = np.array(FLOAT_POINTS)
+    for ts in (points, points[:12].reshape(3, 4)):
+        got = p(ts)
+        assert got.dtype == float and got.shape == ts.shape
+        assert got.tobytes() == np.array([float(p(t)) for t in ts.ravel()]).tobytes()
 
 
 def test_float_coeffs_are_converted_once_and_leave_the_value_alone():
@@ -92,6 +101,8 @@ def test_float_coeffs_are_converted_once_and_leave_the_value_alone():
     assert p.float_coeffs() == (2.0, 1 / 3, 1.0)
     assert p.float_coeffs() is p.float_coeffs()
     assert p == q and hash(p) == hash(q)
+    assert Branch.from_poly(p) == Branch.from_poly(q)
+    assert hash(Branch.from_poly(p)) == hash(Branch.from_poly(q))
     with pytest.raises(AttributeError):
         p.coeffs = ()
 
@@ -101,6 +112,8 @@ def test_float_path_overflows_on_every_call():
     for _ in range(2):
         with pytest.raises(OverflowError):
             p(0.5)
+        with pytest.raises(OverflowError):
+            p(np.array([0.5, 2.0]))
         with pytest.raises(OverflowError):
             p.float_coeffs()
     assert p(Fraction(1, 2)) == 1 + Fraction(10**400, 2)
